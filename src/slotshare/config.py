@@ -106,6 +106,8 @@ def _parse_values(text: str, where: str) -> tuple[float, ...]:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as err:
             raise ConfigError(f"{where}: {err}") from None
+        if count < 1:
+            raise ConfigError(f"{where}: grid spec needs a count of at least 1, got {count}")
         return tuple(float(v) for v in np.linspace(lo, hi, count))
     try:
         return tuple(float(v) for v in text.split(","))
@@ -137,6 +139,12 @@ class _Section:
 
     def get_values(self, key, default):
         return self.get(key, default, lambda text: _parse_values(text, f"{self.name}.{key}"))
+
+    def get_int_values(self, key, default):
+        values = self.get_values(key, default)
+        if not all(float(v).is_integer() for v in values):
+            raise ConfigError(f"{self.name}.{key}: values must be integers, got {values}")
+        return tuple(int(v) for v in values)
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -198,7 +206,7 @@ def parse_config(source) -> ExperimentConfig:
         pr_grid=grids.get_values("pr_grid", base.pr_grid),
         ages=grids.get_values("ages", base.ages),
         alphas=grids.get_values("alphas", base.alphas),
-        n_aon_list=tuple(int(v) for v in grids.get_values("n_aon_list", base.n_aon_list)),
+        n_aon_list=grids.get_int_values("n_aon_list", base.n_aon_list),
     )
 
 

@@ -12,14 +12,16 @@ uniform rows so the margin is a paired difference.
 
 Only two deviation trajectories exist dynamically: both deviations onto
 ``(access, access)`` share one law, as do both onto ``(backoff, backoff)``
-(an idle slot).  Margins within two standard errors of zero are reported as
-indeterminate rather than forced to a boolean.
+(an idle slot).  Neither alpha nor, off the compliance branches, the device
+bias moves the dynamics, so a region sweep simulates each trajectory once
+on common random numbers and weights it per alpha.  Margins within two
+standard errors of zero are reported as indeterminate rather than forced to
+a boolean.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,8 +35,8 @@ from .model import (
     SlotLengths,
     AccessProfile,
 )
-from .seeding import derive_seed, run_generator
-from .sim import _Engine
+from .seeding import run_generator
+from .sim import _Engine, _fanout, _mean_se
 from . import model as _model
 
 _DEFAULT_CHUNK = 2048
@@ -214,63 +216,123 @@ def stage1_expected_ton_throughput(
 
 
 # Branch tags for the paired trajectories.
-_OBEY_HEADS = "obey_heads"
-_OBEY_TAILS = "obey_tails"
-_DEV_JOINT = "deviate_joint"
-_DEV_IDLE = "deviate_idle"
-_BRANCHES = (_OBEY_HEADS, _OBEY_TAILS, _DEV_JOINT, _DEV_IDLE)
+_BRANCHES = ("obey_heads", "obey_tails", "deviate_joint", "deviate_idle")
 
 
-def _branch_payoffs(engine: _Engine, uniforms: np.ndarray, branch: str, tau_hat0: float):
-    """Discounted payoffs of one etiquette branch for a batch of runs.
+def _discount_weights(alpha_axis: np.ndarray, n_stages: int) -> np.ndarray:
+    """(stages x alphas) weights ``(1 - a) * a**n``: ``sim``'s running product."""
+    factors = np.empty((n_stages, alpha_axis.size))
+    factors[0] = 1.0 - alpha_axis
+    factors[1:] = alpha_axis
+    return np.cumprod(factors, axis=0)
 
-    Stage 1 plays the branch's forced profile; compliance branches then obey
-    the device forever while deviation branches fall to competitive play.
-    Returns per-run (u_aon, u_ton, stage1_age, stage1_u_ton).
+
+def _stacked_payoffs(engine: _Engine, uniforms, copies, stage1, play, weights):
+    """Discounted payoffs of ``copies`` branches stacked over one run chunk.
+
+    Row ``b * n_runs + r`` replays run ``r``'s uniforms in branch ``b``.
+    Stage 1 plays the per-row profile ``stage1``, every later stage the
+    profile ``play(delta, urow)`` returns for the pre-slot network ages.
+    Returns (rows x alphas) discounted AON and TON payoffs and the per-row
+    stage-1 (network age, TON payoff).
     """
-    params = engine.params
     n_runs, n_stages, _ = uniforms.shape
-    ages = engine.initial_ages(n_runs)
-    u_aon = np.zeros(n_runs)
-    u_ton = np.zeros(n_runs)
-    weight = 1.0 - params.alpha
-
-    urow = uniforms[:, 0, :]
-    if branch == _OBEY_HEADS:
-        k_a, k_t = engine.slot(ages, urow, tau_hat0, -1.0)
-    elif branch == _OBEY_TAILS:
-        k_a, k_t = engine.slot(ages, urow, -1.0, engine.tau_ton_star)
-    elif branch == _DEV_JOINT:
-        k_a, k_t = engine.slot(ages, urow, tau_hat0, engine.tau_ton_star)
-    else:
-        ages += params.slots.idle
-        k_a = k_t = np.zeros(n_runs, dtype=np.int64)
-    stage1_age = ages.mean(axis=1)
-    stage1_u_ton = np.where((k_t == 1) & (k_a == 0), engine.ton_payout, 0.0)
-    u_aon += weight * (-stage1_age)
-    u_ton += weight * stage1_u_ton
-    weight *= params.alpha
-
-    cooperative = branch in (_OBEY_HEADS, _OBEY_TAILS)
-    for n in range(1, n_stages):
-        urow = uniforms[:, n, :]
+    ages = engine.initial_ages(copies * n_runs)
+    u_aon, u_ton = np.zeros((2, ages.shape[0], weights.shape[1]))
+    tau_a, tau_t = stage1
+    for n in range(n_stages):
+        urow = np.tile(uniforms[:, n, :], (copies, 1))
+        if n:
+            tau_a, tau_t = play(delta, urow)
+        k_a, k_t = engine.slot(ages, urow, tau_a, tau_t)
+        # The stage's AON payoff and the next stage's state.
         delta = ages.mean(axis=1)
-        if cooperative:
-            selected = urow[:, 0] < params.p_r
+        stage_u_ton = np.where((k_t == 1) & (k_a == 0), engine.ton_payout, 0.0)
+        if not n:
+            first = (delta, stage_u_ton)
+        u_aon += (-delta)[:, None] * weights[n]
+        u_ton += stage_u_ton[:, None] * weights[n]
+    return u_aon, u_ton, first
+
+
+def _estimate(name: str, obey: np.ndarray, dev: np.ndarray) -> InequalityEstimate:
+    margin, se = _mean_se(obey - dev)
+    return InequalityEstimate(name, float(obey.mean()), float(dev.mean()), margin, se)
+
+
+def _sweep(
+    params: ScenarioParams, alpha_axis, pr_axis, n_runs, n_stages, seed, threads, chunk_size
+) -> list[list[DeviationReport]]:
+    """Deviation reports on every (alpha, bias) cell from shared trajectories.
+
+    Every cell replays the run streams ``(seed, r)``: the dynamics never read
+    alpha and the deviation branches never read the bias, so one competitive
+    batch (joint access, idle) and one cooperative batch (heads, tails per
+    bias) cover the grid, and alpha only selects a column of discount
+    weights.  Cell ``[i][j]`` equals the report at ``alpha_axis[i]``,
+    ``pr_axis[j]`` alone.
+    """
+    if n_runs < 1 or n_stages < 1:
+        raise ConfigurationError("need at least one run and one stage")
+    engine = _Engine(params)
+    profile_hat, _ = eq.cooperative_optimum(params.sizes, params.slots, params.initial_age)
+    tau_hat0, tau_ton = profile_hat.tau_aon, engine.tau_ton_star
+    weights = _discount_weights(alpha_axis, n_stages)
+    n_alpha, n_pr = alpha_axis.size, pr_axis.size
+    # Per-run payoffs, run index last so each cell reduces a contiguous row.
+    dev = np.empty((2, n_alpha, 2, n_runs))  # payoff, alpha, (joint, idle), run
+    obey = np.empty((2, n_alpha, n_pr, 2, n_runs))  # payoff, alpha, bias, (heads, tails), run
+    stage1 = np.empty((2, 4, n_runs))  # (age, TON payoff), branch in _BRANCHES order, run
+
+    def competitive(delta, urow):
+        return engine.msne_tau(delta), tau_ton
+
+    def work(bounds):
+        start, stop = bounds
+        size = stop - start
+        uniforms = engine.uniforms(seed, range(start, stop), n_stages)
+        pr_rows = np.repeat(pr_axis, 2 * size)
+
+        def cooperative(delta, urow):
+            selected = urow[:, 0] < pr_rows
             tau = engine.coop_tau(delta)
-            k_a, k_t = engine.slot(
-                ages,
-                urow,
-                np.where(selected, tau, -1.0),
-                np.where(selected, -1.0, engine.tau_ton_star),
-            )
-        else:
-            tau = engine.msne_tau(delta)
-            k_a, k_t = engine.slot(ages, urow, tau, engine.tau_ton_star)
-        u_aon += weight * (-ages.mean(axis=1))
-        u_ton += weight * np.where((k_t == 1) & (k_a == 0), engine.ton_payout, 0.0)
-        weight *= params.alpha
-    return u_aon, u_ton, stage1_age, stage1_u_ton
+            return np.where(selected, tau, -1.0), np.where(selected, -1.0, tau_ton)
+
+        # Stage-1 (tau_aon, tau_ton) rows: joint access, then an idle slot.
+        stage1_dev = np.repeat([[tau_hat0, -1.0], [tau_ton, -1.0]], size, axis=1)
+        *d_pay, d_first = _stacked_payoffs(engine, uniforms, 2, stage1_dev, competitive, weights)
+        # Per bias: obey heads (AON alone), then obey tails (TON alone).
+        stage1_obey = np.repeat(np.tile([[tau_hat0, -1.0], [-1.0, tau_ton]], n_pr), size, axis=1)
+        *o_pay, o_first = _stacked_payoffs(
+            engine, uniforms, 2 * n_pr, stage1_obey, cooperative, weights
+        )
+        for k in range(2):
+            dev[k, ..., start:stop] = np.moveaxis(d_pay[k].reshape(2, size, n_alpha), -1, 0)
+            obey[k, ..., start:stop] = np.moveaxis(o_pay[k].reshape(n_pr, 2, size, n_alpha), -1, 0)
+            # Compliance stage 1 does not read the bias: take the first block.
+            stage1[k, :2, start:stop] = o_first[k][: 2 * size].reshape(2, size)
+            stage1[k, 2:, start:stop] = d_first[k].reshape(2, size)
+
+    _fanout(n_runs, chunk_size, work, threads)
+
+    stage1_age_mc = {b: _mean_se(stage1[0, k]) for k, b in enumerate(_BRANCHES)}
+    stage1_throughput_mc = {b: _mean_se(stage1[1, k]) for k, b in enumerate(_BRANCHES)}
+
+    def report(i, j):
+        (aon_h, aon_t), (ton_h, ton_t) = obey[0, i, j], obey[1, i, j]
+        (aon_joint, aon_idle), (ton_joint, ton_idle) = dev[0, i], dev[1, i]
+        return DeviationReport(
+            aon_obeys_heads=_estimate("aon_obeys_heads", aon_h, aon_idle),
+            ton_obeys_heads=_estimate("ton_obeys_heads", ton_h, ton_joint),
+            aon_obeys_tails=_estimate("aon_obeys_tails", aon_t, aon_joint),
+            ton_obeys_tails=_estimate("ton_obeys_tails", ton_t, ton_idle),
+            stage1_age_mc=dict(stage1_age_mc),
+            stage1_throughput_mc=dict(stage1_throughput_mc),
+            stage1_profile=profile_hat,
+            n_runs=n_runs,
+        )
+
+    return [[report(i, j) for j in range(n_pr)] for i in range(n_alpha)]
 
 
 def deviation_inequalities(
@@ -282,60 +344,8 @@ def deviation_inequalities(
     chunk_size: int = _DEFAULT_CHUNK,
 ) -> DeviationReport:
     """Estimate the four obey-versus-deviate inequalities by paired Monte Carlo."""
-    if n_runs < 1 or n_stages < 1:
-        raise ConfigurationError("need at least one run and one stage")
-    engine = _Engine(params)
-    profile_hat, _ = eq.cooperative_optimum(params.sizes, params.slots, params.initial_age)
-    tau_hat0 = profile_hat.tau_aon
-
-    per_run = {
-        branch: (np.empty(n_runs), np.empty(n_runs), np.empty(n_runs), np.empty(n_runs))
-        for branch in _BRANCHES
-    }
-
-    def work(bounds):
-        start, stop = bounds
-        uniforms = engine.uniforms(seed, range(start, stop), n_stages)
-        for branch in _BRANCHES:
-            out = _branch_payoffs(engine, uniforms, branch, tau_hat0)
-            for target, values in zip(per_run[branch], out):
-                target[start:stop] = values
-
-    chunks = [(s, min(s + chunk_size, n_runs)) for s in range(0, n_runs, chunk_size)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, chunks))
-    else:
-        for bounds in chunks:
-            work(bounds)
-
-    def estimate(name, obey_branch, dev_branch, payoff_index):
-        obey = per_run[obey_branch][payoff_index]
-        dev = per_run[dev_branch][payoff_index]
-        diff = obey - dev
-        se = 0.0 if n_runs < 2 else float(diff.std(ddof=1) / np.sqrt(n_runs))
-        return InequalityEstimate(
-            name=name,
-            obey_mean=float(obey.mean()),
-            deviate_mean=float(dev.mean()),
-            margin=float(diff.mean()),
-            se=se,
-        )
-
-    def mean_se(values):
-        se = 0.0 if n_runs < 2 else float(values.std(ddof=1) / np.sqrt(n_runs))
-        return float(values.mean()), se
-
-    return DeviationReport(
-        aon_obeys_heads=estimate("aon_obeys_heads", _OBEY_HEADS, _DEV_IDLE, 0),
-        ton_obeys_heads=estimate("ton_obeys_heads", _OBEY_HEADS, _DEV_JOINT, 1),
-        aon_obeys_tails=estimate("aon_obeys_tails", _OBEY_TAILS, _DEV_JOINT, 0),
-        ton_obeys_tails=estimate("ton_obeys_tails", _OBEY_TAILS, _DEV_IDLE, 1),
-        stage1_age_mc={b: mean_se(per_run[b][2]) for b in _BRANCHES},
-        stage1_throughput_mc={b: mean_se(per_run[b][3]) for b in _BRANCHES},
-        stage1_profile=profile_hat,
-        n_runs=n_runs,
-    )
+    axes = np.array([params.alpha]), np.array([params.p_r])
+    return _sweep(params, *axes, n_runs, n_stages, seed, threads, chunk_size)[0][0]
 
 
 def spe_feasible(
@@ -404,51 +414,39 @@ def region_sweep(
 ) -> RegionGrid:
     """Evaluate the four inequalities on every (alpha, bias) grid cell.
 
-    Cell (i, j) draws from the seed labeled by its coordinates, so the sweep
-    is reproducible at any thread count.
+    All cells share the run streams ``(seed, r)`` (common random numbers),
+    and cell (i, j) equals ``deviation_inequalities`` at that point and seed
+    at any thread count.
     """
     alpha_axis = np.asarray(alpha_grid, dtype=np.float64)
     pr_axis = np.asarray(pr_grid, dtype=np.float64)
+    if alpha_axis.size == 0 or pr_axis.size == 0:
+        raise ConfigurationError("alpha and bias grids need at least one value")
     if np.any(alpha_axis <= 0.0) or np.any(alpha_axis >= 1.0):
         raise ConfigurationError("alpha grid must lie inside (0, 1)")
     if np.any(pr_axis <= 0.0) or np.any(pr_axis >= 1.0):
         raise ConfigurationError("bias grid must lie inside (0, 1)")
-    shape = (alpha_axis.size, pr_axis.size)
-    ton = np.empty(shape, dtype=np.int8)
-    aon = np.empty(shape, dtype=np.int8)
-    spe = np.empty(shape, dtype=np.int8)
-    margins = np.empty((4,) + shape)
-    ses = np.empty((4,) + shape)
+    reports = _sweep(
+        params, alpha_axis, pr_axis, n_runs, n_stages, seed, threads, _DEFAULT_CHUNK
+    )
 
-    def cell(index):
-        i, j = index
-        point = replace(params, alpha=float(alpha_axis[i]), p_r=float(pr_axis[j]))
-        report = deviation_inequalities(
-            point, n_runs, n_stages, derive_seed(seed, i, j), threads=1
-        )
-        ton[i, j] = report.ton_prefers.to_int()
-        aon[i, j] = report.aon_prefers.to_int()
-        spe[i, j] = report.self_enforceable.to_int()
-        for k, est in enumerate(report.inequalities):
-            margins[k, i, j] = est.margin
-            ses[k, i, j] = est.se
+    def cells(value, dtype=np.float64):
+        return np.array([[value(r) for r in row] for row in reports], dtype=dtype)
 
-    cells = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(cell, cells))
-    else:
-        for index in cells:
-            cell(index)
+    def tri(verdict):
+        return cells(lambda r: getattr(r, verdict).to_int(), np.int8)
+
+    def field(attr):
+        return np.array([cells(lambda r: getattr(r.inequalities[k], attr)) for k in range(4)])
 
     return RegionGrid(
         alpha_axis=alpha_axis,
         pr_axis=pr_axis,
-        ton_prefers=ton,
-        aon_prefers=aon,
-        self_enforceable=spe,
-        margins=margins,
-        ses=ses,
+        ton_prefers=tri("ton_prefers"),
+        aon_prefers=tri("aon_prefers"),
+        self_enforceable=tri("self_enforceable"),
+        margins=field("margin"),
+        ses=field("se"),
     )
 
 

@@ -199,9 +199,9 @@ def _simulate_batch(
             "aon_selected": np.zeros((n_runs, n_stages), dtype=bool),
         }
 
+    delta = ages.mean(axis=1)
     for n in range(n_stages):
         urow = uniforms[:, n, :]
-        delta = ages.mean(axis=1)
         if mode is Mode.COMPETITIVE:
             tau = engine.msne_tau(delta)
             count_one += tau == 1.0
@@ -219,6 +219,8 @@ def _simulate_batch(
                 np.where(selected, tau, -1.0),
                 np.where(selected, -1.0, engine.tau_ton_star),
             )
+        # Post-slot network age: the realized AON payoff and the next state.
+        age_after = ages.mean(axis=1)
         if expected_payoffs:
             if mode is Mode.COMPETITIVE:
                 stage_u_aon = -eq._competitive_stage_age(
@@ -238,7 +240,7 @@ def _simulate_batch(
                     ),
                 )
         else:
-            stage_u_aon = -ages.mean(axis=1)
+            stage_u_aon = -age_after
             stage_u_ton = np.where((k_t == 1) & (k_a == 0), engine.ton_payout, 0.0)
         u_aon += weight * stage_u_aon
         u_ton += weight * stage_u_ton
@@ -250,6 +252,7 @@ def _simulate_batch(
             rec_streams["events"][:, n] = _event_codes(k_a, k_t)
             if mode is Mode.COOPERATIVE:
                 rec_streams["aon_selected"][:, n] = selected
+        delta = age_after
 
     freq_one = count_one / n_stages
     freq_zero = count_zero / n_stages
@@ -308,6 +311,17 @@ def run_cooperation(config: RunConfig) -> RunResult:
     return _run_single(config)
 
 
+def _fanout(n_runs: int, chunk_size: int, work, threads: int) -> None:
+    """Call ``work((start, stop))`` on each run chunk; a pool starts only for several."""
+    chunks = [(s, min(s + chunk_size, n_runs)) for s in range(0, n_runs, chunk_size)]
+    if threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(work, chunks))
+    else:
+        for bounds in chunks:
+            work(bounds)
+
+
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     mean = float(values.mean())
     if values.size < 2:
@@ -342,13 +356,7 @@ def monte_carlo(
         out = _simulate_batch(engine, uniforms, config.mode, config.expected_payoffs)
         u_aon[start:stop], u_ton[start:stop], f_one[start:stop], f_zero[start:stop] = out[:4]
 
-    chunks = [(s, min(s + chunk_size, n_runs)) for s in range(0, n_runs, chunk_size)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, chunks))
-    else:
-        for bounds in chunks:
-            work(bounds)
+    _fanout(n_runs, chunk_size, work, threads)
 
     stats = [_mean_se(a) for a in (u_aon, u_ton, f_one, f_zero)]
     return Aggregate(

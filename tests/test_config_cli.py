@@ -84,6 +84,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="scenario"):
             parse_config("[scenario]\nalpha = 1.7\n")
 
+    def test_bad_grids_rejected(self):
+        with pytest.raises(ConfigError, match="grids.n_aon_list"):
+            parse_config("[grids]\nn_aon_list = 2.7, 5\n")
+        with pytest.raises(ConfigError, match="grids.alpha_grid"):
+            parse_config("[grids]\nalpha_grid = 0.1:0.9:0\n")
+        assert parse_config("[grids]\nn_aon_list = 1:10:4\n").n_aon_list == (1, 4, 7, 10)
+
     def test_paper_scale(self):
         config = default_config().at_paper_scale()
         assert (config.n_runs, config.n_stages) == (100_000, 1_000)
@@ -215,6 +222,14 @@ class TestCli:
         bad.write_text("[scenario]\nalpha = 2.0\n")
         code, _ = run_cli(["msne", "--config", str(bad)])
         assert code == cli.EXIT_CONFIG
+
+    def test_empty_region_grid_exit_code(self, tmp_path):
+        bad = tmp_path / "empty.ini"
+        bad.write_text("[grids]\nalpha_grid = 0.1:0.9:0\n")
+        out = tmp_path / "region.csv"
+        code, _ = run_cli(["region", "--config", str(bad), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
 
     def test_io_error_exit_code(self, tmp_path):
         code, _ = run_cli(["msne", "--out", str(tmp_path / "missing" / "x.txt")])

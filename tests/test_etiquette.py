@@ -1,5 +1,9 @@
 """Grim-trigger etiquette: stage-1 forms, inequalities, and region sweeps."""
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -125,6 +129,33 @@ class TestDeviationInequalities:
         b = ss.deviation_inequalities(params, 600, 120, seed=64, threads=4, chunk_size=64)
         assert a == b
 
+    @pytest.mark.parametrize("case", ["equal_slots", "small_collision"])
+    def test_reports_match_golden(self, case):
+        # Reports of the per-branch implementation the shared-trajectory
+        # kernel replaced, stored with round-tripping float reprs.
+        golden = json.loads((Path(__file__).parent / "golden_deviation.json").read_text())[case]
+        spec = golden["scenario"]
+        params = ss.ScenarioParams(
+            ss.NetworkSizes(spec["n"], spec["n"]),
+            ss.SlotLengths(*spec["slots"]),
+            alpha=spec["alpha"],
+            p_r=spec["p_r"],
+            initial_age=spec["initial_age"],
+        )
+        expected = etiquette.DeviationReport(
+            *(etiquette.InequalityEstimate(*row) for row in golden["inequalities"]),
+            stage1_age_mc={k: tuple(v) for k, v in golden["stage1_age_mc"].items()},
+            stage1_throughput_mc={
+                k: tuple(v) for k, v in golden["stage1_throughput_mc"].items()
+            },
+            stage1_profile=ss.AccessProfile(*golden["stage1_profile"]),
+            n_runs=golden["report_n_runs"],
+        )
+        report = ss.deviation_inequalities(
+            params, golden["n_runs"], golden["n_stages"], seed=spec["seed"]
+        )
+        assert report == expected
+
 
 class TestFeasibility:
     def test_kleene_and(self):
@@ -186,9 +217,56 @@ class TestRegionSweep:
         assert verdicts[2] is Feasibility.YES
         assert verdicts[10] is Feasibility.NO
 
+    @pytest.mark.parametrize(
+        "slots_name, n", [("equal_slots", 2), ("small_collision", 5), ("equal_slots", 10)]
+    )
+    def test_cells_equal_single_point_reports(self, slots_name, n, request):
+        # Common random numbers: every cell replays the master seed's run
+        # streams, so it is bit-equal to the report at that point alone.
+        params = scenario(request.getfixturevalue(slots_name), na=n, nt=n, initial_age=6.0)
+        alphas, biases = [0.3, 0.75, 0.95], [0.2, 0.5, 0.8]
+        grid = ss.region_sweep(params, alphas, biases, 120, 40, seed=9)
+        for i, alpha in enumerate(alphas):
+            for j, p_r in enumerate(biases):
+                point = replace(params, alpha=alpha, p_r=p_r)
+                report = ss.deviation_inequalities(point, 120, 40, seed=9)
+                assert [e.margin for e in report.inequalities] == list(grid.margins[:, i, j])
+                assert [e.se for e in report.inequalities] == list(grid.ses[:, i, j])
+                assert grid.ton_prefers[i, j] == report.ton_prefers.to_int()
+                assert grid.aon_prefers[i, j] == report.aon_prefers.to_int()
+                assert grid.self_enforceable[i, j] == report.self_enforceable.to_int()
+
+    def test_sweep_invariant_to_threads_and_chunks(self, small_collision, monkeypatch):
+        params = scenario(small_collision, na=3, nt=3, initial_age=5.0)
+        args = (params, [0.5, 0.9], [0.25, 0.5, 0.75], 100, 30)
+        base = ss.region_sweep(*args, seed=3)
+        variants = [ss.region_sweep(*args, seed=3, threads=t) for t in (2, 4)]
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(etiquette, "_DEFAULT_CHUNK", chunk)
+            variants += [ss.region_sweep(*args, seed=3, threads=t) for t in (1, 2, 4)]
+        for other in variants:
+            for name in ("margins", "ses", "ton_prefers", "aon_prefers", "self_enforceable"):
+                assert np.array_equal(getattr(base, name), getattr(other, name)), name
+
+    def test_spe_feasible_is_the_one_cell_sweep(self, equal_slots):
+        params = scenario(equal_slots, na=2, nt=2)
+        for alpha, p_r in ((0.9, 0.3), (0.01, 0.3), (0.6, 0.7)):
+            grid = ss.region_sweep(params, [alpha], [p_r], 300, 100, seed=17)
+            verdict = ss.spe_feasible(params, alpha, p_r, 300, 100, seed=17)
+            assert verdict.to_int() == grid.self_enforceable[0, 0]
+
     def test_grid_bounds_validated(self, equal_slots):
         with pytest.raises(ss.ConfigurationError):
             ss.region_sweep(scenario(equal_slots), [0.0, 0.5], [0.5], 10, 10, seed=1)
+
+    def test_empty_axis_rejected_before_simulating(self, equal_slots, monkeypatch):
+        def kernel(*args):
+            raise AssertionError("the kernel ran on an empty grid")
+
+        monkeypatch.setattr(etiquette, "_sweep", kernel)
+        for alphas, biases in (([], [0.5]), ([0.5], [])):
+            with pytest.raises(ss.ConfigurationError, match="at least one value"):
+                ss.region_sweep(scenario(equal_slots), alphas, biases, 10, 10, seed=1)
 
     def test_monotonicity_flags_on_synthetic_grid(self):
         spe = np.array([[1, 0], [0, 0], [1, 1]], dtype=np.int8)
