@@ -148,15 +148,19 @@ class _Section:
 
 
 def parse_config(source) -> ExperimentConfig:
-    """Build an ExperimentConfig from a path or an already-read INI string."""
+    """Build an ExperimentConfig from a path or an already-read INI string.
+
+    A string holding a newline or starting (after blanks) with a ``[`` section
+    header is INI text; anything else is opened as a path.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    text = source if "\n" in str(source) else None
+    text = str(source)
     try:
-        if text is None:
+        if "\n" in text or text.lstrip().startswith("["):
+            parser.read_string(text)
+        else:
             with open(source, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
-        else:
-            parser.read_string(text)
     except OSError:
         raise
     except configparser.Error as err:

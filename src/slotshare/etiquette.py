@@ -227,32 +227,34 @@ def _discount_weights(alpha_axis: np.ndarray, n_stages: int) -> np.ndarray:
     return np.cumprod(factors, axis=0)
 
 
-def _stacked_payoffs(engine: _Engine, uniforms, copies, stage1, play, weights):
-    """Discounted payoffs of ``copies`` branches stacked over one run chunk.
+class _Stack:
+    """``copies`` branches of one run chunk stacked as rows, advanced a stage at a time.
 
     Row ``b * n_runs + r`` replays run ``r``'s uniforms in branch ``b``.
     Stage 1 plays the per-row profile ``stage1``, every later stage the
     profile ``play(delta, urow)`` returns for the pre-slot network ages.
-    Returns (rows x alphas) discounted AON and TON payoffs and the per-row
-    stage-1 (network age, TON payoff).
+    ``u_aon``/``u_ton`` accumulate (rows x alphas) discounted payoffs and
+    ``first`` holds the per-row stage-1 (network age, TON payoff).
     """
-    n_runs, n_stages, _ = uniforms.shape
-    ages = engine.initial_ages(copies * n_runs)
-    u_aon, u_ton = np.zeros((2, ages.shape[0], weights.shape[1]))
-    tau_a, tau_t = stage1
-    for n in range(n_stages):
-        urow = np.tile(uniforms[:, n, :], (copies, 1))
+
+    def __init__(self, engine: _Engine, n_runs, copies, stage1, play, n_alpha):
+        self.engine, self.copies, self.play = engine, copies, play
+        self.ages = engine.initial_ages(copies * n_runs)
+        self.u_aon, self.u_ton = np.zeros((2, self.ages.shape[0], n_alpha))
+        self.tau = stage1
+
+    def step(self, n, urow, weights):
+        urow = np.tile(urow, (self.copies, 1))
         if n:
-            tau_a, tau_t = play(delta, urow)
-        k_a, k_t = engine.slot(ages, urow, tau_a, tau_t)
+            self.tau = self.play(self.delta, urow)
+        k_a, k_t = self.engine.slot(self.ages, urow, *self.tau)
         # The stage's AON payoff and the next stage's state.
-        delta = ages.mean(axis=1)
-        stage_u_ton = np.where((k_t == 1) & (k_a == 0), engine.ton_payout, 0.0)
+        self.delta = self.ages.mean(axis=1)
+        stage_u_ton = np.where((k_t == 1) & (k_a == 0), self.engine.ton_payout, 0.0)
         if not n:
-            first = (delta, stage_u_ton)
-        u_aon += (-delta)[:, None] * weights[n]
-        u_ton += stage_u_ton[:, None] * weights[n]
-    return u_aon, u_ton, first
+            self.first = (self.delta, stage_u_ton)
+        self.u_aon += (-self.delta)[:, None] * weights
+        self.u_ton += stage_u_ton[:, None] * weights
 
 
 def _estimate(name: str, obey: np.ndarray, dev: np.ndarray) -> InequalityEstimate:
@@ -269,8 +271,9 @@ def _sweep(
     alpha and the deviation branches never read the bias, so one competitive
     batch (joint access, idle) and one cooperative batch (heads, tails per
     bias) cover the grid, and alpha only selects a column of discount
-    weights.  Cell ``[i][j]`` equals the report at ``alpha_axis[i]``,
-    ``pr_axis[j]`` alone.
+    weights.  Both batches advance in lockstep on one draw per run chunk.
+    Cell ``[i][j]`` equals the report at ``alpha_axis[i]``, ``pr_axis[j]``
+    alone.
     """
     if n_runs < 1 or n_stages < 1:
         raise ConfigurationError("need at least one run and one stage")
@@ -290,7 +293,6 @@ def _sweep(
     def work(bounds):
         start, stop = bounds
         size = stop - start
-        uniforms = engine.uniforms(seed, range(start, stop), n_stages)
         pr_rows = np.repeat(pr_axis, 2 * size)
 
         def cooperative(delta, urow):
@@ -300,18 +302,19 @@ def _sweep(
 
         # Stage-1 (tau_aon, tau_ton) rows: joint access, then an idle slot.
         stage1_dev = np.repeat([[tau_hat0, -1.0], [tau_ton, -1.0]], size, axis=1)
-        *d_pay, d_first = _stacked_payoffs(engine, uniforms, 2, stage1_dev, competitive, weights)
+        d = _Stack(engine, size, 2, stage1_dev, competitive, n_alpha)
         # Per bias: obey heads (AON alone), then obey tails (TON alone).
         stage1_obey = np.repeat(np.tile([[tau_hat0, -1.0], [-1.0, tau_ton]], n_pr), size, axis=1)
-        *o_pay, o_first = _stacked_payoffs(
-            engine, uniforms, 2 * n_pr, stage1_obey, cooperative, weights
-        )
-        for k in range(2):
-            dev[k, ..., start:stop] = np.moveaxis(d_pay[k].reshape(2, size, n_alpha), -1, 0)
-            obey[k, ..., start:stop] = np.moveaxis(o_pay[k].reshape(n_pr, 2, size, n_alpha), -1, 0)
+        o = _Stack(engine, size, 2 * n_pr, stage1_obey, cooperative, n_alpha)
+        for n, urow in enumerate(engine.stage_rows(seed, range(start, stop), n_stages)):
+            d.step(n, urow, weights[n])
+            o.step(n, urow, weights[n])
+        for k, (d_pay, o_pay) in enumerate([(d.u_aon, o.u_aon), (d.u_ton, o.u_ton)]):
+            dev[k, ..., start:stop] = np.moveaxis(d_pay.reshape(2, size, n_alpha), -1, 0)
+            obey[k, ..., start:stop] = np.moveaxis(o_pay.reshape(n_pr, 2, size, n_alpha), -1, 0)
             # Compliance stage 1 does not read the bias: take the first block.
-            stage1[k, :2, start:stop] = o_first[k][: 2 * size].reshape(2, size)
-            stage1[k, 2:, start:stop] = d_first[k].reshape(2, size)
+            stage1[k, :2, start:stop] = o.first[k][: 2 * size].reshape(2, size)
+            stage1[k, 2:, start:stop] = d.first[k].reshape(2, size)
 
     _fanout(n_runs, chunk_size, work, threads)
 
@@ -389,7 +392,12 @@ class RegionGrid:
 
         Returns (lower alpha index, higher alpha index, bias index) triples
         where the lower cell is decidedly feasible but the higher one is
-        decidedly infeasible; such pairs call for grid refinement.
+        decidedly infeasible.  Both verdicts clear two standard errors, so a
+        flag can mark a real non-monotone region, not only a call for grid
+        refinement: at N = 2, equal slots, p_r = 0.15 (2000 runs x 300
+        stages, seed 1) the AON's obey margins are +13.9 / +9.6 SE at alpha
+        0.85 and -7.7 / -9.2 SE at alpha 0.95; at a low bias a patient AON
+        prefers competing.
         """
         flags = []
         n_alpha = self.alpha_axis.size

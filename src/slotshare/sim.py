@@ -12,7 +12,11 @@ its randomness from its own counter-based stream (see ``seeding``), so
 results are bit-identical for a fixed master seed no matter how the batch is
 chunked or threaded.  Uniform draws are laid out one row per stage:
 column 0 is the coordination-device draw, columns ``1 .. n_aon`` the AON
-node draws, and the remaining ``n_ton`` columns the TON node draws.
+node draws, and the remaining ``n_ton`` columns the TON node draws.  A chunk
+of runs draws its rows a block of stages at a time into one reused buffer;
+a counter-based stream read in order yields the same numbers however it is
+cut into blocks, and several arms (modes) of a batch advance in lockstep on
+the same rows.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from .model import AgeState, ConfigurationError, ScenarioParams
 from .seeding import run_generator
 
 _DEFAULT_CHUNK = 1024
+# Size of one chunk's uniform buffer: it holds as many stages of every run as
+# fit, at least one.
+_BLOCK_BYTES = 8 << 20
 
 # Event codes in recorded stage streams.
 EVENT_IDLE = 0
@@ -120,11 +127,24 @@ class _Engine:
         # slot's worth of bits, averaged over the network.
         self.ton_payout = params.slots.success * params.rate / self.n_ton
 
-    def uniforms(self, seed: int, run_indices: range, n_stages: int) -> np.ndarray:
-        out = np.empty((len(run_indices), n_stages, self.width))
-        for k, run in enumerate(run_indices):
-            out[k] = run_generator(seed, run).random((n_stages, self.width))
-        return out
+    def uniforms(self, generators, buf: np.ndarray, n_stages: int) -> np.ndarray:
+        """Draw the next ``n_stages`` rows of every run into ``buf``; returns the block."""
+        for k, gen in enumerate(generators):
+            gen.random(out=buf[k, :n_stages])
+        return buf[:, :n_stages]
+
+    def stage_rows(self, seed: int, run_indices: range, n_stages: int):
+        """Yield each stage's (runs x width) uniforms; run ``r`` reads stream ``(seed, r)``.
+
+        A yielded row is a view into a buffer that the next block overwrites.
+        """
+        generators = [run_generator(seed, run) for run in run_indices]
+        block = max(1, _BLOCK_BYTES // (8 * self.width * len(generators)))
+        buf = np.empty((len(generators), min(block, n_stages), self.width))
+        for start in range(0, n_stages, block):
+            rows = self.uniforms(generators, buf, min(block, n_stages - start))
+            for j in range(rows.shape[1]):
+                yield rows[:, j]
 
     def initial_ages(self, n_runs: int) -> np.ndarray:
         return np.full((n_runs, self.n_aon), self.params.initial_age, dtype=np.float64)
@@ -171,58 +191,61 @@ def _event_codes(k_a: np.ndarray, k_t: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _simulate_batch(
-    engine: _Engine,
-    uniforms: np.ndarray,
-    mode: Mode,
-    expected_payoffs: bool = False,
-    record: bool = False,
-):
-    """Advance a batch of runs through all stages; returns per-run scalars."""
-    params = engine.params
-    n_runs, n_stages, _ = uniforms.shape
-    ages = engine.initial_ages(n_runs)
-    u_aon = np.zeros(n_runs)
-    u_ton = np.zeros(n_runs)
-    count_one = np.zeros(n_runs)
-    count_zero = np.zeros(n_runs)
-    n_selected = np.zeros(n_runs)
-    weight = 1.0 - params.alpha
+class _Arm:
+    """One mode's batch of runs: state and accumulators, advanced a stage at a time."""
 
-    rec_streams = None
-    if record:
-        rec_streams = {
-            "u_aon": np.empty((n_runs, n_stages)),
-            "u_ton": np.empty((n_runs, n_stages)),
-            "tau_aon": np.empty((n_runs, n_stages)),
-            "events": np.empty((n_runs, n_stages), dtype=np.int8),
-            "aon_selected": np.zeros((n_runs, n_stages), dtype=bool),
-        }
+    def __init__(
+        self,
+        engine: _Engine,
+        mode: Mode,
+        n_runs: int,
+        n_stages: int,
+        expected_payoffs: bool,
+        record: bool,
+    ):
+        self.engine = engine
+        self.mode = mode
+        self.expected_payoffs = expected_payoffs
+        self.ages = engine.initial_ages(n_runs)
+        self.u_aon = np.zeros(n_runs)
+        self.u_ton = np.zeros(n_runs)
+        self.count_one = np.zeros(n_runs)
+        self.count_zero = np.zeros(n_runs)
+        self.n_selected = np.zeros(n_runs)
+        self.delta = self.ages.mean(axis=1)
+        self.rec_streams = None
+        if record:
+            self.rec_streams = {
+                "u_aon": np.empty((n_runs, n_stages)),
+                "u_ton": np.empty((n_runs, n_stages)),
+                "tau_aon": np.empty((n_runs, n_stages)),
+                "events": np.empty((n_runs, n_stages), dtype=np.int8),
+                "aon_selected": np.zeros((n_runs, n_stages), dtype=bool),
+            }
 
-    delta = ages.mean(axis=1)
-    for n in range(n_stages):
-        urow = uniforms[:, n, :]
-        if mode is Mode.COMPETITIVE:
+    def step(self, n: int, urow: np.ndarray, weight: float) -> None:
+        engine, params, delta = self.engine, self.engine.params, self.delta
+        if self.mode is Mode.COMPETITIVE:
             tau = engine.msne_tau(delta)
-            count_one += tau == 1.0
-            count_zero += tau == 0.0
-            k_a, k_t = engine.slot(ages, urow, tau, engine.tau_ton_star)
+            self.count_one += tau == 1.0
+            self.count_zero += tau == 0.0
+            k_a, k_t = engine.slot(self.ages, urow, tau, engine.tau_ton_star)
         else:
             selected = urow[:, 0] < params.p_r
             tau = engine.coop_tau(delta)
-            count_one += (tau == 1.0) & selected
-            count_zero += (tau == 0.0) & selected
-            n_selected += selected
+            self.count_one += (tau == 1.0) & selected
+            self.count_zero += (tau == 0.0) & selected
+            self.n_selected += selected
             k_a, k_t = engine.slot(
-                ages,
+                self.ages,
                 urow,
                 np.where(selected, tau, -1.0),
                 np.where(selected, -1.0, engine.tau_ton_star),
             )
         # Post-slot network age: the realized AON payoff and the next state.
-        age_after = ages.mean(axis=1)
-        if expected_payoffs:
-            if mode is Mode.COMPETITIVE:
+        age_after = self.ages.mean(axis=1)
+        if self.expected_payoffs:
+            if self.mode is Mode.COMPETITIVE:
                 stage_u_aon = -eq._competitive_stage_age(
                     tau, engine.tau_ton_star, engine.sizes, engine.slots, delta
                 )
@@ -234,7 +257,7 @@ def _simulate_batch(
                     tau, engine.tau_ton_star, params.p_r, engine.sizes, engine.slots, delta
                 )
                 stage_u_ton = np.full(
-                    n_runs,
+                    delta.size,
                     eq._cooperative_stage_throughput(
                         engine.tau_ton_star, params.p_r, engine.sizes, engine.slots, params.rate
                     ),
@@ -242,35 +265,66 @@ def _simulate_batch(
         else:
             stage_u_aon = -age_after
             stage_u_ton = np.where((k_t == 1) & (k_a == 0), engine.ton_payout, 0.0)
-        u_aon += weight * stage_u_aon
-        u_ton += weight * stage_u_ton
-        weight *= params.alpha
-        if record:
-            rec_streams["u_aon"][:, n] = stage_u_aon
-            rec_streams["u_ton"][:, n] = stage_u_ton
-            rec_streams["tau_aon"][:, n] = tau
-            rec_streams["events"][:, n] = _event_codes(k_a, k_t)
-            if mode is Mode.COOPERATIVE:
-                rec_streams["aon_selected"][:, n] = selected
-        delta = age_after
+        self.u_aon += weight * stage_u_aon
+        self.u_ton += weight * stage_u_ton
+        if self.rec_streams is not None:
+            rec = self.rec_streams
+            rec["u_aon"][:, n] = stage_u_aon
+            rec["u_ton"][:, n] = stage_u_ton
+            rec["tau_aon"][:, n] = tau
+            rec["events"][:, n] = _event_codes(k_a, k_t)
+            if self.mode is Mode.COOPERATIVE:
+                rec["aon_selected"][:, n] = selected
+        self.delta = age_after
 
-    freq_one = count_one / n_stages
-    freq_zero = count_zero / n_stages
-    if mode is Mode.COOPERATIVE:
-        freq_one = np.divide(
-            count_one, n_selected, out=np.zeros(n_runs), where=n_selected > 0
-        )
-        freq_zero = np.divide(
-            count_zero, n_selected, out=np.zeros(n_runs), where=n_selected > 0
-        )
-    return u_aon, u_ton, freq_one, freq_zero, ages, rec_streams
+    def result(self, n_stages: int):
+        freq_one = self.count_one / n_stages
+        freq_zero = self.count_zero / n_stages
+        if self.mode is Mode.COOPERATIVE:
+            n_selected = self.n_selected
+            freq_one = np.divide(
+                self.count_one, n_selected, out=np.zeros(n_selected.size), where=n_selected > 0
+            )
+            freq_zero = np.divide(
+                self.count_zero, n_selected, out=np.zeros(n_selected.size), where=n_selected > 0
+            )
+        return self.u_aon, self.u_ton, freq_one, freq_zero, self.ages, self.rec_streams
+
+
+def _simulate_batch(
+    engine: _Engine,
+    seed: int,
+    run_indices: range,
+    n_stages: int,
+    modes,
+    expected_payoffs: bool = False,
+    record: bool = False,
+):
+    """Advance one arm per mode through all stages on the runs' shared uniforms.
+
+    Returns per arm the per-run scalars, final ages and recorded streams.
+    """
+    arms = [
+        _Arm(engine, mode, len(run_indices), n_stages, expected_payoffs, record)
+        for mode in modes
+    ]
+    weight = 1.0 - engine.params.alpha
+    for n, urow in enumerate(engine.stage_rows(seed, run_indices, n_stages)):
+        for arm in arms:
+            arm.step(n, urow, weight)
+        weight *= engine.params.alpha
+    return [arm.result(n_stages) for arm in arms]
 
 
 def _run_single(config: RunConfig, run_index: int = 0, record: bool = True) -> RunResult:
-    engine = _Engine(config.params)
-    uniforms = engine.uniforms(config.seed, range(run_index, run_index + 1), config.n_stages)
-    u_aon, u_ton, f1, f0, ages, streams = _simulate_batch(
-        engine, uniforms, config.mode, config.expected_payoffs, record=record
+    [(u_aon, u_ton, f1, f0, ages, streams)] = _simulate_batch(
+        _Engine(config.params),
+        config.seed,
+        range(run_index, run_index + 1),
+        config.n_stages,
+        [config.mode],
+        config.expected_payoffs,
+        record=record,
     )
     stages = None
     if record:
@@ -342,34 +396,33 @@ def monte_carlo(
     so the aggregate is bit-identical for a fixed seed at any thread count or
     chunk size.
     """
+    return _monte_carlo(config, [config.mode], n_runs, threads, chunk_size)[0]
+
+
+def _monte_carlo(config: RunConfig, modes, n_runs: int, threads: int, chunk_size: int):
+    """``monte_carlo`` of ``config`` in each of ``modes``, all arms on one draw per chunk."""
     if n_runs < 1:
         raise ConfigurationError("need at least one run")
     engine = _Engine(config.params)
-    u_aon = np.empty(n_runs)
-    u_ton = np.empty(n_runs)
-    f_one = np.empty(n_runs)
-    f_zero = np.empty(n_runs)
+    # Per arm: u_aon, u_ton, f_one, f_zero by run index.
+    values = [[np.empty(n_runs) for _ in range(4)] for _ in modes]
 
     def work(bounds):
         start, stop = bounds
-        uniforms = engine.uniforms(config.seed, range(start, stop), config.n_stages)
-        out = _simulate_batch(engine, uniforms, config.mode, config.expected_payoffs)
-        u_aon[start:stop], u_ton[start:stop], f_one[start:stop], f_zero[start:stop] = out[:4]
+        arms = _simulate_batch(
+            engine, config.seed, range(start, stop), config.n_stages, modes, config.expected_payoffs
+        )
+        for arm_values, out in zip(values, arms):
+            for array, run_values in zip(arm_values, out[:4]):
+                array[start:stop] = run_values
 
     _fanout(n_runs, chunk_size, work, threads)
 
-    stats = [_mean_se(a) for a in (u_aon, u_ton, f_one, f_zero)]
-    return Aggregate(
-        u_aon_mean=stats[0][0],
-        u_aon_se=stats[0][1],
-        u_ton_mean=stats[1][0],
-        u_ton_se=stats[1][1],
-        freq_tau_one_mean=stats[2][0],
-        freq_tau_one_se=stats[2][1],
-        freq_tau_zero_mean=stats[3][0],
-        freq_tau_zero_se=stats[3][1],
-        n_runs=n_runs,
-    )
+    # Aggregate's fields are (mean, se) of the four scalars in this order.
+    return [
+        Aggregate(*(stat for a in arm_values for stat in _mean_se(a)), n_runs=n_runs)
+        for arm_values in values
+    ]
 
 
 @dataclass(frozen=True)
@@ -395,15 +448,18 @@ def gain_of_cooperation(
 ) -> GainResult:
     """Paired gain of cooperating over competing under a shared master seed.
 
-    Both batches replay the same per-run streams, so comparing a mode against
-    itself yields exactly zero.
+    Both arms advance in lockstep on the same per-run streams, drawn once, so
+    each aggregate equals its own ``monte_carlo`` call and comparing a mode
+    against itself yields exactly zero.
     """
     if alpha is not None:
         params = replace(params, alpha=alpha)
     if p_r is not None:
         params = replace(params, p_r=p_r)
-    base = monte_carlo(RunConfig(params, n_stages, baseline_mode, seed), n_runs, threads)
-    coop = monte_carlo(RunConfig(params, n_stages, treatment_mode, seed), n_runs, threads)
+    config = RunConfig(params, n_stages, baseline_mode, seed)
+    base, coop = _monte_carlo(
+        config, [baseline_mode, treatment_mode], n_runs, threads, _DEFAULT_CHUNK
+    )
     return GainResult(
         gain_aon=coop.u_aon_mean - base.u_aon_mean,
         gain_ton=coop.u_ton_mean - base.u_ton_mean,

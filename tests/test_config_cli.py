@@ -91,6 +91,12 @@ class TestConfig:
             parse_config("[grids]\nalpha_grid = 0.1:0.9:0\n")
         assert parse_config("[grids]\nn_aon_list = 1:10:4\n").n_aon_list == (1, 4, 7, 10)
 
+    def test_one_line_inline_config(self, tmp_path):
+        assert parse_config("[run]") == parse_config("[run]\n") == default_config()
+        assert parse_config("  [run]").n_runs == default_config().n_runs
+        with pytest.raises(FileNotFoundError):
+            parse_config(str(tmp_path / "missing.ini"))
+
     def test_paper_scale(self):
         config = default_config().at_paper_scale()
         assert (config.n_runs, config.n_stages) == (100_000, 1_000)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import slotshare as ss
+from slotshare import sim
 from slotshare.sim import _Engine
 
 
@@ -51,6 +52,36 @@ class TestDeterminism:
         assert agg.u_ton_mean == single.u_ton_discounted
         assert agg.u_aon_se == 0.0
         assert agg.n_runs == 1
+
+
+class TestUniformStream:
+    # 1024 runs of width 11 leave a block of a few dozen stages.
+    N_RUNS = 1024
+    BLOCK = sim._BLOCK_BYTES // (8 * 11 * N_RUNS)
+
+    @pytest.mark.parametrize("n_stages", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_blocks_concatenate_to_one_draw(self, n_stages, equal_slots, monkeypatch):
+        engine = _Engine(scenario(equal_slots))
+        assert engine.width == 11 and 1 < self.BLOCK < 200
+        blocks = []
+        draw = _Engine.uniforms
+
+        def record(self, generators, buf, n):
+            block = draw(self, generators, buf, n)
+            blocks.append(block.copy())
+            return block
+
+        monkeypatch.setattr(_Engine, "uniforms", record)
+        # Each row is a view into the reused block buffer: copy it when yielded.
+        rows = [row.copy() for row in engine.stage_rows(21, range(self.N_RUNS), n_stages)]
+        rows = np.stack(rows, axis=1)
+        assert [b.shape[1] for b in blocks[:-1]] == [self.BLOCK] * (len(blocks) - 1)
+        assert 1 <= blocks[-1].shape[1] <= self.BLOCK
+        streamed = np.concatenate(blocks, axis=1)
+        assert np.array_equal(rows, streamed)
+        for run in (0, 517, self.N_RUNS - 1):
+            whole = ss.run_generator(21, run).random((n_stages, 11))
+            assert np.array_equal(streamed[run], whole)
 
 
 class TestCompetitiveRuns:
@@ -184,6 +215,20 @@ class TestGain:
         )
         assert result.gain_aon == 0.0
         assert result.gain_ton == 0.0
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 1024])
+    def test_arms_equal_separate_monte_carlo(
+        self, threads, chunk_size, small_collision, monkeypatch
+    ):
+        params = scenario(small_collision, p_r=0.4)
+        separate = [
+            ss.monte_carlo(ss.RunConfig(params, 45, mode, seed=13), 30)
+            for mode in (ss.Mode.COMPETITIVE, ss.Mode.COOPERATIVE)
+        ]
+        monkeypatch.setattr(sim, "_DEFAULT_CHUNK", chunk_size)
+        result = ss.gain_of_cooperation(params, 30, 45, seed=13, threads=threads)
+        assert [result.competitive, result.cooperative] == separate
 
     def test_ton_gains_from_cooperation_under_short_collisions(self, small_collision):
         for p_r in (0.1, 0.5):
