@@ -62,6 +62,11 @@ class ExperimentConfig:
     alphas: tuple[float, ...]
     n_aon_list: tuple[int, ...]
 
+    def __post_init__(self):
+        # Also guards the CLI's --threads override, applied with replace().
+        if self.threads < 1:
+            raise ConfigError(f"run.threads: need at least one thread, got {self.threads}")
+
     def at_paper_scale(self) -> "ExperimentConfig":
         return replace(self, n_runs=PAPER_SCALE_RUNS, n_stages=PAPER_SCALE_STAGES)
 

@@ -12,6 +12,7 @@ the closed forms without re-deriving the optimality conditions.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .model import (
     ConfigurationError,
     NetworkSizes,
     SlotLengths,
+    check_age,
     expected_network_throughput,
     expected_node_age,
     slot_probabilities_competitive,
@@ -70,34 +72,56 @@ class StagePayoffs:
     u_ton: float
 
     def __post_init__(self):
-        if self.u_ton < 0.0 or self.u_aon > 0.0:
-            raise ConfigurationError("stage payoffs must satisfy u_ton >= 0 >= u_aon")
+        # Written so that NaN fails too.
+        if not (-math.inf < self.u_aon <= 0.0 <= self.u_ton < math.inf):
+            raise ConfigurationError("stage payoffs must be finite with u_ton >= 0 >= u_aon")
 
 
-def _as_1d(delta):
-    arr = np.atleast_1d(np.asarray(delta, dtype=np.float64))
-    return arr, np.ndim(delta) == 0
+def _raise_out_of_range(value, age, th0: float, th1: float):
+    raise OutOfRangeError(
+        f"interior access probability {value} outside [0, 1] "
+        f"(age {age}, thresholds {th0}, {th1})"
+    )
 
 
 def _three_branch(delta, th0: float, th1: float, interior) -> np.ndarray | float:
-    """Evaluate the threshold rule; ties at th0 == th1 resolve to the silent branch."""
+    """Evaluate the threshold rule; ties at th0 == th1 resolve to the silent branch.
+
+    Two paths do the same IEEE arithmetic.  An array of ages (the batch
+    engine) goes through numpy in one pass.  A scalar age (a Python or numpy
+    float, an int or a 0-d array: the scalar stage-game API) is evaluated in
+    Python floats, which skips numpy's per-call dispatch and returns a
+    bit-identical float.
+    """
     th = max(th0, th1)
     pinned = 0.0 if th == th0 else 1.0
-    arr, scalar = _as_1d(delta)
-    out = np.full(arr.shape, pinned)
-    mask = arr > th
-    if np.any(mask):
+    if not isinstance(delta, float):
+        arr = np.asarray(delta, dtype=np.float64)
+        if arr.ndim:
+            out = np.full(arr.shape, pinned)
+            mask = arr > th
+            if np.any(mask):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    raw = interior(arr[mask])
+                bad = ~np.isfinite(raw) | (raw < -BOUNDARY_TOL) | (raw > 1.0 + BOUNDARY_TOL)
+                if np.any(bad):
+                    first = np.nonzero(bad)[0][0]
+                    _raise_out_of_range(raw[first], arr[mask][first], th0, th1)
+                out[mask] = np.clip(raw, 0.0, 1.0)
+            return out
+    d = float(delta)
+    if not d > th:
+        return pinned
+    try:
+        raw = float(interior(d))
+    except ZeroDivisionError:
+        # Python floats raise where numpy returns inf or nan; report the
+        # value the array path would.
         with np.errstate(divide="ignore", invalid="ignore"):
-            raw = interior(arr[mask])
-        bad = ~np.isfinite(raw) | (raw < -BOUNDARY_TOL) | (raw > 1.0 + BOUNDARY_TOL)
-        if np.any(bad):
-            value = raw[np.nonzero(bad)[0][0]]
-            raise OutOfRangeError(
-                f"interior access probability {value} outside [0, 1] "
-                f"(age {arr[mask][np.nonzero(bad)[0][0]]}, thresholds {th0}, {th1})"
-            )
-        out[mask] = np.clip(raw, 0.0, 1.0)
-    return float(out[0]) if scalar else out
+            raw = float(interior(np.float64(d)))
+    if not -BOUNDARY_TOL <= raw <= 1.0 + BOUNDARY_TOL:
+        _raise_out_of_range(raw, d, th0, th1)
+    return min(max(raw, 0.0), 1.0)
 
 
 def _equal_slots_tau(delta, sizes: NetworkSizes, slots: SlotLengths):
@@ -125,14 +149,18 @@ def _msne_thresholds(sizes: NetworkSizes, slots: SlotLengths) -> tuple[float, fl
     return na * (ss - si) - na * nt * tt * (ss - sc) / (1.0 - tt), th1
 
 
-def _msne_tau(delta, sizes: NetworkSizes, slots: SlotLengths):
-    """Competitive-equilibrium AON access probability (vectorized in the age)."""
+def _msne_tau(delta, sizes: NetworkSizes, slots: SlotLengths, thresholds=None):
+    """Competitive-equilibrium AON access probability (vectorized in the age).
+
+    ``thresholds`` passes ``_msne_thresholds(sizes, slots)`` when the caller
+    already has them.
+    """
     si, ss, sc = slots.idle, slots.success, slots.collision
     if ss == sc:
         return _equal_slots_tau(delta, sizes, slots)
     na, nt = sizes.n_aon, sizes.n_ton
     tt = 1.0 / nt
-    th0, th1 = _msne_thresholds(sizes, slots)
+    th0, th1 = thresholds or _msne_thresholds(sizes, slots)
     cross = na * nt * tt * (ss - sc)
 
     def interior(d):
@@ -153,11 +181,15 @@ def _coop_thresholds(sizes: NetworkSizes, slots: SlotLengths) -> tuple[float, fl
     return na * (slots.success - slots.idle), na * (slots.success - slots.collision)
 
 
-def _coop_tau(delta, sizes: NetworkSizes, slots: SlotLengths):
-    """Optimal AON access probability on the device-granted exclusive channel."""
+def _coop_tau(delta, sizes: NetworkSizes, slots: SlotLengths, thresholds=None):
+    """Optimal AON access probability on the device-granted exclusive channel.
+
+    ``thresholds`` passes ``_coop_thresholds(sizes, slots)`` when the caller
+    already has them.
+    """
     na = sizes.n_aon
     si, ss, sc = slots.idle, slots.success, slots.collision
-    th0, th1 = _coop_thresholds(sizes, slots)
+    th0, th1 = thresholds or _coop_thresholds(sizes, slots)
 
     def interior(d):
         if na == 1:
@@ -184,10 +216,9 @@ def msne(
     The TON side is always ``1 / n_ton`` regardless of the AON; the AON side
     follows the three-branch threshold rule in the current network age.
     """
-    if network_age < 0.0:
-        raise ConfigurationError("network age must be non-negative")
+    check_age(network_age, "network age")
     th0, th1 = _msne_thresholds(sizes, slots)
-    tau_a = _msne_tau(network_age, sizes, slots)
+    tau_a = _msne_tau(network_age, sizes, slots, (th0, th1))
     profile = AccessProfile(tau_aon=tau_a, tau_ton=1.0 / sizes.n_ton)
     return profile, ThresholdAges(th0, th1, max(th0, th1), _regime(network_age, th0, th1))
 
@@ -198,8 +229,7 @@ def msne_equal_slots(
     """Equilibrium specialization for equal success and collision slots."""
     if slots.success != slots.collision:
         raise ConfigurationError("equal-slots rule requires sigma_success == sigma_collision")
-    if network_age < 0.0:
-        raise ConfigurationError("network age must be non-negative")
+    check_age(network_age, "network age")
     tau_a = _equal_slots_tau(network_age, sizes, slots)
     return AccessProfile(tau_aon=tau_a, tau_ton=1.0 / sizes.n_ton)
 
@@ -208,10 +238,9 @@ def cooperative_optimum(
     sizes: NetworkSizes, slots: SlotLengths, network_age: float
 ) -> tuple[AccessProfile, ThresholdAges]:
     """Optimal per-network access probabilities when the device grants access."""
-    if network_age < 0.0:
-        raise ConfigurationError("network age must be non-negative")
+    check_age(network_age, "network age")
     th0, th1 = _coop_thresholds(sizes, slots)
-    tau_a = _coop_tau(network_age, sizes, slots)
+    tau_a = _coop_tau(network_age, sizes, slots, (th0, th1))
     profile = AccessProfile(tau_aon=tau_a, tau_ton=1.0 / sizes.n_ton)
     return profile, ThresholdAges(th0, th1, max(th0, th1), _regime(network_age, th0, th1))
 

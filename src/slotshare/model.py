@@ -13,6 +13,7 @@ slot sampling, and the age bookkeeping that drives the repeated games.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,12 @@ PROB_ATOL = 1e-12
 
 class ConfigurationError(ValueError):
     """A domain object or argument violates its invariants."""
+
+
+def check_age(age: float, what: str) -> None:
+    """Reject an age that is negative, infinite or NaN (the comparison fails on NaN)."""
+    if not 0.0 <= age < math.inf:
+        raise ConfigurationError(f"{what} must be finite and non-negative, got {age}")
 
 
 class Network(enum.Enum):
@@ -47,8 +54,8 @@ class SlotLengths:
     collision: float
 
     def __post_init__(self):
-        if min(self.idle, self.success, self.collision) <= 0.0:
-            raise ConfigurationError("slot lengths must be strictly positive")
+        if not all(0.0 < s < math.inf for s in (self.idle, self.success, self.collision)):
+            raise ConfigurationError("slot lengths must be finite and strictly positive")
         if not self.idle < self.success:
             # Carrier sensing keeps idle slots much shorter than data slots.
             raise ConfigurationError("idle slot must be shorter than a success slot")
@@ -97,12 +104,12 @@ class ScenarioParams:
             raise ConfigurationError("discount factor must lie in (0, 1)")
         if not 0.0 <= self.p_r <= 1.0:
             raise ConfigurationError("device bias must lie in [0, 1]")
-        if self.rate <= 0.0:
-            raise ConfigurationError("transmission rate must be positive")
+        if not 0.0 < self.rate < math.inf:
+            raise ConfigurationError("transmission rate must be finite and positive")
         if self.initial_age is None:
             object.__setattr__(self, "initial_age", self.slots.success)
-        elif self.initial_age < 0.0:
-            raise ConfigurationError("initial age must be non-negative")
+        else:
+            check_age(self.initial_age, "initial age")
 
 
 @dataclass(frozen=True)
@@ -178,21 +185,23 @@ class AgeState:
     network_age: float
 
     def __post_init__(self):
-        ages = np.asarray(self.ages, dtype=np.float64)
+        ages = np.array(self.ages, dtype=np.float64)
         if ages.ndim != 1 or ages.size == 0:
             raise ConfigurationError("ages must be a non-empty vector")
-        if np.any(ages < 0.0):
-            raise ConfigurationError("ages must be non-negative")
-        ages = ages.copy()
+        # min() is NaN when any age is, which fails the comparison; a finite
+        # mean then rules out +inf.
+        mean = ages.sum() / ages.size
+        if not (ages.min() >= 0.0 and math.isfinite(mean)):
+            raise ConfigurationError("ages must be finite and non-negative")
         ages.flags.writeable = False
         object.__setattr__(self, "ages", ages)
-        if abs(self.network_age - ages.mean()) > PROB_ATOL:
+        if not abs(self.network_age - mean) <= PROB_ATOL:
             raise ConfigurationError("network_age must equal the mean of the node ages")
 
     @classmethod
     def from_ages(cls, ages) -> "AgeState":
         ages = np.asarray(ages, dtype=np.float64)
-        return cls(ages=ages, network_age=float(ages.mean()) if ages.size else float("nan"))
+        return cls(ages=ages, network_age=float(ages.sum() / ages.size) if ages.size else math.nan)
 
     @classmethod
     def uniform(cls, n_nodes: int, age: float) -> "AgeState":
@@ -275,8 +284,7 @@ def expected_node_age(
     """
     if network is not Network.AON:
         raise ConfigurationError("age is defined only for AON nodes")
-    if prior_age < 0.0:
-        raise ConfigurationError("prior age must be non-negative")
+    check_age(prior_age, "prior age")
     growth = (
         probs.p_idle * slots.idle
         + probs.p_success_total * slots.success
@@ -310,20 +318,23 @@ def sample_slot(
     selected network keeps its access probability while the other stays
     silent.  ``None`` means competitive mode (both networks eligible).
     """
-    aon_tx = np.zeros(0, dtype=np.int64)
-    ton_tx = np.zeros(0, dtype=np.int64)
+    # A handful of draws per call: comparing them as Python floats beats
+    # numpy's per-call dispatch and reads the same stream.
+    aon_tx = ton_tx = ()
     if recommendation is not Recommendation.TAILS:
-        aon_tx = np.nonzero(rng.random(sizes.n_aon) < profile.tau_aon)[0]
+        tau = profile.tau_aon
+        aon_tx = [i for i, u in enumerate(rng.random(sizes.n_aon).tolist()) if u < tau]
     if recommendation is not Recommendation.HEADS:
-        ton_tx = np.nonzero(rng.random(sizes.n_ton) < profile.tau_ton)[0]
-    total = aon_tx.size + ton_tx.size
+        tau = profile.tau_ton
+        ton_tx = [i for i, u in enumerate(rng.random(sizes.n_ton).tolist()) if u < tau]
+    total = len(aon_tx) + len(ton_tx)
     if total == 0:
         return SlotEvent(SlotKind.IDLE)
     if total >= 2:
         return SlotEvent(SlotKind.COLLISION)
-    if aon_tx.size == 1:
-        return SlotEvent(SlotKind.SUCCESS_AON, node=int(aon_tx[0]))
-    return SlotEvent(SlotKind.SUCCESS_TON, node=int(ton_tx[0]))
+    if aon_tx:
+        return SlotEvent(SlotKind.SUCCESS_AON, node=aon_tx[0])
+    return SlotEvent(SlotKind.SUCCESS_TON, node=ton_tx[0])
 
 
 def apply_slot(state: AgeState, event: SlotEvent, slots: SlotLengths) -> AgeState:
@@ -333,16 +344,15 @@ def apply_slot(state: AgeState, event: SlotEvent, slots: SlotLengths) -> AgeStat
     length while every other node ages by it; any other outcome ages all
     nodes by the realized slot length.
     """
-    ages = state.ages.copy()
     if event.kind is SlotKind.IDLE:
-        ages += slots.idle
+        ages = state.ages + slots.idle
     elif event.kind is SlotKind.COLLISION:
-        ages += slots.collision
+        ages = state.ages + slots.collision
     elif event.kind is SlotKind.SUCCESS_TON:
-        ages += slots.success
+        ages = state.ages + slots.success
     else:
-        if event.node >= ages.size:
+        if event.node >= state.ages.size:
             raise ConfigurationError("transmitter index outside the AON")
-        ages += slots.success
+        ages = state.ages + slots.success
         ages[event.node] = slots.success
     return AgeState.from_ages(ages)

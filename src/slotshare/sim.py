@@ -367,6 +367,8 @@ def run_cooperation(config: RunConfig) -> RunResult:
 
 def _fanout(n_runs: int, chunk_size: int, work, threads: int) -> None:
     """Call ``work((start, stop))`` on each run chunk; a pool starts only for several."""
+    if threads < 1:
+        raise ConfigurationError(f"need at least one thread, got {threads}")
     chunks = [(s, min(s + chunk_size, n_runs)) for s in range(0, n_runs, chunk_size)]
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -97,6 +97,12 @@ class TestConfig:
         with pytest.raises(FileNotFoundError):
             parse_config(str(tmp_path / "missing.ini"))
 
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="run.threads"):
+            parse_config("[run]\nthreads = 0\n")
+        with pytest.raises(ConfigError, match="run.threads"):
+            replace(default_config(), threads=-2)
+
     def test_paper_scale(self):
         config = default_config().at_paper_scale()
         assert (config.n_runs, config.n_stages) == (100_000, 1_000)
@@ -236,6 +242,38 @@ class TestCli:
         code, _ = run_cli(["region", "--config", str(bad), "--out", str(out)])
         assert code == cli.EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "ini, args",
+        [
+            ("[run]\nthreads = 0\n", []),
+            ("[run]\n", ["--threads", "0"]),
+            ("[run]\n", ["--threads", "-2"]),
+        ],
+        ids=["config_zero", "flag_zero", "flag_negative"],
+    )
+    def test_threads_below_one_exit_code(self, tmp_path, ini, args):
+        config = tmp_path / "c.ini"
+        config.write_text(ini)
+        for command in (["msne"], ["simulate", "--mode", "competitive", "--runs", "4"]):
+            code, out = run_cli([*command, "--config", str(config), *args])
+            assert (code, out) == (cli.EXIT_CONFIG, "")
+
+    @pytest.mark.parametrize(
+        "ini, command",
+        [
+            ("[scenario]\ninitial_age = nan\n", ["simulate", "--mode", "competitive"]),
+            ("[scenario]\ninitial_age = inf\n", ["simulate", "--mode", "cooperative"]),
+            ("[grids]\nages = nan\n", ["msne"]),
+            ("[grids]\nages = 1.0, inf\n", ["stage"]),
+        ],
+        ids=["simulate_nan", "simulate_inf", "msne_nan", "stage_inf"],
+    )
+    def test_non_finite_age_exit_code(self, tmp_path, ini, command):
+        config = tmp_path / "c.ini"
+        config.write_text(ini + "[run]\nn_runs = 4\nn_stages = 3\n")
+        code, out = run_cli([*command, "--config", str(config)])
+        assert (code, out) == (cli.EXIT_CONFIG, "")
 
     def test_io_error_exit_code(self, tmp_path):
         code, _ = run_cli(["msne", "--out", str(tmp_path / "missing" / "x.txt")])

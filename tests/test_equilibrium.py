@@ -5,6 +5,7 @@ import pytest
 
 import slotshare as ss
 from slotshare import equilibrium as eq
+from slotshare.config import SlotScenario, slots_from_scenario
 
 STEP = 1e-4
 
@@ -280,15 +281,70 @@ def test_interior_is_continuous_at_threshold_for_multinode_aon():
                 assert below in (0.0, 1.0)
 
 
+# The two inputs of ``_three_branch``: a Python float takes the scalar path,
+# a one-element array the array path.
+BOTH_PATHS = (float, lambda x: np.array([x]))
+
+
 def test_out_of_range_raises_instead_of_clamping():
-    with pytest.raises(ss.OutOfRangeError):
-        eq._three_branch(5.0, 0.0, 1.0, lambda d: d * 10.0)
-    with pytest.raises(ss.OutOfRangeError):
-        eq._three_branch(5.0, 0.0, 1.0, lambda d: d * 0.0 / 0.0)
+    for as_input in BOTH_PATHS:
+        with pytest.raises(ss.OutOfRangeError, match="probability 50.0 "):
+            eq._three_branch(as_input(5.0), 0.0, 1.0, lambda d: d * 10.0)
+        # A Python float raises ZeroDivisionError here; it must surface as the
+        # same error, with the value numpy reports.
+        with pytest.raises(ss.OutOfRangeError, match="probability nan "):
+            eq._three_branch(as_input(5.0), 0.0, 1.0, lambda d: d * 0.0 / 0.0)
+
+
+def _rule_result(rule, age, sizes, slots):
+    try:
+        return rule(age, sizes, slots)
+    except ss.OutOfRangeError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("scenario", list(SlotScenario), ids=lambda s: s.value)
+def test_scalar_path_equals_array_path(scenario):
+    slots = slots_from_scenario(scenario)
+    rng = np.random.default_rng(11)
+    for na, nt in ((5, 5), (1, 3), (3, 1), (2, 6)):
+        sizes = ss.NetworkSizes(na, nt)
+        # Integer ages also go in as Python ints.
+        ages = list(range(0, 21)) + [float(a) for a in rng.uniform(0.0, 20.0, 40)]
+        for th in (*eq._msne_thresholds(sizes, slots), *eq._coop_thresholds(sizes, slots)):
+            if np.isfinite(th):
+                ages += [np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf)]
+        for rule in (eq._msne_tau, eq._coop_tau, eq._equal_slots_tau):
+            for age in ages:
+                expected = _rule_result(rule, np.array([age], dtype=np.float64), sizes, slots)
+                if not isinstance(expected, str):
+                    expected = float(expected[0]).hex()
+                for scalar in (age, float(age), np.float64(age), np.array(float(age))):
+                    got = _rule_result(rule, scalar, sizes, slots)
+                    if not isinstance(got, str):
+                        assert type(got) is float
+                        got = got.hex()
+                    assert got == expected, (rule.__name__, sizes, age, type(scalar))
+
+
+@pytest.mark.parametrize("solver", [ss.msne, ss.cooperative_optimum, ss.msne_equal_slots])
+@pytest.mark.parametrize("age", [np.nan, np.inf, -1.0])
+def test_non_finite_or_negative_age_rejected(solver, age, equal_slots):
+    with pytest.raises(ss.ConfigurationError, match="network age"):
+        solver(ss.NetworkSizes(5, 5), equal_slots, age)
+
+
+@pytest.mark.parametrize(
+    "u_aon, u_ton", [(np.nan, 0.1), (-1.0, np.nan), (-np.inf, 0.1), (-1.0, np.inf)]
+)
+def test_stage_payoffs_reject_non_finite(u_aon, u_ton):
+    with pytest.raises(ss.ConfigurationError):
+        eq.StagePayoffs(u_aon=u_aon, u_ton=u_ton)
 
 
 def test_boundary_tolerance_clamps_tiny_overshoot():
-    assert eq._three_branch(5.0, 0.0, 1.0, lambda d: d * 0.0 + 1.0 + 1e-10) == 1.0
+    for as_input in BOTH_PATHS:
+        assert eq._three_branch(as_input(5.0), 0.0, 1.0, lambda d: d * 0.0 + 1.0 + 1e-10) == 1.0
 
 
 class TestCooperationRange:

@@ -50,6 +50,34 @@ class TestDomainTypes:
         with pytest.raises(ss.ConfigurationError):
             ss.AgeState.from_ages([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_age_state_rejects_non_finite_or_negative(self, bad):
+        with pytest.raises(ss.ConfigurationError, match="finite and non-negative"):
+            ss.AgeState.from_ages([bad, 1.0])
+        with pytest.raises(ss.ConfigurationError):
+            ss.AgeState(ages=np.array([1.0, 1.0]), network_age=bad)
+
+    def test_age_state_copies_and_freezes(self):
+        source = np.array([1.0, 3.0])
+        state = ss.AgeState(ages=source, network_age=2.0)
+        source[0] = 7.0
+        assert state.ages[0] == 1.0
+        assert not state.ages.flags.writeable
+        with pytest.raises(ss.ConfigurationError, match="non-empty vector"):
+            ss.AgeState(ages=np.ones((2, 2)), network_age=1.0)
+
+    @pytest.mark.parametrize("field", ["initial_age", "rate"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_scenario_rejects_non_finite(self, field, bad, equal_slots):
+        with pytest.raises(ss.ConfigurationError):
+            ss.ScenarioParams(ss.NetworkSizes(2, 2), equal_slots, **{field: bad})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_slot_lengths_reject_non_finite(self, bad):
+        for lengths in ((bad, 1.0, 1.0), (0.01, bad, 1.0), (0.01, 1.0, bad)):
+            with pytest.raises(ss.ConfigurationError):
+                ss.SlotLengths(*lengths)
+
     def test_success_event_needs_node(self):
         with pytest.raises(ss.ConfigurationError):
             ss.SlotEvent(ss.SlotKind.SUCCESS_AON)
@@ -282,6 +310,31 @@ class TestApplySlot:
 
 
 class TestSampleSlot:
+    @pytest.mark.parametrize("recommendation", [None, HEADS, TAILS])
+    def test_reads_the_generator_like_a_vector_comparison(self, recommendation):
+        # Reference: each eligible network draws its nodes' uniforms in one
+        # call, AON first, and a node transmits when its uniform < tau.
+        sizes = ss.NetworkSizes(4, 3)
+        profile = ss.AccessProfile(0.3, 0.45)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(2000):
+            event = ss.sample_slot(rng, sizes, profile, recommendation=recommendation)
+            aon = ton = np.zeros(0, dtype=np.int64)
+            if recommendation is not TAILS:
+                aon = np.nonzero(ref.random(sizes.n_aon) < profile.tau_aon)[0]
+            if recommendation is not HEADS:
+                ton = np.nonzero(ref.random(sizes.n_ton) < profile.tau_ton)[0]
+            if aon.size + ton.size == 0:
+                expected = ss.SlotEvent(ss.SlotKind.IDLE)
+            elif aon.size + ton.size >= 2:
+                expected = ss.SlotEvent(ss.SlotKind.COLLISION)
+            elif aon.size:
+                expected = ss.SlotEvent(ss.SlotKind.SUCCESS_AON, int(aon[0]))
+            else:
+                expected = ss.SlotEvent(ss.SlotKind.SUCCESS_TON, int(ton[0]))
+            assert event == expected
+        assert rng.random() == ref.random()
+
     def test_all_silent_is_idle(self):
         rng = np.random.default_rng(0)
         event = ss.sample_slot(rng, ss.NetworkSizes(3, 3), ss.AccessProfile(0.0, 0.0))

@@ -38,6 +38,12 @@ class TestDeterminism:
         results = [ss.monte_carlo(config, 300, threads=t) for t in (1, 4, 16)]
         assert results[0] == results[1] == results[2]
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, threads, equal_slots):
+        config = ss.RunConfig(scenario(equal_slots), 5, ss.Mode.COMPETITIVE, seed=1)
+        with pytest.raises(ss.ConfigurationError, match="thread"):
+            ss.monte_carlo(config, 10, threads=threads)
+
     def test_chunk_size_does_not_change_aggregates(self, equal_slots):
         config = ss.RunConfig(scenario(equal_slots), 60, ss.Mode.COMPETITIVE, seed=42)
         a = ss.monte_carlo(config, 250, chunk_size=7)
