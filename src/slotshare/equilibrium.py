@@ -98,17 +98,16 @@ def _three_branch(delta, th0: float, th1: float, interior) -> np.ndarray | float
     if not isinstance(delta, float):
         arr = np.asarray(delta, dtype=np.float64)
         if arr.ndim:
-            out = np.full(arr.shape, pinned)
             mask = arr > th
-            if np.any(mask):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    raw = interior(arr[mask])
-                bad = ~np.isfinite(raw) | (raw < -BOUNDARY_TOL) | (raw > 1.0 + BOUNDARY_TOL)
-                if np.any(bad):
-                    first = np.nonzero(bad)[0][0]
-                    _raise_out_of_range(raw[first], arr[mask][first], th0, th1)
-                out[mask] = np.clip(raw, 0.0, 1.0)
-            return out
+            # Every row is evaluated; rows at or below th may divide by zero.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                raw = interior(arr)
+            # NaN fails both comparisons, so it counts as out of range.
+            bad = mask & ~((raw >= -BOUNDARY_TOL) & (raw <= 1.0 + BOUNDARY_TOL))
+            if np.any(bad):
+                first = np.flatnonzero(bad)[0]
+                _raise_out_of_range(raw[first], arr[first], th0, th1)
+            return np.where(mask, np.clip(raw, 0.0, 1.0), pinned)
     d = float(delta)
     if not d > th:
         return pinned

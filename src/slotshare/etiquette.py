@@ -169,6 +169,7 @@ def expected_next_network_age(
     published display literally, whose idle-slot weight is written with the
     AON's (silent) access probability.
     """
+    _model.check_age(network_age, "network age")
     na, nt = sizes.n_aon, sizes.n_ton
     si, ss, sc = slots.idle, slots.success, slots.collision
     ta, tt = profile_hat.tau_aon, profile_hat.tau_ton
@@ -201,6 +202,7 @@ def stage1_expected_ton_throughput(
     rate: float,
 ) -> float:
     """Closed-form expected TON network throughput in stage 1 for one case."""
+    _model.check_rate(rate)
     nt = sizes.n_ton
     ta, tt = profile_hat.tau_aon, profile_hat.tau_ton
     one_t = tt * (1.0 - tt) ** (nt - 1)
@@ -230,9 +232,9 @@ def _discount_weights(alpha_axis: np.ndarray, n_stages: int) -> np.ndarray:
 class _Stack:
     """``copies`` branches of one run chunk stacked as rows, advanced a stage at a time.
 
-    Row ``b * n_runs + r`` replays run ``r``'s uniforms in branch ``b``.
+    Row ``b * n_runs + r`` replays run ``r``'s draws in branch ``b``.
     Stage 1 plays the per-row profile ``stage1``, every later stage the
-    profile ``play(delta, urow)`` returns for the pre-slot network ages.
+    profile ``play(delta, draw)`` returns for the pre-slot network ages.
     ``u_aon``/``u_ton`` accumulate (rows x alphas) discounted payoffs and
     ``first`` holds the per-row stage-1 (network age, TON payoff).
     """
@@ -243,11 +245,11 @@ class _Stack:
         self.u_aon, self.u_ton = np.zeros((2, self.ages.shape[0], n_alpha))
         self.tau = stage1
 
-    def step(self, n, urow, weights):
-        urow = np.tile(urow, (self.copies, 1))
+    def step(self, n, draw, weights):
+        draw = draw.tile(self.copies)
         if n:
-            self.tau = self.play(self.delta, urow)
-        k_a, k_t = self.engine.slot(self.ages, urow, *self.tau)
+            self.tau = self.play(self.delta, draw)
+        k_a, k_t = self.engine.slot(self.ages, draw, *self.tau)
         # The stage's AON payoff and the next stage's state.
         self.delta = self.ages.mean(axis=1)
         stage_u_ton = np.where((k_t == 1) & (k_a == 0), self.engine.ton_payout, 0.0)
@@ -287,7 +289,7 @@ def _sweep(
     obey = np.empty((2, n_alpha, n_pr, 2, n_runs))  # payoff, alpha, bias, (heads, tails), run
     stage1 = np.empty((2, 4, n_runs))  # (age, TON payoff), branch in _BRANCHES order, run
 
-    def competitive(delta, urow):
+    def competitive(delta, draw):
         return engine.msne_tau(delta), tau_ton
 
     def work(bounds):
@@ -295,8 +297,8 @@ def _sweep(
         size = stop - start
         pr_rows = np.repeat(pr_axis, 2 * size)
 
-        def cooperative(delta, urow):
-            selected = urow[:, 0] < pr_rows
+        def cooperative(delta, draw):
+            selected = draw.device < pr_rows
             tau = engine.coop_tau(delta)
             return np.where(selected, tau, -1.0), np.where(selected, -1.0, tau_ton)
 
@@ -306,9 +308,9 @@ def _sweep(
         # Per bias: obey heads (AON alone), then obey tails (TON alone).
         stage1_obey = np.repeat(np.tile([[tau_hat0, -1.0], [-1.0, tau_ton]], n_pr), size, axis=1)
         o = _Stack(engine, size, 2 * n_pr, stage1_obey, cooperative, n_alpha)
-        for n, urow in enumerate(engine.stage_rows(seed, range(start, stop), n_stages)):
-            d.step(n, urow, weights[n])
-            o.step(n, urow, weights[n])
+        for n, draw in enumerate(engine.stage_rows(seed, range(start, stop), n_stages)):
+            d.step(n, draw, weights[n])
+            o.step(n, draw, weights[n])
         for k, (d_pay, o_pay) in enumerate([(d.u_aon, o.u_aon), (d.u_ton, o.u_ton)]):
             dev[k, ..., start:stop] = np.moveaxis(d_pay.reshape(2, size, n_alpha), -1, 0)
             obey[k, ..., start:stop] = np.moveaxis(o_pay.reshape(n_pr, 2, size, n_alpha), -1, 0)

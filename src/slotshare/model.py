@@ -33,6 +33,12 @@ def check_age(age: float, what: str) -> None:
         raise ConfigurationError(f"{what} must be finite and non-negative, got {age}")
 
 
+def check_rate(rate: float) -> None:
+    """Reject a transmission rate that is not finite and positive (NaN included)."""
+    if not 0.0 < rate < math.inf:
+        raise ConfigurationError("transmission rate must be finite and positive")
+
+
 class Network(enum.Enum):
     AON = "aon"
     TON = "ton"
@@ -104,8 +110,7 @@ class ScenarioParams:
             raise ConfigurationError("discount factor must lie in (0, 1)")
         if not 0.0 <= self.p_r <= 1.0:
             raise ConfigurationError("device bias must lie in [0, 1]")
-        if not 0.0 < self.rate < math.inf:
-            raise ConfigurationError("transmission rate must be finite and positive")
+        check_rate(self.rate)
         if self.initial_age is None:
             object.__setattr__(self, "initial_age", self.slots.success)
         else:

@@ -16,7 +16,15 @@ node draws, and the remaining ``n_ton`` columns the TON node draws.  A chunk
 of runs draws its rows a block of stages at a time into one reused buffer;
 a counter-based stream read in order yields the same numbers however it is
 cut into blocks, and several arms (modes) of a batch advance in lockstep on
-the same rows.
+the same draws.
+
+A node transmits iff its draw is below its network's access probability, so
+a network sends 0, 1 or at least 2 packets according to whether that
+probability lies above its smallest and its second-smallest draw.  Each
+block is therefore reduced once, before any arm reads it, to the device
+draw and the two smallest draws of each network per run and stage
+(``_Draw``); only an AON success goes back to the raw AON draws, to find
+the node whose age resets.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import enum
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +41,9 @@ from .model import AgeState, ConfigurationError, ScenarioParams
 from .seeding import run_generator
 
 _DEFAULT_CHUNK = 1024
-# Size of one chunk's uniform buffer: it holds as many stages of every run as
-# fit, at least one.
+# Size of one chunk's block buffers (raw uniforms, and their stage-major copy
+# beside the per-stage order statistics): they hold as many stages of every
+# run as fit, at least one.
 _BLOCK_BYTES = 8 << 20
 
 # Event codes in recorded stage streams.
@@ -112,6 +122,27 @@ class Aggregate:
     n_runs: int
 
 
+class _Draw(NamedTuple):
+    """One stage's uniforms for a batch of rows, reduced to what a slot reads.
+
+    ``stats`` is (5 x rows): the two smallest AON node draws, the two
+    smallest TON node draws (+inf as the second of a one-node network) and
+    the device draw.  ``aon`` is the (runs x n_aon) raw AON node draws; row ``i``
+    reads run ``i % runs``, so a draw tiled over copies of its runs keeps it.
+    """
+
+    stats: np.ndarray
+    aon: np.ndarray
+
+    @property
+    def device(self) -> np.ndarray:
+        return self.stats[4]
+
+    def tile(self, copies: int) -> _Draw:
+        """The draw for ``copies`` stacked copies of its rows."""
+        return _Draw(np.tile(self.stats, copies), self.aon)
+
+
 class _Engine:
     """Scenario constants plus the vectorized stage step."""
 
@@ -126,6 +157,11 @@ class _Engine:
         # Realized network throughput on a TON success: one node delivered a
         # slot's worth of bits, averaged over the network.
         self.ton_payout = params.slots.success * params.rate / self.n_ton
+        # Every node's age increment, indexed by k_a + k_t (each count clipped at 2).
+        slots = params.slots
+        self._growth = np.array(
+            [slots.idle, slots.success, slots.collision, slots.collision, slots.collision]
+        )
 
     def uniforms(self, generators, buf: np.ndarray, n_stages: int) -> np.ndarray:
         """Draw the next ``n_stages`` rows of every run into ``buf``; returns the block."""
@@ -134,17 +170,52 @@ class _Engine:
         return buf[:, :n_stages]
 
     def stage_rows(self, seed: int, run_indices: range, n_stages: int):
-        """Yield each stage's (runs x width) uniforms; run ``r`` reads stream ``(seed, r)``.
+        """Yield each stage's ``_Draw`` of the runs; run ``r`` reads stream ``(seed, r)``.
 
-        A yielded row is a view into a buffer that the next block overwrites.
+        A yielded draw is a view into buffers that the next block overwrites.
         """
         generators = [run_generator(seed, run) for run in run_indices]
-        block = max(1, _BLOCK_BYTES // (8 * self.width * len(generators)))
-        buf = np.empty((len(generators), min(block, n_stages), self.width))
+        n_runs = len(generators)
+        # Per run and stage: a raw row, then its copy and four statistics in the table.
+        block = max(1, _BLOCK_BYTES // (8 * n_runs * (2 * self.width + 4)))
+        size = min(block, n_stages)
+        buf = np.empty((n_runs, size, self.width))
+        table = np.empty((size, 4 + self.width, n_runs))
         for start in range(0, n_stages, block):
-            rows = self.uniforms(generators, buf, min(block, n_stages - start))
-            for j in range(rows.shape[1]):
-                yield rows[:, j]
+            raw = self.uniforms(generators, buf, min(block, n_stages - start))
+            yield from self.draws(raw, table)
+
+    def draws(self, block: np.ndarray, table: np.ndarray | None = None):
+        """Yield the ``_Draw`` of each stage of a (runs x stages x width) uniform block.
+
+        ``table`` is a (stages x (4 + width) x runs) buffer, at least as many
+        stages long as the block.  Per stage it receives the block's row of
+        every run, transposed to columns, behind four rows of order
+        statistics: the two smallest AON and the two smallest TON draws.
+        These come from elementwise minima and maxima over whole columns,
+        not from per-row reductions.  The draws are views into ``table`` and
+        ``block``.
+        """
+        n_runs, n_stages, width = block.shape
+        if table is None:
+            table = np.empty((n_stages, 4 + width, n_runs))
+        table = table[:n_stages]
+        columns = table[:, 4:]
+        np.copyto(columns, block.transpose(1, 2, 0))
+        networks = ((0, range(1, 1 + self.n_aon)), (2, range(1 + self.n_aon, width)))
+        for row, nodes in networks:
+            first, second = table[:, row], table[:, row + 1]
+            first[...] = columns[:, nodes[0]]
+            second.fill(np.inf)
+            for node in nodes[1:]:
+                column = columns[:, node]
+                # second <- max(first, min(second, column)), first <- min(first, column).
+                np.minimum(second, column, out=second)
+                np.maximum(second, first, out=second)
+                np.minimum(first, column, out=first)
+        for j in range(n_stages):
+            # Rows 0-3 are the statistics and row 4 the device column.
+            yield _Draw(table[j, :5], block[:, j, 1 : 1 + self.n_aon])
 
     def initial_ages(self, n_runs: int) -> np.ndarray:
         return np.full((n_runs, self.n_aon), self.params.initial_age, dtype=np.float64)
@@ -155,30 +226,25 @@ class _Engine:
     def coop_tau(self, delta: np.ndarray) -> np.ndarray:
         return eq._coop_tau(delta, self.sizes, self.slots)
 
-    def slot(self, ages: np.ndarray, urow: np.ndarray, tau_a, tau_t):
-        """Advance all runs by one slot in place; returns transmitter counts.
+    def slot(self, ages: np.ndarray, draw: _Draw, tau_a, tau_t):
+        """Advance all rows by one slot in place; returns transmitter counts clipped at 2.
 
-        ``tau_a`` / ``tau_t`` may be scalars or per-run arrays; a negative
-        value silences that network (no uniform is below it).
+        ``tau_a`` / ``tau_t`` may be scalars or per-row arrays; a negative
+        value silences that network (no uniform is below it).  A network has
+        a transmitter iff its smallest draw is below its access probability
+        and two or more iff its second-smallest is, so each count reads 0, 1
+        or 2 (two or more).
         """
-        ta = urow[:, 1 : 1 + self.n_aon] < (
-            tau_a[:, None] if np.ndim(tau_a) else tau_a
-        )
-        tt = urow[:, 1 + self.n_aon :] < (
-            tau_t[:, None] if np.ndim(tau_t) else tau_t
-        )
-        k_a = ta.sum(axis=1)
-        k_t = tt.sum(axis=1)
-        total = k_a + k_t
-        ages += np.where(
-            total == 0,
-            self.slots.idle,
-            np.where(total >= 2, self.slots.collision, self.slots.success),
-        )[:, None]
-        resets = (k_a == 1) & (k_t == 0)
-        if resets.any():
-            rows = np.nonzero(resets)[0]
-            ages[rows, ta[rows].argmax(axis=1)] = self.slots.success
+        below_a = draw.stats[0:2] < tau_a
+        below_t = draw.stats[2:4] < tau_t
+        k_a = np.add(below_a[0], below_a[1], dtype=np.int8)
+        k_t = np.add(below_t[0], below_t[1], dtype=np.int8)
+        ages += self._growth.take(k_a + k_t)[:, None]
+        resets = np.flatnonzero((k_a == 1) & (k_t == 0))
+        if resets.size:
+            # The lone AON transmitter holds the row's smallest AON draw.
+            nodes = draw.aon[resets % len(draw.aon)]
+            ages[resets, nodes.argmin(axis=1)] = self.slots.success
         return k_a, k_t
 
 
@@ -223,22 +289,22 @@ class _Arm:
                 "aon_selected": np.zeros((n_runs, n_stages), dtype=bool),
             }
 
-    def step(self, n: int, urow: np.ndarray, weight: float) -> None:
+    def step(self, n: int, draw: _Draw, weight: float) -> None:
         engine, params, delta = self.engine, self.engine.params, self.delta
         if self.mode is Mode.COMPETITIVE:
             tau = engine.msne_tau(delta)
             self.count_one += tau == 1.0
             self.count_zero += tau == 0.0
-            k_a, k_t = engine.slot(self.ages, urow, tau, engine.tau_ton_star)
+            k_a, k_t = engine.slot(self.ages, draw, tau, engine.tau_ton_star)
         else:
-            selected = urow[:, 0] < params.p_r
+            selected = draw.device < params.p_r
             tau = engine.coop_tau(delta)
             self.count_one += (tau == 1.0) & selected
             self.count_zero += (tau == 0.0) & selected
             self.n_selected += selected
             k_a, k_t = engine.slot(
                 self.ages,
-                urow,
+                draw,
                 np.where(selected, tau, -1.0),
                 np.where(selected, -1.0, engine.tau_ton_star),
             )
@@ -300,7 +366,7 @@ def _simulate_batch(
     expected_payoffs: bool = False,
     record: bool = False,
 ):
-    """Advance one arm per mode through all stages on the runs' shared uniforms.
+    """Advance one arm per mode through all stages on the runs' shared draws.
 
     Returns per arm the per-run scalars, final ages and recorded streams.
     """
@@ -309,9 +375,9 @@ def _simulate_batch(
         for mode in modes
     ]
     weight = 1.0 - engine.params.alpha
-    for n, urow in enumerate(engine.stage_rows(seed, run_indices, n_stages)):
+    for n, draw in enumerate(engine.stage_rows(seed, run_indices, n_stages)):
         for arm in arms:
-            arm.step(n, urow, weight)
+            arm.step(n, draw, weight)
         weight *= engine.params.alpha
     return [arm.result(n_stages) for arm in arms]
 

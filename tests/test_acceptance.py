@@ -123,8 +123,9 @@ def test_probability_kernel_invariants():
         params = ss.ScenarioParams(ss.NetworkSizes(na, nt), SMALL)
         engine = _Engine(params)
         uniforms = np.random.default_rng(rng_seed).random((draws, engine.width))
+        [draw] = engine.draws(uniforms[:, None])
         ages = np.zeros((draws, na))
-        k_a, k_t = engine.slot(ages, uniforms, np.full(draws, tau_a), tau_t)
+        k_a, k_t = engine.slot(ages, draw, np.full(draws, tau_a), tau_t)
         probs = ss.slot_probabilities_competitive(
             params.sizes, ss.AccessProfile(tau_a, tau_t)
         )

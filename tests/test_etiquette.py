@@ -60,6 +60,24 @@ class TestStageOneForms:
             0.25 * 0.75**3 * 0.6**3 * 1.01 * 2.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize("age", [-5.0, float("nan"), float("inf")])
+    def test_bad_network_age_rejected(self, age, small_collision):
+        sizes = ss.NetworkSizes(2, 2)
+        profile = ss.AccessProfile(0.3, 0.5)
+        for case in (HEADS, TAILS, *ss.DeviationCase):
+            with pytest.raises(ss.ConfigurationError, match="network age must be finite"):
+                ss.expected_next_network_age(case, sizes, small_collision, profile, age)
+
+    @pytest.mark.parametrize("rate", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_bad_rate_rejected(self, rate, small_collision):
+        sizes = ss.NetworkSizes(2, 2)
+        profile = ss.AccessProfile(0.3, 0.5)
+        for case in (HEADS, TAILS, *ss.DeviationCase):
+            with pytest.raises(
+                ss.ConfigurationError, match="transmission rate must be finite and positive"
+            ):
+                ss.stage1_expected_ton_throughput(case, sizes, small_collision, profile, rate)
+
     def test_unknown_case_rejected(self, small_collision):
         with pytest.raises(ss.ConfigurationError):
             ss.expected_next_network_age(

@@ -61,11 +61,16 @@ class TestDeterminism:
 
 
 class TestUniformStream:
-    # 1024 runs of width 11 leave a block of a few dozen stages.
+    # 1024 runs of width 11 leave a block of a few dozen stages: per run and
+    # stage the block holds a raw row, its stage-major copy and 4 statistics.
     N_RUNS = 1024
-    BLOCK = sim._BLOCK_BYTES // (8 * 11 * N_RUNS)
+    BLOCK = sim._BLOCK_BYTES // (8 * (2 * 11 + 4) * N_RUNS)
 
-    @pytest.mark.parametrize("n_stages", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize(
+        "n_stages",
+        [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3],
+        ids=["1", "block-1", "block", "block+1", "2block+3"],
+    )
     def test_blocks_concatenate_to_one_draw(self, n_stages, equal_slots, monkeypatch):
         engine = _Engine(scenario(equal_slots))
         assert engine.width == 11 and 1 < self.BLOCK < 200
@@ -78,16 +83,92 @@ class TestUniformStream:
             return block
 
         monkeypatch.setattr(_Engine, "uniforms", record)
-        # Each row is a view into the reused block buffer: copy it when yielded.
-        rows = [row.copy() for row in engine.stage_rows(21, range(self.N_RUNS), n_stages)]
-        rows = np.stack(rows, axis=1)
+        # Each draw is a view into the reused block buffers: copy it when yielded.
+        draws = [
+            (d.stats.copy(), d.aon.copy())
+            for d in engine.stage_rows(21, range(self.N_RUNS), n_stages)
+        ]
+        stats = np.stack([s for s, _ in draws], axis=1)
+        aon = np.stack([a for _, a in draws], axis=1)
         assert [b.shape[1] for b in blocks[:-1]] == [self.BLOCK] * (len(blocks) - 1)
         assert 1 <= blocks[-1].shape[1] <= self.BLOCK
         streamed = np.concatenate(blocks, axis=1)
-        assert np.array_equal(rows, streamed)
+        # The two smallest AON and the two smallest TON draws, then the device draw.
+        smallest = [
+            np.sort(streamed[..., nodes], axis=-1)[..., :2] for nodes in (slice(1, 6), slice(6, 11))
+        ]
+        expected = np.concatenate([*smallest, streamed[..., :1]], axis=-1)
+        assert np.array_equal(stats, expected.transpose(2, 1, 0))
+        assert np.array_equal(aon, streamed[..., 1:6])
         for run in (0, 517, self.N_RUNS - 1):
             whole = ss.run_generator(21, run).random((n_stages, 11))
             assert np.array_equal(streamed[run], whole)
+
+
+def counted_slot(engine, ages, urow, tau_a, tau_t):
+    """The slot step that counted transmitters per row, kept as the reference."""
+    ta = urow[:, 1 : 1 + engine.n_aon] < (tau_a[:, None] if np.ndim(tau_a) else tau_a)
+    tt = urow[:, 1 + engine.n_aon :] < (tau_t[:, None] if np.ndim(tau_t) else tau_t)
+    k_a = ta.sum(axis=1)
+    k_t = tt.sum(axis=1)
+    total = k_a + k_t
+    ages += np.where(
+        total == 0,
+        engine.slots.idle,
+        np.where(total >= 2, engine.slots.collision, engine.slots.success),
+    )[:, None]
+    resets = (k_a == 1) & (k_t == 0)
+    if resets.any():
+        rows = np.nonzero(resets)[0]
+        ages[rows, ta[rows].argmax(axis=1)] = engine.slots.success
+    return k_a, k_t
+
+
+class TestSlotOrderStatistics:
+    ROWS = 3000
+
+    def inputs(self, engine, rng):
+        """Raw uniforms, per-row AON and TON taus with ties, duplicates and edge values."""
+        urow = rng.random((self.ROWS, engine.width))
+        tau_a = rng.choice([-1.0, 0.0, 1.0, 0.2, 0.5, 0.8], self.ROWS)
+        tau_t = rng.choice([-1.0, 0.0, 1.0, 0.3, 0.6], self.ROWS)
+        nodes_a, nodes_t = urow[:, 1 : 1 + engine.n_aon], urow[:, 1 + engine.n_aon :]
+        # Draws set exactly equal to tau: a node at tau stays silent.
+        tie = rng.random(nodes_a.shape) < 0.2
+        nodes_a[tie] = np.broadcast_to(tau_a[:, None], nodes_a.shape)[tie]
+        tie = rng.random(nodes_t.shape) < 0.2
+        nodes_t[tie] = np.broadcast_to(tau_t[:, None], nodes_t.shape)[tie]
+        # Duplicated draws within a network: both nodes transmit or neither.
+        for nodes in (nodes_a, nodes_t):
+            if nodes.shape[1] > 1:
+                dup = rng.random(self.ROWS) < 0.3
+                nodes[dup, -1] = nodes[dup, 0]
+        return urow, tau_a, tau_t
+
+    @pytest.mark.parametrize("na", [1, 2, 5, 10])
+    @pytest.mark.parametrize("nt", [1, 2, 5])
+    def test_matches_counting_transmitters(self, na, nt, small_collision):
+        engine = _Engine(scenario(small_collision, na=na, nt=nt))
+        rng = np.random.default_rng(100 * na + nt)
+        urow, tau_a, tau_t = self.inputs(engine, rng)
+        [draw] = engine.draws(urow[:, None])
+        start = rng.choice([0.5, 1.5, 3.0], (self.ROWS, na))
+        for tau_t_case in (tau_t, engine.tau_ton_star, tau_t[0]):
+            ref_ages, ages = start.copy(), start.copy()
+            ref = counted_slot(engine, ref_ages, urow, tau_a, tau_t_case)
+            k_a, k_t = engine.slot(ages, draw, tau_a, tau_t_case)
+            assert np.array_equal(ages, ref_ages)
+            assert np.array_equal(k_a, np.minimum(ref[0], 2))
+            assert np.array_equal(k_t, np.minimum(ref[1], 2))
+            assert np.array_equal(sim._event_codes(k_a, k_t), sim._event_codes(*ref))
+        # A draw tiled over copies of its rows replays each run in every copy.
+        copies = 3
+        ref_ages, ages = np.tile(start, (copies, 1)), np.tile(start, (copies, 1))
+        taus = np.tile(tau_a, copies), np.tile(tau_t, copies)
+        ref = counted_slot(engine, ref_ages, np.tile(urow, (copies, 1)), *taus)
+        k_a, k_t = engine.slot(ages, draw.tile(copies), *taus)
+        assert np.array_equal(ages, ref_ages)
+        assert np.array_equal(sim._event_codes(k_a, k_t), sim._event_codes(*ref))
 
 
 class TestCompetitiveRuns:
@@ -180,9 +261,10 @@ class TestRealizedVersusExpected:
         draws = 100_000
         rng = np.random.default_rng(123)
         uniforms = rng.random((draws, engine.width))
+        [draw] = engine.draws(uniforms[:, None])
         prior = 2.0
         ages = np.full((draws, 3), prior)
-        k_a, k_t = engine.slot(ages, uniforms, np.full(draws, 0.3), 0.25)
+        k_a, k_t = engine.slot(ages, draw, np.full(draws, 0.3), 0.25)
         realized_thr = np.where((k_t == 1) & (k_a == 0), engine.ton_payout, 0.0)
         realized_age = ages.mean(axis=1)
         expected = ss.expected_stage_payoffs(
