@@ -1,12 +1,14 @@
-"""The scalar stage-game and slot API pinned bit for bit against ``golden_scalar.json``.
+"""The scalar API and single-run streams pinned bit for bit against golden files.
 
-Grim-trigger traces (``simulate_grim_trigger`` for every deviation case in
+``golden_scalar.json`` holds grim-trigger traces (``simulate_grim_trigger`` for every deviation case in
 every slot scenario at three network-size pairs) and equilibrium tables
 (``msne``, ``cooperative_optimum`` and ``expected_stage_payoffs`` on both
 channels) at ages on each threshold, one ulp either side of it, and at
-random ages.  Each stage or table row is one string of ``float.hex`` values,
-so any change to the random stream or to rounding fails here.  The file changes only with a declared
-output change; regenerate it with
+random ages.  ``golden_records.json`` holds the recorded per-stage streams
+(``StageRecord``) and run scalars of single competitive and cooperative runs.
+Each stage or table row is one string of ``float.hex`` values, so any change
+to the random stream or to rounding fails here.  The files change only with a
+declared output change; regenerate both with
 
     PYTHONPATH=src python tests/test_golden_scalar.py
 """
@@ -21,14 +23,17 @@ import pytest
 
 import slotshare as ss
 from slotshare import equilibrium as eq
-from slotshare import etiquette
+from slotshare import etiquette, sim
 from slotshare.config import SlotScenario, slots_from_scenario
 
 GOLDEN = Path(__file__).parent / "golden_scalar.json"
+GOLDEN_RECORDS = Path(__file__).parent / "golden_records.json"
 SIZES = [(5, 5), (1, 3), (3, 1)]
 N_STAGES = 30
 DEVIATE_AT = 5
 N_RANDOM_AGES = 12
+RECORD_STAGES = 60
+RECORD_RUNS = (0, 3)
 
 
 def _hex(value):
@@ -104,6 +109,36 @@ def capture():
     return out
 
 
+def _record_cases():
+    for slot_scenario in (SlotScenario.SMALL_COLLISION, SlotScenario.LARGE_COLLISION):
+        for n_aon, n_ton in SIZES[:2]:
+            for mode in sim.Mode:
+                name = f"{slot_scenario.value}/{n_aon}x{n_ton}/{mode.value}"
+                yield name, _scenario(slot_scenario, n_aon, n_ton), mode
+
+
+def _record_rows(params, mode, seed, run_index):
+    """Run scalars and final ages, then one row per stage of the recorded streams."""
+    run = sim._run_single(sim.RunConfig(params, RECORD_STAGES, mode, seed), run_index)
+    stages = run.stages
+    scalars = (run.u_aon_discounted, run.u_ton_discounted, run.freq_tau_one, run.freq_tau_zero)
+    rows = [" ".join(_hex(v) for v in scalars), " ".join(_hex(a) for a in run.final_ages.ages)]
+    for n in range(RECORD_STAGES):
+        selected = "-" if stages.aon_selected is None else str(bool(stages.aon_selected[n]))
+        values = (stages.u_aon[n], stages.u_ton[n], stages.tau_aon[n])
+        rows.append(" ".join([*(_hex(v) for v in values), str(int(stages.events[n])), selected]))
+    return rows
+
+
+def capture_records():
+    return {
+        name: {
+            str(run): _record_rows(params, mode, 2000 + k, run) for run in RECORD_RUNS
+        }
+        for k, (name, params, mode) in enumerate(_record_cases())
+    }
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -120,6 +155,22 @@ def test_scalar_path_matches_golden(name, golden, current):
     assert current[name]["table"] == golden[name]["table"]
 
 
+@pytest.fixture(scope="module")
+def golden_records():
+    return json.loads(GOLDEN_RECORDS.read_text())
+
+
+@pytest.fixture(scope="module")
+def current_records():
+    return capture_records()
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in _record_cases()])
+def test_recorded_streams_match_golden(name, golden_records, current_records):
+    assert current_records[name] == golden_records[name]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(capture(), indent=1) + "\n")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    GOLDEN_RECORDS.write_text(json.dumps(capture_records(), indent=1) + "\n")
+    print(f"wrote {GOLDEN} and {GOLDEN_RECORDS}", file=sys.stderr)
