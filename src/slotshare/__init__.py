@@ -11,7 +11,6 @@ from .model import (
     AccessProfile,
     AgeState,
     ConfigurationError,
-    Network,
     NetworkSizes,
     Recommendation,
     ScenarioParams,
@@ -22,7 +21,6 @@ from .model import (
     apply_slot,
     expected_network_throughput,
     expected_node_age,
-    network_age,
     sample_slot,
     slot_probabilities_competitive,
     slot_probabilities_cooperative,
@@ -38,7 +36,6 @@ from .equilibrium import (
     cooperative_optimum,
     expected_stage_payoffs,
     msne,
-    msne_equal_slots,
 )
 from .sim import (
     Aggregate,
@@ -65,6 +62,6 @@ from .etiquette import (
     spe_feasible,
     stage1_expected_ton_throughput,
 )
-from .seeding import derive_seed, run_generator
+from .seeding import run_generator
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,6 +22,7 @@ from .model import (
     ConfigurationError,
     NetworkSizes,
     SlotLengths,
+    _slot_terms,
     check_age,
     expected_network_throughput,
     expected_node_age,
@@ -222,17 +223,6 @@ def msne(
     return profile, ThresholdAges(th0, th1, max(th0, th1), _regime(network_age, th0, th1))
 
 
-def msne_equal_slots(
-    sizes: NetworkSizes, slots: SlotLengths, network_age: float
-) -> AccessProfile:
-    """Equilibrium specialization for equal success and collision slots."""
-    if slots.success != slots.collision:
-        raise ConfigurationError("equal-slots rule requires sigma_success == sigma_collision")
-    check_age(network_age, "network age")
-    tau_a = _equal_slots_tau(network_age, sizes, slots)
-    return AccessProfile(tau_aon=tau_a, tau_ton=1.0 / sizes.n_ton)
-
-
 def cooperative_optimum(
     sizes: NetworkSizes, slots: SlotLengths, network_age: float
 ) -> tuple[AccessProfile, ThresholdAges]:
@@ -267,49 +257,22 @@ def expected_stage_payoffs(
     )
 
 
-# Vectorized stage-payoff kernels shared by the simulation engine, the
-# grid-search oracle, and the device-bias range scan.  They mirror the
-# probability formulas in model.py term for term.
+# Vectorized stage payoffs for the grid-search oracle and the device-bias
+# scan: ``p_r=None`` is the competitive channel, as in expected_stage_payoffs.
 
 
-def _competitive_stage_age(tau_a, tau_t, sizes: NetworkSizes, slots: SlotLengths, delta):
-    na, nt = sizes.n_aon, sizes.n_ton
-    quiet_a = (1.0 - tau_a) ** na
-    quiet_t = (1.0 - tau_t) ** nt
-    succ_node_a = tau_a * (1.0 - tau_a) ** (na - 1) * quiet_t
-    succ_node_t = tau_t * (1.0 - tau_t) ** (nt - 1) * quiet_a
-    p_success = na * succ_node_a + nt * succ_node_t
-    p_idle = quiet_a * quiet_t
-    p_col = np.maximum(1.0 - p_success - p_idle, 0.0)
+def _stage_age(tau_a, tau_t, sizes: NetworkSizes, slots: SlotLengths, delta, p_r=None):
+    """Expected network age after one slot, from the pre-slot network age ``delta``."""
+    p_idle, p_success, node_a, *_, p_col = _slot_terms(tau_a, tau_t, sizes.n_aon, sizes.n_ton, p_r)
+    p_col = np.maximum(p_col, 0.0)
     growth = p_idle * slots.idle + p_success * slots.success + p_col * slots.collision
-    return (1.0 - succ_node_a) * delta + growth
+    return (1.0 - node_a) * delta + growth
 
 
-def _competitive_stage_throughput(tau_a, tau_t, sizes: NetworkSizes, slots: SlotLengths, rate):
-    nt = sizes.n_ton
-    succ_node_t = tau_t * (1.0 - tau_t) ** (nt - 1) * (1.0 - tau_a) ** sizes.n_aon
-    return succ_node_t * slots.success * rate
-
-
-def _cooperative_stage_age(
-    tau_a, tau_t, p_r, sizes: NetworkSizes, slots: SlotLengths, delta
-):
-    na, nt = sizes.n_aon, sizes.n_ton
-    sel_t = 1.0 - p_r
-    succ_one_a = tau_a * (1.0 - tau_a) ** (na - 1)
-    succ_one_t = tau_t * (1.0 - tau_t) ** (nt - 1)
-    p_idle = p_r * (1.0 - tau_a) ** na + sel_t * (1.0 - tau_t) ** nt
-    p_success = p_r * na * succ_one_a + sel_t * nt * succ_one_t
-    p_col = np.maximum(1.0 - p_success - p_idle, 0.0)
-    growth = p_idle * slots.idle + p_success * slots.success + p_col * slots.collision
-    return (1.0 - p_r * succ_one_a) * delta + growth
-
-
-def _cooperative_stage_throughput(
-    tau_t, p_r, sizes: NetworkSizes, slots: SlotLengths, rate
-):
-    succ_one_t = tau_t * (1.0 - tau_t) ** (sizes.n_ton - 1)
-    return (1.0 - p_r) * succ_one_t * slots.success * rate
+def _stage_throughput(tau_a, tau_t, sizes: NetworkSizes, slots: SlotLengths, rate, p_r=None):
+    """Expected TON network throughput of one slot."""
+    node_t = _slot_terms(tau_a, tau_t, sizes.n_aon, sizes.n_ton, p_r)[3]
+    return node_t * slots.success * rate
 
 
 def best_response_oracle(objective, grid_step: float) -> float:
@@ -367,8 +330,8 @@ def cooperation_beneficial_pr_set(
     base = expected_stage_payoffs(sizes, slots, nash, network_age, rate=1.0)
 
     pr = np.linspace(0.0, 1.0, int(round(1.0 / pr_grid_step)) + 1)
-    age_c = _cooperative_stage_age(coop.tau_aon, coop.tau_ton, pr, sizes, slots, network_age)
-    thr_c = _cooperative_stage_throughput(coop.tau_ton, pr, sizes, slots, 1.0)
+    age_c = _stage_age(coop.tau_aon, coop.tau_ton, sizes, slots, network_age, p_r=pr)
+    thr_c = _stage_throughput(coop.tau_aon, coop.tau_ton, sizes, slots, 1.0, p_r=pr)
     ok = (-age_c >= base.u_aon) & (thr_c >= base.u_ton)
 
     intervals = []

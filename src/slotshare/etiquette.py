@@ -36,7 +36,7 @@ from .model import (
     AccessProfile,
 )
 from .seeding import run_generator
-from .sim import _Engine, _fanout, _mean_se
+from .sim import _discount_weights, _Engine, _fanout, _mean_se, _simulate_batch
 from . import model as _model
 
 _DEFAULT_CHUNK = 2048
@@ -221,44 +221,6 @@ def stage1_expected_ton_throughput(
 _BRANCHES = ("obey_heads", "obey_tails", "deviate_joint", "deviate_idle")
 
 
-def _discount_weights(alpha_axis: np.ndarray, n_stages: int) -> np.ndarray:
-    """(stages x alphas) weights ``(1 - a) * a**n``: ``sim``'s running product."""
-    factors = np.empty((n_stages, alpha_axis.size))
-    factors[0] = 1.0 - alpha_axis
-    factors[1:] = alpha_axis
-    return np.cumprod(factors, axis=0)
-
-
-class _Stack:
-    """``copies`` branches of one run chunk stacked as rows, advanced a stage at a time.
-
-    Row ``b * n_runs + r`` replays run ``r``'s draws in branch ``b``.
-    Stage 1 plays the per-row profile ``stage1``, every later stage the
-    profile ``play(delta, draw)`` returns for the pre-slot network ages.
-    ``u_aon``/``u_ton`` accumulate (rows x alphas) discounted payoffs and
-    ``first`` holds the per-row stage-1 (network age, TON payoff).
-    """
-
-    def __init__(self, engine: _Engine, n_runs, copies, stage1, play, n_alpha):
-        self.engine, self.copies, self.play = engine, copies, play
-        self.ages = engine.initial_ages(copies * n_runs)
-        self.u_aon, self.u_ton = np.zeros((2, self.ages.shape[0], n_alpha))
-        self.tau = stage1
-
-    def step(self, n, draw, weights):
-        draw = draw.tile(self.copies)
-        if n:
-            self.tau = self.play(self.delta, draw)
-        k_a, k_t = self.engine.slot(self.ages, draw, *self.tau)
-        # The stage's AON payoff and the next stage's state.
-        self.delta = self.ages.mean(axis=1)
-        stage_u_ton = np.where((k_t == 1) & (k_a == 0), self.engine.ton_payout, 0.0)
-        if not n:
-            self.first = (self.delta, stage_u_ton)
-        self.u_aon += (-self.delta)[:, None] * weights
-        self.u_ton += stage_u_ton[:, None] * weights
-
-
 def _estimate(name: str, obey: np.ndarray, dev: np.ndarray) -> InequalityEstimate:
     margin, se = _mean_se(obey - dev)
     return InequalityEstimate(name, float(obey.mean()), float(dev.mean()), margin, se)
@@ -270,12 +232,11 @@ def _sweep(
     """Deviation reports on every (alpha, bias) cell from shared trajectories.
 
     Every cell replays the run streams ``(seed, r)``: the dynamics never read
-    alpha and the deviation branches never read the bias, so one competitive
-    batch (joint access, idle) and one cooperative batch (heads, tails per
-    bias) cover the grid, and alpha only selects a column of discount
-    weights.  Both batches advance in lockstep on one draw per run chunk.
-    Cell ``[i][j]`` equals the report at ``alpha_axis[i]``, ``pr_axis[j]``
-    alone.
+    alpha and the deviation branches never read the bias, so one state of
+    ``2 + 2 * |biases|`` copies per run chunk covers the grid (joint access
+    and idle, then heads and tails per bias), and alpha only selects a
+    column of discount weights.  Cell ``[i][j]`` equals the report at
+    ``alpha_axis[i]``, ``pr_axis[j]`` alone.
     """
     if n_runs < 1 or n_stages < 1:
         raise ConfigurationError("need at least one run and one stage")
@@ -284,39 +245,29 @@ def _sweep(
     tau_hat0, tau_ton = profile_hat.tau_aon, engine.tau_ton_star
     weights = _discount_weights(alpha_axis, n_stages)
     n_alpha, n_pr = alpha_axis.size, pr_axis.size
+    # Copies: joint access and an idle slot, competitive afterwards; then per
+    # bias obey heads (AON alone) and obey tails (TON alone), cooperative
+    # afterwards.  Each copy's stage-1 (tau_aon, tau_ton):
+    p_rs = [None, None, *np.repeat(pr_axis, 2)]
+    profiles = [(tau_hat0, tau_ton), (-1.0, -1.0)] + [(tau_hat0, -1.0), (-1.0, tau_ton)] * n_pr
+    copies = len(p_rs)
     # Per-run payoffs, run index last so each cell reduces a contiguous row.
     dev = np.empty((2, n_alpha, 2, n_runs))  # payoff, alpha, (joint, idle), run
     obey = np.empty((2, n_alpha, n_pr, 2, n_runs))  # payoff, alpha, bias, (heads, tails), run
     stage1 = np.empty((2, 4, n_runs))  # (age, TON payoff), branch in _BRANCHES order, run
 
-    def competitive(delta, draw):
-        return engine.msne_tau(delta), tau_ton
-
     def work(bounds):
         start, stop = bounds
         size = stop - start
-        pr_rows = np.repeat(pr_axis, 2 * size)
-
-        def cooperative(delta, draw):
-            selected = draw.device < pr_rows
-            tau = engine.coop_tau(delta)
-            return np.where(selected, tau, -1.0), np.where(selected, -1.0, tau_ton)
-
-        # Stage-1 (tau_aon, tau_ton) rows: joint access, then an idle slot.
-        stage1_dev = np.repeat([[tau_hat0, -1.0], [tau_ton, -1.0]], size, axis=1)
-        d = _Stack(engine, size, 2, stage1_dev, competitive, n_alpha)
-        # Per bias: obey heads (AON alone), then obey tails (TON alone).
-        stage1_obey = np.repeat(np.tile([[tau_hat0, -1.0], [-1.0, tau_ton]], n_pr), size, axis=1)
-        o = _Stack(engine, size, 2 * n_pr, stage1_obey, cooperative, n_alpha)
-        for n, draw in enumerate(engine.stage_rows(seed, range(start, stop), n_stages)):
-            d.step(n, draw, weights[n])
-            o.step(n, draw, weights[n])
-        for k, (d_pay, o_pay) in enumerate([(d.u_aon, o.u_aon), (d.u_ton, o.u_ton)]):
-            dev[k, ..., start:stop] = np.moveaxis(d_pay.reshape(2, size, n_alpha), -1, 0)
-            obey[k, ..., start:stop] = np.moveaxis(o_pay.reshape(n_pr, 2, size, n_alpha), -1, 0)
-            # Compliance stage 1 does not read the bias: take the first block.
-            stage1[k, :2, start:stop] = o.first[k][: 2 * size].reshape(2, size)
-            stage1[k, 2:, start:stop] = d.first[k].reshape(2, size)
+        stage1_rows = np.repeat(np.transpose(profiles), size, axis=1)
+        state = _simulate_batch(engine, seed, range(start, stop), p_rs, weights, stage1_rows)
+        for k, pay in enumerate((state.u_aon, state.u_ton)):
+            pay = np.moveaxis(pay.reshape(copies, size, n_alpha), -1, 0)
+            dev[k, ..., start:stop] = pay[:, :2]
+            obey[k, ..., start:stop] = pay[:, 2:].reshape(n_alpha, n_pr, 2, size)
+            # In _BRANCHES order: compliance stage 1 does not read the bias, so
+            # heads and tails come from the first bias's copies (2, 3).
+            stage1[k, :, start:stop] = state.first[k].reshape(copies, size)[[2, 3, 0, 1]]
 
     _fanout(n_runs, chunk_size, work, threads)
 

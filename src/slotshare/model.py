@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,11 +37,6 @@ def check_rate(rate: float) -> None:
     """Reject a transmission rate that is not finite and positive (NaN included)."""
     if not 0.0 < rate < math.inf:
         raise ConfigurationError("transmission rate must be finite and positive")
-
-
-class Network(enum.Enum):
-    AON = "aon"
-    TON = "ton"
 
 
 class Recommendation(enum.Enum):
@@ -184,10 +179,10 @@ class SlotEvent:
 
 @dataclass(frozen=True)
 class AgeState:
-    """Per-AON-node update ages at a slot boundary plus their network mean."""
+    """Per-AON-node update ages at a slot boundary; ``network_age`` is their mean."""
 
     ages: np.ndarray
-    network_age: float
+    network_age: float = field(init=False)
 
     def __post_init__(self):
         ages = np.array(self.ages, dtype=np.float64)
@@ -195,22 +190,16 @@ class AgeState:
             raise ConfigurationError("ages must be a non-empty vector")
         # min() is NaN when any age is, which fails the comparison; a finite
         # mean then rules out +inf.
-        mean = ages.sum() / ages.size
+        mean = float(ages.sum() / ages.size)
         if not (ages.min() >= 0.0 and math.isfinite(mean)):
             raise ConfigurationError("ages must be finite and non-negative")
         ages.flags.writeable = False
         object.__setattr__(self, "ages", ages)
-        if not abs(self.network_age - mean) <= PROB_ATOL:
-            raise ConfigurationError("network_age must equal the mean of the node ages")
-
-    @classmethod
-    def from_ages(cls, ages) -> "AgeState":
-        ages = np.asarray(ages, dtype=np.float64)
-        return cls(ages=ages, network_age=float(ages.sum() / ages.size) if ages.size else math.nan)
+        object.__setattr__(self, "network_age", mean)
 
     @classmethod
     def uniform(cls, n_nodes: int, age: float) -> "AgeState":
-        return cls.from_ages(np.full(n_nodes, age, dtype=np.float64))
+        return cls(np.full(n_nodes, age, dtype=np.float64))
 
 
 def _clip_probability(p: float) -> float:
@@ -220,29 +209,51 @@ def _clip_probability(p: float) -> float:
     return p
 
 
+def _slot_terms(ta, tt, na: int, nt: int, p_r=None):
+    """Slot-outcome probabilities in ``SlotProbabilities`` field order.
+
+    ``p_r=None`` is competitive access, otherwise device access with bias
+    ``p_r``.  The collision term is left unclipped.  Written with arithmetic
+    operators only, so the probabilities may be Python floats or numpy
+    arrays; a float's ``**`` and an array's may round differently, so the
+    scalar API passes floats and the vectorized kernels pass arrays.
+    """
+    one_a = ta * (1.0 - ta) ** (na - 1)
+    one_t = tt * (1.0 - tt) ** (nt - 1)
+    quiet_a = (1.0 - ta) ** na
+    quiet_t = (1.0 - tt) ** nt
+    if p_r is None:
+        # A lone transmitter also needs the other network silent.
+        w_a, s_a, w_t, s_t = 1.0, one_a * quiet_t, 1.0, one_t * quiet_a
+        p_idle = quiet_a * quiet_t
+    else:
+        w_a, s_a, w_t, s_t = p_r, one_a, 1.0 - p_r, one_t
+        p_idle = p_r * quiet_a + w_t * quiet_t
+    p_success = w_a * na * s_a + w_t * nt * s_t
+    return (
+        p_idle,
+        p_success,
+        w_a * s_a,
+        w_t * s_t,
+        w_a * (na - 1) * s_a + w_t * nt * s_t,
+        w_t * (nt - 1) * s_t + w_a * na * s_a,
+        1.0 - p_success - p_idle,
+    )
+
+
+def _slot_probabilities(sizes: NetworkSizes, profile: AccessProfile, p_r=None):
+    ta, tt = profile.tau_aon, profile.tau_ton
+    *terms, p_collision = _slot_terms(ta, tt, sizes.n_aon, sizes.n_ton, p_r)
+    probs = SlotProbabilities(*terms, p_collision=_clip_probability(p_collision))
+    probs.validate(sizes)
+    return probs
+
+
 def slot_probabilities_competitive(
     sizes: NetworkSizes, profile: AccessProfile
 ) -> SlotProbabilities:
     """Slot-outcome probabilities when both networks contend in the same slot."""
-    ta, tt = profile.tau_aon, profile.tau_ton
-    na, nt = sizes.n_aon, sizes.n_ton
-    quiet_a = (1.0 - ta) ** na
-    quiet_t = (1.0 - tt) ** nt
-    succ_node_a = ta * (1.0 - ta) ** (na - 1) * quiet_t
-    succ_node_t = tt * (1.0 - tt) ** (nt - 1) * quiet_a
-    p_success = na * succ_node_a + nt * succ_node_t
-    p_idle = quiet_a * quiet_t
-    probs = SlotProbabilities(
-        p_idle=p_idle,
-        p_success_total=p_success,
-        p_success_node_aon=succ_node_a,
-        p_success_node_ton=succ_node_t,
-        p_busy_aon=(na - 1) * succ_node_a + nt * succ_node_t,
-        p_busy_ton=(nt - 1) * succ_node_t + na * succ_node_a,
-        p_collision=_clip_probability(1.0 - p_success - p_idle),
-    )
-    probs.validate(sizes)
-    return probs
+    return _slot_probabilities(sizes, profile)
 
 
 def slot_probabilities_cooperative(
@@ -256,39 +267,19 @@ def slot_probabilities_cooperative(
     """
     if not 0.0 <= p_r <= 1.0:
         raise ConfigurationError("device bias must lie in [0, 1]")
-    ta, tt = profile.tau_aon, profile.tau_ton
-    na, nt = sizes.n_aon, sizes.n_ton
-    sel_t = 1.0 - p_r
-    succ_one_a = ta * (1.0 - ta) ** (na - 1)
-    succ_one_t = tt * (1.0 - tt) ** (nt - 1)
-    p_idle = p_r * (1.0 - ta) ** na + sel_t * (1.0 - tt) ** nt
-    p_success = p_r * na * succ_one_a + sel_t * nt * succ_one_t
-    probs = SlotProbabilities(
-        p_idle=p_idle,
-        p_success_total=p_success,
-        p_success_node_aon=p_r * succ_one_a,
-        p_success_node_ton=sel_t * succ_one_t,
-        p_busy_aon=p_r * (na - 1) * succ_one_a + sel_t * nt * succ_one_t,
-        p_busy_ton=sel_t * (nt - 1) * succ_one_t + p_r * na * succ_one_a,
-        p_collision=_clip_probability(1.0 - p_success - p_idle),
-    )
-    probs.validate(sizes)
-    return probs
+    return _slot_probabilities(sizes, profile, p_r)
 
 
 def expected_node_age(
     probs: SlotProbabilities,
     prior_age: float,
     slots: SlotLengths,
-    network: Network = Network.AON,
 ) -> float:
     """Expected age of one AON node at the end of a slot, given its prior age.
 
     The node's age resets to the success-slot length if it transmits alone;
     otherwise it grows by the length of whatever slot occurred.
     """
-    if network is not Network.AON:
-        raise ConfigurationError("age is defined only for AON nodes")
     check_age(prior_age, "prior age")
     growth = (
         probs.p_idle * slots.idle
@@ -296,11 +287,6 @@ def expected_node_age(
         + probs.p_collision * slots.collision
     )
     return (1.0 - probs.p_success_node_aon) * prior_age + growth
-
-
-def network_age(state: AgeState) -> float:
-    """Arithmetic mean of the per-node ages."""
-    return float(np.asarray(state.ages).mean())
 
 
 def expected_network_throughput(
@@ -360,4 +346,4 @@ def apply_slot(state: AgeState, event: SlotEvent, slots: SlotLengths) -> AgeStat
             raise ConfigurationError("transmitter index outside the AON")
         ages = state.ages + slots.success
         ages[event.node] = slots.success
-    return AgeState.from_ages(ages)
+    return AgeState(ages)

@@ -1,17 +1,9 @@
-"""Deterministic random-stream derivation for parallel Monte Carlo.
+"""Deterministic random streams for parallel Monte Carlo.
 
-Two named constructions keep every result reproducible regardless of worker
-scheduling:
-
-* ``derive_seed(master, index)`` is the ``(index + 1)``-th output of a
-  SplitMix64 sequence started at ``master`` (Steele et al.'s split/mix
-  generator; the same constants as Java's ``SplittableRandom``).  Chaining it
-  labels nested tasks such as grid cells: ``derive_seed(master, i, j)``.
-* Run ``r`` of a simulation seeded with ``s`` draws from a Philox4x64
-  counter-based generator keyed with the word pair ``(s, r)`` and counter 0.
-
-Both constructions are standard and documented enough to be replayed from
-any language with a SplitMix64 mixer and a Philox implementation.
+Run ``r`` of a simulation seeded with ``s`` draws from a Philox4x64
+counter-based generator keyed with the word pair ``(s, r)`` and counter 0, so
+every result is reproducible regardless of worker scheduling and can be
+replayed from any language with a Philox implementation.
 """
 
 from __future__ import annotations
@@ -19,25 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
-
-
-def _mix64(z: int) -> int:
-    """SplitMix64 output mixing function."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def derive_seed(master: int, *path: int) -> int:
-    """Label a sub-task with a 64-bit seed derived from its index path."""
-    seed = master & _MASK64
-    for index in path:
-        if index < 0:
-            raise ValueError("seed-path indices must be non-negative")
-        seed = _mix64((seed + (index + 1) * _GOLDEN_GAMMA) & _MASK64)
-    return seed
 
 
 def run_generator(seed: int, run_index: int) -> np.random.Generator:

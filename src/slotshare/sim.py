@@ -15,13 +15,19 @@ column 0 is the coordination-device draw, columns ``1 .. n_aon`` the AON
 node draws, and the remaining ``n_ton`` columns the TON node draws.  A chunk
 of runs draws its rows a block of stages at a time into one reused buffer;
 a counter-based stream read in order yields the same numbers however it is
-cut into blocks, and several arms (modes) of a batch advance in lockstep on
-the same draws.
+cut into blocks.
+
+One state (``_Trajectories``) holds every trajectory of a chunk: copies of
+its runs stacked as rows, each copy competitive or cooperative with its own
+device bias, optionally forced to a stage-1 profile, with payoffs weighted
+by a (stages x alphas) matrix.  ``simulate`` uses one copy, ``gain`` two
+and the region sweep ``2 + 2 * |biases|``; all copies read the same draws,
+one slot step per stage.
 
 A node transmits iff its draw is below its network's access probability, so
 a network sends 0, 1 or at least 2 packets according to whether that
 probability lies above its smallest and its second-smallest draw.  Each
-block is therefore reduced once, before any arm reads it, to the device
+block is therefore reduced once, before the state reads it, to the device
 draw and the two smallest draws of each network per run and stage
 (``_Draw``); only an AON success goes back to the raw AON draws, to find
 the node whose age resets.
@@ -30,6 +36,7 @@ the node whose age resets.
 from __future__ import annotations
 
 import enum
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -60,19 +67,12 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One repeated-game run.
-
-    ``expected_payoffs`` accumulates the per-stage conditional expected
-    payoffs instead of the realized ones (the ages still evolve by sampling);
-    both accumulations converge to the same Monte Carlo mean and the flag
-    exists for cross-checking.
-    """
+    """One repeated-game run."""
 
     params: ScenarioParams
     n_stages: int
     mode: Mode
     seed: int
-    expected_payoffs: bool = False
 
     def __post_init__(self):
         if self.n_stages < 1:
@@ -217,15 +217,6 @@ class _Engine:
             # Rows 0-3 are the statistics and row 4 the device column.
             yield _Draw(table[j, :5], block[:, j, 1 : 1 + self.n_aon])
 
-    def initial_ages(self, n_runs: int) -> np.ndarray:
-        return np.full((n_runs, self.n_aon), self.params.initial_age, dtype=np.float64)
-
-    def msne_tau(self, delta: np.ndarray) -> np.ndarray:
-        return eq._msne_tau(delta, self.sizes, self.slots)
-
-    def coop_tau(self, delta: np.ndarray) -> np.ndarray:
-        return eq._coop_tau(delta, self.sizes, self.slots)
-
     def slot(self, ages: np.ndarray, draw: _Draw, tau_a, tau_t):
         """Advance all rows by one slot in place; returns transmitter counts clipped at 2.
 
@@ -257,159 +248,147 @@ def _event_codes(k_a: np.ndarray, k_t: np.ndarray) -> np.ndarray:
     return codes
 
 
-class _Arm:
-    """One mode's batch of runs: state and accumulators, advanced a stage at a time."""
+def _discount_weights(alphas, n_stages: int) -> np.ndarray:
+    """(stages x alphas) weights ``(1 - a) * a**n``, as a running product over stages."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    factors = np.empty((n_stages, alphas.size))
+    factors[0] = 1.0 - alphas
+    factors[1:] = alphas
+    return np.cumprod(factors, axis=0)
 
-    def __init__(
-        self,
-        engine: _Engine,
-        mode: Mode,
-        n_runs: int,
-        n_stages: int,
-        expected_payoffs: bool,
-        record: bool,
-    ):
-        self.engine = engine
-        self.mode = mode
-        self.expected_payoffs = expected_payoffs
-        self.ages = engine.initial_ages(n_runs)
-        self.u_aon = np.zeros(n_runs)
-        self.u_ton = np.zeros(n_runs)
-        self.count_one = np.zeros(n_runs)
-        self.count_zero = np.zeros(n_runs)
-        self.n_selected = np.zeros(n_runs)
+
+class _Trajectories:
+    """Copies of a chunk's runs stacked as rows, advanced one stage at a time.
+
+    Row ``b * n_runs + r`` replays run ``r``'s draws in copy ``b``.  Copy
+    ``b`` plays the competitive equilibrium when ``p_rs[b]`` is None, and
+    otherwise obeys a device of bias ``p_rs[b]`` at the cooperative optimum.
+    ``stage1``, when given, holds the per-row (tau_aon, tau_ton) that every
+    row plays in stage 1 instead; a negative value silences that network.
+
+    Accumulators: ``u_aon``/``u_ton`` are (rows x alphas) payoffs, stage
+    ``n`` weighted by ``weights[n]``; ``count_one``/``count_zero``/``n_access``
+    count the stages in which the AON may access, with probability 1, 0 or
+    any; ``first`` is the per-row stage-1 (network age, TON payoff); with
+    ``record``, ``streams`` holds the per-stage ``StageRecord`` fields.
+    """
+
+    def __init__(self, engine: _Engine, n_runs, p_rs, weights, stage1, record):
+        self.engine, self.copies, self.weights, self.stage1 = engine, len(p_rs), weights, stage1
+        n_stages, n_alpha = weights.shape
+        rows = self.copies * n_runs
+        self.ages = np.full((rows, engine.n_aon), engine.params.initial_age, dtype=np.float64)
         self.delta = self.ages.mean(axis=1)
-        self.rec_streams = None
+        self.u_aon, self.u_ton = np.zeros((2, rows, n_alpha))
+        self.count_one, self.count_zero, self.n_access = np.zeros((3, rows))
+        # Consecutive copies of one mode share an equilibrium call: (rows, None)
+        # is competitive, (rows, per-row biases) cooperative.
+        self.groups, start = [], 0
+        for competitive, group in itertools.groupby(p_rs, lambda p_r: p_r is None):
+            group = list(group)
+            group_rows = slice(start * n_runs, (start + len(group)) * n_runs)
+            self.groups.append((group_rows, None if competitive else np.repeat(group, n_runs)))
+            start += len(group)
+        self.streams = None
         if record:
-            self.rec_streams = {
-                "u_aon": np.empty((n_runs, n_stages)),
-                "u_ton": np.empty((n_runs, n_stages)),
-                "tau_aon": np.empty((n_runs, n_stages)),
-                "events": np.empty((n_runs, n_stages), dtype=np.int8),
-                "aon_selected": np.zeros((n_runs, n_stages), dtype=bool),
+            self.streams = {
+                "u_aon": np.empty((rows, n_stages)),
+                "u_ton": np.empty((rows, n_stages)),
+                "tau_aon": np.empty((rows, n_stages)),
+                "events": np.empty((rows, n_stages), dtype=np.int8),
+                "aon_selected": np.empty((rows, n_stages), dtype=bool),
             }
 
-    def step(self, n: int, draw: _Draw, weight: float) -> None:
-        engine, params, delta = self.engine, self.engine.params, self.delta
-        if self.mode is Mode.COMPETITIVE:
-            tau = engine.msne_tau(delta)
-            self.count_one += tau == 1.0
-            self.count_zero += tau == 0.0
-            k_a, k_t = engine.slot(self.ages, draw, tau, engine.tau_ton_star)
+    def _play(self, delta, device, p_r):
+        """The AON rule's tau and the played (tau_aon, tau_ton) of one group's rows."""
+        engine = self.engine
+        if p_r is None:
+            tau = eq._msne_tau(delta, engine.sizes, engine.slots)
+            return tau, tau, np.full(tau.size, engine.tau_ton_star)
+        selected = device < p_r
+        tau = eq._coop_tau(delta, engine.sizes, engine.slots)
+        return tau, np.where(selected, tau, -1.0), np.where(selected, -1.0, engine.tau_ton_star)
+
+    def step(self, n: int, draw: _Draw) -> None:
+        engine, weights = self.engine, self.weights[n]
+        if self.copies > 1:
+            draw = draw.tile(self.copies)
+        if n == 0 and self.stage1 is not None:
+            tau = tau_a = self.stage1[0]
+            tau_t = self.stage1[1]
         else:
-            selected = draw.device < params.p_r
-            tau = engine.coop_tau(delta)
-            self.count_one += (tau == 1.0) & selected
-            self.count_zero += (tau == 0.0) & selected
-            self.n_selected += selected
-            k_a, k_t = engine.slot(
-                self.ages,
-                draw,
-                np.where(selected, tau, -1.0),
-                np.where(selected, -1.0, engine.tau_ton_star),
-            )
-        # Post-slot network age: the realized AON payoff and the next state.
-        age_after = self.ages.mean(axis=1)
-        if self.expected_payoffs:
-            if self.mode is Mode.COMPETITIVE:
-                stage_u_aon = -eq._competitive_stage_age(
-                    tau, engine.tau_ton_star, engine.sizes, engine.slots, delta
-                )
-                stage_u_ton = eq._competitive_stage_throughput(
-                    tau, engine.tau_ton_star, engine.sizes, engine.slots, params.rate
-                )
-            else:
-                stage_u_aon = -eq._cooperative_stage_age(
-                    tau, engine.tau_ton_star, params.p_r, engine.sizes, engine.slots, delta
-                )
-                stage_u_ton = np.full(
-                    delta.size,
-                    eq._cooperative_stage_throughput(
-                        engine.tau_ton_star, params.p_r, engine.sizes, engine.slots, params.rate
-                    ),
-                )
-        else:
-            stage_u_aon = -age_after
-            stage_u_ton = np.where((k_t == 1) & (k_a == 0), engine.ton_payout, 0.0)
-        self.u_aon += weight * stage_u_aon
-        self.u_ton += weight * stage_u_ton
-        if self.rec_streams is not None:
-            rec = self.rec_streams
-            rec["u_aon"][:, n] = stage_u_aon
+            plays = [
+                self._play(self.delta[rows], draw.device[rows], p_r) for rows, p_r in self.groups
+            ]
+            tau, tau_a, tau_t = (np.concatenate(parts) for parts in zip(*plays))
+        k_a, k_t = engine.slot(self.ages, draw, tau_a, tau_t)
+        self.count_one += tau_a == 1.0
+        self.count_zero += tau_a == 0.0
+        self.n_access += tau_a >= 0.0
+        # The stage's AON payoff and the next stage's state.
+        self.delta = self.ages.mean(axis=1)
+        stage_u_ton = np.where((k_t == 1) & (k_a == 0), engine.ton_payout, 0.0)
+        if n == 0:
+            self.first = (self.delta, stage_u_ton)
+        self.u_aon += (-self.delta)[:, None] * weights
+        self.u_ton += stage_u_ton[:, None] * weights
+        if self.streams is not None:
+            rec = self.streams
+            rec["u_aon"][:, n] = -self.delta
             rec["u_ton"][:, n] = stage_u_ton
             rec["tau_aon"][:, n] = tau
             rec["events"][:, n] = _event_codes(k_a, k_t)
-            if self.mode is Mode.COOPERATIVE:
-                rec["aon_selected"][:, n] = selected
-        self.delta = age_after
+            rec["aon_selected"][:, n] = tau_a >= 0.0
 
-    def result(self, n_stages: int):
-        freq_one = self.count_one / n_stages
-        freq_zero = self.count_zero / n_stages
-        if self.mode is Mode.COOPERATIVE:
-            n_selected = self.n_selected
-            freq_one = np.divide(
-                self.count_one, n_selected, out=np.zeros(n_selected.size), where=n_selected > 0
-            )
-            freq_zero = np.divide(
-                self.count_zero, n_selected, out=np.zeros(n_selected.size), where=n_selected > 0
-            )
-        return self.u_aon, self.u_ton, freq_one, freq_zero, self.ages, self.rec_streams
+    def frequencies(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the shares of the AON's access stages at probability 1 and 0 (0 if none)."""
+        return tuple(
+            np.divide(count, self.n_access, out=np.zeros(count.size), where=self.n_access > 0)
+            for count in (self.count_one, self.count_zero)
+        )
 
 
 def _simulate_batch(
     engine: _Engine,
     seed: int,
     run_indices: range,
-    n_stages: int,
-    modes,
-    expected_payoffs: bool = False,
+    p_rs,
+    weights: np.ndarray,
+    stage1: np.ndarray | None = None,
     record: bool = False,
-):
-    """Advance one arm per mode through all stages on the runs' shared draws.
+) -> _Trajectories:
+    """Advance one copy of the runs per entry of ``p_rs`` through every row of ``weights``.
 
-    Returns per arm the per-run scalars, final ages and recorded streams.
+    All copies read the runs' shared draws, one slot step per stage.
     """
-    arms = [
-        _Arm(engine, mode, len(run_indices), n_stages, expected_payoffs, record)
-        for mode in modes
-    ]
-    weight = 1.0 - engine.params.alpha
-    for n, draw in enumerate(engine.stage_rows(seed, run_indices, n_stages)):
-        for arm in arms:
-            arm.step(n, draw, weight)
-        weight *= engine.params.alpha
-    return [arm.result(n_stages) for arm in arms]
+    state = _Trajectories(engine, len(run_indices), p_rs, weights, stage1, record)
+    for n, draw in enumerate(engine.stage_rows(seed, run_indices, len(weights))):
+        state.step(n, draw)
+    return state
 
 
-def _run_single(config: RunConfig, run_index: int = 0, record: bool = True) -> RunResult:
-    [(u_aon, u_ton, f1, f0, ages, streams)] = _simulate_batch(
-        _Engine(config.params),
+def _run_single(config: RunConfig, run_index: int = 0) -> RunResult:
+    params = config.params
+    p_r = None if config.mode is Mode.COMPETITIVE else params.p_r
+    state = _simulate_batch(
+        _Engine(params),
         config.seed,
         range(run_index, run_index + 1),
-        config.n_stages,
-        [config.mode],
-        config.expected_payoffs,
-        record=record,
+        [p_r],
+        _discount_weights([params.alpha], config.n_stages),
+        record=True,
     )
-    stages = None
-    if record:
-        stages = StageRecord(
-            u_aon=streams["u_aon"][0],
-            u_ton=streams["u_ton"][0],
-            tau_aon=streams["tau_aon"][0],
-            events=streams["events"][0],
-            aon_selected=streams["aon_selected"][0]
-            if config.mode is Mode.COOPERATIVE
-            else None,
-        )
+    streams = {name: stream[0] for name, stream in state.streams.items()}
+    if p_r is None:
+        streams["aon_selected"] = None
+    freq_one, freq_zero = state.frequencies()
     return RunResult(
-        u_aon_discounted=float(u_aon[0]),
-        u_ton_discounted=float(u_ton[0]),
-        freq_tau_one=float(f1[0]),
-        freq_tau_zero=float(f0[0]),
-        final_ages=AgeState.from_ages(ages[0]),
-        stages=stages,
+        u_aon_discounted=float(state.u_aon[0, 0]),
+        u_ton_discounted=float(state.u_ton[0, 0]),
+        freq_tau_one=float(freq_one[0]),
+        freq_tau_zero=float(freq_zero[0]),
+        final_ages=AgeState(state.ages[0]),
+        stages=StageRecord(**streams),
     )
 
 
@@ -468,28 +447,28 @@ def monte_carlo(
 
 
 def _monte_carlo(config: RunConfig, modes, n_runs: int, threads: int, chunk_size: int):
-    """``monte_carlo`` of ``config`` in each of ``modes``, all arms on one draw per chunk."""
+    """``monte_carlo`` of ``config`` in each of ``modes``: one copy per mode, one draw per chunk."""
     if n_runs < 1:
         raise ConfigurationError("need at least one run")
     engine = _Engine(config.params)
-    # Per arm: u_aon, u_ton, f_one, f_zero by run index.
-    values = [[np.empty(n_runs) for _ in range(4)] for _ in modes]
+    # A copy's device bias, None for competitive play.
+    p_rs = [None if mode is Mode.COMPETITIVE else config.params.p_r for mode in modes]
+    weights = _discount_weights([config.params.alpha], config.n_stages)
+    # u_aon, u_ton, f_one, f_zero per copy, by run index.
+    values = np.empty((4, len(modes), n_runs))
 
     def work(bounds):
         start, stop = bounds
-        arms = _simulate_batch(
-            engine, config.seed, range(start, stop), config.n_stages, modes, config.expected_payoffs
-        )
-        for arm_values, out in zip(values, arms):
-            for array, run_values in zip(arm_values, out[:4]):
-                array[start:stop] = run_values
+        state = _simulate_batch(engine, config.seed, range(start, stop), p_rs, weights)
+        per_row = (state.u_aon[:, 0], state.u_ton[:, 0], *state.frequencies())
+        values[..., start:stop] = np.reshape(per_row, (4, len(modes), stop - start))
 
     _fanout(n_runs, chunk_size, work, threads)
 
     # Aggregate's fields are (mean, se) of the four scalars in this order.
     return [
-        Aggregate(*(stat for a in arm_values for stat in _mean_se(a)), n_runs=n_runs)
-        for arm_values in values
+        Aggregate(*(stat for a in copy_values for stat in _mean_se(a)), n_runs=n_runs)
+        for copy_values in values.transpose(1, 0, 2)
     ]
 
 

@@ -78,26 +78,38 @@ class TestMsne:
             ss.msne(ss.NetworkSizes(2, 2), small_collision, -0.5)
 
 
+def equal_slots_display(sizes, slots, age):
+    """The published equal-slots equilibrium: silent up to N_A (sigma_S - sigma_I)."""
+    na = sizes.n_aon
+    if age <= na * (slots.success - slots.idle):
+        return 0.0
+    tau = (na * (slots.idle - slots.success) + age) / (na * (slots.idle - slots.collision + age))
+    return min(max(tau, 0.0), 1.0)
+
+
 class TestEqualSlots:
     def test_singleton_aon_interior_value(self, equal_slots):
-        profile = ss.msne_equal_slots(ss.NetworkSizes(1, 3), equal_slots, 2.0)
+        profile, _ = ss.msne(ss.NetworkSizes(1, 3), equal_slots, 2.0)
         assert profile.tau_aon == 1.0
 
     def test_below_threshold_is_silent(self, equal_slots):
-        profile = ss.msne_equal_slots(ss.NetworkSizes(5, 5), equal_slots, 4.9)
+        profile, _ = ss.msne(ss.NetworkSizes(5, 5), equal_slots, 4.9)
         assert profile.tau_aon == 0.0
 
     def test_requires_equal_lengths(self, small_collision):
-        with pytest.raises(ss.ConfigurationError):
-            ss.msne_equal_slots(ss.NetworkSizes(2, 2), small_collision, 1.0)
+        # Unequal success and collision slots take the general rule.
+        sizes = ss.NetworkSizes(2, 2)
+        profile, th = ss.msne(sizes, small_collision, 3.0)
+        assert th.regime is ss.Regime.INTERIOR
+        assert profile.tau_aon != pytest.approx(equal_slots_display(sizes, small_collision, 3.0))
 
     @pytest.mark.parametrize("na,nt", [(1, 1), (2, 3), (5, 5), (10, 2)])
     @pytest.mark.parametrize("age", [0.0, 1.01, 4.99, 5.0, 5.5, 42.0])
     def test_general_rule_specializes_exactly(self, na, nt, age, equal_slots):
         sizes = ss.NetworkSizes(na, nt)
         general, _ = ss.msne(sizes, equal_slots, age)
-        special = ss.msne_equal_slots(sizes, equal_slots, age)
-        assert general == special
+        special = equal_slots_display(sizes, equal_slots, age)
+        assert general == ss.AccessProfile(special, 1.0 / nt)
 
     def test_tie_resolves_to_silent_branch(self, equal_slots):
         _, th = ss.msne(ss.NetworkSizes(5, 5), equal_slots, 1.0)
@@ -116,7 +128,7 @@ class TestCooperativeOptimum:
         assert 0.0 < profile.tau_aon < 1.0
         oracle_check(
             profile.tau_aon,
-            lambda taus: -eq._cooperative_stage_age(taus, 0.2, 0.7, sizes, equal_slots, 10.0),
+            lambda taus: -eq._stage_age(taus, 0.2, sizes, equal_slots, 10.0, p_r=0.7),
             grid_step=1e-5,
         )
 
@@ -161,8 +173,8 @@ class TestStagePayoffs:
         sizes = ss.NetworkSizes(3, 4)
         profile = ss.AccessProfile(0.3, 0.25)
         scalar = ss.expected_stage_payoffs(sizes, small_collision, profile, 2.0, 1.5)
-        age = eq._competitive_stage_age(0.3, 0.25, sizes, small_collision, 2.0)
-        thr = eq._competitive_stage_throughput(0.3, 0.25, sizes, small_collision, 1.5)
+        age = eq._stage_age(0.3, 0.25, sizes, small_collision, 2.0)
+        thr = eq._stage_throughput(0.3, 0.25, sizes, small_collision, 1.5)
         assert scalar.u_aon == pytest.approx(-age, abs=1e-14)
         assert scalar.u_ton == pytest.approx(thr, abs=1e-14)
 
@@ -171,7 +183,7 @@ class TestBestResponseOracle:
     def test_ton_best_response_quarter(self, small_collision):
         sizes = ss.NetworkSizes(3, 4)
         result = ss.best_response_oracle(
-            lambda taus: eq._competitive_stage_throughput(0.37, taus, sizes, small_collision, 1.0),
+            lambda taus: eq._stage_throughput(0.37, taus, sizes, small_collision, 1.0),
             STEP,
         )
         assert abs(result - 0.25) <= STEP
@@ -179,7 +191,7 @@ class TestBestResponseOracle:
     def test_aon_forced_one_when_below_threshold(self, small_collision):
         sizes = ss.NetworkSizes(5, 5)
         result = ss.best_response_oracle(
-            lambda taus: -eq._competitive_stage_age(taus, 0.2, sizes, small_collision, 1.0),
+            lambda taus: -eq._stage_age(taus, 0.2, sizes, small_collision, 1.0),
             STEP,
         )
         assert result == 1.0
@@ -187,7 +199,7 @@ class TestBestResponseOracle:
     def test_aon_interior_regression(self, small_collision):
         sizes = ss.NetworkSizes(5, 5)
         result = ss.best_response_oracle(
-            lambda taus: -eq._competitive_stage_age(taus, 0.2, sizes, small_collision, 4.6460),
+            lambda taus: -eq._stage_age(taus, 0.2, sizes, small_collision, 4.6460),
             STEP,
         )
         assert result == pytest.approx(0.9295, abs=STEP)
@@ -215,23 +227,23 @@ def check_equilibrium_against_oracle(sizes, slots, age, grid_step=STEP):
     nash, _ = ss.msne(sizes, slots, age)
     oracle_check(
         nash.tau_aon,
-        lambda taus: -eq._competitive_stage_age(taus, nash.tau_ton, sizes, slots, age),
+        lambda taus: -eq._stage_age(taus, nash.tau_ton, sizes, slots, age),
         grid_step,
     )
     oracle_check(
         nash.tau_ton,
-        lambda taus: eq._competitive_stage_throughput(nash.tau_aon, taus, sizes, slots, 1.0),
+        lambda taus: eq._stage_throughput(nash.tau_aon, taus, sizes, slots, 1.0),
         grid_step,
     )
     coop, _ = ss.cooperative_optimum(sizes, slots, age)
     oracle_check(
         coop.tau_aon,
-        lambda taus: -eq._cooperative_stage_age(taus, coop.tau_ton, 0.7, sizes, slots, age),
+        lambda taus: -eq._stage_age(taus, coop.tau_ton, sizes, slots, age, p_r=0.7),
         grid_step,
     )
     oracle_check(
         coop.tau_ton,
-        lambda taus: eq._cooperative_stage_throughput(taus, 0.3, sizes, slots, 1.0),
+        lambda taus: eq._stage_throughput(coop.tau_aon, taus, sizes, slots, 1.0, p_r=0.3),
         grid_step,
     )
 
@@ -251,10 +263,10 @@ def test_mutual_best_response():
     ]
     for sizes, slots, age in cases:
         nash, _ = ss.msne(sizes, slots, age)
-        u_aon = -eq._competitive_stage_age(nash.tau_aon, nash.tau_ton, sizes, slots, age)
-        u_ton = eq._competitive_stage_throughput(nash.tau_aon, nash.tau_ton, sizes, slots, 1.0)
-        dev_aon = -eq._competitive_stage_age(grid, nash.tau_ton, sizes, slots, age)
-        dev_ton = eq._competitive_stage_throughput(nash.tau_aon, grid, sizes, slots, 1.0)
+        u_aon = -eq._stage_age(nash.tau_aon, nash.tau_ton, sizes, slots, age)
+        u_ton = eq._stage_throughput(nash.tau_aon, nash.tau_ton, sizes, slots, 1.0)
+        dev_aon = -eq._stage_age(grid, nash.tau_ton, sizes, slots, age)
+        dev_ton = eq._stage_throughput(nash.tau_aon, grid, sizes, slots, 1.0)
         assert float(np.max(dev_aon)) <= u_aon + 1e-9
         assert float(np.max(dev_ton)) <= u_ton + 1e-9
 
@@ -327,7 +339,7 @@ def test_scalar_path_equals_array_path(scenario):
                     assert got == expected, (rule.__name__, sizes, age, type(scalar))
 
 
-@pytest.mark.parametrize("solver", [ss.msne, ss.cooperative_optimum, ss.msne_equal_slots])
+@pytest.mark.parametrize("solver", [ss.msne, ss.cooperative_optimum])
 @pytest.mark.parametrize("age", [np.nan, np.inf, -1.0])
 def test_non_finite_or_negative_age_rejected(solver, age, equal_slots):
     with pytest.raises(ss.ConfigurationError, match="network age"):

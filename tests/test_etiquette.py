@@ -44,7 +44,7 @@ class TestStageOneForms:
         profile = ss.AccessProfile(0.4, 0.25)
         for case in (ss.DeviationCase.H_TON_DEVIATES, ss.DeviationCase.T_AON_DEVIATES):
             display = ss.expected_next_network_age(case, sizes, small_collision, profile, 2.5)
-            kernel = eq._competitive_stage_age(0.4, 0.25, sizes, small_collision, 2.5)
+            kernel = eq._stage_age(0.4, 0.25, sizes, small_collision, 2.5)
             assert display == pytest.approx(kernel, abs=1e-12)
 
     def test_stage1_throughputs(self, small_collision):
@@ -117,6 +117,29 @@ class TestDeviationInequalities:
             assert abs(mean - analytic) <= 4.0 * se
         assert report.stage1_throughput_mc["obey_heads"][0] == 0.0
         assert report.stage1_throughput_mc["deviate_idle"][0] == 0.0
+
+    def test_stage1_obey_tails_age_needs_ton_idle_weight(
+        self, small_collision, equal_slots, large_collision
+    ):
+        # At initial age sigma_S the cooperative AON is silent.  The literal
+        # obey-tails display weights the idle slot by (1 - tau_aon)^N_A = 1,
+        # but under tails only the TON transmits, so the slot is idle with
+        # probability (1 - tau_ton)^N_T.  Short collisions hide the gap.
+        scenarios = ((small_collision, False), (equal_slots, True), (large_collision, True))
+        for slots, literal_off in scenarios:
+            params = scenario(slots, na=5, nt=5, initial_age=slots.success)
+            report = ss.deviation_inequalities(params, 4000, 2, seed=5)
+            profile, age = report.stage1_profile, params.initial_age
+            assert profile.tau_aon == 0.0
+            mean, se = report.stage1_age_mc["obey_tails"]
+            literal = ss.expected_next_network_age(TAILS, params.sizes, slots, profile, age)
+            if literal_off:
+                assert abs(mean - literal) > 5.0 * se
+            tt, nt = profile.tau_ton, params.sizes.n_ton
+            si, ss_, sc = slots.idle, slots.success, slots.collision
+            one_t = tt * (1.0 - tt) ** (nt - 1)
+            corrected = age + sc + (1.0 - tt) ** nt * (si - sc) + nt * one_t * (ss_ - sc)
+            assert abs(mean - corrected) <= 4.0 * se
 
     def test_myopic_ton_always_deviates_under_heads(self, equal_slots):
         # As the discount factor vanishes only stage 1 matters, where the

@@ -1,14 +1,15 @@
 """The scalar API and single-run streams pinned bit for bit against golden files.
 
-``golden_scalar.json`` holds grim-trigger traces (``simulate_grim_trigger`` for every deviation case in
-every slot scenario at three network-size pairs) and equilibrium tables
-(``msne``, ``cooperative_optimum`` and ``expected_stage_payoffs`` on both
-channels) at ages on each threshold, one ulp either side of it, and at
-random ages.  ``golden_records.json`` holds the recorded per-stage streams
-(``StageRecord``) and run scalars of single competitive and cooperative runs.
-Each stage or table row is one string of ``float.hex`` values, so any change
-to the random stream or to rounding fails here.  The files change only with a
-declared output change; regenerate both with
+``golden_scalar.json`` holds grim-trigger traces (``simulate_grim_trigger``
+for every deviation case in every slot scenario at three network-size pairs)
+and equilibrium tables (``msne``, ``cooperative_optimum`` and
+``expected_stage_payoffs`` on both channels) at ages on each threshold, one
+ulp either side of it, and at random ages.  ``golden_records.json`` holds the
+recorded per-stage streams (``StageRecord``) and run scalars of single
+competitive and cooperative runs.  Each stage or table row is one string of
+``float.hex`` values, so any change to the random stream or to rounding fails
+here.  The files change only with a declared output change; regenerate both
+with
 
     PYTHONPATH=src python tests/test_golden_scalar.py
 """

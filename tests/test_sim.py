@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import slotshare as ss
+from slotshare import equilibrium as eq
 from slotshare import sim
 from slotshare.sim import _Engine
 
@@ -276,20 +277,32 @@ class TestRealizedVersusExpected:
 
     @pytest.mark.parametrize("mode", [ss.Mode.COMPETITIVE, ss.Mode.COOPERATIVE])
     def test_expected_payoff_accumulation_agrees(self, mode, equal_slots):
+        # On the same trajectories, the discounted sum of each stage's expected
+        # payoff given its pre-slot network age must agree statistically with
+        # the realized payoffs that monte_carlo accumulates.
         params = scenario(equal_slots)
-        realized = ss.monte_carlo(ss.RunConfig(params, 150, mode, seed=31), 400)
-        expected = ss.monte_carlo(
-            ss.RunConfig(params, 150, mode, seed=31, expected_payoffs=True), 400
+        n_runs, n_stages = 400, 150
+        realized = ss.monte_carlo(ss.RunConfig(params, n_stages, mode, seed=31), n_runs)
+        engine = _Engine(params)
+        p_r = None if mode is ss.Mode.COMPETITIVE else params.p_r
+        weights = sim._discount_weights([params.alpha], n_stages)
+        state = sim._simulate_batch(engine, 31, range(n_runs), [p_r], weights, record=True)
+        # The recorded batch replays monte_carlo's runs.
+        assert state.frequencies()[0].mean() == realized.freq_tau_one_mean
+        assert state.frequencies()[1].mean() == realized.freq_tau_zero_mean
+        rec, sizes, tau_t = state.streams, params.sizes, engine.tau_ton_star
+        # Pre-slot network ages: the initial age, then each stage's post-slot age.
+        delta = np.hstack([np.full((n_runs, 1), params.initial_age), -rec["u_aon"][:, :-1]])
+        stage_aon = -eq._stage_age(rec["tau_aon"], tau_t, sizes, equal_slots, delta, p_r=p_r)
+        stage_ton = eq._stage_throughput(
+            rec["tau_aon"], tau_t, sizes, equal_slots, params.rate, p_r=p_r
         )
-        # Same trajectories, so the frequency statistics agree exactly and
-        # the two payoff accumulations agree statistically.
-        assert realized.freq_tau_one_mean == expected.freq_tau_one_mean
-        assert realized.freq_tau_zero_mean == expected.freq_tau_zero_mean
-        for field in ("u_aon", "u_ton"):
-            r_mean = getattr(realized, field + "_mean")
-            e_mean = getattr(expected, field + "_mean")
-            bound = 4.0 * (getattr(realized, field + "_se") + getattr(expected, field + "_se"))
-            assert abs(r_mean - e_mean) <= max(bound, 1e-12)
+        for field, stage in (("u_aon", stage_aon), ("u_ton", stage_ton)):
+            # Cooperative throughput does not depend on the state: a scalar.
+            expected = np.broadcast_to(stage, delta.shape) @ weights[:, 0]
+            e_mean, e_se = expected.mean(), expected.std(ddof=1) / np.sqrt(n_runs)
+            r_mean, r_se = getattr(realized, field + "_mean"), getattr(realized, field + "_se")
+            assert abs(r_mean - e_mean) <= max(4.0 * (r_se + e_se), 1e-12)
 
 
 class TestGain:
