@@ -43,6 +43,7 @@ from .sim import (
     Mode,
     RunConfig,
     RunResult,
+    gain_grid,
     gain_of_cooperation,
     monte_carlo,
     run_competition,

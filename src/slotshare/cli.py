@@ -202,21 +202,19 @@ def cmd_region(config: ExperimentConfig) -> str:
 
 def cmd_gain(config: ExperimentConfig, self_test: bool = False) -> str:
     """Gain of cooperation over competition across the alpha and bias grids."""
-    scen = config.scenario
+    grid = sim.gain_grid(
+        config.scenario,
+        config.n_runs,
+        config.n_stages,
+        config.master_seed,
+        config.alphas,
+        config.pr_grid,
+        threads=config.threads,
+        baseline_mode=sim.Mode.COOPERATIVE if self_test else sim.Mode.COMPETITIVE,
+    )
     rows = []
-    baseline = sim.Mode.COOPERATIVE if self_test else sim.Mode.COMPETITIVE
-    for alpha in config.alphas:
-        for p_r in config.pr_grid:
-            result = sim.gain_of_cooperation(
-                scen,
-                config.n_runs,
-                config.n_stages,
-                config.master_seed,
-                alpha=float(alpha),
-                p_r=float(p_r),
-                threads=config.threads,
-                baseline_mode=baseline,
-            )
+    for alpha, cells in zip(config.alphas, grid):
+        for p_r, result in zip(config.pr_grid, cells):
             rows.append(
                 [
                     _g17(alpha),

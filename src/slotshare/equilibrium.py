@@ -359,21 +359,20 @@ def _reported_pr_lower_bound(sizes, slots, network_age, nash, coop) -> float:
     Solves the AON's linear-in-bias payoff comparison; reported for
     diagnostics, with the grid scan treated as authoritative.
     """
-    na, nt = sizes.n_aon, sizes.n_ton
     si, ss, sc = slots.idle, slots.success, slots.collision
     probs = slot_probabilities_competitive(sizes, nash)
-    ta, tt = coop.tau_aon, coop.tau_ton
-    succ_one_a = ta * (1.0 - ta) ** (na - 1)
-    succ_one_t = tt * (1.0 - tt) ** (nt - 1)
+    # Cooperating under heads and under tails: the device at bias 1 and 0.
+    heads = slot_probabilities_cooperative(sizes, coop, 1.0)
+    tails = slot_probabilities_cooperative(sizes, coop, 0.0)
     num = (
         network_age * probs.p_success_node_aon
-        - (si - sc) * (probs.p_idle - (1.0 - tt) ** nt)
-        - (ss - sc) * (probs.p_success_total - nt * succ_one_t)
+        - (si - sc) * (probs.p_idle - tails.p_idle)
+        - (ss - sc) * (probs.p_success_total - tails.p_success_total)
     )
     den = (
-        network_age * succ_one_a
-        - (si - sc) * ((1.0 - ta) ** na - (1.0 - tt) ** nt)
-        - (ss - sc) * (na * succ_one_a - nt * succ_one_t)
+        network_age * heads.p_success_node_aon
+        - (si - sc) * (heads.p_idle - tails.p_idle)
+        - (ss - sc) * (heads.p_success_total - tails.p_success_total)
     )
     if den == 0.0:
         return float("nan")

@@ -14,15 +14,15 @@ Only two deviation trajectories exist dynamically: both deviations onto
 ``(access, access)`` share one law, as do both onto ``(backoff, backoff)``
 (an idle slot).  Neither alpha nor, off the compliance branches, the device
 bias moves the dynamics, so a region sweep simulates each trajectory once
-on common random numbers and weights it per alpha.  Margins within two
-standard errors of zero are reported as indeterminate rather than forced to
-a boolean.
+on common random numbers (``sim._per_run``) and weights it per alpha.
+Margins within two standard errors of zero are reported as indeterminate
+rather than forced to a boolean.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,10 +36,8 @@ from .model import (
     AccessProfile,
 )
 from .seeding import run_generator
-from .sim import _discount_weights, _Engine, _fanout, _mean_se, _simulate_batch
+from .sim import _mean_se, _per_run
 from . import model as _model
-
-_DEFAULT_CHUNK = 2048
 
 
 class DeviationCase(enum.Enum):
@@ -154,6 +152,22 @@ class DeviationReport:
         return feasibility_and(self.aon_prefers, self.ton_prefers)
 
 
+def _stage1_play(case, profile_hat: AccessProfile):
+    """The stage-1 ``(tau_aon, tau_ton, p_r)`` of one etiquette case.
+
+    Obeying heads or tails is a device of bias 1 or 0; a joint deviation
+    competes at ``profile_hat`` and an idle one silences both networks.
+    """
+    ta, tt = profile_hat.tau_aon, profile_hat.tau_ton
+    if case is Recommendation.HEADS:
+        return ta, tt, 1.0
+    if case is Recommendation.TAILS:
+        return ta, tt, 0.0
+    if isinstance(case, DeviationCase):
+        return (ta, tt, None) if case.joint_access else (0.0, 0.0, None)
+    raise ConfigurationError(f"unknown stage-1 case: {case!r}")
+
+
 def expected_next_network_age(
     case: Recommendation | DeviationCase,
     sizes: NetworkSizes,
@@ -165,33 +179,13 @@ def expected_next_network_age(
 
     ``profile_hat`` is the cooperative-optimum profile at ``network_age``.
     A ``Recommendation`` means both networks obeyed it; a ``DeviationCase``
-    names the unilateral deviation.  The obey-tails form follows the
-    published display literally, whose idle-slot weight is written with the
-    AON's (silent) access probability.
+    names the unilateral deviation.  Under tails only the TON transmits, so
+    the slot is idle with probability ``(1 - tau_ton)**N_T``; the published
+    display weights it by the silent AON's ``(1 - tau_aon)**N_A`` instead.
     """
     _model.check_age(network_age, "network age")
-    na, nt = sizes.n_aon, sizes.n_ton
-    si, ss, sc = slots.idle, slots.success, slots.collision
-    ta, tt = profile_hat.tau_aon, profile_hat.tau_ton
-    one_a = ta * (1.0 - ta) ** (na - 1)
-    one_t = tt * (1.0 - tt) ** (nt - 1)
-    quiet_a = (1.0 - ta) ** na
-    quiet_t = (1.0 - tt) ** nt
-    if case is Recommendation.HEADS:
-        return network_age * (1.0 - one_a) + sc + quiet_a * (si - sc) + na * one_a * (ss - sc)
-    if case is Recommendation.TAILS:
-        return network_age + sc + quiet_a * (si - sc) + nt * one_t * (ss - sc)
-    if isinstance(case, DeviationCase):
-        if not case.joint_access:
-            # Both networks silent: the slot is idle with certainty.
-            return network_age + si
-        return (
-            network_age * (1.0 - one_a * quiet_t)
-            + sc
-            + quiet_t * quiet_a * (si - sc)
-            + (na * one_a * quiet_t + nt * one_t * quiet_a) * (ss - sc)
-        )
-    raise ConfigurationError(f"unknown stage-1 case: {case!r}")
+    ta, tt, p_r = _stage1_play(case, profile_hat)
+    return float(eq._stage_age(ta, tt, sizes, slots, network_age, p_r))
 
 
 def stage1_expected_ton_throughput(
@@ -203,18 +197,8 @@ def stage1_expected_ton_throughput(
 ) -> float:
     """Closed-form expected TON network throughput in stage 1 for one case."""
     _model.check_rate(rate)
-    nt = sizes.n_ton
-    ta, tt = profile_hat.tau_aon, profile_hat.tau_ton
-    one_t = tt * (1.0 - tt) ** (nt - 1)
-    if case is Recommendation.HEADS:
-        return 0.0
-    if case is Recommendation.TAILS:
-        return one_t * slots.success * rate
-    if isinstance(case, DeviationCase):
-        if not case.joint_access:
-            return 0.0
-        return one_t * (1.0 - ta) ** sizes.n_aon * slots.success * rate
-    raise ConfigurationError(f"unknown stage-1 case: {case!r}")
+    ta, tt, p_r = _stage1_play(case, profile_hat)
+    return float(eq._stage_throughput(ta, tt, sizes, slots, rate, p_r))
 
 
 # Branch tags for the paired trajectories.
@@ -227,56 +211,38 @@ def _estimate(name: str, obey: np.ndarray, dev: np.ndarray) -> InequalityEstimat
 
 
 def _sweep(
-    params: ScenarioParams, alpha_axis, pr_axis, n_runs, n_stages, seed, threads, chunk_size
+    params: ScenarioParams, alpha_axis, pr_axis, n_runs, n_stages, seed, threads
 ) -> list[list[DeviationReport]]:
     """Deviation reports on every (alpha, bias) cell from shared trajectories.
 
     Every cell replays the run streams ``(seed, r)``: the dynamics never read
-    alpha and the deviation branches never read the bias, so one state of
-    ``2 + 2 * |biases|`` copies per run chunk covers the grid (joint access
-    and idle, then heads and tails per bias), and alpha only selects a
-    column of discount weights.  Cell ``[i][j]`` equals the report at
-    ``alpha_axis[i]``, ``pr_axis[j]`` alone.
+    alpha and the deviation branches never read the bias, so the copies
+    joint access and idle, then heads and tails per bias, cover the grid,
+    and alpha only selects a column of discount weights.  Cell ``[i][j]``
+    equals the report at ``alpha_axis[i]``, ``pr_axis[j]`` alone.
     """
-    if n_runs < 1 or n_stages < 1:
-        raise ConfigurationError("need at least one run and one stage")
-    engine = _Engine(params)
     profile_hat, _ = eq.cooperative_optimum(params.sizes, params.slots, params.initial_age)
-    tau_hat0, tau_ton = profile_hat.tau_aon, engine.tau_ton_star
-    weights = _discount_weights(alpha_axis, n_stages)
-    n_alpha, n_pr = alpha_axis.size, pr_axis.size
+    tau_hat0, tau_ton = profile_hat.tau_aon, profile_hat.tau_ton
+    n_pr = len(pr_axis)
     # Copies: joint access and an idle slot, competitive afterwards; then per
     # bias obey heads (AON alone) and obey tails (TON alone), cooperative
     # afterwards.  Each copy's stage-1 (tau_aon, tau_ton):
     p_rs = [None, None, *np.repeat(pr_axis, 2)]
     profiles = [(tau_hat0, tau_ton), (-1.0, -1.0)] + [(tau_hat0, -1.0), (-1.0, tau_ton)] * n_pr
-    copies = len(p_rs)
-    # Per-run payoffs, run index last so each cell reduces a contiguous row.
-    dev = np.empty((2, n_alpha, 2, n_runs))  # payoff, alpha, (joint, idle), run
-    obey = np.empty((2, n_alpha, n_pr, 2, n_runs))  # payoff, alpha, bias, (heads, tails), run
-    stage1 = np.empty((2, 4, n_runs))  # (age, TON payoff), branch in _BRANCHES order, run
-
-    def work(bounds):
-        start, stop = bounds
-        size = stop - start
-        stage1_rows = np.repeat(np.transpose(profiles), size, axis=1)
-        state = _simulate_batch(engine, seed, range(start, stop), p_rs, weights, stage1_rows)
-        for k, pay in enumerate((state.u_aon, state.u_ton)):
-            pay = np.moveaxis(pay.reshape(copies, size, n_alpha), -1, 0)
-            dev[k, ..., start:stop] = pay[:, :2]
-            obey[k, ..., start:stop] = pay[:, 2:].reshape(n_alpha, n_pr, 2, size)
-            # In _BRANCHES order: compliance stage 1 does not read the bias, so
-            # heads and tails come from the first bias's copies (2, 3).
-            stage1[k, :, start:stop] = state.first[k].reshape(copies, size)[[2, 3, 0, 1]]
-
-    _fanout(n_runs, chunk_size, work, threads)
-
+    payoffs, _, first = _per_run(
+        params, seed, n_runs, n_stages, p_rs, alpha_axis, threads, np.transpose(profiles)
+    )
+    # dev: payoff x (joint, idle) x alpha x run; obey: payoff x bias x (heads, tails) x alpha x run.
+    dev, obey = payoffs[:, :2], payoffs[:, 2:].reshape(2, n_pr, 2, len(alpha_axis), n_runs)
+    # In _BRANCHES order: compliance stage 1 does not read the bias, so heads
+    # and tails come from the first bias's copies (2, 3).
+    stage1 = first[:, [2, 3, 0, 1]]
     stage1_age_mc = {b: _mean_se(stage1[0, k]) for k, b in enumerate(_BRANCHES)}
     stage1_throughput_mc = {b: _mean_se(stage1[1, k]) for k, b in enumerate(_BRANCHES)}
 
     def report(i, j):
-        (aon_h, aon_t), (ton_h, ton_t) = obey[0, i, j], obey[1, i, j]
-        (aon_joint, aon_idle), (ton_joint, ton_idle) = dev[0, i], dev[1, i]
+        (aon_h, aon_t), (ton_h, ton_t) = obey[0, j, :, i], obey[1, j, :, i]
+        (aon_joint, aon_idle), (ton_joint, ton_idle) = dev[0, :, i], dev[1, :, i]
         return DeviationReport(
             aon_obeys_heads=_estimate("aon_obeys_heads", aon_h, aon_idle),
             ton_obeys_heads=_estimate("ton_obeys_heads", ton_h, ton_joint),
@@ -288,20 +254,14 @@ def _sweep(
             n_runs=n_runs,
         )
 
-    return [[report(i, j) for j in range(n_pr)] for i in range(n_alpha)]
+    return [[report(i, j) for j in range(n_pr)] for i in range(len(alpha_axis))]
 
 
 def deviation_inequalities(
-    params: ScenarioParams,
-    n_runs: int,
-    n_stages: int,
-    seed: int,
-    threads: int = 1,
-    chunk_size: int = _DEFAULT_CHUNK,
+    params: ScenarioParams, n_runs: int, n_stages: int, seed: int, threads: int = 1
 ) -> DeviationReport:
     """Estimate the four obey-versus-deviate inequalities by paired Monte Carlo."""
-    axes = np.array([params.alpha]), np.array([params.p_r])
-    return _sweep(params, *axes, n_runs, n_stages, seed, threads, chunk_size)[0][0]
+    return _sweep(params, [params.alpha], [params.p_r], n_runs, n_stages, seed, threads)[0][0]
 
 
 def spe_feasible(
@@ -314,10 +274,8 @@ def spe_feasible(
     threads: int = 1,
 ) -> Feasibility:
     """Whether obeying the device is self-enforceable at one (alpha, bias) point."""
-    if not 0.0 < alpha < 1.0 or not 0.0 < p_r < 1.0:
-        raise ConfigurationError("alpha and p_r must lie in (0, 1)")
-    point = replace(params, alpha=alpha, p_r=p_r)
-    return deviation_inequalities(point, n_runs, n_stages, seed, threads).self_enforceable
+    grid = region_sweep(params, [alpha], [p_r], n_runs, n_stages, seed, threads)
+    return Feasibility(int(grid.self_enforceable[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -383,13 +341,10 @@ def region_sweep(
     pr_axis = np.asarray(pr_grid, dtype=np.float64)
     if alpha_axis.size == 0 or pr_axis.size == 0:
         raise ConfigurationError("alpha and bias grids need at least one value")
-    if np.any(alpha_axis <= 0.0) or np.any(alpha_axis >= 1.0):
-        raise ConfigurationError("alpha grid must lie inside (0, 1)")
-    if np.any(pr_axis <= 0.0) or np.any(pr_axis >= 1.0):
+    # Written so that NaN fails too.
+    if not np.all((pr_axis > 0.0) & (pr_axis < 1.0)):
         raise ConfigurationError("bias grid must lie inside (0, 1)")
-    reports = _sweep(
-        params, alpha_axis, pr_axis, n_runs, n_stages, seed, threads, _DEFAULT_CHUNK
-    )
+    reports = _sweep(params, alpha_axis, pr_axis, n_runs, n_stages, seed, threads)
 
     def cells(value, dtype=np.float64):
         return np.array([[value(r) for r in row] for row in reports], dtype=dtype)

@@ -20,9 +20,12 @@ cut into blocks.
 One state (``_Trajectories``) holds every trajectory of a chunk: copies of
 its runs stacked as rows, each copy competitive or cooperative with its own
 device bias, optionally forced to a stage-1 profile, with payoffs weighted
-by a (stages x alphas) matrix.  ``simulate`` uses one copy, ``gain`` two
-and the region sweep ``2 + 2 * |biases|``; all copies read the same draws,
-one slot step per stage.
+by a (stages x alphas) matrix.  ``simulate`` uses one copy, the gain grid
+``1 + |biases|`` (``2 * |biases|`` against a cooperative baseline) and the
+region sweep ``2 + 2 * |biases|``; all copies read the same draws, one slot
+step per stage.  Every Monte Carlo command collects through ``_per_run``,
+which cuts the runs into chunks of ``_DEFAULT_CHUNK``, fans them out over
+threads and stores each run's results by run index.
 
 A node transmits iff its draw is below its network's access probability, so
 a network sends 0, 1 or at least 2 packets according to whether that
@@ -38,7 +41,7 @@ from __future__ import annotations
 import enum
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -410,17 +413,54 @@ def run_cooperation(config: RunConfig) -> RunResult:
     return _run_single(config)
 
 
-def _fanout(n_runs: int, chunk_size: int, work, threads: int) -> None:
+def _fanout(n_runs: int, work, threads: int) -> None:
     """Call ``work((start, stop))`` on each run chunk; a pool starts only for several."""
     if threads < 1:
         raise ConfigurationError(f"need at least one thread, got {threads}")
-    chunks = [(s, min(s + chunk_size, n_runs)) for s in range(0, n_runs, chunk_size)]
+    chunks = [(s, min(s + _DEFAULT_CHUNK, n_runs)) for s in range(0, n_runs, _DEFAULT_CHUNK)]
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, chunks))
     else:
         for bounds in chunks:
             work(bounds)
+
+
+def _per_run(params: ScenarioParams, seed, n_runs, n_stages, p_rs, alphas, threads, stage1=None):
+    """Per-run results of one copy of the runs per entry of ``p_rs``, by run index.
+
+    Copy ``b`` competes when ``p_rs[b]`` is None and otherwise obeys a device
+    of that bias; ``stage1`` is an optional (2 x copies) array of each copy's
+    stage-1 (tau_aon, tau_ton).  Returns, run axis last so that each
+    reduction reads one contiguous row, the (AON, TON) payoffs (2 x copies x
+    alphas x runs), the access frequencies at 1 and 0 and the stage-1
+    (network age, TON payoff), each (2 x copies x runs).
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if n_runs < 1 or n_stages < 1:
+        raise ConfigurationError("need at least one run and one stage")
+    # Written so that NaN fails too.
+    if not np.all((alphas > 0.0) & (alphas < 1.0)):
+        raise ConfigurationError("discount factor must lie in (0, 1)")
+    engine = _Engine(params)
+    weights = _discount_weights(alphas, n_stages)
+    copies = len(p_rs)
+    payoffs = np.empty((2, copies, alphas.size, n_runs))
+    freqs, first = np.empty((2, 2, copies, n_runs))
+
+    def work(bounds):
+        start, stop = bounds
+        size = stop - start
+        rows = None if stage1 is None else np.repeat(stage1, size, axis=1)
+        state = _simulate_batch(engine, seed, range(start, stop), p_rs, weights, rows)
+        # State row b * size + r is run start + r in copy b.
+        pay = np.reshape((state.u_aon, state.u_ton), (2, copies, size, alphas.size))
+        payoffs[..., start:stop] = pay.swapaxes(2, 3)
+        freqs[..., start:stop] = np.reshape(state.frequencies(), (2, copies, size))
+        first[..., start:stop] = np.reshape(state.first, (2, copies, size))
+
+    _fanout(n_runs, work, threads)
+    return payoffs, freqs, first
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -430,12 +470,13 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def monte_carlo(
-    config: RunConfig,
-    n_runs: int,
-    threads: int = 1,
-    chunk_size: int = _DEFAULT_CHUNK,
-) -> Aggregate:
+def _aggregate(payoffs: np.ndarray, freqs: np.ndarray, copy: int, column: int) -> Aggregate:
+    """Copy ``copy``'s ``Aggregate`` at alpha column ``column``: (mean, se) of its four rows."""
+    rows = (*payoffs[:, copy, column], *freqs[:, copy])
+    return Aggregate(*(stat for row in rows for stat in _mean_se(row)), n_runs=freqs.shape[-1])
+
+
+def monte_carlo(config: RunConfig, n_runs: int, threads: int = 1) -> Aggregate:
     """Average the run scalars over independent runs.
 
     Run ``r`` draws from the stream keyed by ``(config.seed, r)``, results are
@@ -443,33 +484,10 @@ def monte_carlo(
     so the aggregate is bit-identical for a fixed seed at any thread count or
     chunk size.
     """
-    return _monte_carlo(config, [config.mode], n_runs, threads, chunk_size)[0]
-
-
-def _monte_carlo(config: RunConfig, modes, n_runs: int, threads: int, chunk_size: int):
-    """``monte_carlo`` of ``config`` in each of ``modes``: one copy per mode, one draw per chunk."""
-    if n_runs < 1:
-        raise ConfigurationError("need at least one run")
-    engine = _Engine(config.params)
-    # A copy's device bias, None for competitive play.
-    p_rs = [None if mode is Mode.COMPETITIVE else config.params.p_r for mode in modes]
-    weights = _discount_weights([config.params.alpha], config.n_stages)
-    # u_aon, u_ton, f_one, f_zero per copy, by run index.
-    values = np.empty((4, len(modes), n_runs))
-
-    def work(bounds):
-        start, stop = bounds
-        state = _simulate_batch(engine, config.seed, range(start, stop), p_rs, weights)
-        per_row = (state.u_aon[:, 0], state.u_ton[:, 0], *state.frequencies())
-        values[..., start:stop] = np.reshape(per_row, (4, len(modes), stop - start))
-
-    _fanout(n_runs, chunk_size, work, threads)
-
-    # Aggregate's fields are (mean, se) of the four scalars in this order.
-    return [
-        Aggregate(*(stat for a in copy_values for stat in _mean_se(a)), n_runs=n_runs)
-        for copy_values in values.transpose(1, 0, 2)
-    ]
+    params = config.params
+    p_r = None if config.mode is Mode.COMPETITIVE else params.p_r
+    results = _per_run(params, config.seed, n_runs, config.n_stages, [p_r], [params.alpha], threads)
+    return _aggregate(*results[:2], 0, 0)
 
 
 @dataclass(frozen=True)
@@ -482,16 +500,53 @@ class GainResult:
     cooperative: Aggregate
 
 
+def gain_grid(
+    params: ScenarioParams,
+    n_runs: int,
+    n_stages: int,
+    seed: int,
+    alphas,
+    biases,
+    threads: int = 1,
+    baseline_mode: Mode = Mode.COMPETITIVE,
+) -> list[list[GainResult]]:
+    """Paired gains of cooperating on every (alpha, bias) cell, ``[alpha][bias]``.
+
+    The copies are the baseline (one competitive copy, or one cooperative
+    copy per bias), then one cooperative copy per bias, all on the run
+    streams ``(seed, r)``; alpha only selects a column of discount weights.
+    Cell ``[i][j]`` equals ``gain_of_cooperation`` at that point alone.
+    """
+    alphas, biases = np.asarray(alphas, dtype=np.float64), np.asarray(biases, dtype=np.float64)
+    if alphas.size == 0 or biases.size == 0:
+        raise ConfigurationError("alpha and bias grids need at least one value")
+    if not np.all((biases >= 0.0) & (biases <= 1.0)):
+        raise ConfigurationError("device bias must lie in [0, 1]")
+    competitive = baseline_mode is Mode.COMPETITIVE
+    baseline = [None] if competitive else list(biases)
+    p_rs = baseline + list(biases)
+    payoffs, freqs, _ = _per_run(params, seed, n_runs, n_stages, p_rs, alphas, threads)
+
+    def cell(i, j):
+        base = _aggregate(payoffs, freqs, 0 if competitive else j, i)
+        coop = _aggregate(payoffs, freqs, len(baseline) + j, i)
+        return GainResult(
+            gain_aon=coop.u_aon_mean - base.u_aon_mean,
+            gain_ton=coop.u_ton_mean - base.u_ton_mean,
+            competitive=base,
+            cooperative=coop,
+        )
+
+    return [[cell(i, j) for j in range(biases.size)] for i in range(alphas.size)]
+
+
 def gain_of_cooperation(
     params: ScenarioParams,
     n_runs: int,
     n_stages: int,
     seed: int,
-    alpha: float | None = None,
-    p_r: float | None = None,
     threads: int = 1,
     baseline_mode: Mode = Mode.COMPETITIVE,
-    treatment_mode: Mode = Mode.COOPERATIVE,
 ) -> GainResult:
     """Paired gain of cooperating over competing under a shared master seed.
 
@@ -499,17 +554,5 @@ def gain_of_cooperation(
     each aggregate equals its own ``monte_carlo`` call and comparing a mode
     against itself yields exactly zero.
     """
-    if alpha is not None:
-        params = replace(params, alpha=alpha)
-    if p_r is not None:
-        params = replace(params, p_r=p_r)
-    config = RunConfig(params, n_stages, baseline_mode, seed)
-    base, coop = _monte_carlo(
-        config, [baseline_mode, treatment_mode], n_runs, threads, _DEFAULT_CHUNK
-    )
-    return GainResult(
-        gain_aon=coop.u_aon_mean - base.u_aon_mean,
-        gain_ton=coop.u_ton_mean - base.u_ton_mean,
-        competitive=base,
-        cooperative=coop,
-    )
+    axes = [params.alpha], [params.p_r]
+    return gain_grid(params, n_runs, n_stages, seed, *axes, threads, baseline_mode)[0][0]

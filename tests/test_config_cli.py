@@ -244,6 +244,15 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "grids", ["alphas = 0.5, 1.5\n", "pr_grid = nan\n"], ids=["alpha_above_one", "nan_bias"]
+    )
+    def test_bad_gain_grid_exit_code(self, tmp_path, grids):
+        config = tmp_path / "c.ini"
+        config.write_text("[grids]\n" + grids)
+        code, out = run_cli(["gain", "--config", str(config), "--runs", "4", "--stages", "3"])
+        assert (code, out) == (cli.EXIT_CONFIG, "")
+
+    @pytest.mark.parametrize(
         "ini, args",
         [
             ("[run]\nthreads = 0\n", []),

@@ -9,7 +9,7 @@ import pytest
 
 import slotshare as ss
 from slotshare import equilibrium as eq
-from slotshare import etiquette
+from slotshare import etiquette, sim
 from slotshare.etiquette import Feasibility, feasibility_and
 from conftest import HEADS, TAILS
 
@@ -93,17 +93,13 @@ class TestDeviationInequalities:
         profile = report.stage1_profile
         assert 0.0 < profile.tau_aon < 1.0
 
-        mean, se = report.stage1_age_mc["obey_heads"]
-        analytic = ss.expected_next_network_age(
-            HEADS, params.sizes, params.slots, profile, params.initial_age
-        )
-        assert abs(mean - analytic) <= 4.0 * se
-
-        mean, se = report.stage1_age_mc["deviate_joint"]
-        analytic = ss.expected_next_network_age(
-            ss.DeviationCase.H_TON_DEVIATES, params.sizes, params.slots, profile, params.initial_age
-        )
-        assert abs(mean - analytic) <= 4.0 * se
+        joint = ss.DeviationCase.H_TON_DEVIATES
+        for branch, case in (("obey_heads", HEADS), ("obey_tails", TAILS), ("deviate_joint", joint)):
+            mean, se = report.stage1_age_mc[branch]
+            analytic = ss.expected_next_network_age(
+                case, params.sizes, params.slots, profile, params.initial_age
+            )
+            assert abs(mean - analytic) <= 4.0 * se
 
         mean, se = report.stage1_age_mc["deviate_idle"]
         assert mean == pytest.approx(params.initial_age + params.slots.idle, abs=1e-12)
@@ -121,10 +117,11 @@ class TestDeviationInequalities:
     def test_stage1_obey_tails_age_needs_ton_idle_weight(
         self, small_collision, equal_slots, large_collision
     ):
-        # At initial age sigma_S the cooperative AON is silent.  The literal
+        # At initial age sigma_S the cooperative AON is silent.  The published
         # obey-tails display weights the idle slot by (1 - tau_aon)^N_A = 1,
         # but under tails only the TON transmits, so the slot is idle with
-        # probability (1 - tau_ton)^N_T.  Short collisions hide the gap.
+        # probability (1 - tau_ton)^N_T, the weight the function uses.  Short
+        # collisions hide the display's gap.
         scenarios = ((small_collision, False), (equal_slots, True), (large_collision, True))
         for slots, literal_off in scenarios:
             params = scenario(slots, na=5, nt=5, initial_age=slots.success)
@@ -132,14 +129,15 @@ class TestDeviationInequalities:
             profile, age = report.stage1_profile, params.initial_age
             assert profile.tau_aon == 0.0
             mean, se = report.stage1_age_mc["obey_tails"]
-            literal = ss.expected_next_network_age(TAILS, params.sizes, slots, profile, age)
-            if literal_off:
-                assert abs(mean - literal) > 5.0 * se
-            tt, nt = profile.tau_ton, params.sizes.n_ton
+            ta, tt = profile.tau_aon, profile.tau_ton
+            na, nt = params.sizes.n_aon, params.sizes.n_ton
             si, ss_, sc = slots.idle, slots.success, slots.collision
             one_t = tt * (1.0 - tt) ** (nt - 1)
-            corrected = age + sc + (1.0 - tt) ** nt * (si - sc) + nt * one_t * (ss_ - sc)
-            assert abs(mean - corrected) <= 4.0 * se
+            literal = age + sc + (1.0 - ta) ** na * (si - sc) + nt * one_t * (ss_ - sc)
+            if literal_off:
+                assert abs(mean - literal) > 5.0 * se
+            function = ss.expected_next_network_age(TAILS, params.sizes, slots, profile, age)
+            assert abs(mean - function) <= 4.0 * se
 
     def test_myopic_ton_always_deviates_under_heads(self, equal_slots):
         # As the discount factor vanishes only stage 1 matters, where the
@@ -164,10 +162,12 @@ class TestDeviationInequalities:
         # and obeying tails can only be at most as good as deviating.
         assert report.ton_obeys_heads.obey_mean == 0.0
 
-    def test_reports_are_reproducible_and_thread_invariant(self, equal_slots):
+    def test_reports_are_reproducible_and_thread_invariant(self, equal_slots, monkeypatch):
         params = scenario(equal_slots, alpha=0.7, p_r=0.4)
-        a = ss.deviation_inequalities(params, 600, 120, seed=64, chunk_size=100)
-        b = ss.deviation_inequalities(params, 600, 120, seed=64, threads=4, chunk_size=64)
+        monkeypatch.setattr(sim, "_DEFAULT_CHUNK", 100)
+        a = ss.deviation_inequalities(params, 600, 120, seed=64)
+        monkeypatch.setattr(sim, "_DEFAULT_CHUNK", 64)
+        b = ss.deviation_inequalities(params, 600, 120, seed=64, threads=4)
         assert a == b
 
     @pytest.mark.parametrize("case", ["equal_slots", "small_collision"])
@@ -283,7 +283,7 @@ class TestRegionSweep:
         base = ss.region_sweep(*args, seed=3)
         variants = [ss.region_sweep(*args, seed=3, threads=t) for t in (2, 4)]
         for chunk in (1, 7, 64):
-            monkeypatch.setattr(etiquette, "_DEFAULT_CHUNK", chunk)
+            monkeypatch.setattr(sim, "_DEFAULT_CHUNK", chunk)
             variants += [ss.region_sweep(*args, seed=3, threads=t) for t in (1, 2, 4)]
         for other in variants:
             for name in ("margins", "ses", "ton_prefers", "aon_prefers", "self_enforceable"):
@@ -296,9 +296,15 @@ class TestRegionSweep:
             verdict = ss.spe_feasible(params, alpha, p_r, 300, 100, seed=17)
             assert verdict.to_int() == grid.self_enforceable[0, 0]
 
-    def test_grid_bounds_validated(self, equal_slots):
-        with pytest.raises(ss.ConfigurationError):
-            ss.region_sweep(scenario(equal_slots), [0.0, 0.5], [0.5], 10, 10, seed=1)
+    def test_grid_bounds_validated(self, equal_slots, monkeypatch):
+        def batch(*args, **kwargs):
+            raise AssertionError("simulated a bad grid")
+
+        monkeypatch.setattr(sim, "_simulate_batch", batch)
+        nan = float("nan")
+        for alphas, biases in (([0.0, 0.5], [0.5]), ([nan], [0.5]), ([0.5], [0.5, nan])):
+            with pytest.raises(ss.ConfigurationError):
+                ss.region_sweep(scenario(equal_slots), alphas, biases, 10, 10, seed=1)
 
     def test_empty_axis_rejected_before_simulating(self, equal_slots, monkeypatch):
         def kernel(*args):

@@ -1,5 +1,7 @@
 """Repeated-game engine: discounting, determinism, and published patterns."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,10 +47,12 @@ class TestDeterminism:
         with pytest.raises(ss.ConfigurationError, match="thread"):
             ss.monte_carlo(config, 10, threads=threads)
 
-    def test_chunk_size_does_not_change_aggregates(self, equal_slots):
+    def test_chunk_size_does_not_change_aggregates(self, equal_slots, monkeypatch):
         config = ss.RunConfig(scenario(equal_slots), 60, ss.Mode.COMPETITIVE, seed=42)
-        a = ss.monte_carlo(config, 250, chunk_size=7)
-        b = ss.monte_carlo(config, 250, chunk_size=1024)
+        monkeypatch.setattr(sim, "_DEFAULT_CHUNK", 7)
+        a = ss.monte_carlo(config, 250)
+        monkeypatch.setattr(sim, "_DEFAULT_CHUNK", 1024)
+        b = ss.monte_carlo(config, 250)
         assert a == b
 
     def test_single_run_matches_batch_entry(self, small_collision):
@@ -332,9 +336,10 @@ class TestGain:
         assert [result.competitive, result.cooperative] == separate
 
     def test_ton_gains_from_cooperation_under_short_collisions(self, small_collision):
+        params = scenario(small_collision)
         for p_r in (0.1, 0.5):
             result = ss.gain_of_cooperation(
-                scenario(small_collision), n_runs=600, n_stages=200, seed=8, p_r=p_r
+                replace(params, p_r=p_r), n_runs=600, n_stages=200, seed=8
             )
             assert result.gain_ton > 0.0
 
@@ -350,14 +355,60 @@ class TestGain:
         assert gains[0] < gains[1] < gains[2]
 
     def test_gains_grow_with_patience_under_equal_slots(self, equal_slots):
-        low = ss.gain_of_cooperation(
-            scenario(equal_slots), n_runs=400, n_stages=300, seed=8, alpha=0.1
-        )
+        params = scenario(equal_slots)
+        low = ss.gain_of_cooperation(replace(params, alpha=0.1), n_runs=400, n_stages=300, seed=8)
         high = ss.gain_of_cooperation(
-            scenario(equal_slots), n_runs=400, n_stages=300, seed=8, alpha=0.99
+            replace(params, alpha=0.99), n_runs=400, n_stages=300, seed=8
         )
         assert high.gain_aon > low.gain_aon
         assert high.gain_ton > low.gain_ton
+
+    @pytest.mark.parametrize("baseline_mode", [ss.Mode.COMPETITIVE, ss.Mode.COOPERATIVE])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 1024])
+    def test_gain_grid_cells_equal_single_points(
+        self, baseline_mode, threads, chunk_size, small_collision, monkeypatch
+    ):
+        # Every cell replays the master seed's run streams, so it is
+        # bit-equal to the gain at that point alone.
+        params = scenario(small_collision, initial_age=4.0)
+        alphas, biases = [0.3, 0.8, 0.95], [0.0, 0.25, 0.6, 1.0]
+        points = {
+            (a, p): ss.gain_of_cooperation(
+                replace(params, alpha=a, p_r=p), 30, 45, seed=21, baseline_mode=baseline_mode
+            )
+            for a in alphas
+            for p in biases
+        }
+        monkeypatch.setattr(sim, "_DEFAULT_CHUNK", chunk_size)
+        grid = ss.gain_grid(
+            params, 30, 45, 21, alphas, biases, threads=threads, baseline_mode=baseline_mode
+        )
+        assert [[points[a, p] for p in biases] for a in alphas] == grid
+
+    @pytest.mark.parametrize(
+        "alphas, biases",
+        [
+            ([0.5, 1.5], [0.5]),
+            ([0.0], [0.5]),
+            ([0.5, float("nan")], [0.5]),
+            ([0.5], [0.5, -0.1]),
+            ([0.5], [1.5]),
+            ([0.5], [float("nan")]),
+            ([], [0.5]),
+            ([0.5], []),
+        ],
+    )
+    def test_bad_grid_rejected_before_simulating(self, alphas, biases, equal_slots, monkeypatch):
+        def batch(*args, **kwargs):
+            raise AssertionError("simulated a bad grid")
+
+        monkeypatch.setattr(sim, "_simulate_batch", batch)
+        for baseline_mode in ss.Mode:
+            with pytest.raises(ss.ConfigurationError):
+                ss.gain_grid(
+                    scenario(equal_slots), 10, 10, 1, alphas, biases, baseline_mode=baseline_mode
+                )
 
 
 def test_run_config_validation(small_collision):
