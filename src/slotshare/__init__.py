@@ -19,8 +19,6 @@ from .model import (
     SlotLengths,
     SlotProbabilities,
     apply_slot,
-    expected_network_throughput,
-    expected_node_age,
     sample_slot,
     slot_probabilities_competitive,
     slot_probabilities_cooperative,

@@ -200,7 +200,7 @@ def cmd_region(config: ExperimentConfig) -> str:
     return _csv_text(REGION_COLUMNS, rows)
 
 
-def cmd_gain(config: ExperimentConfig, self_test: bool = False) -> str:
+def cmd_gain(config: ExperimentConfig) -> str:
     """Gain of cooperation over competition across the alpha and bias grids."""
     grid = sim.gain_grid(
         config.scenario,
@@ -210,7 +210,6 @@ def cmd_gain(config: ExperimentConfig, self_test: bool = False) -> str:
         config.alphas,
         config.pr_grid,
         threads=config.threads,
-        baseline_mode=sim.Mode.COOPERATIVE if self_test else sim.Mode.COMPETITIVE,
     )
     rows = []
     for alpha, cells in zip(config.alphas, grid):
@@ -285,12 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=[m.value for m in sim.Mode],
                 required=True,
             )
-        if name == "gain":
-            cmd.add_argument(
-                "--self-test",
-                action="store_true",
-                help="compare cooperation against itself (gains must be zero)",
-            )
     return parser
 
 
@@ -321,7 +314,7 @@ def _dispatch(args) -> str:
     if args.command == "region":
         return cmd_region(config)
     if args.command == "gain":
-        return cmd_gain(config, self_test=args.self_test)
+        return cmd_gain(config)
     return cmd_freq(config)
 
 

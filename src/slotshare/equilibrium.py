@@ -24,8 +24,7 @@ from .model import (
     SlotLengths,
     _slot_terms,
     check_age,
-    expected_network_throughput,
-    expected_node_age,
+    check_rate,
     slot_probabilities_competitive,
     slot_probabilities_cooperative,
 )
@@ -57,12 +56,11 @@ class ThresholdAges:
 
     th0: float
     th1: float
-    th: float
     regime: Regime
 
-    def __post_init__(self):
-        if self.th != max(self.th0, self.th1):
-            raise ConfigurationError("th must be the larger candidate threshold")
+    @property
+    def th(self) -> float:
+        return max(self.th0, self.th1)
 
 
 @dataclass(frozen=True)
@@ -124,23 +122,12 @@ def _three_branch(delta, th0: float, th1: float, interior) -> np.ndarray | float
     return min(max(raw, 0.0), 1.0)
 
 
-def _equal_slots_tau(delta, sizes: NetworkSizes, slots: SlotLengths):
-    """AON access rule when success and collision slots have equal length."""
-    na = sizes.n_aon
-    si, ss, sc = slots.idle, slots.success, slots.collision
-
-    def interior(d):
-        return (na * (si - ss) + d) / (na * ((si - sc) + d))
-
-    return _three_branch(delta, na * (ss - si), na * (ss - sc), interior)
-
-
 def _msne_thresholds(sizes: NetworkSizes, slots: SlotLengths) -> tuple[float, float]:
-    na, nt = sizes.n_aon, sizes.n_ton
     si, ss, sc = slots.idle, slots.success, slots.collision
-    th1 = na * (ss - sc)
     if ss == sc:
-        return na * (ss - si), th1
+        return _coop_thresholds(sizes, slots)
+    na, nt = sizes.n_aon, sizes.n_ton
+    th1 = na * (ss - sc)
     if nt == 1:
         # tau_ton* = 1 makes the th0 denominator vanish; the sign of the
         # success/collision gap decides which branch survives.
@@ -153,11 +140,12 @@ def _msne_tau(delta, sizes: NetworkSizes, slots: SlotLengths, thresholds=None):
     """Competitive-equilibrium AON access probability (vectorized in the age).
 
     ``thresholds`` passes ``_msne_thresholds(sizes, slots)`` when the caller
-    already has them.
+    already has them.  With equal success and collision slots the AON's
+    trade-off no longer involves the TON, and the rule is the cooperative one.
     """
     si, ss, sc = slots.idle, slots.success, slots.collision
     if ss == sc:
-        return _equal_slots_tau(delta, sizes, slots)
+        return _coop_tau(delta, sizes, slots, thresholds)
     na, nt = sizes.n_aon, sizes.n_ton
     tt = 1.0 / nt
     th0, th1 = thresholds or _msne_thresholds(sizes, slots)
@@ -208,6 +196,15 @@ def _regime(delta: float, th0: float, th1: float) -> Regime:
     return Regime.FORCED_ZERO if th == th0 else Regime.FORCED_ONE
 
 
+def _solve(rule, thresholds, sizes: NetworkSizes, slots: SlotLengths, network_age: float):
+    """Stage-game profile and thresholds of one AON access rule at one age."""
+    check_age(network_age, "network age")
+    th0, th1 = thresholds(sizes, slots)
+    tau_a = rule(network_age, sizes, slots, (th0, th1))
+    profile = AccessProfile(tau_aon=tau_a, tau_ton=1.0 / sizes.n_ton)
+    return profile, ThresholdAges(th0, th1, _regime(network_age, th0, th1))
+
+
 def msne(
     sizes: NetworkSizes, slots: SlotLengths, network_age: float
 ) -> tuple[AccessProfile, ThresholdAges]:
@@ -216,22 +213,14 @@ def msne(
     The TON side is always ``1 / n_ton`` regardless of the AON; the AON side
     follows the three-branch threshold rule in the current network age.
     """
-    check_age(network_age, "network age")
-    th0, th1 = _msne_thresholds(sizes, slots)
-    tau_a = _msne_tau(network_age, sizes, slots, (th0, th1))
-    profile = AccessProfile(tau_aon=tau_a, tau_ton=1.0 / sizes.n_ton)
-    return profile, ThresholdAges(th0, th1, max(th0, th1), _regime(network_age, th0, th1))
+    return _solve(_msne_tau, _msne_thresholds, sizes, slots, network_age)
 
 
 def cooperative_optimum(
     sizes: NetworkSizes, slots: SlotLengths, network_age: float
 ) -> tuple[AccessProfile, ThresholdAges]:
     """Optimal per-network access probabilities when the device grants access."""
-    check_age(network_age, "network age")
-    th0, th1 = _coop_thresholds(sizes, slots)
-    tau_a = _coop_tau(network_age, sizes, slots, (th0, th1))
-    profile = AccessProfile(tau_aon=tau_a, tau_ton=1.0 / sizes.n_ton)
-    return profile, ThresholdAges(th0, th1, max(th0, th1), _regime(network_age, th0, th1))
+    return _solve(_coop_tau, _coop_thresholds, sizes, slots, network_age)
 
 
 def expected_stage_payoffs(
@@ -245,20 +234,25 @@ def expected_stage_payoffs(
     """Expected one-stage payoffs at a fixed profile.
 
     ``p_r=None`` evaluates the competitive channel, otherwise the cooperative
-    channel with the given device bias.
+    channel with the given device bias.  The profile is validated through the
+    slot probabilities; the payoffs are ``_stage_age`` and
+    ``_stage_throughput`` evaluated in Python floats.
     """
+    check_rate(rate)
+    check_age(network_age, "network age")
     if p_r is None:
-        probs = slot_probabilities_competitive(sizes, profile)
+        slot_probabilities_competitive(sizes, profile)
     else:
-        probs = slot_probabilities_cooperative(sizes, profile, p_r)
+        slot_probabilities_cooperative(sizes, profile, p_r)
+    ta, tt = profile.tau_aon, profile.tau_ton
     return StagePayoffs(
-        u_aon=-expected_node_age(probs, network_age, slots),
-        u_ton=expected_network_throughput(probs, slots, rate),
+        u_aon=-float(_stage_age(ta, tt, sizes, slots, network_age, p_r)),
+        u_ton=float(_stage_throughput(ta, tt, sizes, slots, rate, p_r)),
     )
 
 
-# Vectorized stage payoffs for the grid-search oracle and the device-bias
-# scan: ``p_r=None`` is the competitive channel, as in expected_stage_payoffs.
+# The stage payoffs, on floats or arrays (as ``_slot_terms``): ``p_r=None`` is
+# the competitive channel, as in expected_stage_payoffs.
 
 
 def _stage_age(tau_a, tau_t, sizes: NetworkSizes, slots: SlotLengths, delta, p_r=None):

@@ -270,32 +270,6 @@ def slot_probabilities_cooperative(
     return _slot_probabilities(sizes, profile, p_r)
 
 
-def expected_node_age(
-    probs: SlotProbabilities,
-    prior_age: float,
-    slots: SlotLengths,
-) -> float:
-    """Expected age of one AON node at the end of a slot, given its prior age.
-
-    The node's age resets to the success-slot length if it transmits alone;
-    otherwise it grows by the length of whatever slot occurred.
-    """
-    check_age(prior_age, "prior age")
-    growth = (
-        probs.p_idle * slots.idle
-        + probs.p_success_total * slots.success
-        + probs.p_collision * slots.collision
-    )
-    return (1.0 - probs.p_success_node_aon) * prior_age + growth
-
-
-def expected_network_throughput(
-    probs: SlotProbabilities, slots: SlotLengths, rate: float
-) -> float:
-    """Mean TON bits per slot: node success probability times slot payload."""
-    return probs.p_success_node_ton * slots.success * rate
-
-
 def sample_slot(
     rng: np.random.Generator,
     sizes: NetworkSizes,

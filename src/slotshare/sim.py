@@ -21,11 +21,10 @@ One state (``_Trajectories``) holds every trajectory of a chunk: copies of
 its runs stacked as rows, each copy competitive or cooperative with its own
 device bias, optionally forced to a stage-1 profile, with payoffs weighted
 by a (stages x alphas) matrix.  ``simulate`` uses one copy, the gain grid
-``1 + |biases|`` (``2 * |biases|`` against a cooperative baseline) and the
-region sweep ``2 + 2 * |biases|``; all copies read the same draws, one slot
-step per stage.  Every Monte Carlo command collects through ``_per_run``,
-which cuts the runs into chunks of ``_DEFAULT_CHUNK``, fans them out over
-threads and stores each run's results by run index.
+``1 + |biases|`` and the region sweep ``2 + 2 * |biases|``; all copies read
+the same draws, one slot step per stage.  Every Monte Carlo command collects
+through ``_per_run``, which cuts the runs into chunks of ``_DEFAULT_CHUNK``,
+fans them out over threads and stores each run's results by run index.
 
 A node transmits iff its draw is below its network's access probability, so
 a network sends 0, 1 or at least 2 packets according to whether that
@@ -508,13 +507,12 @@ def gain_grid(
     alphas,
     biases,
     threads: int = 1,
-    baseline_mode: Mode = Mode.COMPETITIVE,
 ) -> list[list[GainResult]]:
     """Paired gains of cooperating on every (alpha, bias) cell, ``[alpha][bias]``.
 
-    The copies are the baseline (one competitive copy, or one cooperative
-    copy per bias), then one cooperative copy per bias, all on the run
-    streams ``(seed, r)``; alpha only selects a column of discount weights.
+    The copies are one competitive copy, then one cooperative copy per bias,
+    all on the run streams ``(seed, r)``; alpha only selects a column of
+    discount weights.
     Cell ``[i][j]`` equals ``gain_of_cooperation`` at that point alone.
     """
     alphas, biases = np.asarray(alphas, dtype=np.float64), np.asarray(biases, dtype=np.float64)
@@ -522,14 +520,12 @@ def gain_grid(
         raise ConfigurationError("alpha and bias grids need at least one value")
     if not np.all((biases >= 0.0) & (biases <= 1.0)):
         raise ConfigurationError("device bias must lie in [0, 1]")
-    competitive = baseline_mode is Mode.COMPETITIVE
-    baseline = [None] if competitive else list(biases)
-    p_rs = baseline + list(biases)
+    p_rs = [None, *biases]
     payoffs, freqs, _ = _per_run(params, seed, n_runs, n_stages, p_rs, alphas, threads)
 
     def cell(i, j):
-        base = _aggregate(payoffs, freqs, 0 if competitive else j, i)
-        coop = _aggregate(payoffs, freqs, len(baseline) + j, i)
+        base = _aggregate(payoffs, freqs, 0, i)
+        coop = _aggregate(payoffs, freqs, 1 + j, i)
         return GainResult(
             gain_aon=coop.u_aon_mean - base.u_aon_mean,
             gain_ton=coop.u_ton_mean - base.u_ton_mean,
@@ -546,13 +542,11 @@ def gain_of_cooperation(
     n_stages: int,
     seed: int,
     threads: int = 1,
-    baseline_mode: Mode = Mode.COMPETITIVE,
 ) -> GainResult:
     """Paired gain of cooperating over competing under a shared master seed.
 
     Both arms advance in lockstep on the same per-run streams, drawn once, so
-    each aggregate equals its own ``monte_carlo`` call and comparing a mode
-    against itself yields exactly zero.
+    each aggregate equals its own ``monte_carlo`` call.
     """
     axes = [params.alpha], [params.p_r]
-    return gain_grid(params, n_runs, n_stages, seed, *axes, threads, baseline_mode)[0][0]
+    return gain_grid(params, n_runs, n_stages, seed, *axes, threads)[0][0]

@@ -48,11 +48,9 @@ def test_equilibrium_point_regression():
 
 def test_stage_age_regression():
     sizes = ss.NetworkSizes(5, 5)
-    silent = ss.expected_node_age(
-        ss.slot_probabilities_competitive(sizes, ss.AccessProfile(0.0, 0.2)), 1.01, SMALL
-    )
-    aggressive = ss.expected_node_age(
-        ss.slot_probabilities_competitive(sizes, ss.AccessProfile(1.0, 0.2)), 1.01, SMALL
+    silent, aggressive = (
+        -ss.expected_stage_payoffs(sizes, SMALL, ss.AccessProfile(tau, 0.2), 1.01, 1.0).u_aon
+        for tau in (0.0, 1.0)
     )
     ok = abs(silent - 1.4535) <= 1e-4 and abs(aggressive - 1.1110) <= 1e-4
     criterion("stage age regression", ok, f"silent={silent:.5f} aggressive={aggressive:.5f}")

@@ -195,19 +195,6 @@ class TestCli:
         assert rows[0] == cli.FREQ_COLUMNS
         assert [r[0] for r in rows[1:]] == ["1", "3"]
 
-    def test_gain_self_test_is_zero(self, tmp_path):
-        config = tmp_path / "c.ini"
-        config.write_text("[grids]\nalphas = 0.5\npr_grid = 0.4\n")
-        code, out = run_cli(
-            ["gain", "--config", str(config), "--runs", "15", "--stages", "25",
-             "--self-test"]
-        )
-        assert code == 0
-        rows = list(csv.reader(out.splitlines()))
-        assert rows[0] == cli.GAIN_COLUMNS
-        assert float(rows[1][2]) == 0.0
-        assert float(rows[1][3]) == 0.0
-
     def test_region_csv_intersection(self, tmp_path):
         config = tmp_path / "c.ini"
         config.write_text(

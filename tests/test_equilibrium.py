@@ -168,15 +168,25 @@ class TestStagePayoffs:
         assert payoffs.u_aon == pytest.approx(-(3.0 + small_collision.idle), abs=1e-12)
 
     def test_vector_kernels_match_scalar_payoffs(self, small_collision):
-        # The engine-facing vector forms and the composed model kernels must
-        # agree on the same profile.
+        # The scalar API evaluates the payoff formulas on floats, the oracle
+        # and the bias scan on arrays; a float's ** and an array's may round
+        # differently, so the two agree to rounding.
         sizes = ss.NetworkSizes(3, 4)
         profile = ss.AccessProfile(0.3, 0.25)
         scalar = ss.expected_stage_payoffs(sizes, small_collision, profile, 2.0, 1.5)
-        age = eq._stage_age(0.3, 0.25, sizes, small_collision, 2.0)
-        thr = eq._stage_throughput(0.3, 0.25, sizes, small_collision, 1.5)
+        ta, tt = np.array([0.3]), np.array([0.25])
+        age = eq._stage_age(ta, tt, sizes, small_collision, 2.0)[0]
+        thr = eq._stage_throughput(ta, tt, sizes, small_collision, 1.5)[0]
         assert scalar.u_aon == pytest.approx(-age, abs=1e-14)
         assert scalar.u_ton == pytest.approx(thr, abs=1e-14)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("p_r", [None, 0.4])
+    def test_bad_rate_rejected(self, rate, p_r, equal_slots):
+        with pytest.raises(ss.ConfigurationError, match="transmission rate"):
+            ss.expected_stage_payoffs(
+                ss.NetworkSizes(3, 3), equal_slots, ss.AccessProfile(0.3, 0.3), 2.0, rate, p_r
+            )
 
 
 class TestBestResponseOracle:
@@ -326,7 +336,7 @@ def test_scalar_path_equals_array_path(scenario):
         for th in (*eq._msne_thresholds(sizes, slots), *eq._coop_thresholds(sizes, slots)):
             if np.isfinite(th):
                 ages += [np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf)]
-        for rule in (eq._msne_tau, eq._coop_tau, eq._equal_slots_tau):
+        for rule in (eq._msne_tau, eq._coop_tau):
             for age in ages:
                 expected = _rule_result(rule, np.array([age], dtype=np.float64), sizes, slots)
                 if not isinstance(expected, str):

@@ -31,7 +31,6 @@ CASES = {
         ["simulate", "--mode", "cooperative", "--threads", "1"],
     ),
     "gain.csv": ("golden.ini", ["gain", "--stages", "120"]),
-    "gain_self_test.csv": ("golden.ini", ["gain", "--stages", "120", "--self-test"]),
     "freq.csv": ("golden.ini", ["freq", "--runs", "600", "--stages", "150"]),
     "region.csv": ("golden.ini", ["region", "--runs", "2100", "--stages", "120"]),
     "lone_ton_simulate_competitive.csv": ("lone_ton.ini", ["simulate", "--mode", "competitive"]),

@@ -196,36 +196,38 @@ def test_probability_partitions(na, nt, tau_a, tau_t, p_r):
     assert abs(total - probs.p_success_total) <= 1e-12
 
 
+def _node_age(sizes, profile, prior_age, slots):
+    # Every AON node has the same age here, so the expected network age after
+    # the slot is that of one node.
+    return -ss.expected_stage_payoffs(sizes, slots, profile, prior_age, 1.0).u_aon
+
+
+def _throughput(sizes, profile, slots, rate):
+    return ss.expected_stage_payoffs(sizes, slots, profile, 1.0, rate).u_ton
+
+
 class TestExpectedNodeAge:
     def test_certain_success_resets(self, small_collision):
-        probs = ss.slot_probabilities_competitive(
-            ss.NetworkSizes(1, 1), ss.AccessProfile(1.0, 0.0)
-        )
+        sizes, profile = ss.NetworkSizes(1, 1), ss.AccessProfile(1.0, 0.0)
+        probs = ss.slot_probabilities_competitive(sizes, profile)
         assert probs.p_success_node_aon == 1.0
-        age = ss.expected_node_age(probs, 7.0, small_collision)
+        age = _node_age(sizes, profile, 7.0, small_collision)
         assert age == small_collision.success
 
     def test_silent_aon_stage_age(self, small_collision):
-        probs = ss.slot_probabilities_competitive(
-            ss.NetworkSizes(5, 5), ss.AccessProfile(0.0, 0.2)
-        )
-        age = ss.expected_node_age(probs, 1.01, small_collision)
+        age = _node_age(ss.NetworkSizes(5, 5), ss.AccessProfile(0.0, 0.2), 1.01, small_collision)
         assert age == pytest.approx(1.4535, abs=1e-4)
 
     def test_aggressive_aon_stage_age(self, small_collision):
-        probs = ss.slot_probabilities_competitive(
-            ss.NetworkSizes(5, 5), ss.AccessProfile(1.0, 0.2)
-        )
-        age = ss.expected_node_age(probs, 1.01, small_collision)
+        age = _node_age(ss.NetworkSizes(5, 5), ss.AccessProfile(1.0, 0.2), 1.01, small_collision)
         assert age == pytest.approx(1.1110, abs=1e-4)
 
     def test_matches_sampled_dynamics(self, small_collision):
         # One-slot Monte Carlo of sample + apply must reproduce the closed form.
         sizes = ss.NetworkSizes(3, 2)
         profile = ss.AccessProfile(0.35, 0.4)
-        probs = ss.slot_probabilities_competitive(sizes, profile)
         prior = 2.5
-        expected = ss.expected_node_age(probs, prior, small_collision)
+        expected = _node_age(sizes, profile, prior, small_collision)
         rng = np.random.default_rng(1234)
         state = ss.AgeState.uniform(sizes.n_aon, prior)
         draws = 20_000
@@ -239,22 +241,16 @@ class TestExpectedNodeAge:
 
 class TestThroughputAndNetworkAge:
     def test_zero_when_no_ton_success(self, small_collision):
-        probs = ss.slot_probabilities_competitive(
-            ss.NetworkSizes(1, 1), ss.AccessProfile(1.0, 1.0)
-        )
-        assert ss.expected_network_throughput(probs, small_collision, 2.0) == 0.0
+        profile = ss.AccessProfile(1.0, 1.0)
+        assert _throughput(ss.NetworkSizes(1, 1), profile, small_collision, 2.0) == 0.0
 
     def test_lone_ton_node_full_slot(self, small_collision):
-        probs = ss.slot_probabilities_competitive(
-            ss.NetworkSizes(1, 1), ss.AccessProfile(0.0, 1.0)
-        )
-        assert ss.expected_network_throughput(probs, small_collision, 1.0) == 1.01
+        profile = ss.AccessProfile(0.0, 1.0)
+        assert _throughput(ss.NetworkSizes(1, 1), profile, small_collision, 1.0) == 1.01
 
     def test_mixing_ton_value(self, small_collision):
-        probs = ss.slot_probabilities_competitive(
-            ss.NetworkSizes(5, 5), ss.AccessProfile(0.0, 0.2)
-        )
-        assert ss.expected_network_throughput(probs, small_collision, 1.0) == pytest.approx(
+        profile = ss.AccessProfile(0.0, 0.2)
+        assert _throughput(ss.NetworkSizes(5, 5), profile, small_collision, 1.0) == pytest.approx(
             0.0827392, abs=1e-12
         )
 

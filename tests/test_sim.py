@@ -311,15 +311,13 @@ class TestRealizedVersusExpected:
 
 class TestGain:
     def test_self_comparison_is_exactly_zero(self, small_collision):
-        result = ss.gain_of_cooperation(
-            scenario(small_collision),
-            n_runs=50,
-            n_stages=100,
-            seed=8,
-            baseline_mode=ss.Mode.COOPERATIVE,
+        # Copies of one mode replay the same run streams, so comparing
+        # cooperation against itself gains exactly zero, run by run.
+        payoffs, freqs, _ = sim._per_run(
+            scenario(small_collision), 8, 50, 100, [0.4, 0.4], [0.5, 0.9], threads=1
         )
-        assert result.gain_aon == 0.0
-        assert result.gain_ton == 0.0
+        assert np.array_equal(payoffs[:, 0], payoffs[:, 1])
+        assert np.array_equal(freqs[:, 0], freqs[:, 1])
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("chunk_size", [1, 7, 1024])
@@ -363,27 +361,22 @@ class TestGain:
         assert high.gain_aon > low.gain_aon
         assert high.gain_ton > low.gain_ton
 
-    @pytest.mark.parametrize("baseline_mode", [ss.Mode.COMPETITIVE, ss.Mode.COOPERATIVE])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("chunk_size", [1, 7, 1024])
     def test_gain_grid_cells_equal_single_points(
-        self, baseline_mode, threads, chunk_size, small_collision, monkeypatch
+        self, threads, chunk_size, small_collision, monkeypatch
     ):
         # Every cell replays the master seed's run streams, so it is
         # bit-equal to the gain at that point alone.
         params = scenario(small_collision, initial_age=4.0)
         alphas, biases = [0.3, 0.8, 0.95], [0.0, 0.25, 0.6, 1.0]
         points = {
-            (a, p): ss.gain_of_cooperation(
-                replace(params, alpha=a, p_r=p), 30, 45, seed=21, baseline_mode=baseline_mode
-            )
+            (a, p): ss.gain_of_cooperation(replace(params, alpha=a, p_r=p), 30, 45, seed=21)
             for a in alphas
             for p in biases
         }
         monkeypatch.setattr(sim, "_DEFAULT_CHUNK", chunk_size)
-        grid = ss.gain_grid(
-            params, 30, 45, 21, alphas, biases, threads=threads, baseline_mode=baseline_mode
-        )
+        grid = ss.gain_grid(params, 30, 45, 21, alphas, biases, threads=threads)
         assert [[points[a, p] for p in biases] for a in alphas] == grid
 
     @pytest.mark.parametrize(
@@ -404,11 +397,8 @@ class TestGain:
             raise AssertionError("simulated a bad grid")
 
         monkeypatch.setattr(sim, "_simulate_batch", batch)
-        for baseline_mode in ss.Mode:
-            with pytest.raises(ss.ConfigurationError):
-                ss.gain_grid(
-                    scenario(equal_slots), 10, 10, 1, alphas, biases, baseline_mode=baseline_mode
-                )
+        with pytest.raises(ss.ConfigurationError):
+            ss.gain_grid(scenario(equal_slots), 10, 10, 1, alphas, biases)
 
 
 def test_run_config_validation(small_collision):
