@@ -22,6 +22,7 @@ from .model import (
     ConfigurationError,
     NetworkSizes,
     SlotLengths,
+    _slot_probabilities,
     _slot_terms,
     check_age,
     check_rate,
@@ -122,10 +123,20 @@ def _three_branch(delta, th0: float, th1: float, interior) -> np.ndarray | float
     return min(max(raw, 0.0), 1.0)
 
 
+def _shares_coop_rule(slots: SlotLengths) -> bool:
+    """Whether the competitive AON rule is the cooperative one.
+
+    With equal success and collision slots the AON's trade-off no longer
+    involves the TON, so ``_msne_tau`` and ``_msne_thresholds`` delegate to
+    ``_coop_tau`` and ``_coop_thresholds``.
+    """
+    return slots.success == slots.collision
+
+
 def _msne_thresholds(sizes: NetworkSizes, slots: SlotLengths) -> tuple[float, float]:
-    si, ss, sc = slots.idle, slots.success, slots.collision
-    if ss == sc:
+    if _shares_coop_rule(slots):
         return _coop_thresholds(sizes, slots)
+    si, ss, sc = slots.idle, slots.success, slots.collision
     na, nt = sizes.n_aon, sizes.n_ton
     th1 = na * (ss - sc)
     if nt == 1:
@@ -140,12 +151,12 @@ def _msne_tau(delta, sizes: NetworkSizes, slots: SlotLengths, thresholds=None):
     """Competitive-equilibrium AON access probability (vectorized in the age).
 
     ``thresholds`` passes ``_msne_thresholds(sizes, slots)`` when the caller
-    already has them.  With equal success and collision slots the AON's
-    trade-off no longer involves the TON, and the rule is the cooperative one.
+    already has them.  Where ``_shares_coop_rule(slots)``, the rule is the
+    cooperative one.
     """
-    si, ss, sc = slots.idle, slots.success, slots.collision
-    if ss == sc:
+    if _shares_coop_rule(slots):
         return _coop_tau(delta, sizes, slots, thresholds)
+    si, ss, sc = slots.idle, slots.success, slots.collision
     na, nt = sizes.n_aon, sizes.n_ton
     tt = 1.0 / nt
     th0, th1 = thresholds or _msne_thresholds(sizes, slots)
@@ -234,20 +245,16 @@ def expected_stage_payoffs(
     """Expected one-stage payoffs at a fixed profile.
 
     ``p_r=None`` evaluates the competitive channel, otherwise the cooperative
-    channel with the given device bias.  The profile is validated through the
-    slot probabilities; the payoffs are ``_stage_age`` and
-    ``_stage_throughput`` evaluated in Python floats.
+    channel with the given device bias.  The slot probabilities are evaluated
+    once, in Python floats: they validate the profile and give both payoffs,
+    as ``_stage_age`` and ``_stage_throughput`` would.
     """
     check_rate(rate)
     check_age(network_age, "network age")
-    if p_r is None:
-        slot_probabilities_competitive(sizes, profile)
-    else:
-        slot_probabilities_cooperative(sizes, profile, p_r)
-    ta, tt = profile.tau_aon, profile.tau_ton
+    _, terms = _slot_probabilities(sizes, profile, p_r)
     return StagePayoffs(
-        u_aon=-float(_stage_age(ta, tt, sizes, slots, network_age, p_r)),
-        u_ton=float(_stage_throughput(ta, tt, sizes, slots, rate, p_r)),
+        u_aon=-float(_age_of_terms(terms, slots, network_age)),
+        u_ton=float(_throughput_of_terms(terms, slots, rate)),
     )
 
 
@@ -257,16 +264,25 @@ def expected_stage_payoffs(
 
 def _stage_age(tau_a, tau_t, sizes: NetworkSizes, slots: SlotLengths, delta, p_r=None):
     """Expected network age after one slot, from the pre-slot network age ``delta``."""
-    p_idle, p_success, node_a, *_, p_col = _slot_terms(tau_a, tau_t, sizes.n_aon, sizes.n_ton, p_r)
+    terms = _slot_terms(tau_a, tau_t, sizes.n_aon, sizes.n_ton, p_r)
+    return _age_of_terms(terms, slots, delta)
+
+
+def _stage_throughput(tau_a, tau_t, sizes: NetworkSizes, slots: SlotLengths, rate, p_r=None):
+    """Expected TON network throughput of one slot."""
+    terms = _slot_terms(tau_a, tau_t, sizes.n_aon, sizes.n_ton, p_r)
+    return _throughput_of_terms(terms, slots, rate)
+
+
+def _age_of_terms(terms, slots: SlotLengths, delta):
+    p_idle, p_success, node_a, *_, p_col = terms
     p_col = np.maximum(p_col, 0.0)
     growth = p_idle * slots.idle + p_success * slots.success + p_col * slots.collision
     return (1.0 - node_a) * delta + growth
 
 
-def _stage_throughput(tau_a, tau_t, sizes: NetworkSizes, slots: SlotLengths, rate, p_r=None):
-    """Expected TON network throughput of one slot."""
-    node_t = _slot_terms(tau_a, tau_t, sizes.n_aon, sizes.n_ton, p_r)[3]
-    return node_t * slots.success * rate
+def _throughput_of_terms(terms, slots: SlotLengths, rate):
+    return terms[3] * slots.success * rate
 
 
 def best_response_oracle(objective, grid_step: float) -> float:

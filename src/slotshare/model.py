@@ -242,18 +242,21 @@ def _slot_terms(ta, tt, na: int, nt: int, p_r=None):
 
 
 def _slot_probabilities(sizes: NetworkSizes, profile: AccessProfile, p_r=None):
-    ta, tt = profile.tau_aon, profile.tau_ton
-    *terms, p_collision = _slot_terms(ta, tt, sizes.n_aon, sizes.n_ton, p_r)
-    probs = SlotProbabilities(*terms, p_collision=_clip_probability(p_collision))
+    """Validated slot probabilities of a profile, and the ``_slot_terms`` they come from."""
+    if p_r is not None and not 0.0 <= p_r <= 1.0:
+        raise ConfigurationError("device bias must lie in [0, 1]")
+    terms = _slot_terms(profile.tau_aon, profile.tau_ton, sizes.n_aon, sizes.n_ton, p_r)
+    *head, p_collision = terms
+    probs = SlotProbabilities(*head, p_collision=_clip_probability(p_collision))
     probs.validate(sizes)
-    return probs
+    return probs, terms
 
 
 def slot_probabilities_competitive(
     sizes: NetworkSizes, profile: AccessProfile
 ) -> SlotProbabilities:
     """Slot-outcome probabilities when both networks contend in the same slot."""
-    return _slot_probabilities(sizes, profile)
+    return _slot_probabilities(sizes, profile)[0]
 
 
 def slot_probabilities_cooperative(
@@ -265,9 +268,7 @@ def slot_probabilities_cooperative(
     the TON otherwise, so the channel is a ``p_r``-weighted mixture of the two
     single-network channels and the networks never collide with each other.
     """
-    if not 0.0 <= p_r <= 1.0:
-        raise ConfigurationError("device bias must lie in [0, 1]")
-    return _slot_probabilities(sizes, profile, p_r)
+    return _slot_probabilities(sizes, profile, p_r)[0]
 
 
 def sample_slot(

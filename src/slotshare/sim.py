@@ -22,9 +22,14 @@ its runs stacked as rows, each copy competitive or cooperative with its own
 device bias, optionally forced to a stage-1 profile, with payoffs weighted
 by a (stages x alphas) matrix.  ``simulate`` uses one copy, the gain grid
 ``1 + |biases|`` and the region sweep ``2 + 2 * |biases|``; all copies read
-the same draws, one slot step per stage.  Every Monte Carlo command collects
-through ``_per_run``, which cuts the runs into chunks of ``_DEFAULT_CHUNK``,
-fans them out over threads and stores each run's results by run index.
+the same draws, one slot step per stage, by broadcasting the per-run draw
+against per-copy access probabilities and biases.  Consecutive copies that
+follow the same AON rule share one rule call per stage.  The node ages are
+column-major, so the per-stage network age sums whole columns
+(``_column_sum``) in numpy's pairwise order.  Every Monte Carlo command
+collects through ``_per_run``, which cuts the runs into chunks of
+``_DEFAULT_CHUNK``, fans them out over threads and stores each run's results
+by run index.
 
 A node transmits iff its draw is below its network's access probability, so
 a network sends 0, 1 or at least 2 packets according to whether that
@@ -32,7 +37,9 @@ probability lies above its smallest and its second-smallest draw.  Each
 block is therefore reduced once, before the state reads it, to the device
 draw and the two smallest draws of each network per run and stage
 (``_Draw``); only an AON success goes back to the raw AON draws, to find
-the node whose age resets.
+the node whose age resets.  The two counts, each clipped at 2, make one
+event code ``3 * k_a + k_t`` that indexes the age growth, the TON payoff and
+the recorded event.
 """
 
 from __future__ import annotations
@@ -125,12 +132,13 @@ class Aggregate:
 
 
 class _Draw(NamedTuple):
-    """One stage's uniforms for a batch of rows, reduced to what a slot reads.
+    """One stage's uniforms for a chunk's runs, reduced to what a slot reads.
 
-    ``stats`` is (5 x rows): the two smallest AON node draws, the two
+    ``stats`` is (5 x runs): the two smallest AON node draws, the two
     smallest TON node draws (+inf as the second of a one-node network) and
-    the device draw.  ``aon`` is the (runs x n_aon) raw AON node draws; row ``i``
-    reads run ``i % runs``, so a draw tiled over copies of its runs keeps it.
+    the device draw.  ``aon`` is the (runs x n_aon) raw AON node draws.  Every
+    copy of the runs reads the same draw: state row ``i`` reads run
+    ``i % runs``.
     """
 
     stats: np.ndarray
@@ -139,10 +147,6 @@ class _Draw(NamedTuple):
     @property
     def device(self) -> np.ndarray:
         return self.stats[4]
-
-    def tile(self, copies: int) -> _Draw:
-        """The draw for ``copies`` stacked copies of its rows."""
-        return _Draw(np.tile(self.stats, copies), self.aon)
 
 
 class _Engine:
@@ -159,11 +163,17 @@ class _Engine:
         # Realized network throughput on a TON success: one node delivered a
         # slot's worth of bits, averaged over the network.
         self.ton_payout = params.slots.success * params.rate / self.n_ton
-        # Every node's age increment, indexed by k_a + k_t (each count clipped at 2).
+        # Every node's age increment, the TON payoff and the recorded event,
+        # indexed by the event code 3 * k_a + k_t (each count clipped at 2):
+        # code 0 is an idle slot, 1 a TON success, 3 an AON success and any
+        # other a collision.
         slots = params.slots
-        self._growth = np.array(
-            [slots.idle, slots.success, slots.collision, slots.collision, slots.collision]
-        )
+        self._growth = np.full(9, slots.collision)
+        self._growth[[0, 1, 3]] = slots.idle, slots.success, slots.success
+        self.ton_by_code = np.zeros(9)
+        self.ton_by_code[1] = self.ton_payout
+        self.event_by_code = np.full(9, EVENT_COLLISION, dtype=np.int8)
+        self.event_by_code[[0, 1, 3]] = EVENT_IDLE, EVENT_SUCCESS_TON, EVENT_SUCCESS_AON
 
     def uniforms(self, generators, buf: np.ndarray, n_stages: int) -> np.ndarray:
         """Draw the next ``n_stages`` rows of every run into ``buf``; returns the block."""
@@ -219,35 +229,62 @@ class _Engine:
             # Rows 0-3 are the statistics and row 4 the device column.
             yield _Draw(table[j, :5], block[:, j, 1 : 1 + self.n_aon])
 
-    def slot(self, ages: np.ndarray, draw: _Draw, tau_a, tau_t):
-        """Advance all rows by one slot in place; returns transmitter counts clipped at 2.
+    def slot(self, ages: np.ndarray, draw: _Draw, tau_a: np.ndarray, tau_t: np.ndarray):
+        """Advance all rows by one slot in place; returns each row's event code.
 
-        ``tau_a`` / ``tau_t`` may be scalars or per-row arrays; a negative
-        value silences that network (no uniform is below it).  A network has
-        a transmitter iff its smallest draw is below its access probability
-        and two or more iff its second-smallest is, so each count reads 0, 1
-        or 2 (two or more).
+        ``ages`` stacks copies of the draw's runs as rows, and ``tau_a`` /
+        ``tau_t`` hold one access probability per row; a negative value
+        silences that network (no uniform is below it).  A network has a
+        transmitter iff its smallest draw is below its access probability and
+        two or more iff its second-smallest is, so its count ``k`` reads 0, 1
+        or 2 (two or more); the event code is ``3 * k_a + k_t``.  The draw's
+        statistics are compared with the taus viewed as (copies x runs), so
+        no copy of the draw is made.
         """
-        below_a = draw.stats[0:2] < tau_a
-        below_t = draw.stats[2:4] < tau_t
-        k_a = np.add(below_a[0], below_a[1], dtype=np.int8)
-        k_t = np.add(below_t[0], below_t[1], dtype=np.int8)
-        ages += self._growth.take(k_a + k_t)[:, None]
-        resets = np.flatnonzero((k_a == 1) & (k_t == 0))
+        runs = draw.stats.shape[1]
+        shape = (len(ages) // runs, runs)
+        below_a = draw.stats[0:2, None] < tau_a.reshape(shape)
+        below_t = draw.stats[2:4, None] < tau_t.reshape(shape)
+        k_a = np.add(below_a[0], below_a[1], dtype=np.int8).ravel()
+        k_t = np.add(below_t[0], below_t[1], dtype=np.int8).ravel()
+        code = 3 * k_a + k_t
+        ages += self._growth.take(code)[:, None]
+        resets = np.flatnonzero(code == 3)
         if resets.size:
             # The lone AON transmitter holds the row's smallest AON draw.
-            nodes = draw.aon[resets % len(draw.aon)]
+            nodes = draw.aon[resets % runs]
             ages[resets, nodes.argmin(axis=1)] = self.slots.success
-        return k_a, k_t
+        return code
 
 
-def _event_codes(k_a: np.ndarray, k_t: np.ndarray) -> np.ndarray:
-    total = k_a + k_t
-    codes = np.full(k_a.shape, EVENT_SUCCESS_TON, dtype=np.int8)
-    codes[total == 0] = EVENT_IDLE
-    codes[total >= 2] = EVENT_COLLISION
-    codes[(k_a == 1) & (k_t == 0)] = EVENT_SUCCESS_AON
-    return codes
+def _column_sum(ages: np.ndarray) -> np.ndarray:
+    """Per-row sum of a (rows x n) matrix, one whole column at a time.
+
+    The additions follow numpy's pairwise summation of a contiguous row (a
+    plain sequence below 8 terms, 8 partial sums combined in a fixed tree up
+    to 128, halves at multiples of 8 above), so the sum over ``n`` is
+    bit-equal to ``ages.sum(axis=1)`` of the C-ordered matrix.  On a
+    column-major matrix each column is one contiguous vector.
+    """
+    n = ages.shape[1]
+    if n < 8:
+        total = ages[:, 0].copy()
+        for j in range(1, n):
+            total += ages[:, j]
+        return total
+    if n <= 128:
+        partial = ages[:, :8].copy(order="F")
+        stop = n - n % 8
+        for j in range(8, stop, 8):
+            partial += ages[:, j : j + 8]
+        pairs = partial[:, 0::2] + partial[:, 1::2]
+        quads = pairs[:, 0::2] + pairs[:, 1::2]
+        total = quads[:, 0] + quads[:, 1]
+        for j in range(stop, n):
+            total += ages[:, j]
+        return total
+    half = n // 2 - n // 2 % 8
+    return _column_sum(ages[:, :half]) + _column_sum(ages[:, half:])
 
 
 def _discount_weights(alphas, n_stages: int) -> np.ndarray:
@@ -268,29 +305,38 @@ class _Trajectories:
     ``stage1``, when given, holds the per-row (tau_aon, tau_ton) that every
     row plays in stage 1 instead; a negative value silences that network.
 
-    Accumulators: ``u_aon``/``u_ton`` are (rows x alphas) payoffs, stage
-    ``n`` weighted by ``weights[n]``; ``count_one``/``count_zero``/``n_access``
-    count the stages in which the AON may access, with probability 1, 0 or
-    any; ``first`` is the per-row stage-1 (network age, TON payoff); with
-    ``record``, ``streams`` holds the per-stage ``StageRecord`` fields.
+    ``ages`` is the (rows x n_aon) node ages, column-major so that each
+    node's ages are one contiguous column and the network age is a sum of
+    columns.  Accumulators: ``u_aon``/``u_ton`` are (rows x alphas)
+    payoffs, stage ``n`` weighted by ``weights[n]``;
+    ``count_one``/``count_zero``/``n_access`` count the stages in which the
+    AON may access, with probability 1, 0 or any; with ``stage1``, ``first``
+    is the per-row stage-1 (network age, TON payoff); with ``record``,
+    ``streams`` holds the per-stage ``StageRecord`` fields.
     """
 
     def __init__(self, engine: _Engine, n_runs, p_rs, weights, stage1, record):
-        self.engine, self.copies, self.weights, self.stage1 = engine, len(p_rs), weights, stage1
+        self.engine, self.weights, self.stage1 = engine, weights, stage1
         n_stages, n_alpha = weights.shape
-        rows = self.copies * n_runs
-        self.ages = np.full((rows, engine.n_aon), engine.params.initial_age, dtype=np.float64)
-        self.delta = self.ages.mean(axis=1)
+        rows = len(p_rs) * n_runs
+        self.shape = (len(p_rs), n_runs)
+        self.ages = np.full((rows, engine.n_aon), engine.params.initial_age, order="F")
+        self.delta = _column_sum(self.ages) / engine.n_aon
         self.u_aon, self.u_ton = np.zeros((2, rows, n_alpha))
-        self.count_one, self.count_zero, self.n_access = np.zeros((3, rows))
-        # Consecutive copies of one mode share an equilibrium call: (rows, None)
-        # is competitive, (rows, per-row biases) cooperative.
+        self.count_one, self.count_zero, self.n_access = np.zeros((3, rows), dtype=np.int64)
+        # Per copy, the device draw below which the AON may access and at or
+        # above which the TON may: a competitive copy lets both access.
+        self.aon_bias = np.array([[np.inf if p_r is None else p_r] for p_r in p_rs])
+        self.ton_bias = np.array([[-np.inf if p_r is None else p_r] for p_r in p_rs])
+        # Consecutive copies that follow the same AON rule share one call on
+        # their rows' network ages.
+        competitive = eq._coop_tau if eq._shares_coop_rule(engine.slots) else eq._msne_tau
+        rules = [competitive if p_r is None else eq._coop_tau for p_r in p_rs]
         self.groups, start = [], 0
-        for competitive, group in itertools.groupby(p_rs, lambda p_r: p_r is None):
-            group = list(group)
-            group_rows = slice(start * n_runs, (start + len(group)) * n_runs)
-            self.groups.append((group_rows, None if competitive else np.repeat(group, n_runs)))
-            start += len(group)
+        for rule, group in itertools.groupby(rules):
+            stop = start + len(list(group))
+            self.groups.append((rule, slice(start * n_runs, stop * n_runs)))
+            start = stop
         self.streams = None
         if record:
             self.streams = {
@@ -301,45 +347,40 @@ class _Trajectories:
                 "aon_selected": np.empty((rows, n_stages), dtype=bool),
             }
 
-    def _play(self, delta, device, p_r):
-        """The AON rule's tau and the played (tau_aon, tau_ton) of one group's rows."""
+    def _play(self, device):
+        """The AON rule's tau and the played (tau_aon, tau_ton) of every row."""
         engine = self.engine
-        if p_r is None:
-            tau = eq._msne_tau(delta, engine.sizes, engine.slots)
-            return tau, tau, np.full(tau.size, engine.tau_ton_star)
-        selected = device < p_r
-        tau = eq._coop_tau(delta, engine.sizes, engine.slots)
-        return tau, np.where(selected, tau, -1.0), np.where(selected, -1.0, engine.tau_ton_star)
+        taus = [rule(self.delta[rows], engine.sizes, engine.slots) for rule, rows in self.groups]
+        tau = taus[0] if len(taus) == 1 else np.concatenate(taus)
+        tau_a = np.where(device < self.aon_bias, tau.reshape(self.shape), -1.0)
+        tau_t = np.where(device >= self.ton_bias, engine.tau_ton_star, -1.0)
+        return tau, tau_a.ravel(), tau_t.ravel()
 
     def step(self, n: int, draw: _Draw) -> None:
         engine, weights = self.engine, self.weights[n]
-        if self.copies > 1:
-            draw = draw.tile(self.copies)
-        if n == 0 and self.stage1 is not None:
+        forced = n == 0 and self.stage1 is not None
+        if forced:
             tau = tau_a = self.stage1[0]
             tau_t = self.stage1[1]
         else:
-            plays = [
-                self._play(self.delta[rows], draw.device[rows], p_r) for rows, p_r in self.groups
-            ]
-            tau, tau_a, tau_t = (np.concatenate(parts) for parts in zip(*plays))
-        k_a, k_t = engine.slot(self.ages, draw, tau_a, tau_t)
+            tau, tau_a, tau_t = self._play(draw.device)
+        code = engine.slot(self.ages, draw, tau_a, tau_t)
         self.count_one += tau_a == 1.0
         self.count_zero += tau_a == 0.0
         self.n_access += tau_a >= 0.0
-        # The stage's AON payoff and the next stage's state.
-        self.delta = self.ages.mean(axis=1)
-        stage_u_ton = np.where((k_t == 1) & (k_a == 0), engine.ton_payout, 0.0)
-        if n == 0:
+        # The stage's payoffs, and the next stage's network age.
+        self.delta = _column_sum(self.ages) / engine.n_aon
+        stage_u_ton = engine.ton_by_code.take(code)
+        if forced:
             self.first = (self.delta, stage_u_ton)
-        self.u_aon += (-self.delta)[:, None] * weights
+        self.u_aon -= self.delta[:, None] * weights
         self.u_ton += stage_u_ton[:, None] * weights
         if self.streams is not None:
             rec = self.streams
             rec["u_aon"][:, n] = -self.delta
             rec["u_ton"][:, n] = stage_u_ton
             rec["tau_aon"][:, n] = tau
-            rec["events"][:, n] = _event_codes(k_a, k_t)
+            rec["events"][:, n] = engine.event_by_code.take(code)
             rec["aon_selected"][:, n] = tau_a >= 0.0
 
     def frequencies(self) -> tuple[np.ndarray, np.ndarray]:
@@ -432,8 +473,9 @@ def _per_run(params: ScenarioParams, seed, n_runs, n_stages, p_rs, alphas, threa
     of that bias; ``stage1`` is an optional (2 x copies) array of each copy's
     stage-1 (tau_aon, tau_ton).  Returns, run axis last so that each
     reduction reads one contiguous row, the (AON, TON) payoffs (2 x copies x
-    alphas x runs), the access frequencies at 1 and 0 and the stage-1
-    (network age, TON payoff), each (2 x copies x runs).
+    alphas x runs), the access frequencies at 1 and 0 and, only with
+    ``stage1``, the stage-1 (network age, TON payoff), each (2 x copies x
+    runs); without ``stage1`` the last is None.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     if n_runs < 1 or n_stages < 1:
@@ -445,7 +487,8 @@ def _per_run(params: ScenarioParams, seed, n_runs, n_stages, p_rs, alphas, threa
     weights = _discount_weights(alphas, n_stages)
     copies = len(p_rs)
     payoffs = np.empty((2, copies, alphas.size, n_runs))
-    freqs, first = np.empty((2, 2, copies, n_runs))
+    freqs = np.empty((2, copies, n_runs))
+    first = None if stage1 is None else np.empty((2, copies, n_runs))
 
     def work(bounds):
         start, stop = bounds
@@ -456,7 +499,8 @@ def _per_run(params: ScenarioParams, seed, n_runs, n_stages, p_rs, alphas, threa
         pay = np.reshape((state.u_aon, state.u_ton), (2, copies, size, alphas.size))
         payoffs[..., start:stop] = pay.swapaxes(2, 3)
         freqs[..., start:stop] = np.reshape(state.frequencies(), (2, copies, size))
-        first[..., start:stop] = np.reshape(state.first, (2, copies, size))
+        if first is not None:
+            first[..., start:stop] = np.reshape(state.first, (2, copies, size))
 
     _fanout(n_runs, work, threads)
     return payoffs, freqs, first

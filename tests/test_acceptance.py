@@ -123,7 +123,8 @@ def test_probability_kernel_invariants():
         uniforms = np.random.default_rng(rng_seed).random((draws, engine.width))
         [draw] = engine.draws(uniforms[:, None])
         ages = np.zeros((draws, na))
-        k_a, k_t = engine.slot(ages, draw, np.full(draws, tau_a), tau_t)
+        code = engine.slot(ages, draw, np.full(draws, tau_a), np.full(draws, tau_t))
+        k_a, k_t = np.divmod(code, 3)
         probs = ss.slot_probabilities_competitive(
             params.sizes, ss.AccessProfile(tau_a, tau_t)
         )

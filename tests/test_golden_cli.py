@@ -4,7 +4,10 @@ Every subcommand runs on ``golden_cli/golden.ini`` at a small scale whose run
 chunks and uniform stage blocks split inside a run, so a change to chunking,
 streaming or threading that moves any output digit fails here.  The
 Monte Carlo subcommands also run on ``golden_cli/lone_ton.ini``, whose
-one-node TON has no second TON draw in a slot.  The files
+one-node TON has no second TON draw in a slot, and on
+``golden_cli/equal_slots.ini``, whose equal success and collision slots let
+every copy share one AON rule call and whose 17-node AON puts the network
+age through eight partial sums and a remainder.  The files
 change only with a declared output change; regenerate them with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -36,6 +39,15 @@ CASES = {
     "lone_ton_simulate_competitive.csv": ("lone_ton.ini", ["simulate", "--mode", "competitive"]),
     "lone_ton_simulate_cooperative.csv": ("lone_ton.ini", ["simulate", "--mode", "cooperative"]),
     "lone_ton_gain.csv": ("lone_ton.ini", ["gain"]),
+    "equal_slots_simulate_competitive.csv": (
+        "equal_slots.ini",
+        ["simulate", "--mode", "competitive"],
+    ),
+    "equal_slots_simulate_cooperative.csv": (
+        "equal_slots.ini",
+        ["simulate", "--mode", "cooperative"],
+    ),
+    "equal_slots_gain.csv": ("equal_slots.ini", ["gain"]),
 }
 
 

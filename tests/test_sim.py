@@ -112,8 +112,8 @@ class TestUniformStream:
 
 def counted_slot(engine, ages, urow, tau_a, tau_t):
     """The slot step that counted transmitters per row, kept as the reference."""
-    ta = urow[:, 1 : 1 + engine.n_aon] < (tau_a[:, None] if np.ndim(tau_a) else tau_a)
-    tt = urow[:, 1 + engine.n_aon :] < (tau_t[:, None] if np.ndim(tau_t) else tau_t)
+    ta = urow[:, 1 : 1 + engine.n_aon] < tau_a[:, None]
+    tt = urow[:, 1 + engine.n_aon :] < tau_t[:, None]
     k_a = ta.sum(axis=1)
     k_t = tt.sum(axis=1)
     total = k_a + k_t
@@ -127,6 +127,15 @@ def counted_slot(engine, ages, urow, tau_a, tau_t):
         rows = np.nonzero(resets)[0]
         ages[rows, ta[rows].argmax(axis=1)] = engine.slots.success
     return k_a, k_t
+
+
+def counted_events(k_a, k_t):
+    """Recorded event codes of unclipped transmitter counts, one mask per event."""
+    events = np.full(k_a.shape, sim.EVENT_COLLISION, dtype=np.int8)
+    events[(k_a == 0) & (k_t == 0)] = sim.EVENT_IDLE
+    events[(k_a == 1) & (k_t == 0)] = sim.EVENT_SUCCESS_AON
+    events[(k_a == 0) & (k_t == 1)] = sim.EVENT_SUCCESS_TON
+    return events
 
 
 class TestSlotOrderStatistics:
@@ -158,22 +167,40 @@ class TestSlotOrderStatistics:
         urow, tau_a, tau_t = self.inputs(engine, rng)
         [draw] = engine.draws(urow[:, None])
         start = rng.choice([0.5, 1.5, 3.0], (self.ROWS, na))
-        for tau_t_case in (tau_t, engine.tau_ton_star, tau_t[0]):
+        constant = (np.full(self.ROWS, t) for t in (engine.tau_ton_star, tau_t[0]))
+        for tau_t_case in (tau_t, *constant):
             ref_ages, ages = start.copy(), start.copy()
             ref = counted_slot(engine, ref_ages, urow, tau_a, tau_t_case)
-            k_a, k_t = engine.slot(ages, draw, tau_a, tau_t_case)
+            code = engine.slot(ages, draw, tau_a, tau_t_case)
+            k_a, k_t = np.divmod(code, 3)
             assert np.array_equal(ages, ref_ages)
             assert np.array_equal(k_a, np.minimum(ref[0], 2))
             assert np.array_equal(k_t, np.minimum(ref[1], 2))
-            assert np.array_equal(sim._event_codes(k_a, k_t), sim._event_codes(*ref))
-        # A draw tiled over copies of its rows replays each run in every copy.
+            assert np.array_equal(engine.event_by_code[code], counted_events(*ref))
+        # One draw replays each run in every copy of column-major ages.
         copies = 3
-        ref_ages, ages = np.tile(start, (copies, 1)), np.tile(start, (copies, 1))
+        ref_ages = np.tile(start, (copies, 1))
+        ages = ref_ages.copy(order="F")
         taus = np.tile(tau_a, copies), np.tile(tau_t, copies)
         ref = counted_slot(engine, ref_ages, np.tile(urow, (copies, 1)), *taus)
-        k_a, k_t = engine.slot(ages, draw.tile(copies), *taus)
+        code = engine.slot(ages, draw, *taus)
         assert np.array_equal(ages, ref_ages)
-        assert np.array_equal(sim._event_codes(k_a, k_t), sim._event_codes(*ref))
+        assert np.array_equal(engine.event_by_code[code], counted_events(*ref))
+
+
+def test_column_sum_mean_is_numpy_row_mean():
+    # The network age sums the columns of column-major ages in numpy's
+    # pairwise order: sequential below 8 nodes, 8 partial sums to 128, halves
+    # above.  Magnitudes from 1e-8 to 1e8, some negative, expose any change
+    # in the order of additions.
+    rng = np.random.default_rng(5)
+    for n_aon in range(1, 131):
+        rows = 67
+        ages = rng.random((rows, n_aon)) * 10.0 ** rng.integers(-8, 9, (rows, n_aon))
+        ages[rng.random(ages.shape) < 0.2] *= -1.0
+        expected = ages.mean(axis=1)
+        got = sim._column_sum(np.asfortranarray(ages)) / n_aon
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), n_aon
 
 
 class TestCompetitiveRuns:
@@ -269,7 +296,8 @@ class TestRealizedVersusExpected:
         [draw] = engine.draws(uniforms[:, None])
         prior = 2.0
         ages = np.full((draws, 3), prior)
-        k_a, k_t = engine.slot(ages, draw, np.full(draws, 0.3), 0.25)
+        code = engine.slot(ages, draw, np.full(draws, 0.3), np.full(draws, 0.25))
+        k_a, k_t = np.divmod(code, 3)
         realized_thr = np.where((k_t == 1) & (k_a == 0), engine.ton_payout, 0.0)
         realized_age = ages.mean(axis=1)
         expected = ss.expected_stage_payoffs(
