@@ -2,11 +2,13 @@
 
 In each slot the AON picks its access probability to minimize the expected
 network age at the slot end, the TON to maximize its expected throughput.
-Both problems have closed-form solutions with a threshold structure in the
-current network age: below the threshold the AON is pinned to 0 or 1
-(depending on which slot type is cheaper), above it an interior probability
-applies.  A brute-force grid-search oracle is provided so tests can certify
-the closed forms without re-deriving the optimality conditions.
+Both problems have closed-form solutions.  The AON's is one threshold rule
+in the current network age for both modes (``_rule``, ``_tau``): below the
+threshold the AON is pinned to 0 or 1 (depending on which slot type is
+cheaper), above it an interior probability applies, and competing differs
+from obeying the device only by the TON's contention term.  A brute-force
+grid-search oracle is provided so tests can certify the closed forms without
+re-deriving the optimality conditions.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,44 +126,45 @@ def _three_branch(delta, th0: float, th1: float, interior) -> np.ndarray | float
     return min(max(raw, 0.0), 1.0)
 
 
-def _shares_coop_rule(slots: SlotLengths) -> bool:
-    """Whether the competitive AON rule is the cooperative one.
+class _Rule(NamedTuple):
+    """One mode's AON access rule, as ``_rule`` builds it."""
 
-    With equal success and collision slots the AON's trade-off no longer
-    involves the TON, so ``_msne_tau`` and ``_msne_thresholds`` delegate to
-    ``_coop_tau`` and ``_coop_thresholds``.
+    k: float
+    c: float
+    th0: float
+    th1: float
+
+
+def _rule(sizes: NetworkSizes, slots: SlotLengths, competitive: bool) -> _Rule:
+    """The AON's threshold rule when competing or when obeying the device.
+
+    The two modes differ only in the TON's contention term: competing with
+    the TON at ``tau_ton* = 1 / n_ton`` scales the AON's trade-off by
+    ``k = 1 - tau_ton*`` and adds ``c = N_A N_T tau_ton* (sigma_S - sigma_C)``.
+    The term vanishes at sigma_S = sigma_C, so competing there, like obeying
+    the device, has ``(k, c) = (1, 0)``.  Multiplying by 1 and adding 0 are
+    exact, so every mode evaluates one formula.
     """
-    return slots.success == slots.collision
-
-
-def _msne_thresholds(sizes: NetworkSizes, slots: SlotLengths) -> tuple[float, float]:
-    if _shares_coop_rule(slots):
-        return _coop_thresholds(sizes, slots)
     si, ss, sc = slots.idle, slots.success, slots.collision
     na, nt = sizes.n_aon, sizes.n_ton
-    th1 = na * (ss - sc)
-    if nt == 1:
+    k, c = 1.0, 0.0
+    if competitive and ss != sc:
+        tt = 1.0 / nt
+        k, c = 1.0 - tt, na * nt * tt * (ss - sc)
+    if k == 0.0:
         # tau_ton* = 1 makes the th0 denominator vanish; the sign of the
         # success/collision gap decides which branch survives.
-        return (-np.inf if ss > sc else np.inf), th1
-    tt = 1.0 / nt
-    return na * (ss - si) - na * nt * tt * (ss - sc) / (1.0 - tt), th1
+        th0 = -math.inf if c > 0.0 else math.inf
+    else:
+        th0 = na * (ss - si) - c / k
+    return _Rule(k, c, th0, na * (ss - sc))
 
 
-def _msne_tau(delta, sizes: NetworkSizes, slots: SlotLengths, thresholds=None):
-    """Competitive-equilibrium AON access probability (vectorized in the age).
-
-    ``thresholds`` passes ``_msne_thresholds(sizes, slots)`` when the caller
-    already has them.  Where ``_shares_coop_rule(slots)``, the rule is the
-    cooperative one.
-    """
-    if _shares_coop_rule(slots):
-        return _coop_tau(delta, sizes, slots, thresholds)
+def _tau(delta, sizes: NetworkSizes, slots: SlotLengths, rule: _Rule):
+    """The AON access probability under ``rule`` (from ``_rule``), vectorized in the age."""
     si, ss, sc = slots.idle, slots.success, slots.collision
-    na, nt = sizes.n_aon, sizes.n_ton
-    tt = 1.0 / nt
-    th0, th1 = thresholds or _msne_thresholds(sizes, slots)
-    cross = na * nt * tt * (ss - sc)
+    na = sizes.n_aon
+    k, c, th0, th1 = rule
 
     def interior(d):
         if na == 1:
@@ -168,34 +172,9 @@ def _msne_tau(delta, sizes: NetworkSizes, slots: SlotLengths, thresholds=None):
             # probability, the stationarity numerator and denominator
             # coincide, and the formula collapses to exactly 1.
             return np.ones_like(d)
-        num = (1.0 - tt) * (d - na * (ss - si)) + cross
-        den = (1.0 - tt) * na * (d + (si - sc) - na * (ss - sc)) + cross
+        num = k * (d - na * (ss - si)) + c
+        den = k * na * (d + (si - sc) - na * (ss - sc)) + c
         return num / den
-
-    return _three_branch(delta, th0, th1, interior)
-
-
-def _coop_thresholds(sizes: NetworkSizes, slots: SlotLengths) -> tuple[float, float]:
-    na = sizes.n_aon
-    return na * (slots.success - slots.idle), na * (slots.success - slots.collision)
-
-
-def _coop_tau(delta, sizes: NetworkSizes, slots: SlotLengths, thresholds=None):
-    """Optimal AON access probability on the device-granted exclusive channel.
-
-    ``thresholds`` passes ``_coop_thresholds(sizes, slots)`` when the caller
-    already has them.
-    """
-    na = sizes.n_aon
-    si, ss, sc = slots.idle, slots.success, slots.collision
-    th0, th1 = thresholds or _coop_thresholds(sizes, slots)
-
-    def interior(d):
-        if na == 1:
-            # Same linear collapse as the competitive rule: one AON node has
-            # no self-contention, so the interior formula is identically 1.
-            return np.ones_like(d)
-        return (d - na * (ss - si)) / (na * (d + (si - sc) - na * (ss - sc)))
 
     return _three_branch(delta, th0, th1, interior)
 
@@ -207,13 +186,13 @@ def _regime(delta: float, th0: float, th1: float) -> Regime:
     return Regime.FORCED_ZERO if th == th0 else Regime.FORCED_ONE
 
 
-def _solve(rule, thresholds, sizes: NetworkSizes, slots: SlotLengths, network_age: float):
-    """Stage-game profile and thresholds of one AON access rule at one age."""
+def _solve(sizes: NetworkSizes, slots: SlotLengths, network_age: float, competitive: bool):
+    """Stage-game profile and thresholds of one mode's AON access rule at one age."""
     check_age(network_age, "network age")
-    th0, th1 = thresholds(sizes, slots)
-    tau_a = rule(network_age, sizes, slots, (th0, th1))
+    rule = _rule(sizes, slots, competitive)
+    tau_a = _tau(network_age, sizes, slots, rule)
     profile = AccessProfile(tau_aon=tau_a, tau_ton=1.0 / sizes.n_ton)
-    return profile, ThresholdAges(th0, th1, _regime(network_age, th0, th1))
+    return profile, ThresholdAges(rule.th0, rule.th1, _regime(network_age, rule.th0, rule.th1))
 
 
 def msne(
@@ -224,14 +203,14 @@ def msne(
     The TON side is always ``1 / n_ton`` regardless of the AON; the AON side
     follows the three-branch threshold rule in the current network age.
     """
-    return _solve(_msne_tau, _msne_thresholds, sizes, slots, network_age)
+    return _solve(sizes, slots, network_age, competitive=True)
 
 
 def cooperative_optimum(
     sizes: NetworkSizes, slots: SlotLengths, network_age: float
 ) -> tuple[AccessProfile, ThresholdAges]:
     """Optimal per-network access probabilities when the device grants access."""
-    return _solve(_coop_tau, _coop_thresholds, sizes, slots, network_age)
+    return _solve(sizes, slots, network_age, competitive=False)
 
 
 def expected_stage_payoffs(

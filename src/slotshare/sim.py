@@ -23,13 +23,14 @@ device bias, optionally forced to a stage-1 profile, with payoffs weighted
 by a (stages x alphas) matrix.  ``simulate`` uses one copy, the gain grid
 ``1 + |biases|`` and the region sweep ``2 + 2 * |biases|``; all copies read
 the same draws, one slot step per stage, by broadcasting the per-run draw
-against per-copy access probabilities and biases.  Consecutive copies that
-follow the same AON rule share one rule call per stage.  The node ages are
-column-major, so the per-stage network age sums whole columns
-(``_column_sum``) in numpy's pairwise order.  Every Monte Carlo command
-collects through ``_per_run``, which cuts the runs into chunks of
-``_DEFAULT_CHUNK``, fans them out over threads and stores each run's results
-by run index.
+against per-copy access probabilities and biases.  Consecutive copies whose
+AON rules (``equilibrium._rule``) are equal share one rule call per stage:
+the cooperative copies, and with equal success and collision slots the
+competitive ones too.  The node ages are column-major, so the per-stage
+network age sums whole columns (``_column_sum``) in numpy's pairwise order.
+Every Monte Carlo command collects through ``_per_run``, which cuts the runs
+into chunks of ``_DEFAULT_CHUNK``, fans them out over threads and stores
+each run's results by run index.
 
 A node transmits iff its draw is below its network's access probability, so
 a network sends 0, 1 or at least 2 packets according to whether that
@@ -330,8 +331,7 @@ class _Trajectories:
         self.ton_bias = np.array([[-np.inf if p_r is None else p_r] for p_r in p_rs])
         # Consecutive copies that follow the same AON rule share one call on
         # their rows' network ages.
-        competitive = eq._coop_tau if eq._shares_coop_rule(engine.slots) else eq._msne_tau
-        rules = [competitive if p_r is None else eq._coop_tau for p_r in p_rs]
+        rules = [eq._rule(engine.sizes, engine.slots, p_r is None) for p_r in p_rs]
         self.groups, start = [], 0
         for rule, group in itertools.groupby(rules):
             stop = start + len(list(group))
@@ -350,7 +350,8 @@ class _Trajectories:
     def _play(self, device):
         """The AON rule's tau and the played (tau_aon, tau_ton) of every row."""
         engine = self.engine
-        taus = [rule(self.delta[rows], engine.sizes, engine.slots) for rule, rows in self.groups]
+        sizes, slots = engine.sizes, engine.slots
+        taus = [eq._tau(self.delta[rows], sizes, slots, rule) for rule, rows in self.groups]
         tau = taus[0] if len(taus) == 1 else np.concatenate(taus)
         tau_a = np.where(device < self.aon_bias, tau.reshape(self.shape), -1.0)
         tau_t = np.where(device >= self.ton_bias, engine.tau_ton_star, -1.0)

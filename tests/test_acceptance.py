@@ -14,10 +14,15 @@ import numpy as np
 import pytest
 
 import slotshare as ss
-from slotshare import cli, equilibrium as eq
+from slotshare import cli
 from slotshare.config import parse_config
 from slotshare.sim import _Engine
-from test_equilibrium import check_equilibrium_against_oracle, draw_age, random_scenarios
+from test_equilibrium import (
+    check_equilibrium_against_oracle,
+    competitive_threshold,
+    draw_age,
+    random_scenarios,
+)
 
 SMALL = ss.SlotLengths(idle=0.01, success=1.01, collision=0.101)
 EQUAL = ss.SlotLengths(idle=0.01, success=1.01, collision=1.01)
@@ -73,7 +78,7 @@ def test_two_player_cooperation_example():
 def test_oracle_equivalence():
     start = time.monotonic()
     for sizes, slots, rng in random_scenarios(1000, seed=88):
-        age = draw_age(rng, max(eq._msne_thresholds(sizes, slots)))
+        age = draw_age(rng, competitive_threshold(sizes, slots))
         check_equilibrium_against_oracle(sizes, slots, age, grid_step=1e-4)
     elapsed = time.monotonic() - start
     criterion("oracle equivalence (1000 draws)", elapsed < 300.0, f"{elapsed:.1f}s")

@@ -1,5 +1,7 @@
 """Closed-form stage-game solutions certified by the grid-search oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,11 @@ def random_scenarios(n, seed):
         yield sizes, slots, rng
 
 
+def competitive_threshold(sizes, slots):
+    rule = eq._rule(sizes, slots, competitive=True)
+    return max(rule.th0, rule.th1)
+
+
 def draw_age(rng, threshold):
     cap = threshold if np.isfinite(threshold) and threshold > 0 else 1.0
     return float(rng.uniform(0.0, 3.0 * cap))
@@ -260,7 +267,7 @@ def check_equilibrium_against_oracle(sizes, slots, age, grid_step=STEP):
 
 def test_closed_forms_match_oracle_on_random_scenarios():
     for sizes, slots, rng in random_scenarios(150, seed=20240):
-        age = draw_age(rng, max(eq._msne_thresholds(sizes, slots)))
+        age = draw_age(rng, competitive_threshold(sizes, slots))
         check_equilibrium_against_oracle(sizes, slots, age)
 
 
@@ -291,14 +298,12 @@ def test_interior_is_continuous_at_threshold_for_multinode_aon():
         (ss.NetworkSizes(2, 6), ss.SlotLengths(0.01, 1.01, 0.101), 1.0),
     ]
     for sizes, slots, expected_boundary in cases:
-        for solver in (eq._msne_tau, eq._coop_tau):
-            if solver is eq._msne_tau:
-                th = max(eq._msne_thresholds(sizes, slots))
-            else:
-                th = max(eq._coop_thresholds(sizes, slots))
-            below = solver(th, sizes, slots)
-            above = solver(th + 1e-9, sizes, slots)
-            assert abs(above - below) <= 1e-6, (sizes, slots, solver, below, above)
+        for competitive in (True, False):
+            rule = eq._rule(sizes, slots, competitive)
+            th = max(rule.th0, rule.th1)
+            below = eq._tau(th, sizes, slots, rule)
+            above = eq._tau(th + 1e-9, sizes, slots, rule)
+            assert abs(above - below) <= 1e-6, (sizes, slots, competitive, below, above)
             if expected_boundary is not None:
                 assert below in (0.0, 1.0)
 
@@ -318,9 +323,9 @@ def test_out_of_range_raises_instead_of_clamping():
             eq._three_branch(as_input(5.0), 0.0, 1.0, lambda d: d * 0.0 / 0.0)
 
 
-def _rule_result(rule, age, sizes, slots):
+def _rule_result(tau, age, *args):
     try:
-        return rule(age, sizes, slots)
+        return tau(age, *args)
     except ss.OutOfRangeError as err:
         return str(err)
 
@@ -331,22 +336,99 @@ def test_scalar_path_equals_array_path(scenario):
     rng = np.random.default_rng(11)
     for na, nt in ((5, 5), (1, 3), (3, 1), (2, 6)):
         sizes = ss.NetworkSizes(na, nt)
+        rules = [eq._rule(sizes, slots, competitive) for competitive in (True, False)]
         # Integer ages also go in as Python ints.
         ages = list(range(0, 21)) + [float(a) for a in rng.uniform(0.0, 20.0, 40)]
-        for th in (*eq._msne_thresholds(sizes, slots), *eq._coop_thresholds(sizes, slots)):
+        for th in (t for rule in rules for t in (rule.th0, rule.th1)):
             if np.isfinite(th):
                 ages += [np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf)]
-        for rule in (eq._msne_tau, eq._coop_tau):
+        for rule in rules:
             for age in ages:
-                expected = _rule_result(rule, np.array([age], dtype=np.float64), sizes, slots)
+                array = np.array([age], dtype=np.float64)
+                expected = _rule_result(eq._tau, array, sizes, slots, rule)
                 if not isinstance(expected, str):
                     expected = float(expected[0]).hex()
                 for scalar in (age, float(age), np.float64(age), np.array(float(age))):
-                    got = _rule_result(rule, scalar, sizes, slots)
+                    got = _rule_result(eq._tau, scalar, sizes, slots, rule)
                     if not isinstance(got, str):
                         assert type(got) is float
                         got = got.hex()
-                    assert got == expected, (rule.__name__, sizes, age, type(scalar))
+                    assert got == expected, (rule, sizes, age, type(scalar))
+
+
+def _reference_thresholds(sizes, slots, competitive):
+    """The competitive and the cooperative thresholds, each as written before they became one."""
+    si, ss_, sc = slots.idle, slots.success, slots.collision
+    na, nt = sizes.n_aon, sizes.n_ton
+    if not competitive or ss_ == sc:
+        return na * (ss_ - si), na * (ss_ - sc)
+    th1 = na * (ss_ - sc)
+    if nt == 1:
+        return (-np.inf if ss_ > sc else np.inf), th1
+    tt = 1.0 / nt
+    return na * (ss_ - si) - na * nt * tt * (ss_ - sc) / (1.0 - tt), th1
+
+
+def _reference_tau(delta, sizes, slots, competitive):
+    """The competitive-equilibrium and the cooperative-optimum AON rules, written out apart.
+
+    At sigma_S = sigma_C the competitive rule is the cooperative one.
+    """
+    si, ss_, sc = slots.idle, slots.success, slots.collision
+    na, nt = sizes.n_aon, sizes.n_ton
+    th0, th1 = _reference_thresholds(sizes, slots, competitive)
+
+    def cooperative(d):
+        if na == 1:
+            return np.ones_like(d)
+        return (d - na * (ss_ - si)) / (na * (d + (si - sc) - na * (ss_ - sc)))
+
+    def competing(d):
+        if na == 1:
+            return np.ones_like(d)
+        tt = 1.0 / nt
+        cross = na * nt * tt * (ss_ - sc)
+        num = (1.0 - tt) * (d - na * (ss_ - si)) + cross
+        den = (1.0 - tt) * na * (d + (si - sc) - na * (ss_ - sc)) + cross
+        return num / den
+
+    interior = competing if competitive and ss_ != sc else cooperative
+    return eq._three_branch(delta, th0, th1, interior)
+
+
+def _hex_or_text(result):
+    """A rule's float, or its one-element array's entry, in hex; an error text as is."""
+    if isinstance(result, str):
+        return result
+    assert type(result) in (float, np.ndarray)
+    return float(np.ravel(result)[0]).hex()
+
+
+def test_one_rule_equals_the_two_reference_rules():
+    # The one rule multiplies by 1 and adds 0 where a reference rule does
+    # neither; both are exact, so every result and error text is identical.
+    rng = np.random.default_rng(2025)
+    grid = itertools.product((1, 2, 5, 17), (1, 2, 5), (0.1, 0.99, 1.0, 1.01, 2.0), (True, False))
+    for na, nt, ratio, competitive in grid:
+        sizes = ss.NetworkSizes(na, nt)
+        slots = ss.SlotLengths(0.01, 1.01, ratio * 1.01)
+        rule = eq._rule(sizes, slots, competitive)
+        reference = _reference_thresholds(sizes, slots, competitive)
+        assert [_hex_or_text(t) for t in (rule.th0, rule.th1)] == [
+            _hex_or_text(t) for t in reference
+        ]
+        # An infinite age gives inf / inf above the threshold: the
+        # out-of-range error that valid slot lengths can reach.
+        ages = [0, 1, 2, 3, np.inf] + [float(a) for a in rng.uniform(0.0, 4.0 * na, 30)]
+        for th in filter(np.isfinite, reference):
+            ages += [np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf)]
+        for age in (a for a in ages if a >= 0.0):
+            # The array path, then every scalar input type.
+            scalars = (age, float(age), np.float64(age), np.array(float(age)))
+            for value in (np.array([age]), *scalars):
+                got = _rule_result(eq._tau, value, sizes, slots, rule)
+                want = _rule_result(_reference_tau, value, sizes, slots, competitive)
+                assert _hex_or_text(got) == _hex_or_text(want), (sizes, slots, competitive, age)
 
 
 @pytest.mark.parametrize("solver", [ss.msne, ss.cooperative_optimum])

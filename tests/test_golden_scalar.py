@@ -68,8 +68,9 @@ def _table_ages(params, seed):
     """Ages on each finite threshold and one ulp either side (if non-negative), and random ones."""
     sizes, slots = params.sizes, params.slots
     ages = set()
-    for thresholds in (eq._msne_thresholds(sizes, slots), eq._coop_thresholds(sizes, slots)):
-        for th in filter(math.isfinite, thresholds):
+    for competitive in (True, False):
+        rule = eq._rule(sizes, slots, competitive)
+        for th in filter(math.isfinite, (rule.th0, rule.th1)):
             for age in (math.nextafter(th, -math.inf), th, math.nextafter(th, math.inf)):
                 if age >= 0.0:
                     ages.add(age)

@@ -429,6 +429,42 @@ class TestGain:
             ss.gain_grid(scenario(equal_slots), 10, 10, 1, alphas, biases)
 
 
+class TestRuleSharing:
+    """Consecutive copies under one AON rule share one rule call per chunk and stage."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The length of every array rule call; scalar ones (``cooperative_optimum``) are left out."""
+        lengths, tau = [], eq._tau
+
+        def counted(delta, *args):
+            if np.ndim(delta):
+                lengths.append(len(delta))
+            return tau(delta, *args)
+
+        monkeypatch.setattr(eq, "_tau", counted)
+        monkeypatch.setattr(sim, "_DEFAULT_CHUNK", 16)
+        return lengths
+
+    # Chunks of 16, 16 and 8 runs.  Equal slots give the competitive copies
+    # the cooperative rule, so every copy shares one call; small collisions
+    # split the copies into a competitive and a cooperative group.
+    @pytest.mark.parametrize("slots, groups", [("equal_slots", 1), ("small_collision", 2)])
+    def test_gain_grid(self, calls, slots, groups, request):
+        params = scenario(request.getfixturevalue(slots))
+        ss.gain_grid(params, 40, 12, 3, [0.5, 0.9], [0.2, 0.5, 0.8])
+        assert len(calls) == 3 * 12 * groups
+        assert sum(calls) == 40 * 4 * 12
+
+    @pytest.mark.parametrize("slots, groups", [("equal_slots", 1), ("small_collision", 2)])
+    def test_region_sweep(self, calls, slots, groups, request):
+        # Stage 1 plays the forced profiles and calls no rule.
+        params = scenario(request.getfixturevalue(slots))
+        ss.region_sweep(params, [0.5, 0.9], [0.2, 0.5, 0.8], 40, 12, seed=3)
+        assert len(calls) == 3 * 11 * groups
+        assert sum(calls) == 40 * 8 * 11
+
+
 def test_run_config_validation(small_collision):
     with pytest.raises(ss.ConfigurationError):
         ss.RunConfig(scenario(small_collision), 0, ss.Mode.COMPETITIVE, seed=1)
