@@ -71,6 +71,8 @@ GAIN_COLUMNS = [
     "p_r",
     "gain_aon",
     "gain_ton",
+    "se_gain_aon",
+    "se_gain_ton",
     "U_aon_competitive",
     "U_ton_competitive",
     "U_aon_cooperative",
@@ -220,6 +222,8 @@ def cmd_gain(config: ExperimentConfig) -> str:
                     _g17(p_r),
                     _g17(result.gain_aon),
                     _g17(result.gain_ton),
+                    _g17(result.se_gain_aon),
+                    _g17(result.se_gain_ton),
                     _g17(result.competitive.u_aon_mean),
                     _g17(result.competitive.u_ton_mean),
                     _g17(result.cooperative.u_aon_mean),

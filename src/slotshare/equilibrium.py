@@ -104,13 +104,19 @@ def _three_branch(delta, th0: float, th1: float, interior) -> np.ndarray | float
             mask = arr > th
             # Every row is evaluated; rows at or below th may divide by zero.
             with np.errstate(divide="ignore", invalid="ignore"):
-                raw = interior(arr)
-            # NaN fails both comparisons, so it counts as out of range.
-            bad = mask & ~((raw >= -BOUNDARY_TOL) & (raw <= 1.0 + BOUNDARY_TOL))
-            if np.any(bad):
-                first = np.flatnonzero(bad)[0]
-                _raise_out_of_range(raw[first], arr[first], th0, th1)
-            return np.where(mask, np.clip(raw, 0.0, 1.0), pinned)
+                tau = interior(arr)
+            np.copyto(tau, pinned, where=~mask)
+            # Only a row outside [0, 1], or NaN (which fails both comparisons),
+            # needs the tolerance check and the clip.
+            if not (tau.min(initial=0.0) >= 0.0 and tau.max(initial=1.0) <= 1.0):
+                bad = ~((tau >= -BOUNDARY_TOL) & (tau <= 1.0 + BOUNDARY_TOL))
+                if np.any(bad):
+                    first = np.flatnonzero(bad)[0]
+                    _raise_out_of_range(tau[first], arr[first], th0, th1)
+                # Like np.clip, keep -0.0 (np.maximum would return +0.0).
+                np.copyto(tau, 0.0, where=tau < 0.0)
+                np.minimum(tau, 1.0, out=tau)
+            return tau
     d = float(delta)
     if not d > th:
         return pinned

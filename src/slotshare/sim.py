@@ -10,12 +10,20 @@ is ignored, matching the evaluation protocol.
 Runs are vectorized: a batch of runs advances in lockstep, each run drawing
 its randomness from its own counter-based stream (see ``seeding``), so
 results are bit-identical for a fixed master seed no matter how the batch is
-chunked or threaded.  Uniform draws are laid out one row per stage:
-column 0 is the coordination-device draw, columns ``1 .. n_aon`` the AON
-node draws, and the remaining ``n_ton`` columns the TON node draws.  A chunk
-of runs draws its rows a block of stages at a time into one reused buffer;
-a counter-based stream read in order yields the same numbers however it is
-cut into blocks.
+chunked or threaded.  Run ``r``'s stream is read as one row of uniforms per
+stage.  Column 0 is the coordination-device draw.  The AON's columns follow,
+then the TON's.  A network of one or two nodes has one column per node: its
+raw node draws.  A larger network of ``n`` nodes has two columns ``U, V``
+and, for the AON only, a third ``W``: with ``U' = 1 - U`` and
+``V' = 1 - V``, its smallest node draw is ``1 - G`` with ``G = U'**(1/n)``,
+its second-smallest ``1 - G * V'**(1/(n - 1))`` (the smallest of the
+``n - 1`` draws above the first), and the AON node that holds the smallest
+is ``floor(W * n)``, uniform and independent of both by exchangeability.
+These are the joint law of the two smallest of ``n`` uniform node draws and
+of the node that holds the smallest, which is all that a slot reads.  A
+chunk of runs draws its rows a block of stages at a time into one reused
+buffer; a counter-based stream read in order yields the same numbers however
+it is cut into blocks.
 
 One state (``_Trajectories``) holds every trajectory of a chunk: copies of
 its runs stacked as rows, each copy competitive or cooperative with its own
@@ -27,20 +35,20 @@ against per-copy access probabilities and biases.  Consecutive copies whose
 AON rules (``equilibrium._rule``) are equal share one rule call per stage:
 the cooperative copies, and with equal success and collision slots the
 competitive ones too.  The node ages are column-major, so the per-stage
-network age sums whole columns (``_column_sum``) in numpy's pairwise order.
-Every Monte Carlo command collects through ``_per_run``, which cuts the runs
-into chunks of ``_DEFAULT_CHUNK``, fans them out over threads and stores
-each run's results by run index.
+network age adds whole columns, left to right.  Every Monte Carlo command
+collects through ``_per_run``, which cuts the runs into chunks of
+``_DEFAULT_CHUNK``, fans them out over threads and stores each run's results
+by run index.
 
 A node transmits iff its draw is below its network's access probability, so
 a network sends 0, 1 or at least 2 packets according to whether that
 probability lies above its smallest and its second-smallest draw.  Each
-block is therefore reduced once, before the state reads it, to the device
-draw and the two smallest draws of each network per run and stage
-(``_Draw``); only an AON success goes back to the raw AON draws, to find
-the node whose age resets.  The two counts, each clipped at 2, make one
-event code ``3 * k_a + k_t`` that indexes the age growth, the TON payoff and
-the recorded event.
+block is therefore turned once, before the state reads it, into per-run
+draws of six values per stage: the two smallest draws of each network, the
+device draw and the AON node that holds the smallest, whose age resets on an
+AON success.  The two counts, each clipped at 2, make one event code
+``3 * k_a + k_t`` that indexes the age growth, the TON payoff and the
+recorded event.
 """
 
 from __future__ import annotations
@@ -49,7 +57,6 @@ import enum
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,9 +65,8 @@ from .model import AgeState, ConfigurationError, ScenarioParams
 from .seeding import run_generator
 
 _DEFAULT_CHUNK = 1024
-# Size of one chunk's block buffers (raw uniforms, and their stage-major copy
-# beside the per-stage order statistics): they hold as many stages of every
-# run as fit, at least one.
+# Size of one chunk's block buffers (raw uniform rows, and the draws made
+# from them): they hold as many stages of every run as fit, at least one.
 _BLOCK_BYTES = 8 << 20
 
 # Event codes in recorded stage streams.
@@ -132,24 +138,6 @@ class Aggregate:
     n_runs: int
 
 
-class _Draw(NamedTuple):
-    """One stage's uniforms for a chunk's runs, reduced to what a slot reads.
-
-    ``stats`` is (5 x runs): the two smallest AON node draws, the two
-    smallest TON node draws (+inf as the second of a one-node network) and
-    the device draw.  ``aon`` is the (runs x n_aon) raw AON node draws.  Every
-    copy of the runs reads the same draw: state row ``i`` reads run
-    ``i % runs``.
-    """
-
-    stats: np.ndarray
-    aon: np.ndarray
-
-    @property
-    def device(self) -> np.ndarray:
-        return self.stats[4]
-
-
 class _Engine:
     """Scenario constants plus the vectorized stage step."""
 
@@ -159,7 +147,10 @@ class _Engine:
         self.slots = params.slots
         self.n_aon = params.sizes.n_aon
         self.n_ton = params.sizes.n_ton
-        self.width = 1 + self.n_aon + self.n_ton
+        # Uniform columns of a stage row: the device, then each network's
+        # (one per node up to two nodes; U, V and the AON's W above).
+        self.aon_columns = self.n_aon if self.n_aon <= 2 else 3
+        self.width = 1 + self.aon_columns + min(self.n_ton, 2)
         self.tau_ton_star = 1.0 / self.n_ton
         # Realized network throughput on a TON success: one node delivered a
         # slot's worth of bits, averaged over the network.
@@ -183,109 +174,102 @@ class _Engine:
         return buf[:, :n_stages]
 
     def stage_rows(self, seed: int, run_indices: range, n_stages: int):
-        """Yield each stage's ``_Draw`` of the runs; run ``r`` reads stream ``(seed, r)``.
+        """Yield each stage's draw of the runs; run ``r`` reads stream ``(seed, r)``.
 
-        A yielded draw is a view into buffers that the next block overwrites.
+        A yielded draw is a view into a buffer that the next block overwrites.
         """
         generators = [run_generator(seed, run) for run in run_indices]
         n_runs = len(generators)
-        # Per run and stage: a raw row, then its copy and four statistics in the table.
-        block = max(1, _BLOCK_BYTES // (8 * n_runs * (2 * self.width + 4)))
+        # Per run and stage: a raw row, and the six values of its draw.
+        block = max(1, _BLOCK_BYTES // (8 * n_runs * (self.width + 6)))
         size = min(block, n_stages)
         buf = np.empty((n_runs, size, self.width))
-        table = np.empty((size, 4 + self.width, n_runs))
+        table = np.empty((size, 6, n_runs))
         for start in range(0, n_stages, block):
             raw = self.uniforms(generators, buf, min(block, n_stages - start))
             yield from self.draws(raw, table)
 
     def draws(self, block: np.ndarray, table: np.ndarray | None = None):
-        """Yield the ``_Draw`` of each stage of a (runs x stages x width) uniform block.
+        """Yield the draw of each stage of a (runs x stages x width) uniform block.
 
-        ``table`` is a (stages x (4 + width) x runs) buffer, at least as many
-        stages long as the block.  Per stage it receives the block's row of
-        every run, transposed to columns, behind four rows of order
-        statistics: the two smallest AON and the two smallest TON draws.
-        These come from elementwise minima and maxima over whole columns,
-        not from per-row reductions.  The draws are views into ``table`` and
-        ``block``.
+        A draw is a (6 x runs) array: per run, the two smallest AON node
+        draws, the two smallest TON node draws (+inf as the second of a
+        one-node network), the device draw and the index of the AON node
+        that holds the smallest (as a float).  Every copy of the runs reads
+        the same draw: state row ``i`` reads run ``i % runs``.  The draws are
+        views into ``table``, a (stages x 6 x runs) buffer at least as many
+        stages long as the block.
         """
-        n_runs, n_stages, width = block.shape
+        n_runs, n_stages, _ = block.shape
         if table is None:
-            table = np.empty((n_stages, 4 + width, n_runs))
+            table = np.empty((n_stages, 6, n_runs))
         table = table[:n_stages]
-        columns = table[:, 4:]
-        np.copyto(columns, block.transpose(1, 2, 0))
-        networks = ((0, range(1, 1 + self.n_aon)), (2, range(1 + self.n_aon, width)))
-        for row, nodes in networks:
-            first, second = table[:, row], table[:, row + 1]
-            first[...] = columns[:, nodes[0]]
-            second.fill(np.inf)
-            for node in nodes[1:]:
-                column = columns[:, node]
-                # second <- max(first, min(second, column)), first <- min(first, column).
-                np.minimum(second, column, out=second)
-                np.maximum(second, first, out=second)
-                np.minimum(first, column, out=first)
-        for j in range(n_stages):
-            # Rows 0-3 are the statistics and row 4 the device column.
-            yield _Draw(table[j, :5], block[:, j, 1 : 1 + self.n_aon])
+        columns = block.transpose(1, 2, 0)
+        split = 1 + self.aon_columns
+        np.copyto(table[:, 4], columns[:, 0])
+        _two_smallest(columns[:, 1:split], self.n_aon, table[:, 0], table[:, 1], table[:, 5])
+        _two_smallest(columns[:, split:], self.n_ton, table[:, 2], table[:, 3])
+        yield from table
 
-    def slot(self, ages: np.ndarray, draw: _Draw, tau_a: np.ndarray, tau_t: np.ndarray):
+    def slot(self, ages: np.ndarray, draw: np.ndarray, tau_a: np.ndarray, tau_t: np.ndarray):
         """Advance all rows by one slot in place; returns each row's event code.
 
         ``ages`` stacks copies of the draw's runs as rows, and ``tau_a`` /
         ``tau_t`` hold one access probability per row; a negative value
-        silences that network (no uniform is below it).  A network has a
+        silences that network (no draw is below it).  A network has a
         transmitter iff its smallest draw is below its access probability and
         two or more iff its second-smallest is, so its count ``k`` reads 0, 1
-        or 2 (two or more); the event code is ``3 * k_a + k_t``.  The draw's
-        statistics are compared with the taus viewed as (copies x runs), so
-        no copy of the draw is made.
+        or 2 (two or more); the event code is ``3 * k_a + k_t``.  The draw is
+        compared with the taus viewed as (copies x runs), so no copy of the
+        draw is made.
         """
-        runs = draw.stats.shape[1]
+        runs = draw.shape[1]
         shape = (len(ages) // runs, runs)
-        below_a = draw.stats[0:2, None] < tau_a.reshape(shape)
-        below_t = draw.stats[2:4, None] < tau_t.reshape(shape)
+        below_a = draw[0:2, None] < tau_a.reshape(shape)
+        below_t = draw[2:4, None] < tau_t.reshape(shape)
         k_a = np.add(below_a[0], below_a[1], dtype=np.int8).ravel()
         k_t = np.add(below_t[0], below_t[1], dtype=np.int8).ravel()
         code = 3 * k_a + k_t
         ages += self._growth.take(code)[:, None]
         resets = np.flatnonzero(code == 3)
         if resets.size:
-            # The lone AON transmitter holds the row's smallest AON draw.
-            nodes = draw.aon[resets % runs]
-            ages[resets, nodes.argmin(axis=1)] = self.slots.success
+            # The lone AON transmitter is the node that holds the smallest draw.
+            nodes = draw[5].take(resets % runs).astype(np.intp)
+            ages[resets, nodes] = self.slots.success
         return code
 
 
-def _column_sum(ages: np.ndarray) -> np.ndarray:
-    """Per-row sum of a (rows x n) matrix, one whole column at a time.
+def _two_smallest(columns: np.ndarray, n: int, first, second, node=None) -> None:
+    """Write a network's two smallest node draws, per stage and run, into ``first``/``second``.
 
-    The additions follow numpy's pairwise summation of a contiguous row (a
-    plain sequence below 8 terms, 8 partial sums combined in a fixed tree up
-    to 128, halves at multiples of 8 above), so the sum over ``n`` is
-    bit-equal to ``ages.sum(axis=1)`` of the C-ordered matrix.  On a
-    column-major matrix each column is one contiguous vector.
+    ``columns`` is (stages x columns x runs): the raw node draws of a
+    network of one or two nodes, else the uniforms ``U, V`` (and ``W`` when
+    ``node`` is given) of the two smallest of ``n`` draws, as the module
+    docstring sets out.  ``node`` receives the index of the node that holds
+    the smallest draw; between two raw draws a tie goes to node 0.
     """
-    n = ages.shape[1]
-    if n < 8:
-        total = ages[:, 0].copy()
-        for j in range(1, n):
-            total += ages[:, j]
-        return total
-    if n <= 128:
-        partial = ages[:, :8].copy(order="F")
-        stop = n - n % 8
-        for j in range(8, stop, 8):
-            partial += ages[:, j : j + 8]
-        pairs = partial[:, 0::2] + partial[:, 1::2]
-        quads = pairs[:, 0::2] + pairs[:, 1::2]
-        total = quads[:, 0] + quads[:, 1]
-        for j in range(stop, n):
-            total += ages[:, j]
-        return total
-    half = n // 2 - n // 2 % 8
-    return _column_sum(ages[:, :half]) + _column_sum(ages[:, half:])
+    if n >= 3:
+        np.subtract(1.0, columns[:, 0], out=first)
+        np.power(first, 1.0 / n, out=first)
+        np.subtract(1.0, columns[:, 1], out=second)
+        np.power(second, 1.0 / (n - 1), out=second)
+        np.multiply(first, second, out=second)
+        # 1 - G and 1 - G * H with G, H in (0, 1]: both in [0, 1), ordered.
+        np.subtract(1.0, second, out=second)
+        np.subtract(1.0, first, out=first)
+        if node is not None:
+            np.multiply(columns[:, 2], n, out=node)
+            np.floor(node, out=node)
+    elif n == 2:
+        if node is not None:
+            np.less(columns[:, 1], columns[:, 0], out=node)
+        np.minimum(columns[:, 0], columns[:, 1], out=first)
+        np.maximum(columns[:, 0], columns[:, 1], out=second)
+    else:
+        np.copyto(first, columns[:, 0])
+        second.fill(np.inf)
+        if node is not None:
+            node.fill(0.0)
 
 
 def _discount_weights(alphas, n_stages: int) -> np.ndarray:
@@ -322,7 +306,7 @@ class _Trajectories:
         rows = len(p_rs) * n_runs
         self.shape = (len(p_rs), n_runs)
         self.ages = np.full((rows, engine.n_aon), engine.params.initial_age, order="F")
-        self.delta = _column_sum(self.ages) / engine.n_aon
+        self.delta = self._network_age()
         self.u_aon, self.u_ton = np.zeros((2, rows, n_alpha))
         self.count_one, self.count_zero, self.n_access = np.zeros((3, rows), dtype=np.int64)
         # Per copy, the device draw below which the AON may access and at or
@@ -347,6 +331,18 @@ class _Trajectories:
                 "aon_selected": np.empty((rows, n_stages), dtype=bool),
             }
 
+    def _network_age(self) -> np.ndarray:
+        """Per row, the mean of the node ages, adding whole columns left to right.
+
+        Not ``ages.mean(axis=1)``: a single row is contiguous along that axis,
+        where numpy sums pairwise, so at 8 or more AON nodes a one-run chunk
+        would differ in the last bits from the same run in a larger chunk.
+        """
+        total = self.ages[:, 0].copy()
+        for column in self.ages.T[1:]:
+            total += column
+        return total / self.engine.n_aon
+
     def _play(self, device):
         """The AON rule's tau and the played (tau_aon, tau_ton) of every row."""
         engine = self.engine
@@ -357,20 +353,20 @@ class _Trajectories:
         tau_t = np.where(device >= self.ton_bias, engine.tau_ton_star, -1.0)
         return tau, tau_a.ravel(), tau_t.ravel()
 
-    def step(self, n: int, draw: _Draw) -> None:
+    def step(self, n: int, draw: np.ndarray) -> None:
         engine, weights = self.engine, self.weights[n]
         forced = n == 0 and self.stage1 is not None
         if forced:
             tau = tau_a = self.stage1[0]
             tau_t = self.stage1[1]
         else:
-            tau, tau_a, tau_t = self._play(draw.device)
+            tau, tau_a, tau_t = self._play(draw[4])
         code = engine.slot(self.ages, draw, tau_a, tau_t)
         self.count_one += tau_a == 1.0
         self.count_zero += tau_a == 0.0
         self.n_access += tau_a >= 0.0
         # The stage's payoffs, and the next stage's network age.
-        self.delta = _column_sum(self.ages) / engine.n_aon
+        self.delta = self._network_age()
         stage_u_ton = engine.ton_by_code.take(code)
         if forced:
             self.first = (self.delta, stage_u_ton)
@@ -536,10 +532,16 @@ def monte_carlo(config: RunConfig, n_runs: int, threads: int = 1) -> Aggregate:
 
 @dataclass(frozen=True)
 class GainResult:
-    """Cooperation-minus-competition discounted payoffs from paired batches."""
+    """Cooperation-minus-competition discounted payoffs from paired batches.
+
+    ``se_gain_aon``/``se_gain_ton`` are the standard errors of the per-run
+    differences: both arms replay each run's stream, so they are paired.
+    """
 
     gain_aon: float
     gain_ton: float
+    se_gain_aon: float
+    se_gain_ton: float
     competitive: Aggregate
     cooperative: Aggregate
 
@@ -571,9 +573,12 @@ def gain_grid(
     def cell(i, j):
         base = _aggregate(payoffs, freqs, 0, i)
         coop = _aggregate(payoffs, freqs, 1 + j, i)
+        se_aon, se_ton = (_mean_se(diff)[1] for diff in payoffs[:, 1 + j, i] - payoffs[:, 0, i])
         return GainResult(
             gain_aon=coop.u_aon_mean - base.u_aon_mean,
             gain_ton=coop.u_ton_mean - base.u_ton_mean,
+            se_gain_aon=se_aon,
+            se_gain_ton=se_ton,
             competitive=base,
             cooperative=coop,
         )

@@ -431,6 +431,76 @@ def test_one_rule_equals_the_two_reference_rules():
                 assert _hex_or_text(got) == _hex_or_text(want), (sizes, slots, competitive, age)
 
 
+def _clip_three_branch(delta, th0, th1, interior):
+    """The array path of ``_three_branch`` as one where/clip expression, kept as the reference."""
+    th = max(th0, th1)
+    pinned = 0.0 if th == th0 else 1.0
+    mask = delta > th
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = interior(delta)
+    bad = mask & ~((raw >= -eq.BOUNDARY_TOL) & (raw <= 1.0 + eq.BOUNDARY_TOL))
+    if np.any(bad):
+        first = np.flatnonzero(bad)[0]
+        eq._raise_out_of_range(raw[first], delta[first], th0, th1)
+    return np.where(mask, np.clip(raw, 0.0, 1.0), pinned)
+
+
+def _clip_tau(delta, sizes, slots, rule):
+    """``_tau`` through the reference array path, every rule scaling by k and adding c."""
+    si, ss_, sc = slots.idle, slots.success, slots.collision
+    na = sizes.n_aon
+    k, c, th0, th1 = rule
+
+    def interior(d):
+        if na == 1:
+            return np.ones_like(d)
+        num = k * (d - na * (ss_ - si)) + c
+        den = k * na * (d + (si - sc) - na * (ss_ - sc)) + c
+        return num / den
+
+    return _clip_three_branch(delta, th0, th1, interior)
+
+
+def _bits(result):
+    return result if isinstance(result, str) else result.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("scenario", list(SlotScenario), ids=lambda s: s.value)
+def test_tau_array_path_equals_the_clip_expression(scenario):
+    # The array path clips in place and only when a row leaves [0, 1]: on
+    # ages in every regime, near each threshold and infinite (an error), the
+    # taus are bit-equal to the where/clip expression and errors read alike.
+    slots = slots_from_scenario(scenario)
+    rng = np.random.default_rng(404)
+    for na, nt, competitive in itertools.product((1, 2, 5, 17), (1, 2, 5), (True, False)):
+        sizes = ss.NetworkSizes(na, nt)
+        rule = eq._rule(sizes, slots, competitive)
+        finite = [t for t in (rule.th0, rule.th1) if np.isfinite(t)]
+        top = max(finite + [1.0])
+        ages = [rng.uniform(0.0, 3.0 * top, 200)]
+        for th in finite:
+            ages.append(th + rng.uniform(-1.0, 1.0, 50) * max(abs(th), 1.0) * 1e-3)
+            ages.append([np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf)])
+        delta = np.concatenate(ages)
+        delta = delta[delta >= 0.0]
+        for case in (delta, np.append(delta, np.inf)):
+            got = _rule_result(eq._tau, case, sizes, slots, rule)
+            want = _rule_result(_clip_tau, case, sizes, slots, rule)
+            assert _bits(got) == _bits(want), (sizes, competitive)
+
+
+def test_three_branch_clip_keeps_bits_of_the_clip_expression():
+    # Rows slightly outside [0, 1] within the tolerance are clipped, and a
+    # -0.0 row stays -0.0, exactly as np.clip leaves it.
+    offsets = np.array([-1e-10, -0.0, 0.0, 0.5, 1.0, 1.0 + 1e-10, 0.25])
+    delta = np.arange(offsets.size, dtype=np.float64)
+    for th0, th1 in ((1.5, 0.0), (0.0, 1.5), (-1.0, -2.0)):
+        got = eq._three_branch(delta, th0, th1, lambda d: offsets.copy())
+        want = _clip_three_branch(delta, th0, th1, lambda d: offsets.copy())
+        assert _bits(got) == _bits(want)
+    assert np.signbit(got[1])
+
+
 @pytest.mark.parametrize("solver", [ss.msne, ss.cooperative_optimum])
 @pytest.mark.parametrize("age", [np.nan, np.inf, -1.0])
 def test_non_finite_or_negative_age_rejected(solver, age, equal_slots):

@@ -6,8 +6,8 @@ streaming or threading that moves any output digit fails here.  The
 Monte Carlo subcommands also run on ``golden_cli/lone_ton.ini``, whose
 one-node TON has no second TON draw in a slot, and on
 ``golden_cli/equal_slots.ini``, whose equal success and collision slots let
-every copy share one AON rule call and whose 17-node AON puts the network
-age through eight partial sums and a remainder.  The files
+every copy share one AON rule call and whose 17-node AON sums 17 columns of
+node ages.  The files
 change only with a declared output change; regenerate them with
 
     PYTHONPATH=src python tests/test_golden_cli.py

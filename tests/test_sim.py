@@ -1,5 +1,7 @@
 """Repeated-game engine: discounting, determinism, and published patterns."""
 
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +57,18 @@ class TestDeterminism:
         b = ss.monte_carlo(config, 250)
         assert a == b
 
+    def test_one_run_chunks_of_a_large_aon_match_one_chunk(self, small_collision, monkeypatch):
+        # A one-run chunk of one copy holds a single row of node ages, which
+        # numpy would sum pairwise along the row; at 8 or more AON nodes that
+        # moves the last bits unless the columns are added left to right.
+        params = scenario(small_collision, na=17, nt=4)
+        config = ss.RunConfig(params, 300, ss.Mode.COMPETITIVE, seed=7)
+        monkeypatch.setattr(sim, "_DEFAULT_CHUNK", 1)
+        a = ss.monte_carlo(config, 3)
+        monkeypatch.setattr(sim, "_DEFAULT_CHUNK", 1024)
+        b = ss.monte_carlo(config, 3)
+        assert a == b
+
     def test_single_run_matches_batch_entry(self, small_collision):
         config = ss.RunConfig(scenario(small_collision), 150, ss.Mode.COMPETITIVE, seed=3)
         single = ss.run_competition(config)
@@ -65,11 +79,35 @@ class TestDeterminism:
         assert agg.n_runs == 1
 
 
+def smallest_two(engine, rows):
+    """The draw of (... x width) uniform rows, written out per network: (6, ...) values.
+
+    Reference for ``_Engine.draws``: raw node draws sorted for a network of
+    one or two nodes, the direct statistics ``1 - G`` and ``1 - G * H`` of
+    two uniforms for a larger one, then the device draw and the AON node
+    that holds the smallest.
+    """
+    split = 1 + engine.aon_columns
+    out = []
+    for n, columns in ((engine.n_aon, rows[..., 1:split]), (engine.n_ton, rows[..., split:])):
+        if n <= 2:
+            ordered = np.sort(columns, axis=-1)
+            second = ordered[..., 1] if n == 2 else np.full(ordered.shape[:-1], np.inf)
+            out += [ordered[..., 0], second]
+        else:
+            g = np.power(1.0 - columns[..., 0], 1.0 / n)
+            h = np.power(1.0 - columns[..., 1], 1.0 / (n - 1))
+            out += [1.0 - g, 1.0 - g * h]
+    aon = rows[..., 1:split]
+    node = np.floor(aon[..., 2] * engine.n_aon) if engine.n_aon > 2 else np.argmin(aon, axis=-1)
+    return np.stack([*out, rows[..., 0], node])
+
+
 class TestUniformStream:
-    # 1024 runs of width 11 leave a block of a few dozen stages: per run and
-    # stage the block holds a raw row, its stage-major copy and 4 statistics.
+    # 1024 runs of width 6 leave a block of a few dozen stages: per run and
+    # stage the block holds a raw row and the six values of its draw.
     N_RUNS = 1024
-    BLOCK = sim._BLOCK_BYTES // (8 * (2 * 11 + 4) * N_RUNS)
+    BLOCK = sim._BLOCK_BYTES // (8 * (6 + 6) * N_RUNS)
 
     @pytest.mark.parametrize(
         "n_stages",
@@ -78,7 +116,7 @@ class TestUniformStream:
     )
     def test_blocks_concatenate_to_one_draw(self, n_stages, equal_slots, monkeypatch):
         engine = _Engine(scenario(equal_slots))
-        assert engine.width == 11 and 1 < self.BLOCK < 200
+        assert engine.width == 6 and 1 < self.BLOCK < 200
         blocks = []
         draw = _Engine.uniforms
 
@@ -88,32 +126,40 @@ class TestUniformStream:
             return block
 
         monkeypatch.setattr(_Engine, "uniforms", record)
-        # Each draw is a view into the reused block buffers: copy it when yielded.
-        draws = [
-            (d.stats.copy(), d.aon.copy())
-            for d in engine.stage_rows(21, range(self.N_RUNS), n_stages)
-        ]
-        stats = np.stack([s for s, _ in draws], axis=1)
-        aon = np.stack([a for _, a in draws], axis=1)
+        # Each draw is a view into the reused block buffer: copy it when yielded.
+        draws = [d.copy() for d in engine.stage_rows(21, range(self.N_RUNS), n_stages)]
         assert [b.shape[1] for b in blocks[:-1]] == [self.BLOCK] * (len(blocks) - 1)
         assert 1 <= blocks[-1].shape[1] <= self.BLOCK
         streamed = np.concatenate(blocks, axis=1)
-        # The two smallest AON and the two smallest TON draws, then the device draw.
-        smallest = [
-            np.sort(streamed[..., nodes], axis=-1)[..., :2] for nodes in (slice(1, 6), slice(6, 11))
-        ]
-        expected = np.concatenate([*smallest, streamed[..., :1]], axis=-1)
-        assert np.array_equal(stats, expected.transpose(2, 1, 0))
-        assert np.array_equal(aon, streamed[..., 1:6])
+        expected = smallest_two(engine, streamed).swapaxes(1, 2)
+        assert np.array_equal(np.stack(draws, axis=1), expected)
         for run in (0, 517, self.N_RUNS - 1):
-            whole = ss.run_generator(21, run).random((n_stages, 11))
+            whole = ss.run_generator(21, run).random((n_stages, 6))
             assert np.array_equal(streamed[run], whole)
 
+    @pytest.mark.parametrize("na, nt", [(1, 1), (2, 2), (1, 3), (5, 5), (17, 4)])
+    def test_extreme_uniforms_stay_in_range(self, na, nt, equal_slots):
+        # Uniforms of 0 and of the largest double below 1: every statistic
+        # lies in [0, 1), so tau = 1 always transmits and tau = 0 never
+        # does; the second is never below the first; the node is an index.
+        engine = _Engine(scenario(equal_slots, na=na, nt=nt))
+        top = np.nextafter(1.0, 0.0)
+        rows = np.array(list(itertools.product((0.0, 0.5, top), repeat=engine.width)))
+        [draw] = engine.draws(rows[:, None])
+        assert np.array_equal(draw, smallest_two(engine, rows))
+        for first, second, n in ((draw[0], draw[1], na), (draw[2], draw[3], nt)):
+            assert np.all((first >= 0.0) & (first < 1.0) & (second >= first))
+            assert np.all(second < 1.0) if n > 1 else np.all(second == np.inf)
+        assert set(draw[5]) <= set(range(na))
 
-def counted_slot(engine, ages, urow, tau_a, tau_t):
-    """The slot step that counted transmitters per row, kept as the reference."""
-    ta = urow[:, 1 : 1 + engine.n_aon] < tau_a[:, None]
-    tt = urow[:, 1 + engine.n_aon :] < tau_t[:, None]
+
+def counted_slot(engine, ages, nodes, tau_a, tau_t):
+    """The slot step that counted transmitters per row, kept as the reference.
+
+    ``nodes`` holds one draw per node: the AON's ``n_aon``, then the TON's.
+    """
+    ta = nodes[:, : engine.n_aon] < tau_a[:, None]
+    tt = nodes[:, engine.n_aon :] < tau_t[:, None]
     k_a = ta.sum(axis=1)
     k_t = tt.sum(axis=1)
     total = k_a + k_t
@@ -138,39 +184,81 @@ def counted_events(k_a, k_t):
     return events
 
 
+def node_draws(engine, urow, draw):
+    """One draw per node, AON then TON, for the reference to count over.
+
+    A network of one or two nodes has its raw draws.  A larger one has its
+    two smallest from ``draw``: the smallest at the AON node that ``draw``
+    names (node 0 of the TON), the second-smallest at every other node.
+    That gives the same counts clipped at 2 and the same lone transmitter.
+    """
+    split = 1 + engine.aon_columns
+    rows = np.arange(len(urow))
+    networks = (
+        (engine.n_aon, urow[:, 1:split], draw[0], draw[1], draw[5].astype(int)),
+        (engine.n_ton, urow[:, split:], draw[2], draw[3], 0),
+    )
+    out = []
+    for n, raw, first, second, holder in networks:
+        if n <= 2:
+            out.append(raw)
+        else:
+            nodes = np.repeat(second[:, None], n, axis=1)
+            nodes[rows, holder] = first
+            out.append(nodes)
+    return np.hstack(out)
+
+
 class TestSlotOrderStatistics:
     ROWS = 3000
 
     def inputs(self, engine, rng):
-        """Raw uniforms, per-row AON and TON taus with ties, duplicates and edge values."""
+        """Raw uniforms, their draw, and per-row AON and TON taus with ties and edge values.
+
+        Networks of one or two nodes also get duplicated draws.
+        """
         urow = rng.random((self.ROWS, engine.width))
         tau_a = rng.choice([-1.0, 0.0, 1.0, 0.2, 0.5, 0.8], self.ROWS)
         tau_t = rng.choice([-1.0, 0.0, 1.0, 0.3, 0.6], self.ROWS)
-        nodes_a, nodes_t = urow[:, 1 : 1 + engine.n_aon], urow[:, 1 + engine.n_aon :]
-        # Draws set exactly equal to tau: a node at tau stays silent.
-        tie = rng.random(nodes_a.shape) < 0.2
-        nodes_a[tie] = np.broadcast_to(tau_a[:, None], nodes_a.shape)[tie]
-        tie = rng.random(nodes_t.shape) < 0.2
-        nodes_t[tie] = np.broadcast_to(tau_t[:, None], nodes_t.shape)[tie]
-        # Duplicated draws within a network: both nodes transmit or neither.
-        for nodes in (nodes_a, nodes_t):
-            if nodes.shape[1] > 1:
+        split = 1 + engine.aon_columns
+        [draw] = engine.draws(urow[:, None])
+        networks = (
+            (engine.n_aon, urow[:, 1:split], tau_a, draw[0:2]),
+            (engine.n_ton, urow[:, split:], tau_t, draw[2:4]),
+        )
+        for n, nodes, taus, smallest in networks:
+            tie = rng.random(nodes.shape[:1] + (2,)) < 0.2
+            if n > 2:
+                # A tau set exactly to a network's smallest or second draw.
+                for k in (0, 1):
+                    taus[tie[:, k]] = smallest[k, tie[:, k]]
+                continue
+            # Draws set exactly equal to tau: a node at tau stays silent.
+            tie = rng.random(nodes.shape) < 0.2
+            nodes[tie] = np.broadcast_to(taus[:, None], nodes.shape)[tie]
+            # Duplicated draws within a network: both nodes transmit or neither.
+            if n > 1:
                 dup = rng.random(self.ROWS) < 0.3
                 nodes[dup, -1] = nodes[dup, 0]
-        return urow, tau_a, tau_t
+        [draw] = engine.draws(urow[:, None])
+        return urow, draw, tau_a, tau_t
 
     @pytest.mark.parametrize("na", [1, 2, 5, 10])
     @pytest.mark.parametrize("nt", [1, 2, 5])
     def test_matches_counting_transmitters(self, na, nt, small_collision):
+        # Bit for bit against counting over the raw draws of a network of one
+        # or two nodes, and over draws rebuilt from the two smallest of a
+        # larger one, whose law test_direct_draw_follows_the_exact_slot_law
+        # certifies.
         engine = _Engine(scenario(small_collision, na=na, nt=nt))
         rng = np.random.default_rng(100 * na + nt)
-        urow, tau_a, tau_t = self.inputs(engine, rng)
-        [draw] = engine.draws(urow[:, None])
+        urow, draw, tau_a, tau_t = self.inputs(engine, rng)
+        nodes = node_draws(engine, urow, draw)
         start = rng.choice([0.5, 1.5, 3.0], (self.ROWS, na))
         constant = (np.full(self.ROWS, t) for t in (engine.tau_ton_star, tau_t[0]))
         for tau_t_case in (tau_t, *constant):
             ref_ages, ages = start.copy(), start.copy()
-            ref = counted_slot(engine, ref_ages, urow, tau_a, tau_t_case)
+            ref = counted_slot(engine, ref_ages, nodes, tau_a, tau_t_case)
             code = engine.slot(ages, draw, tau_a, tau_t_case)
             k_a, k_t = np.divmod(code, 3)
             assert np.array_equal(ages, ref_ages)
@@ -182,25 +270,72 @@ class TestSlotOrderStatistics:
         ref_ages = np.tile(start, (copies, 1))
         ages = ref_ages.copy(order="F")
         taus = np.tile(tau_a, copies), np.tile(tau_t, copies)
-        ref = counted_slot(engine, ref_ages, np.tile(urow, (copies, 1)), *taus)
+        ref = counted_slot(engine, ref_ages, np.tile(nodes, (copies, 1)), *taus)
         code = engine.slot(ages, draw, *taus)
         assert np.array_equal(ages, ref_ages)
         assert np.array_equal(engine.event_by_code[code], counted_events(*ref))
 
 
-def test_column_sum_mean_is_numpy_row_mean():
-    # The network age sums the columns of column-major ages in numpy's
-    # pairwise order: sequential below 8 nodes, 8 partial sums to 128, halves
-    # above.  Magnitudes from 1e-8 to 1e8, some negative, expose any change
-    # in the order of additions.
-    rng = np.random.default_rng(5)
-    for n_aon in range(1, 131):
-        rows = 67
-        ages = rng.random((rows, n_aon)) * 10.0 ** rng.integers(-8, 9, (rows, n_aon))
-        ages[rng.random(ages.shape) < 0.2] *= -1.0
-        expected = ages.mean(axis=1)
-        got = sim._column_sum(np.asfortranarray(ages)) / n_aon
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), n_aon
+def clipped_count_law(n, tau1, tau2):
+    """Exact P(k(tau1) = i, k(tau2) = j) for n iid uniform node draws, counts clipped at 2.
+
+    The numbers of draws in [0, tau1), [tau1, tau2) and [tau2, 1) are
+    multinomial.
+    """
+    law = np.zeros((3, 3))
+    for c1 in range(n + 1):
+        for c2 in range(n + 1 - c1):
+            c3 = n - c1 - c2
+            ways = math.comb(n, c1) * math.comb(n - c1, c2)
+            law[min(c1, 2), min(c1 + c2, 2)] += (
+                ways * tau1**c1 * (tau2 - tau1) ** c2 * (1.0 - tau2) ** c3
+            )
+    return law
+
+
+@pytest.mark.parametrize("n", [3, 5, 10, 17])
+def test_direct_draw_follows_the_exact_slot_law(n, small_collision):
+    # Two copies of 10**6 runs read one draw per run, at two access
+    # probabilities per network.  The joint law of the four clipped counts
+    # must be the product of the exact multinomial laws, and the AON node
+    # whose age resets uniform and independent of the counts: |z| <= 4 per
+    # cell.  Both copies reset the same node when both have a lone AON
+    # transmitter (common random numbers).
+    engine = _Engine(scenario(small_collision, na=n, nt=n))
+    taus_a, taus_t = (0.5 / n, 1.5 / n), (1.0 / n, 2.5 / n)
+    batch, n_batches = 125_000, 8
+    total = batch * n_batches
+    counts = np.zeros((3, 3, 3, 3), dtype=np.int64)
+    # Reset node counts by copy, by the other copy's AON count (two values) and by node.
+    resets = np.zeros((2, 2, n), dtype=np.int64)
+    rng = np.random.default_rng(9000 + n)
+    tau_a, tau_t = (np.repeat(taus, batch) for taus in (taus_a, taus_t))
+    for _ in range(n_batches):
+        [draw] = engine.draws(rng.random((batch, 1, engine.width)))
+        ages = np.full((2 * batch, n), 100.0, order="F")
+        k_a, k_t = np.divmod(engine.slot(ages, draw, tau_a, tau_t).reshape(2, batch), 3)
+        np.add.at(counts, (k_a[0], k_a[1], k_t[0], k_t[1]), 1)
+        node = ages.argmin(axis=1).reshape(2, batch)
+        lone = (k_a == 1) & (k_t == 0)
+        both = lone[0] & lone[1]
+        assert np.array_equal(node[0, both], node[1, both])
+        # Copy 0 resets at k_a(tau1) = 1, beside k_a(tau2) in {1, 2}; copy 1
+        # at k_a(tau2) = 1, beside k_a(tau1) in {0, 1}.
+        for copy, other in ((0, k_a[1] - 1), (1, k_a[0])):
+            np.add.at(resets[copy], (other[lone[copy]], node[copy, lone[copy]]), 1)
+    law_a = clipped_count_law(n, *taus_a)
+    law_t = clipped_count_law(n, *taus_t)
+    law = law_a[:, :, None, None] * law_t[None, None, :, :]
+    assert np.all(counts[law == 0.0] == 0)
+
+    def z(observed, p):
+        return np.abs(observed / total - p) / np.sqrt(p * (1.0 - p) / total)
+
+    assert np.all(z(counts[law > 0.0], law[law > 0.0]) <= 4.0)
+    # The TON is silent at its copy's tau: k_t = 0.
+    silent_t = law_t[0].sum(), law_t[:, 0].sum()
+    expected = np.array([law_a[1, 1:] * silent_t[0], law_a[:2, 1] * silent_t[1]]) / n
+    assert np.all(z(resets, expected[..., None]) <= 4.0)
 
 
 class TestCompetitiveRuns:
@@ -360,6 +495,19 @@ class TestGain:
         monkeypatch.setattr(sim, "_DEFAULT_CHUNK", chunk_size)
         result = ss.gain_of_cooperation(params, 30, 45, seed=13, threads=threads)
         assert [result.competitive, result.cooperative] == separate
+
+    def test_gain_standard_errors_are_of_paired_run_differences(self, small_collision):
+        params = scenario(small_collision, p_r=0.4)
+        result = ss.gain_of_cooperation(params, 300, 60, seed=17)
+        payoffs, _, _ = sim._per_run(params, 17, 300, 60, [None, 0.4], [params.alpha], 1)
+        diffs = payoffs[:, 1, 0] - payoffs[:, 0, 0]
+        for diff, se in zip(diffs, (result.se_gain_aon, result.se_gain_ton)):
+            assert se == float(diff.std(ddof=1) / np.sqrt(300))
+        # Both arms replay each run's stream, so their payoffs move together
+        # and the paired SE is below the SE of two independent arms.
+        base, coop = result.competitive, result.cooperative
+        assert result.se_gain_aon < np.hypot(base.u_aon_se, coop.u_aon_se)
+        assert result.se_gain_ton < np.hypot(base.u_ton_se, coop.u_ton_se)
 
     def test_ton_gains_from_cooperation_under_short_collisions(self, small_collision):
         params = scenario(small_collision)
