@@ -14,12 +14,8 @@ from .model import (
     NetworkSizes,
     Recommendation,
     ScenarioParams,
-    SlotEvent,
-    SlotKind,
     SlotLengths,
     SlotProbabilities,
-    apply_slot,
-    sample_slot,
     slot_probabilities_competitive,
     slot_probabilities_cooperative,
 )

@@ -301,9 +301,6 @@ class CooperationRange:
     reported_lower_bound: float
     reported_upper_bound: float
 
-    def contains(self, p_r: float) -> bool:
-        return any(lo <= p_r <= hi for lo, hi in self.intervals)
-
 
 def cooperation_beneficial_pr_set(
     sizes: NetworkSizes,

@@ -17,6 +17,11 @@ bias moves the dynamics, so a region sweep simulates each trajectory once
 on common random numbers (``sim._per_run``) and weights it per alpha.
 Margins within two standard errors of zero are reported as indeterminate
 rather than forced to a boolean.
+
+``simulate_grim_trigger`` audits one trajectory of the etiquette with an
+injected deviation.  It reads the engine's draws and slot law one stage at a
+time in Python floats, on run 0 of its seed, so it replays the trajectory
+that the engine plays on that stream.
 """
 
 from __future__ import annotations
@@ -35,8 +40,7 @@ from .model import (
     SlotLengths,
     AccessProfile,
 )
-from .seeding import run_generator
-from .sim import _mean_se, _per_run
+from .sim import _Engine, _mean_se, _per_run
 from . import model as _model
 
 
@@ -396,47 +400,52 @@ def simulate_grim_trigger(
 
     All stages before ``deviate_at_stage`` obey the device, the deviation
     stage forces the case's recommendation and profile, and every later stage
-    plays the competitive equilibrium, as the trigger requires.
+    plays the competitive equilibrium, as the trigger requires.  An idle
+    deviation reports the profile (0, 0).  The trace replays run 0 of
+    ``seed`` through the engine's draws and slot law (``sim._Engine``),
+    comparing each stage's six draw values in Python floats, so its
+    cooperative prefix equals ``run_cooperation`` on the same seed bit for
+    bit.
     """
     if not 0 <= deviate_at_stage < n_stages:
         raise ConfigurationError("deviation stage outside the run")
-    rng = run_generator(seed, 0)
     sizes, slots = params.sizes, params.slots
-    state = _model.AgeState.uniform(sizes.n_aon, params.initial_age)
+    engine = _Engine(params)
+    coop, comp = (eq._rule(sizes, slots, competitive) for competitive in (False, True))
+    growth = engine.growth_by_code.tolist()
+    tau_ton = engine.tau_ton_star
+    ages = [params.initial_age] * sizes.n_aon
+    delta = sum(ages) / sizes.n_aon
     trace = []
-    triggered = False
-    for n in range(n_stages):
-        device = (
-            Recommendation.HEADS if rng.random() < params.p_r else Recommendation.TAILS
-        )
-        if triggered:
-            profile, _ = eq.msne(sizes, slots, state.network_age)
-            event = _model.sample_slot(rng, sizes, profile, recommendation=None)
-            obeyed = False
+    for n, draw in enumerate(engine.stage_rows(seed, range(1), n_stages)):
+        a1, a2, t1, t2, device_draw, node = draw[:, 0].tolist()
+        device = Recommendation.HEADS if device_draw < params.p_r else Recommendation.TAILS
+        tau = eq._tau(delta, sizes, slots, comp if n > deviate_at_stage else coop)
+        # The reported profile, and the played one: a negative tau silences
+        # that network, as in ``_Engine.slot``.
+        shown = play = (tau, tau_ton)
+        if n < deviate_at_stage:
+            play = (tau, -1.0) if device is Recommendation.HEADS else (-1.0, tau_ton)
         elif n == deviate_at_stage:
             device = case.recommendation
-            coop, _ = eq.cooperative_optimum(sizes, slots, state.network_age)
-            if case.joint_access:
-                profile = coop
-                event = _model.sample_slot(rng, sizes, profile, recommendation=None)
-            else:
-                profile = AccessProfile(0.0, 0.0)
-                event = _model.SlotEvent(_model.SlotKind.IDLE)
-            obeyed = False
-            triggered = True
-        else:
-            profile, _ = eq.cooperative_optimum(sizes, slots, state.network_age)
-            event = _model.sample_slot(rng, sizes, profile, recommendation=device)
-            obeyed = True
-        state = _model.apply_slot(state, event, slots)
+            if not case.joint_access:
+                shown, play = (0.0, 0.0), (-1.0, -1.0)
+        tau_a, tau_t = play
+        code = 3 * ((a1 < tau_a) + (a2 < tau_a)) + (t1 < tau_t) + (t2 < tau_t)
+        ages = [age + growth[code] for age in ages]
+        if code == 3:
+            ages[int(node)] = slots.success
+        delta = sum(ages) / sizes.n_aon
         trace.append(
             StageTrace(
                 stage=n,
-                compliance=ComplianceFlag(stage=n, recommendation=device, obeyed=obeyed),
-                competitive_play=triggered and not (n == deviate_at_stage),
-                tau_aon=profile.tau_aon,
-                tau_ton=profile.tau_ton,
-                network_age_after=state.network_age,
+                compliance=ComplianceFlag(
+                    stage=n, recommendation=device, obeyed=n < deviate_at_stage
+                ),
+                competitive_play=n > deviate_at_stage,
+                tau_aon=shown[0],
+                tau_ton=shown[1],
+                network_age_after=delta,
             )
         )
     return GrimTriggerTrace(stages=tuple(trace))

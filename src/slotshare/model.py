@@ -4,10 +4,12 @@ Two networks contend for a slotted medium: an age-optimizing network (AON)
 whose nodes want fresh status updates at their peers, and a
 throughput-optimizing network (TON) whose nodes want successful bits.  A slot
 is idle (nobody transmits), a success (exactly one transmitter), or a
-collision (two or more).  This module provides the closed-form slot-outcome
-probabilities for the competitive mode (both networks access) and the
-cooperative mode (a coordination device grants exclusive access), stochastic
-slot sampling, and the age bookkeeping that drives the repeated games.
+collision (two or more).  This module provides the domain types and the
+closed-form slot-outcome probabilities for the competitive mode (both
+networks access) and the cooperative mode (a coordination device grants
+exclusive access).  Slots are sampled, and ages advanced, in one place only:
+the trajectory engine (``sim._Engine``), whose draws and slot law the
+grim-trigger audit replays too; ``AgeState`` holds a finished run's ages.
 """
 
 from __future__ import annotations
@@ -155,28 +157,6 @@ class SlotProbabilities:
             raise ConfigurationError("per-node successes do not aggregate to p_success_total")
 
 
-class SlotKind(enum.Enum):
-    IDLE = "idle"
-    SUCCESS_AON = "success_aon"
-    SUCCESS_TON = "success_ton"
-    COLLISION = "collision"
-
-
-@dataclass(frozen=True)
-class SlotEvent:
-    """Realized outcome of one slot; ``node`` identifies the lone transmitter."""
-
-    kind: SlotKind
-    node: int | None = None
-
-    def __post_init__(self):
-        needs_node = self.kind in (SlotKind.SUCCESS_AON, SlotKind.SUCCESS_TON)
-        if needs_node and (self.node is None or self.node < 0):
-            raise ConfigurationError("success events must carry the transmitter index")
-        if not needs_node and self.node is not None:
-            raise ConfigurationError(f"{self.kind} events carry no node index")
-
-
 @dataclass(frozen=True)
 class AgeState:
     """Per-AON-node update ages at a slot boundary; ``network_age`` is their mean."""
@@ -196,10 +176,6 @@ class AgeState:
         ages.flags.writeable = False
         object.__setattr__(self, "ages", ages)
         object.__setattr__(self, "network_age", mean)
-
-    @classmethod
-    def uniform(cls, n_nodes: int, age: float) -> "AgeState":
-        return cls(np.full(n_nodes, age, dtype=np.float64))
 
 
 def _clip_probability(p: float) -> float:
@@ -269,56 +245,3 @@ def slot_probabilities_cooperative(
     single-network channels and the networks never collide with each other.
     """
     return _slot_probabilities(sizes, profile, p_r)[0]
-
-
-def sample_slot(
-    rng: np.random.Generator,
-    sizes: NetworkSizes,
-    profile: AccessProfile,
-    recommendation: Recommendation | None = None,
-) -> SlotEvent:
-    """Draw one slot outcome.
-
-    Each eligible node transmits independently with its network's access
-    probability.  ``recommendation`` switches to cooperative mode: the
-    selected network keeps its access probability while the other stays
-    silent.  ``None`` means competitive mode (both networks eligible).
-    """
-    # A handful of draws per call: comparing them as Python floats beats
-    # numpy's per-call dispatch and reads the same stream.
-    aon_tx = ton_tx = ()
-    if recommendation is not Recommendation.TAILS:
-        tau = profile.tau_aon
-        aon_tx = [i for i, u in enumerate(rng.random(sizes.n_aon).tolist()) if u < tau]
-    if recommendation is not Recommendation.HEADS:
-        tau = profile.tau_ton
-        ton_tx = [i for i, u in enumerate(rng.random(sizes.n_ton).tolist()) if u < tau]
-    total = len(aon_tx) + len(ton_tx)
-    if total == 0:
-        return SlotEvent(SlotKind.IDLE)
-    if total >= 2:
-        return SlotEvent(SlotKind.COLLISION)
-    if aon_tx:
-        return SlotEvent(SlotKind.SUCCESS_AON, node=aon_tx[0])
-    return SlotEvent(SlotKind.SUCCESS_TON, node=ton_tx[0])
-
-
-def apply_slot(state: AgeState, event: SlotEvent, slots: SlotLengths) -> AgeState:
-    """Advance all AON ages by one slot outcome.
-
-    A success by AON node ``i`` resets that node's age to the success-slot
-    length while every other node ages by it; any other outcome ages all
-    nodes by the realized slot length.
-    """
-    if event.kind is SlotKind.IDLE:
-        ages = state.ages + slots.idle
-    elif event.kind is SlotKind.COLLISION:
-        ages = state.ages + slots.collision
-    elif event.kind is SlotKind.SUCCESS_TON:
-        ages = state.ages + slots.success
-    else:
-        if event.node >= state.ages.size:
-            raise ConfigurationError("transmitter index outside the AON")
-        ages = state.ages + slots.success
-        ages[event.node] = slots.success
-    return AgeState(ages)

@@ -160,8 +160,8 @@ class _Engine:
         # code 0 is an idle slot, 1 a TON success, 3 an AON success and any
         # other a collision.
         slots = params.slots
-        self._growth = np.full(9, slots.collision)
-        self._growth[[0, 1, 3]] = slots.idle, slots.success, slots.success
+        self.growth_by_code = np.full(9, slots.collision)
+        self.growth_by_code[[0, 1, 3]] = slots.idle, slots.success, slots.success
         self.ton_by_code = np.zeros(9)
         self.ton_by_code[1] = self.ton_payout
         self.event_by_code = np.full(9, EVENT_COLLISION, dtype=np.int8)
@@ -230,7 +230,7 @@ class _Engine:
         k_a = np.add(below_a[0], below_a[1], dtype=np.int8).ravel()
         k_t = np.add(below_t[0], below_t[1], dtype=np.int8).ravel()
         code = 3 * k_a + k_t
-        ages += self._growth.take(code)[:, None]
+        ages += self.growth_by_code.take(code)[:, None]
         resets = np.flatnonzero(code == 3)
         if resets.size:
             # The lone AON transmitter is the node that holds the smallest draw.

@@ -347,17 +347,21 @@ class TestRegionSweep:
 
 
 class TestGrimTrigger:
-    def test_injected_deviation_triggers_competition_forever(self, equal_slots):
+    @pytest.mark.parametrize("case", list(ss.DeviationCase))
+    def test_injected_deviation_triggers_competition_forever(self, case, equal_slots):
         params = scenario(equal_slots, na=3, nt=3, alpha=0.9, p_r=0.5)
-        trace = ss.simulate_grim_trigger(
-            params, 40, seed=11, deviate_at_stage=12, case=ss.DeviationCase.T_AON_DEVIATES
-        )
+        trace = ss.simulate_grim_trigger(params, 40, seed=11, deviate_at_stage=12, case=case)
         for stage in trace.stages[:12]:
             assert stage.compliance.obeyed
             assert not stage.competitive_play
         deviation = trace.stages[12]
         assert not deviation.compliance.obeyed
-        assert deviation.compliance.recommendation is TAILS
+        assert deviation.compliance.recommendation is case.recommendation
+        if not case.joint_access:
+            # Both networks silent: an idle slot ages every node by sigma_I.
+            assert (deviation.tau_aon, deviation.tau_ton) == (0.0, 0.0)
+            before = trace.stages[11].network_age_after
+            assert deviation.network_age_after == before + equal_slots.idle
         previous_age = params.initial_age
         for k, stage in enumerate(trace.stages):
             if k > 12:
@@ -367,6 +371,37 @@ class TestGrimTrigger:
                 assert stage.tau_aon == expected.tau_aon
                 assert stage.tau_ton == expected.tau_ton
             previous_age = stage.network_age_after
+
+    @pytest.mark.parametrize("na,nt", [(5, 5), (17, 4), (1, 3), (3, 1)])
+    def test_cooperative_prefix_replays_run_cooperation(self, na, nt, small_collision):
+        params = scenario(small_collision, na=na, nt=nt, p_r=0.4)
+        k = 25
+        for case in ss.DeviationCase:
+            trace = ss.simulate_grim_trigger(params, k + 5, 7, k, case)
+            run = sim.run_cooperation(sim.RunConfig(params, k, sim.Mode.COOPERATIVE, 7))
+            prefix = trace.stages[:k]
+            assert [st.tau_aon for st in prefix] == run.stages.tau_aon.tolist()
+            assert [st.network_age_after for st in prefix] == (-run.stages.u_aon).tolist()
+
+    @pytest.mark.parametrize("na,nt", [(5, 5), (17, 4), (1, 3), (3, 1)])
+    @pytest.mark.parametrize("case", list(ss.DeviationCase))
+    def test_stage0_deviation_replays_the_engine_branch(self, case, na, nt, large_collision):
+        params = scenario(large_collision, na=na, nt=nt, p_r=0.4)
+        n_stages, seed = 40, 3
+        trace = ss.simulate_grim_trigger(params, n_stages, seed, 0, case)
+        coop, _ = ss.cooperative_optimum(params.sizes, params.slots, params.initial_age)
+        forced = (coop.tau_aon, 1.0 / nt) if case.joint_access else (-1.0, -1.0)
+        engine = sim._Engine(params)
+        weights = sim._discount_weights([params.alpha], n_stages)
+        state = sim._simulate_batch(
+            engine, seed, range(1), [None], weights,
+            stage1=np.array(forced).reshape(2, 1), record=True,
+        )
+        streams = state.streams
+        ages = [st.network_age_after for st in trace.stages]
+        assert ages == (-streams["u_aon"][0]).tolist()
+        taus = [st.tau_aon for st in trace.stages[1:]]
+        assert taus == streams["tau_aon"][0, 1:].tolist()
 
     def test_deviation_stage_bounds_checked(self, equal_slots):
         with pytest.raises(ss.ConfigurationError):

@@ -1,4 +1,4 @@
-"""Slot kernels, sampling, and age dynamics against independent oracles."""
+"""Domain types, slot kernels and one-slot age dynamics against independent oracles."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slotshare as ss
-from conftest import HEADS, TAILS, enumerate_slot_probabilities
+from slotshare import sim
+from conftest import enumerate_slot_probabilities
 
 PROBS_FIELDS = (
     "p_idle",
@@ -80,12 +81,6 @@ class TestDomainTypes:
         for lengths in ((bad, 1.0, 1.0), (0.01, bad, 1.0), (0.01, 1.0, bad)):
             with pytest.raises(ss.ConfigurationError):
                 ss.SlotLengths(*lengths)
-
-    def test_success_event_needs_node(self):
-        with pytest.raises(ss.ConfigurationError):
-            ss.SlotEvent(ss.SlotKind.SUCCESS_AON)
-        with pytest.raises(ss.ConfigurationError):
-            ss.SlotEvent(ss.SlotKind.IDLE, node=1)
 
 
 class TestCompetitiveKernel:
@@ -223,19 +218,21 @@ class TestExpectedNodeAge:
         assert age == pytest.approx(1.1110, abs=1e-4)
 
     def test_matches_sampled_dynamics(self, small_collision):
-        # One-slot Monte Carlo of sample + apply must reproduce the closed form.
+        # One slot step of the engine on independent rows must reproduce the
+        # closed form.
         sizes = ss.NetworkSizes(3, 2)
         profile = ss.AccessProfile(0.35, 0.4)
         prior = 2.5
         expected = _node_age(sizes, profile, prior, small_collision)
+        engine = sim._Engine(ss.ScenarioParams(sizes, small_collision, initial_age=prior))
+        rows = 20_000
         rng = np.random.default_rng(1234)
-        state = ss.AgeState.uniform(sizes.n_aon, prior)
-        draws = 20_000
-        samples = np.empty(draws)
-        for k in range(draws):
-            event = ss.sample_slot(rng, sizes, profile)
-            samples[k] = ss.apply_slot(state, event, small_collision).ages[0]
-        se = samples.std(ddof=1) / np.sqrt(draws)
+        draw = next(engine.draws(rng.random((rows, 1, engine.width))))
+        ages = np.full((rows, sizes.n_aon), prior, order="F")
+        taus = np.full((2, rows), [[profile.tau_aon], [profile.tau_ton]])
+        engine.slot(ages, draw, *taus)
+        samples = ages[:, 0]
+        se = samples.std(ddof=1) / np.sqrt(rows)
         assert abs(samples.mean() - expected) <= 4.0 * se
 
 
@@ -258,137 +255,3 @@ class TestThroughputAndNetworkAge:
         assert ss.AgeState([2.0, 2.0, 2.0]).network_age == 2.0
         assert ss.AgeState([1.0, 3.0]).network_age == 2.0
         assert ss.AgeState([1.01]).network_age == 1.01
-
-
-class TestApplySlot:
-    def test_reset(self, small_collision):
-        state = ss.AgeState([5.0])
-        out = ss.apply_slot(state, ss.SlotEvent(ss.SlotKind.SUCCESS_AON, 0), small_collision)
-        assert out.ages.tolist() == [small_collision.success]
-
-    def test_collision_increments_all(self, small_collision):
-        state = ss.AgeState([1.0, 2.0])
-        out = ss.apply_slot(state, ss.SlotEvent(ss.SlotKind.COLLISION), small_collision)
-        assert out.ages.tolist() == pytest.approx([1.101, 2.101], abs=1e-12)
-
-    def test_reset_plus_busy_increment(self, small_collision):
-        state = ss.AgeState([1.0, 2.0])
-        out = ss.apply_slot(state, ss.SlotEvent(ss.SlotKind.SUCCESS_AON, 1), small_collision)
-        assert out.ages.tolist() == pytest.approx([2.01, 1.01], abs=1e-12)
-
-    def test_ton_success_is_a_busy_slot(self, small_collision):
-        state = ss.AgeState([1.0, 2.0])
-        out = ss.apply_slot(state, ss.SlotEvent(ss.SlotKind.SUCCESS_TON, 0), small_collision)
-        assert out.ages.tolist() == pytest.approx([2.01, 3.01], abs=1e-12)
-
-    @given(
-        ages=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6),
-        kind=st.sampled_from(list(ss.SlotKind)),
-        data=st.data(),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_never_decreases_except_reset(self, ages, kind, data):
-        slots = ss.SlotLengths(0.01, 1.01, 0.101)
-        state = ss.AgeState(ages)
-        node = None
-        if kind in (ss.SlotKind.SUCCESS_AON, ss.SlotKind.SUCCESS_TON):
-            node = data.draw(st.integers(0, len(ages) - 1))
-        out = ss.apply_slot(state, ss.SlotEvent(kind, node), slots)
-        for i, (before, after) in enumerate(zip(state.ages, out.ages)):
-            if kind is ss.SlotKind.SUCCESS_AON and i == node:
-                assert after == slots.success
-            else:
-                assert after > before
-
-
-class TestSampleSlot:
-    @pytest.mark.parametrize("recommendation", [None, HEADS, TAILS])
-    def test_reads_the_generator_like_a_vector_comparison(self, recommendation):
-        # Reference: each eligible network draws its nodes' uniforms in one
-        # call, AON first, and a node transmits when its uniform < tau.
-        sizes = ss.NetworkSizes(4, 3)
-        profile = ss.AccessProfile(0.3, 0.45)
-        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-        for _ in range(2000):
-            event = ss.sample_slot(rng, sizes, profile, recommendation=recommendation)
-            aon = ton = np.zeros(0, dtype=np.int64)
-            if recommendation is not TAILS:
-                aon = np.nonzero(ref.random(sizes.n_aon) < profile.tau_aon)[0]
-            if recommendation is not HEADS:
-                ton = np.nonzero(ref.random(sizes.n_ton) < profile.tau_ton)[0]
-            if aon.size + ton.size == 0:
-                expected = ss.SlotEvent(ss.SlotKind.IDLE)
-            elif aon.size + ton.size >= 2:
-                expected = ss.SlotEvent(ss.SlotKind.COLLISION)
-            elif aon.size:
-                expected = ss.SlotEvent(ss.SlotKind.SUCCESS_AON, int(aon[0]))
-            else:
-                expected = ss.SlotEvent(ss.SlotKind.SUCCESS_TON, int(ton[0]))
-            assert event == expected
-        assert rng.random() == ref.random()
-
-    def test_all_silent_is_idle(self):
-        rng = np.random.default_rng(0)
-        event = ss.sample_slot(rng, ss.NetworkSizes(3, 3), ss.AccessProfile(0.0, 0.0))
-        assert event.kind is ss.SlotKind.IDLE
-
-    def test_forced_aon_success_under_heads(self):
-        rng = np.random.default_rng(0)
-        event = ss.sample_slot(
-            rng, ss.NetworkSizes(1, 5), ss.AccessProfile(1.0, 1.0), recommendation=HEADS
-        )
-        assert event == ss.SlotEvent(ss.SlotKind.SUCCESS_AON, 0)
-
-    def test_heads_silences_ton_entirely(self):
-        rng = np.random.default_rng(1)
-        sizes = ss.NetworkSizes(2, 5)
-        for _ in range(200):
-            event = ss.sample_slot(
-                rng, sizes, ss.AccessProfile(0.0, 1.0), recommendation=HEADS
-            )
-            assert event.kind is ss.SlotKind.IDLE
-
-    def test_tails_silences_aon_entirely(self):
-        rng = np.random.default_rng(2)
-        sizes = ss.NetworkSizes(2, 1)
-        for _ in range(200):
-            event = ss.sample_slot(
-                rng, sizes, ss.AccessProfile(1.0, 1.0), recommendation=TAILS
-            )
-            assert event == ss.SlotEvent(ss.SlotKind.SUCCESS_TON, 0)
-
-    @pytest.mark.parametrize("p_r", [None, 0.3])
-    def test_event_frequencies_converge(self, p_r):
-        # API-level samples at modest volume; the engine path is driven to
-        # a million draws in the acceptance suite.
-        sizes = ss.NetworkSizes(3, 2)
-        profile = ss.AccessProfile(0.25, 0.4)
-        rng = np.random.default_rng(77)
-        draws = 200_000
-        counts = {kind: 0 for kind in ss.SlotKind}
-        node_zero_successes = 0
-        for _ in range(draws):
-            if p_r is None:
-                event = ss.sample_slot(rng, sizes, profile)
-            else:
-                rec = HEADS if rng.random() < p_r else TAILS
-                event = ss.sample_slot(rng, sizes, profile, recommendation=rec)
-            counts[event.kind] += 1
-            if event.kind is ss.SlotKind.SUCCESS_AON and event.node == 0:
-                node_zero_successes += 1
-        if p_r is None:
-            probs = ss.slot_probabilities_competitive(sizes, profile)
-        else:
-            probs = ss.slot_probabilities_cooperative(sizes, profile, p_r)
-        expectations = {
-            ss.SlotKind.IDLE: probs.p_idle,
-            ss.SlotKind.COLLISION: probs.p_collision,
-            ss.SlotKind.SUCCESS_AON: sizes.n_aon * probs.p_success_node_aon,
-            ss.SlotKind.SUCCESS_TON: sizes.n_ton * probs.p_success_node_ton,
-        }
-        for kind, p in expectations.items():
-            sigma = np.sqrt(p * (1.0 - p) / draws)
-            assert abs(counts[kind] / draws - p) <= 4.0 * sigma, kind
-        p_node = probs.p_success_node_aon
-        sigma = np.sqrt(p_node * (1.0 - p_node) / draws)
-        assert abs(node_zero_successes / draws - p_node) <= 4.0 * sigma
