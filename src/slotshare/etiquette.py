@@ -19,9 +19,9 @@ Margins within two standard errors of zero are reported as indeterminate
 rather than forced to a boolean.
 
 ``simulate_grim_trigger`` audits one trajectory of the etiquette with an
-injected deviation.  It reads the engine's draws and slot law one stage at a
-time in Python floats, on run 0 of its seed, so it replays the trajectory
-that the engine plays on that stream.
+injected deviation.  It steps one row through the engine's draws and slot
+law in Python floats (``sim._Engine.slot_one``), on run 0 of its seed, so it
+replays the trajectory that the engine plays on that stream.
 """
 
 from __future__ import annotations
@@ -401,28 +401,26 @@ def simulate_grim_trigger(
     All stages before ``deviate_at_stage`` obey the device, the deviation
     stage forces the case's recommendation and profile, and every later stage
     plays the competitive equilibrium, as the trigger requires.  An idle
-    deviation reports the profile (0, 0).  The trace replays run 0 of
-    ``seed`` through the engine's draws and slot law (``sim._Engine``),
-    comparing each stage's six draw values in Python floats, so its
-    cooperative prefix equals ``run_cooperation`` on the same seed bit for
-    bit.
+    deviation reports the profile (0, 0).  The trace steps one row through
+    the engine's draws of run 0 of ``seed``, its slot law and its network
+    age (``sim._Engine.slot_one``), so its cooperative prefix equals
+    ``run_cooperation`` on the same seed bit for bit.
     """
     if not 0 <= deviate_at_stage < n_stages:
         raise ConfigurationError("deviation stage outside the run")
     sizes, slots = params.sizes, params.slots
     engine = _Engine(params)
     coop, comp = (eq._rule(sizes, slots, competitive) for competitive in (False, True))
-    growth = engine.growth_by_code.tolist()
     tau_ton = engine.tau_ton_star
     ages = [params.initial_age] * sizes.n_aon
-    delta = sum(ages) / sizes.n_aon
+    delta = engine.network_age_one(ages)
     trace = []
     for n, draw in enumerate(engine.stage_rows(seed, range(1), n_stages)):
-        a1, a2, t1, t2, device_draw, node = draw[:, 0].tolist()
-        device = Recommendation.HEADS if device_draw < params.p_r else Recommendation.TAILS
+        draw = draw[:, 0].tolist()
+        device = Recommendation.HEADS if draw[4] < params.p_r else Recommendation.TAILS
         tau = eq._tau(delta, sizes, slots, comp if n > deviate_at_stage else coop)
         # The reported profile, and the played one: a negative tau silences
-        # that network, as in ``_Engine.slot``.
+        # that network.
         shown = play = (tau, tau_ton)
         if n < deviate_at_stage:
             play = (tau, -1.0) if device is Recommendation.HEADS else (-1.0, tau_ton)
@@ -430,12 +428,8 @@ def simulate_grim_trigger(
             device = case.recommendation
             if not case.joint_access:
                 shown, play = (0.0, 0.0), (-1.0, -1.0)
-        tau_a, tau_t = play
-        code = 3 * ((a1 < tau_a) + (a2 < tau_a)) + (t1 < tau_t) + (t2 < tau_t)
-        ages = [age + growth[code] for age in ages]
-        if code == 3:
-            ages[int(node)] = slots.success
-        delta = sum(ages) / sizes.n_aon
+        engine.slot_one(ages, draw, *play)
+        delta = engine.network_age_one(ages)
         trace.append(
             StageTrace(
                 stage=n,

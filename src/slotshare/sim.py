@@ -54,7 +54,9 @@ recorded event.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -237,6 +239,29 @@ class _Engine:
             nodes = draw[5].take(resets % runs).astype(np.intp)
             ages[resets, nodes] = self.slots.success
         return code
+
+    def slot_one(self, ages: list, draw, tau_a: float, tau_t: float) -> int:
+        """``slot`` for a single row in Python floats; returns the event code.
+
+        ``ages`` is the row's node ages, advanced in place, and ``draw`` its
+        six draw values.  The comparisons, the growth by code and the reset
+        are ``slot``'s, so the row replays the engine's bit for bit without
+        the per-call cost of numpy on one row.
+        """
+        a1, a2, t1, t2, _, node = draw
+        code = 3 * ((a1 < tau_a) + (a2 < tau_a)) + (t1 < tau_t) + (t2 < tau_t)
+        growth = float(self.growth_by_code[code])
+        ages[:] = [age + growth for age in ages]
+        if code == 3:
+            ages[int(node)] = self.slots.success
+        return code
+
+    def network_age_one(self, ages: list) -> float:
+        """The mean of one row's node ages, added left to right as ``_Trajectories`` adds columns.
+
+        Not ``sum``: from Python 3.12 it compensates float rounding.
+        """
+        return functools.reduce(operator.add, ages) / self.n_aon
 
 
 def _two_smallest(columns: np.ndarray, n: int, first, second, node=None) -> None:

@@ -472,6 +472,34 @@ class TestRealizedVersusExpected:
             assert abs(r_mean - e_mean) <= max(4.0 * (r_se + e_se), 1e-12)
 
 
+class TestSingleRow:
+    def test_slot_one_replays_slot(self, small_collision):
+        # Row by row, the scalar step reads the vectorized step's event code,
+        # increments and reset, with silenced, idle, mixed and certain access.
+        params = scenario(small_collision, na=3, nt=2)
+        engine = _Engine(params)
+        rows = 2000
+        [draw] = engine.draws(np.random.default_rng(5).random((rows, 1, engine.width)))
+        taus = np.random.default_rng(6).choice([-1.0, 0.0, 0.3, 0.8, 1.0], (2, rows))
+        ages = np.full((rows, 3), 2.0, order="F")
+        codes = engine.slot(ages, draw, *taus)
+        assert set(codes.tolist()) == set(range(9))
+        for r in range(rows):
+            row = [2.0] * 3
+            assert engine.slot_one(row, draw[:, r].tolist(), *taus[:, r].tolist()) == codes[r]
+            assert row == ages[r].tolist()
+
+    def test_network_age_one_adds_left_to_right(self, small_collision):
+        # 1 + 1e-16 rounds back to 1 at each add, as in the engine's column
+        # sum; a compensated sum would keep the two small ages.
+        engine = _Engine(scenario(small_collision, na=3))
+        ages = [1.0, 1e-16, 1e-16]
+        weights = sim._discount_weights([0.9], 1)
+        state = sim._Trajectories(engine, 1, [None], weights, None, False)
+        state.ages[:] = ages
+        assert engine.network_age_one(ages) == state._network_age()[0] == 1.0 / 3
+
+
 class TestGain:
     def test_self_comparison_is_exactly_zero(self, small_collision):
         # Copies of one mode replay the same run streams, so comparing
