@@ -35,7 +35,9 @@ against per-copy access probabilities and biases.  Consecutive copies whose
 AON rules (``equilibrium._rule``) are equal share one rule call per stage:
 the cooperative copies, and with equal success and collision slots the
 competitive ones too.  The node ages are column-major, so the per-stage
-network age adds whole columns, left to right.  Every Monte Carlo command
+network age adds whole columns, left to right, and the payoff accumulators
+are (alphas x rows), so each stage's weighted payoff is added along the
+contiguous rows of every alpha.  Every Monte Carlo command
 collects through ``_per_run``, which cuts the runs into chunks of
 ``_DEFAULT_CHUNK``, fans them out over threads and stores each run's results
 by run index.
@@ -317,8 +319,10 @@ class _Trajectories:
 
     ``ages`` is the (rows x n_aon) node ages, column-major so that each
     node's ages are one contiguous column and the network age is a sum of
-    columns.  Accumulators: ``u_aon``/``u_ton`` are (rows x alphas)
-    payoffs, stage ``n`` weighted by ``weights[n]``;
+    columns.  Accumulators: ``u_aon``/``u_ton`` are (alphas x rows)
+    payoffs, stage ``n`` weighted by ``weights[n]``: alpha-major, so that
+    each stage's multiply-and-add runs along the long row axis rather than
+    the few alphas;
     ``count_one``/``count_zero``/``n_access`` count the stages in which the
     AON may access, with probability 1, 0 or any; with ``stage1``, ``first``
     is the per-row stage-1 (network age, TON payoff); with ``record``,
@@ -332,7 +336,7 @@ class _Trajectories:
         self.shape = (len(p_rs), n_runs)
         self.ages = np.full((rows, engine.n_aon), engine.params.initial_age, order="F")
         self.delta = self._network_age()
-        self.u_aon, self.u_ton = np.zeros((2, rows, n_alpha))
+        self.u_aon, self.u_ton = np.zeros((2, n_alpha, rows))
         self.count_one, self.count_zero, self.n_access = np.zeros((3, rows), dtype=np.int64)
         # Per copy, the device draw below which the AON may access and at or
         # above which the TON may: a competitive copy lets both access.
@@ -395,8 +399,8 @@ class _Trajectories:
         stage_u_ton = engine.ton_by_code.take(code)
         if forced:
             self.first = (self.delta, stage_u_ton)
-        self.u_aon -= self.delta[:, None] * weights
-        self.u_ton += stage_u_ton[:, None] * weights
+        self.u_aon -= weights[:, None] * self.delta
+        self.u_ton += weights[:, None] * stage_u_ton
         if self.streams is not None:
             rec = self.streams
             rec["u_aon"][:, n] = -self.delta
@@ -518,8 +522,8 @@ def _per_run(params: ScenarioParams, seed, n_runs, n_stages, p_rs, alphas, threa
         rows = None if stage1 is None else np.repeat(stage1, size, axis=1)
         state = _simulate_batch(engine, seed, range(start, stop), p_rs, weights, rows)
         # State row b * size + r is run start + r in copy b.
-        pay = np.reshape((state.u_aon, state.u_ton), (2, copies, size, alphas.size))
-        payoffs[..., start:stop] = pay.swapaxes(2, 3)
+        pay = np.reshape((state.u_aon, state.u_ton), (2, alphas.size, copies, size))
+        payoffs[..., start:stop] = pay.swapaxes(1, 2)
         freqs[..., start:stop] = np.reshape(state.frequencies(), (2, copies, size))
         if first is not None:
             first[..., start:stop] = np.reshape(state.first, (2, copies, size))

@@ -524,6 +524,28 @@ class TestGain:
         result = ss.gain_of_cooperation(params, 30, 45, seed=13, threads=threads)
         assert [result.competitive, result.cooperative] == separate
 
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [7, 1024])
+    def test_alpha_columns_equal_one_alpha_calls(
+        self, forced, threads, chunk_size, small_collision, monkeypatch
+    ):
+        # The state keeps its payoffs alpha-major and ``_per_run`` swaps them
+        # to copies x alphas at each chunk's offset; every alpha column must
+        # equal that alpha simulated alone, and ``first`` must not move.
+        params = scenario(small_collision, initial_age=3.0)
+        alphas, p_rs = [0.3, 0.8, 0.95], [None, 0.25, 0.7]
+        stage1 = np.array([[1.0, 0.4, -1.0], [0.2, -1.0, 0.2]]) if forced else None
+        alone = [sim._per_run(params, 5, 30, 40, p_rs, [a], 1, stage1) for a in alphas]
+        monkeypatch.setattr(sim, "_DEFAULT_CHUNK", chunk_size)
+        payoffs, freqs, first = sim._per_run(params, 5, 30, 40, p_rs, alphas, threads, stage1)
+        assert payoffs.shape == (2, 3, 3, 30)
+        for i, (pay, freq, fst) in enumerate(alone):
+            assert np.array_equal(payoffs[:, :, i], pay[:, :, 0])
+            assert np.array_equal(freqs, freq)
+            assert (first is None) == (fst is None) == (not forced)
+            assert fst is None or np.array_equal(first, fst)
+
     def test_gain_standard_errors_are_of_paired_run_differences(self, small_collision):
         params = scenario(small_collision, p_r=0.4)
         result = ss.gain_of_cooperation(params, 300, 60, seed=17)
