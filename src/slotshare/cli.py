@@ -272,6 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="INI config file path")
+        cmd.add_argument("--out", help="output path (default: stdout)")
+        if name in ("msne", "stage"):
+            # The tables read no runs, stages, seed or threads.
+            continue
         cmd.add_argument("--seed", type=int, help="master seed override")
         cmd.add_argument("--runs", type=int, help="Monte Carlo runs override")
         cmd.add_argument("--stages", type=int, help="stages per run override")
@@ -281,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="use the full evaluation scale (100000 runs x 1000 stages)",
         )
-        cmd.add_argument("--out", help="output path (default: stdout)")
         if name == "simulate":
             cmd.add_argument(
                 "--mode",
@@ -293,17 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> ExperimentConfig:
     config = parse_config(args.config) if args.config else default_config()
-    if args.paper_scale:
+    if getattr(args, "paper_scale", False):
         config = config.at_paper_scale()
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.runs is not None:
-        overrides["n_runs"] = args.runs
-    if args.stages is not None:
-        overrides["n_stages"] = args.stages
-    if args.threads is not None:
-        overrides["threads"] = args.threads
+    flags = {"seed": "master_seed", "runs": "n_runs", "stages": "n_stages", "threads": "threads"}
+    overrides = {
+        field: getattr(args, flag)
+        for flag, field in flags.items()
+        if getattr(args, flag, None) is not None
+    }
     return replace(config, **overrides) if overrides else config
 
 

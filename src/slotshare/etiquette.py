@@ -14,14 +14,14 @@ Only two deviation trajectories exist dynamically: both deviations onto
 ``(access, access)`` share one law, as do both onto ``(backoff, backoff)``
 (an idle slot).  Neither alpha nor, off the compliance branches, the device
 bias moves the dynamics, so a region sweep simulates each trajectory once
-on common random numbers (``sim._per_run``) and weights it per alpha.
-Margins within two standard errors of zero are reported as indeterminate
-rather than forced to a boolean.
+on common random numbers (``sim._per_run``) and weights it per alpha, and
+by one more weight column for the stage-1 diagnostics.  Margins within two
+standard errors of zero are reported as indeterminate rather than forced to
+a boolean, so a sweep needs two runs or more.
 
 ``simulate_grim_trigger`` audits one trajectory of the etiquette with an
-injected deviation.  It steps one row through the engine's draws and slot
-law in Python floats (``sim._Engine.slot_one``), on run 0 of its seed, so it
-replays the trajectory that the engine plays on that stream.
+injected deviation.  It folds the engine's single-row loop, that of
+``run_cooperation`` too (``sim._Engine.trace``), on run 0 of its seed.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .model import (
     SlotLengths,
     AccessProfile,
 )
-from .sim import _Engine, _mean_se, _per_run
+from .sim import _Engine, _discount_weights, _mean_se, _per_run
 from . import model as _model
 
 
@@ -225,23 +225,26 @@ def _sweep(
     and alpha only selects a column of discount weights.  Cell ``[i][j]``
     equals the report at ``alpha_axis[i]``, ``pr_axis[j]`` alone.
     """
+    if n_runs < 2:
+        raise ConfigurationError("a deviation estimate needs at least two runs")
     profile_hat, _ = eq.cooperative_optimum(params.sizes, params.slots, params.initial_age)
     tau_hat0, tau_ton = profile_hat.tau_aon, profile_hat.tau_ton
-    n_pr = len(pr_axis)
+    n_alpha, n_pr = len(alpha_axis), len(pr_axis)
     # Copies: joint access and an idle slot, competitive afterwards; then per
     # bias obey heads (AON alone) and obey tails (TON alone), cooperative
     # afterwards.  Each copy's stage-1 (tau_aon, tau_ton):
     p_rs = [None, None, *np.repeat(pr_axis, 2)]
     profiles = [(tau_hat0, tau_ton), (-1.0, -1.0)] + [(tau_hat0, -1.0), (-1.0, tau_ton)] * n_pr
-    payoffs, _, first = _per_run(
-        params, seed, n_runs, n_stages, p_rs, alpha_axis, threads, np.transpose(profiles)
-    )
+    # One column per alpha, then stage 1 alone: minus its age, its TON payoff.
+    weights = np.hstack([_discount_weights(alpha_axis, n_stages), np.eye(n_stages, 1)])
+    payoffs, _ = _per_run(params, seed, n_runs, p_rs, weights, threads, np.transpose(profiles))
     # dev: payoff x (joint, idle) x alpha x run; obey: payoff x bias x (heads, tails) x alpha x run.
-    dev, obey = payoffs[:, :2], payoffs[:, 2:].reshape(2, n_pr, 2, len(alpha_axis), n_runs)
+    discounted = payoffs[:, :, :n_alpha]
+    dev, obey = discounted[:, :2], discounted[:, 2:].reshape(2, n_pr, 2, n_alpha, n_runs)
     # In _BRANCHES order: compliance stage 1 does not read the bias, so heads
     # and tails come from the first bias's copies (2, 3).
-    stage1 = first[:, [2, 3, 0, 1]]
-    stage1_age_mc = {b: _mean_se(stage1[0, k]) for k, b in enumerate(_BRANCHES)}
+    stage1 = payoffs[:, [2, 3, 0, 1], n_alpha]
+    stage1_age_mc = {b: _mean_se(-stage1[0, k]) for k, b in enumerate(_BRANCHES)}
     stage1_throughput_mc = {b: _mean_se(stage1[1, k]) for k, b in enumerate(_BRANCHES)}
 
     def report(i, j):
@@ -258,7 +261,7 @@ def _sweep(
             n_runs=n_runs,
         )
 
-    return [[report(i, j) for j in range(n_pr)] for i in range(len(alpha_axis))]
+    return [[report(i, j) for j in range(n_pr)] for i in range(n_alpha)]
 
 
 def deviation_inequalities(
@@ -401,40 +404,27 @@ def simulate_grim_trigger(
     All stages before ``deviate_at_stage`` obey the device, the deviation
     stage forces the case's recommendation and profile, and every later stage
     plays the competitive equilibrium, as the trigger requires.  An idle
-    deviation reports the profile (0, 0).  The trace steps one row through
-    the engine's draws of run 0 of ``seed``, its slot law and its network
-    age (``sim._Engine.slot_one``), so its cooperative prefix equals
-    ``run_cooperation`` on the same seed bit for bit.
+    deviation reports the profile (0, 0).  The trace folds the engine's
+    single-row loop (``sim._Engine.trace``) on run 0 of ``seed``, the loop
+    of ``run_cooperation``, so its cooperative prefix equals that run bit for
+    bit.
     """
     if not 0 <= deviate_at_stage < n_stages:
         raise ConfigurationError("deviation stage outside the run")
-    sizes, slots = params.sizes, params.slots
     engine = _Engine(params)
-    coop, comp = (eq._rule(sizes, slots, competitive) for competitive in (False, True))
-    tau_ton = engine.tau_ton_star
-    ages = [params.initial_age] * sizes.n_aon
-    delta = engine.network_age_one(ages)
+    stages = engine.trace(seed, 0, n_stages, params.p_r, deviate_at_stage, case.joint_access)
     trace = []
-    for n, draw in enumerate(engine.stage_rows(seed, range(1), n_stages)):
-        draw = draw[:, 0].tolist()
-        device = Recommendation.HEADS if draw[4] < params.p_r else Recommendation.TAILS
-        tau = eq._tau(delta, sizes, slots, comp if n > deviate_at_stage else coop)
-        # The reported profile, and the played one: a negative tau silences
-        # that network.
-        shown = play = (tau, tau_ton)
-        if n < deviate_at_stage:
-            play = (tau, -1.0) if device is Recommendation.HEADS else (-1.0, tau_ton)
-        elif n == deviate_at_stage:
-            device = case.recommendation
-            if not case.joint_access:
-                shown, play = (0.0, 0.0), (-1.0, -1.0)
-        engine.slot_one(ages, draw, *play)
-        delta = engine.network_age_one(ages)
+    for n, (device, tau, _, _, delta, _) in enumerate(stages):
+        recommendation = Recommendation.HEADS if device < params.p_r else Recommendation.TAILS
+        if n == deviate_at_stage:
+            recommendation = case.recommendation
+        idle = n == deviate_at_stage and not case.joint_access
+        shown = (0.0, 0.0) if idle else (tau, engine.tau_ton_star)
         trace.append(
             StageTrace(
                 stage=n,
                 compliance=ComplianceFlag(
-                    stage=n, recommendation=device, obeyed=n < deviate_at_stage
+                    stage=n, recommendation=recommendation, obeyed=n < deviate_at_stage
                 ),
                 competitive_play=n > deviate_at_stage,
                 tau_aon=shown[0],

@@ -25,22 +25,27 @@ chunk of runs draws its rows a block of stages at a time into one reused
 buffer; a counter-based stream read in order yields the same numbers however
 it is cut into blocks.
 
-One state (``_Trajectories``) holds every trajectory of a chunk: copies of
-its runs stacked as rows, each copy competitive or cooperative with its own
-device bias, optionally forced to a stage-1 profile, with payoffs weighted
-by a (stages x alphas) matrix.  ``simulate`` uses one copy, the gain grid
-``1 + |biases|`` and the region sweep ``2 + 2 * |biases|``; all copies read
-the same draws, one slot step per stage, by broadcasting the per-run draw
-against per-copy access probabilities and biases.  Consecutive copies whose
-AON rules (``equilibrium._rule``) are equal share one rule call per stage:
-the cooperative copies, and with equal success and collision slots the
+One state (``_Trajectories``) holds every trajectory of a batch chunk:
+copies of its runs stacked as rows, each copy competitive or cooperative
+with its own device bias, optionally forced to a stage-1 profile, with
+payoffs weighted by a (stages x columns) matrix, one column per alpha (the
+region sweep adds a stage-1 column ``1, 0, 0, ...``, whose payoffs are
+exactly minus the stage-1 network age and the stage-1 TON payoff).
+``simulate`` uses one copy, the gain grid ``1 + |biases|`` and the region
+sweep ``2 + 2 * |biases|``; all copies read the same draws, one slot step
+per stage, by broadcasting the per-run draw against per-copy access
+probabilities and biases.  Consecutive copies whose AON rules
+(``equilibrium._rule``) are equal share one rule call per stage: the
+cooperative copies, and with equal success and collision slots the
 competitive ones too.  The node ages are column-major, so the per-stage
 network age adds whole columns, left to right, and the payoff accumulators
-are (alphas x rows), so each stage's weighted payoff is added along the
-contiguous rows of every alpha.  Every Monte Carlo command
-collects through ``_per_run``, which cuts the runs into chunks of
-``_DEFAULT_CHUNK``, fans them out over threads and stores each run's results
-by run index.
+are (columns x rows), so each stage's weighted payoff is added along the
+contiguous rows of every column.  Every Monte Carlo command collects
+through ``_per_run``, which cuts the runs into chunks of ``_DEFAULT_CHUNK``,
+fans them out over threads and stores each run's results by run index.  A
+single row (``run_competition``/``run_cooperation``, the grim-trigger
+audit) is stepped in Python floats by the one generator ``_Engine.trace``,
+which replays its row of a batch bit for bit.
 
 A node transmits iff its draw is below its network's access probability, so
 a network sends 0, 1 or at least 2 packets according to whether that
@@ -265,6 +270,36 @@ class _Engine:
         """
         return functools.reduce(operator.add, ages) / self.n_aon
 
+    def trace(self, seed: int, run: int, n_stages: int, p_r=None, switch=None, joint=True):
+        """Step run ``run`` of ``seed`` as one row in Python floats, yielding each stage.
+
+        Before stage ``switch`` (always when None) the row obeys a device of
+        bias ``p_r``, or competes when ``p_r`` is None; at ``switch`` it plays
+        the cooperative tau with the TON (``joint``) or silences both; after
+        it, it competes.  A stage yields the device draw, the rule's tau, the
+        played tau_aon, the event code, the network age and the node ages
+        (a list that the next stage advances in place).
+        """
+        sizes, slots = self.sizes, self.slots
+        rules = {competitive: eq._rule(sizes, slots, competitive) for competitive in (False, True)}
+        # Per phase (competitive, aon_bias, ton_bias): as in _Trajectories the AON
+        # may access below aon_bias and the TON at or above ton_bias.
+        inf = float("inf")
+        before = (True, inf, -inf) if p_r is None else (False, p_r, p_r)
+        at = (False, inf, -inf) if joint else (False, -inf, inf)
+        after = (True, inf, -inf)
+        ages = [self.params.initial_age] * self.n_aon
+        delta = self.network_age_one(ages)
+        for n, draw in enumerate(self.stage_rows(seed, range(run, run + 1), n_stages)):
+            draw = draw[:, 0].tolist()
+            phase = before if switch is None or n < switch else at if n == switch else after
+            tau = eq._tau(delta, sizes, slots, rules[phase[0]])
+            tau_a = tau if draw[4] < phase[1] else -1.0
+            tau_t = self.tau_ton_star if draw[4] >= phase[2] else -1.0
+            code = self.slot_one(ages, draw, tau_a, tau_t)
+            delta = self.network_age_one(ages)
+            yield draw[4], tau, tau_a, code, delta, ages
+
 
 def _two_smallest(columns: np.ndarray, n: int, first, second, node=None) -> None:
     """Write a network's two smallest node draws, per stage and run, into ``first``/``second``.
@@ -302,6 +337,11 @@ def _two_smallest(columns: np.ndarray, n: int, first, second, node=None) -> None
 def _discount_weights(alphas, n_stages: int) -> np.ndarray:
     """(stages x alphas) weights ``(1 - a) * a**n``, as a running product over stages."""
     alphas = np.asarray(alphas, dtype=np.float64)
+    if n_stages < 1:
+        raise ConfigurationError("need at least one stage")
+    # Written so that NaN fails too.
+    if not np.all((alphas > 0.0) & (alphas < 1.0)):
+        raise ConfigurationError("discount factor must lie in (0, 1)")
     factors = np.empty((n_stages, alphas.size))
     factors[0] = 1.0 - alphas
     factors[1:] = alphas
@@ -319,24 +359,20 @@ class _Trajectories:
 
     ``ages`` is the (rows x n_aon) node ages, column-major so that each
     node's ages are one contiguous column and the network age is a sum of
-    columns.  Accumulators: ``u_aon``/``u_ton`` are (alphas x rows)
-    payoffs, stage ``n`` weighted by ``weights[n]``: alpha-major, so that
+    columns.  Accumulators: ``u_aon``/``u_ton`` are (columns x rows)
+    payoffs, stage ``n`` weighted by ``weights[n]``: column-major, so that
     each stage's multiply-and-add runs along the long row axis rather than
-    the few alphas;
-    ``count_one``/``count_zero``/``n_access`` count the stages in which the
-    AON may access, with probability 1, 0 or any; with ``stage1``, ``first``
-    is the per-row stage-1 (network age, TON payoff); with ``record``,
-    ``streams`` holds the per-stage ``StageRecord`` fields.
+    the few weight columns; ``count_one``/``count_zero``/``n_access`` count
+    the stages in which the AON may access, with probability 1, 0 or any.
     """
 
-    def __init__(self, engine: _Engine, n_runs, p_rs, weights, stage1, record):
+    def __init__(self, engine: _Engine, n_runs, p_rs, weights, stage1=None):
         self.engine, self.weights, self.stage1 = engine, weights, stage1
-        n_stages, n_alpha = weights.shape
         rows = len(p_rs) * n_runs
         self.shape = (len(p_rs), n_runs)
         self.ages = np.full((rows, engine.n_aon), engine.params.initial_age, order="F")
         self.delta = self._network_age()
-        self.u_aon, self.u_ton = np.zeros((2, n_alpha, rows))
+        self.u_aon, self.u_ton = np.zeros((2, weights.shape[1], rows))
         self.count_one, self.count_zero, self.n_access = np.zeros((3, rows), dtype=np.int64)
         # Per copy, the device draw below which the AON may access and at or
         # above which the TON may: a competitive copy lets both access.
@@ -350,15 +386,6 @@ class _Trajectories:
             stop = start + len(list(group))
             self.groups.append((rule, slice(start * n_runs, stop * n_runs)))
             start = stop
-        self.streams = None
-        if record:
-            self.streams = {
-                "u_aon": np.empty((rows, n_stages)),
-                "u_ton": np.empty((rows, n_stages)),
-                "tau_aon": np.empty((rows, n_stages)),
-                "events": np.empty((rows, n_stages), dtype=np.int8),
-                "aon_selected": np.empty((rows, n_stages), dtype=bool),
-            }
 
     def _network_age(self) -> np.ndarray:
         """Per row, the mean of the node ages, adding whole columns left to right.
@@ -373,41 +400,29 @@ class _Trajectories:
         return total / self.engine.n_aon
 
     def _play(self, device):
-        """The AON rule's tau and the played (tau_aon, tau_ton) of every row."""
+        """The played (tau_aon, tau_ton) of every row."""
         engine = self.engine
         sizes, slots = engine.sizes, engine.slots
         taus = [eq._tau(self.delta[rows], sizes, slots, rule) for rule, rows in self.groups]
         tau = taus[0] if len(taus) == 1 else np.concatenate(taus)
         tau_a = np.where(device < self.aon_bias, tau.reshape(self.shape), -1.0)
         tau_t = np.where(device >= self.ton_bias, engine.tau_ton_star, -1.0)
-        return tau, tau_a.ravel(), tau_t.ravel()
+        return tau_a.ravel(), tau_t.ravel()
 
     def step(self, n: int, draw: np.ndarray) -> None:
         engine, weights = self.engine, self.weights[n]
-        forced = n == 0 and self.stage1 is not None
-        if forced:
-            tau = tau_a = self.stage1[0]
-            tau_t = self.stage1[1]
+        if n == 0 and self.stage1 is not None:
+            tau_a, tau_t = self.stage1
         else:
-            tau, tau_a, tau_t = self._play(draw[4])
+            tau_a, tau_t = self._play(draw[4])
         code = engine.slot(self.ages, draw, tau_a, tau_t)
         self.count_one += tau_a == 1.0
         self.count_zero += tau_a == 0.0
         self.n_access += tau_a >= 0.0
         # The stage's payoffs, and the next stage's network age.
         self.delta = self._network_age()
-        stage_u_ton = engine.ton_by_code.take(code)
-        if forced:
-            self.first = (self.delta, stage_u_ton)
         self.u_aon -= weights[:, None] * self.delta
-        self.u_ton += weights[:, None] * stage_u_ton
-        if self.streams is not None:
-            rec = self.streams
-            rec["u_aon"][:, n] = -self.delta
-            rec["u_ton"][:, n] = stage_u_ton
-            rec["tau_aon"][:, n] = tau
-            rec["events"][:, n] = engine.event_by_code.take(code)
-            rec["aon_selected"][:, n] = tau_a >= 0.0
+        self.u_ton += weights[:, None] * engine.ton_by_code.take(code)
 
     def frequencies(self) -> tuple[np.ndarray, np.ndarray]:
         """Per row, the shares of the AON's access stages at probability 1 and 0 (0 if none)."""
@@ -424,41 +439,39 @@ def _simulate_batch(
     p_rs,
     weights: np.ndarray,
     stage1: np.ndarray | None = None,
-    record: bool = False,
 ) -> _Trajectories:
     """Advance one copy of the runs per entry of ``p_rs`` through every row of ``weights``.
 
     All copies read the runs' shared draws, one slot step per stage.
     """
-    state = _Trajectories(engine, len(run_indices), p_rs, weights, stage1, record)
+    state = _Trajectories(engine, len(run_indices), p_rs, weights, stage1)
     for n, draw in enumerate(engine.stage_rows(seed, run_indices, len(weights))):
         state.step(n, draw)
     return state
 
 
 def _run_single(config: RunConfig, run_index: int = 0) -> RunResult:
+    """One run folded from ``_Engine.trace``, discounted and counted as its batch row is."""
     params = config.params
+    engine = _Engine(params)
     p_r = None if config.mode is Mode.COMPETITIVE else params.p_r
-    state = _simulate_batch(
-        _Engine(params),
-        config.seed,
-        range(run_index, run_index + 1),
-        [p_r],
-        _discount_weights([params.alpha], config.n_stages),
-        record=True,
-    )
-    streams = {name: stream[0] for name, stream in state.streams.items()}
-    if p_r is None:
-        streams["aon_selected"] = None
-    freq_one, freq_zero = state.frequencies()
-    return RunResult(
-        u_aon_discounted=float(state.u_aon[0, 0]),
-        u_ton_discounted=float(state.u_ton[0, 0]),
-        freq_tau_one=float(freq_one[0]),
-        freq_tau_zero=float(freq_zero[0]),
-        final_ages=AgeState(state.ages[0]),
-        stages=StageRecord(**streams),
-    )
+    weights = _discount_weights([params.alpha], config.n_stages)[:, 0].tolist()
+    ton_by_code = engine.ton_by_code.tolist()
+    u_aon = u_ton = 0.0
+    stages = []
+    for w, (_, tau, tau_a, code, delta, ages) in zip(
+        weights, engine.trace(config.seed, run_index, config.n_stages, p_r)
+    ):
+        u_aon -= w * delta
+        u_ton += w * ton_by_code[code]
+        stages.append((delta, tau, tau_a, code))
+    delta, tau, tau_a, code = map(np.array, zip(*stages))
+    access = np.count_nonzero(tau_a >= 0.0)
+    freqs = [np.count_nonzero(tau_a == x) / access if access else 0.0 for x in (1.0, 0.0)]
+    selected = None if p_r is None else tau_a >= 0.0
+    events = engine.event_by_code.take(code)
+    record = StageRecord(-delta, engine.ton_by_code.take(code), tau, events, selected)
+    return RunResult(u_aon, u_ton, *freqs, AgeState(ages), record)
 
 
 def run_competition(config: RunConfig) -> RunResult:
@@ -492,29 +505,24 @@ def _fanout(n_runs: int, work, threads: int) -> None:
             work(bounds)
 
 
-def _per_run(params: ScenarioParams, seed, n_runs, n_stages, p_rs, alphas, threads, stage1=None):
+def _per_run(params: ScenarioParams, seed, n_runs, p_rs, weights, threads, stage1=None):
     """Per-run results of one copy of the runs per entry of ``p_rs``, by run index.
 
     Copy ``b`` competes when ``p_rs[b]`` is None and otherwise obeys a device
     of that bias; ``stage1`` is an optional (2 x copies) array of each copy's
-    stage-1 (tau_aon, tau_ton).  Returns, run axis last so that each
-    reduction reads one contiguous row, the (AON, TON) payoffs (2 x copies x
-    alphas x runs), the access frequencies at 1 and 0 and, only with
-    ``stage1``, the stage-1 (network age, TON payoff), each (2 x copies x
-    runs); without ``stage1`` the last is None.
+    stage-1 (tau_aon, tau_ton).  ``weights`` is the (stages x columns)
+    payoff weight matrix: ``_discount_weights`` gives one column per alpha,
+    and a caller may append others, such as ``np.eye(n_stages, 1)`` for the
+    stage-1 outcomes.  Returns, run axis last so that each reduction reads
+    one contiguous row, the (AON, TON) payoffs (2 x copies x columns x runs)
+    and the access frequencies at 1 and 0 (2 x copies x runs).
     """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if n_runs < 1 or n_stages < 1:
-        raise ConfigurationError("need at least one run and one stage")
-    # Written so that NaN fails too.
-    if not np.all((alphas > 0.0) & (alphas < 1.0)):
-        raise ConfigurationError("discount factor must lie in (0, 1)")
+    if n_runs < 1:
+        raise ConfigurationError("need at least one run")
     engine = _Engine(params)
-    weights = _discount_weights(alphas, n_stages)
-    copies = len(p_rs)
-    payoffs = np.empty((2, copies, alphas.size, n_runs))
+    copies, n_columns = len(p_rs), weights.shape[1]
+    payoffs = np.empty((2, copies, n_columns, n_runs))
     freqs = np.empty((2, copies, n_runs))
-    first = None if stage1 is None else np.empty((2, copies, n_runs))
 
     def work(bounds):
         start, stop = bounds
@@ -522,14 +530,12 @@ def _per_run(params: ScenarioParams, seed, n_runs, n_stages, p_rs, alphas, threa
         rows = None if stage1 is None else np.repeat(stage1, size, axis=1)
         state = _simulate_batch(engine, seed, range(start, stop), p_rs, weights, rows)
         # State row b * size + r is run start + r in copy b.
-        pay = np.reshape((state.u_aon, state.u_ton), (2, alphas.size, copies, size))
+        pay = np.reshape((state.u_aon, state.u_ton), (2, n_columns, copies, size))
         payoffs[..., start:stop] = pay.swapaxes(1, 2)
         freqs[..., start:stop] = np.reshape(state.frequencies(), (2, copies, size))
-        if first is not None:
-            first[..., start:stop] = np.reshape(state.first, (2, copies, size))
 
     _fanout(n_runs, work, threads)
-    return payoffs, freqs, first
+    return payoffs, freqs
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -555,8 +561,8 @@ def monte_carlo(config: RunConfig, n_runs: int, threads: int = 1) -> Aggregate:
     """
     params = config.params
     p_r = None if config.mode is Mode.COMPETITIVE else params.p_r
-    results = _per_run(params, config.seed, n_runs, config.n_stages, [p_r], [params.alpha], threads)
-    return _aggregate(*results[:2], 0, 0)
+    weights = _discount_weights([params.alpha], config.n_stages)
+    return _aggregate(*_per_run(params, config.seed, n_runs, [p_r], weights, threads), 0, 0)
 
 
 @dataclass(frozen=True)
@@ -597,7 +603,8 @@ def gain_grid(
     if not np.all((biases >= 0.0) & (biases <= 1.0)):
         raise ConfigurationError("device bias must lie in [0, 1]")
     p_rs = [None, *biases]
-    payoffs, freqs, _ = _per_run(params, seed, n_runs, n_stages, p_rs, alphas, threads)
+    weights = _discount_weights(alphas, n_stages)
+    payoffs, freqs = _per_run(params, seed, n_runs, p_rs, weights, threads)
 
     def cell(i, j):
         base = _aggregate(payoffs, freqs, 0, i)

@@ -251,9 +251,30 @@ class TestCli:
     def test_threads_below_one_exit_code(self, tmp_path, ini, args):
         config = tmp_path / "c.ini"
         config.write_text(ini)
-        for command in (["msne"], ["simulate", "--mode", "competitive", "--runs", "4"]):
+        # The table commands take no --threads, but still validate the config.
+        commands = [["simulate", "--mode", "competitive", "--runs", "4"]]
+        if not args:
+            commands.append(["msne"])
+        for command in commands:
             code, out = run_cli([*command, "--config", str(config), *args])
             assert (code, out) == (cli.EXIT_CONFIG, "")
+
+    @pytest.mark.parametrize("command", ["msne", "stage"])
+    @pytest.mark.parametrize(
+        "flag", [["--runs", "5"], ["--seed", "1"], ["--stages", "5"], ["--threads", "0"],
+                 ["--paper-scale"]]
+    )
+    def test_table_commands_reject_run_flags(self, command, flag, capsys):
+        # msne and stage read no runs, stages, seed or threads: argparse refuses them.
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, *flag])
+        assert exit_info.value.code == cli.EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
+    def test_one_run_region_exit_code(self):
+        # One run has no standard error, so it cannot decide a cell.
+        code, out = run_cli(["region", "--runs", "1", "--stages", "5"])
+        assert (code, out) == (cli.EXIT_CONFIG, "")
 
     @pytest.mark.parametrize(
         "ini, command",

@@ -308,6 +308,25 @@ class TestRegionSweep:
             with pytest.raises(ss.ConfigurationError):
                 ss.region_sweep(scenario(equal_slots), alphas, biases, 10, 10, seed=1)
 
+    @pytest.mark.parametrize("n_runs", [0, 1])
+    def test_fewer_than_two_runs_rejected_before_simulating(
+        self, n_runs, equal_slots, monkeypatch
+    ):
+        # One run has no standard error, so every margin would read as decided.
+        def batch(*args, **kwargs):
+            raise AssertionError("simulated a sweep without a standard error")
+
+        monkeypatch.setattr(sim, "_simulate_batch", batch)
+        params = scenario(equal_slots)
+        calls = (
+            lambda: ss.region_sweep(params, [0.5], [0.5], n_runs, 10, seed=1),
+            lambda: ss.deviation_inequalities(params, n_runs, 10, seed=1),
+            lambda: ss.spe_feasible(params, 0.5, 0.5, n_runs, 10, seed=1),
+        )
+        for call in calls:
+            with pytest.raises(ss.ConfigurationError, match="two runs"):
+                call()
+
     def test_empty_axis_rejected_before_simulating(self, equal_slots, monkeypatch):
         def kernel(*args):
             raise AssertionError("the kernel ran on an empty grid")
@@ -391,17 +410,17 @@ class TestGrimTrigger:
         trace = ss.simulate_grim_trigger(params, n_stages, seed, 0, case)
         coop, _ = ss.cooperative_optimum(params.sizes, params.slots, params.initial_age)
         forced = (coop.tau_aon, 1.0 / nt) if case.joint_access else (-1.0, -1.0)
-        engine = sim._Engine(params)
-        weights = sim._discount_weights([params.alpha], n_stages)
+        # Weight column n takes stage n alone: minus its network age.
         state = sim._simulate_batch(
-            engine, seed, range(1), [None], weights,
-            stage1=np.array(forced).reshape(2, 1), record=True,
+            sim._Engine(params), seed, range(1), [None], np.eye(n_stages),
+            stage1=np.array(forced).reshape(2, 1),
         )
-        streams = state.streams
         ages = [st.network_age_after for st in trace.stages]
-        assert ages == (-streams["u_aon"][0]).tolist()
+        assert ages == (-state.u_aon[:, 0]).tolist()
+        # After stage 1 the branch competes: the rule's tau at each pre-slot age.
+        rule = eq._rule(params.sizes, params.slots, True)
         taus = [st.tau_aon for st in trace.stages[1:]]
-        assert taus == streams["tau_aon"][0, 1:].tolist()
+        assert taus == eq._tau(-state.u_aon[:-1, 0], params.sizes, params.slots, rule).tolist()
 
     def test_deviation_stage_bounds_checked(self, equal_slots):
         with pytest.raises(ss.ConfigurationError):

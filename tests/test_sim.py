@@ -69,9 +69,25 @@ class TestDeterminism:
         b = ss.monte_carlo(config, 3)
         assert a == b
 
-    def test_single_run_matches_batch_entry(self, small_collision):
-        config = ss.RunConfig(scenario(small_collision), 150, ss.Mode.COMPETITIVE, seed=3)
-        single = ss.run_competition(config)
+    @pytest.mark.parametrize("mode", [ss.Mode.COMPETITIVE, ss.Mode.COOPERATIVE])
+    @pytest.mark.parametrize("na, nt", [(5, 5), (17, 4), (1, 3), (3, 1)])
+    def test_single_run_matches_batch_entry(self, mode, na, nt, small_collision):
+        # A single run steps one row in floats (``_Engine.trace``); the batch
+        # steps the same run in ``_Trajectories``.  Weight column 0 discounts,
+        # and column 1 + n weights stage n alone: minus its network age.
+        params = scenario(small_collision, na=na, nt=nt, p_r=0.4)
+        n_stages = 150
+        config = ss.RunConfig(params, n_stages, mode, seed=3)
+        single = sim._run_single(config)
+        p_r = None if mode is ss.Mode.COMPETITIVE else params.p_r
+        weights = np.hstack([sim._discount_weights([params.alpha], n_stages), np.eye(n_stages)])
+        state = sim._simulate_batch(_Engine(params), 3, range(1), [p_r], weights)
+        assert single.u_aon_discounted == state.u_aon[0, 0]
+        assert single.u_ton_discounted == state.u_ton[0, 0]
+        assert [single.freq_tau_one, single.freq_tau_zero] == [f[0] for f in state.frequencies()]
+        assert single.final_ages.ages.tolist() == state.ages[0].tolist()
+        assert single.stages.u_aon.tolist() == state.u_aon[1:, 0].tolist()
+        assert single.stages.u_ton.tolist() == state.u_ton[1:, 0].tolist()
         agg = ss.monte_carlo(config, 1)
         assert agg.u_aon_mean == single.u_aon_discounted
         assert agg.u_ton_mean == single.u_ton_discounted
@@ -453,17 +469,17 @@ class TestRealizedVersusExpected:
         engine = _Engine(params)
         p_r = None if mode is ss.Mode.COMPETITIVE else params.p_r
         weights = sim._discount_weights([params.alpha], n_stages)
-        state = sim._simulate_batch(engine, 31, range(n_runs), [p_r], weights, record=True)
-        # The recorded batch replays monte_carlo's runs.
+        # Weight column n takes stage n alone: minus its network age, its TON payoff.
+        state = sim._simulate_batch(engine, 31, range(n_runs), [p_r], np.eye(n_stages))
+        # The batch replays monte_carlo's runs.
         assert state.frequencies()[0].mean() == realized.freq_tau_one_mean
         assert state.frequencies()[1].mean() == realized.freq_tau_zero_mean
-        rec, sizes, tau_t = state.streams, params.sizes, engine.tau_ton_star
+        sizes, tau_t = params.sizes, engine.tau_ton_star
         # Pre-slot network ages: the initial age, then each stage's post-slot age.
-        delta = np.hstack([np.full((n_runs, 1), params.initial_age), -rec["u_aon"][:, :-1]])
-        stage_aon = -eq._stage_age(rec["tau_aon"], tau_t, sizes, equal_slots, delta, p_r=p_r)
-        stage_ton = eq._stage_throughput(
-            rec["tau_aon"], tau_t, sizes, equal_slots, params.rate, p_r=p_r
-        )
+        delta = np.hstack([np.full((n_runs, 1), params.initial_age), -state.u_aon[:-1].T])
+        tau = eq._tau(delta, sizes, equal_slots, eq._rule(sizes, equal_slots, p_r is None))
+        stage_aon = -eq._stage_age(tau, tau_t, sizes, equal_slots, delta, p_r=p_r)
+        stage_ton = eq._stage_throughput(tau, tau_t, sizes, equal_slots, params.rate, p_r=p_r)
         for field, stage in (("u_aon", stage_aon), ("u_ton", stage_ton)):
             # Cooperative throughput does not depend on the state: a scalar.
             expected = np.broadcast_to(stage, delta.shape) @ weights[:, 0]
@@ -494,8 +510,7 @@ class TestSingleRow:
         # sum; a compensated sum would keep the two small ages.
         engine = _Engine(scenario(small_collision, na=3))
         ages = [1.0, 1e-16, 1e-16]
-        weights = sim._discount_weights([0.9], 1)
-        state = sim._Trajectories(engine, 1, [None], weights, None, False)
+        state = sim._Trajectories(engine, 1, [None], sim._discount_weights([0.9], 1))
         state.ages[:] = ages
         assert engine.network_age_one(ages) == state._network_age()[0] == 1.0 / 3
 
@@ -504,8 +519,9 @@ class TestGain:
     def test_self_comparison_is_exactly_zero(self, small_collision):
         # Copies of one mode replay the same run streams, so comparing
         # cooperation against itself gains exactly zero, run by run.
-        payoffs, freqs, _ = sim._per_run(
-            scenario(small_collision), 8, 50, 100, [0.4, 0.4], [0.5, 0.9], threads=1
+        weights = sim._discount_weights([0.5, 0.9], 100)
+        payoffs, freqs = sim._per_run(
+            scenario(small_collision), 8, 50, [0.4, 0.4], weights, threads=1
         )
         assert np.array_equal(payoffs[:, 0], payoffs[:, 1])
         assert np.array_equal(freqs[:, 0], freqs[:, 1])
@@ -530,26 +546,28 @@ class TestGain:
     def test_alpha_columns_equal_one_alpha_calls(
         self, forced, threads, chunk_size, small_collision, monkeypatch
     ):
-        # The state keeps its payoffs alpha-major and ``_per_run`` swaps them
-        # to copies x alphas at each chunk's offset; every alpha column must
-        # equal that alpha simulated alone, and ``first`` must not move.
+        # The state keeps its payoffs column-major and ``_per_run`` swaps them
+        # to copies x columns at each chunk's offset; every alpha column, and
+        # with forced stage-1 profiles the stage-1 column, must equal that
+        # column simulated alone.
         params = scenario(small_collision, initial_age=3.0)
         alphas, p_rs = [0.3, 0.8, 0.95], [None, 0.25, 0.7]
         stage1 = np.array([[1.0, 0.4, -1.0], [0.2, -1.0, 0.2]]) if forced else None
-        alone = [sim._per_run(params, 5, 30, 40, p_rs, [a], 1, stage1) for a in alphas]
+        columns = list(sim._discount_weights(alphas, 40).T) + ([np.eye(40)[0]] if forced else [])
+        alone = [sim._per_run(params, 5, 30, p_rs, c[:, None], 1, stage1) for c in columns]
         monkeypatch.setattr(sim, "_DEFAULT_CHUNK", chunk_size)
-        payoffs, freqs, first = sim._per_run(params, 5, 30, 40, p_rs, alphas, threads, stage1)
-        assert payoffs.shape == (2, 3, 3, 30)
-        for i, (pay, freq, fst) in enumerate(alone):
+        weights = np.transpose(columns)
+        payoffs, freqs = sim._per_run(params, 5, 30, p_rs, weights, threads, stage1)
+        assert payoffs.shape == (2, 3, len(columns), 30)
+        for i, (pay, freq) in enumerate(alone):
             assert np.array_equal(payoffs[:, :, i], pay[:, :, 0])
             assert np.array_equal(freqs, freq)
-            assert (first is None) == (fst is None) == (not forced)
-            assert fst is None or np.array_equal(first, fst)
 
     def test_gain_standard_errors_are_of_paired_run_differences(self, small_collision):
         params = scenario(small_collision, p_r=0.4)
         result = ss.gain_of_cooperation(params, 300, 60, seed=17)
-        payoffs, _, _ = sim._per_run(params, 17, 300, 60, [None, 0.4], [params.alpha], 1)
+        weights = sim._discount_weights([params.alpha], 60)
+        payoffs, _ = sim._per_run(params, 17, 300, [None, 0.4], weights, 1)
         diffs = payoffs[:, 1, 0] - payoffs[:, 0, 0]
         for diff, se in zip(diffs, (result.se_gain_aon, result.se_gain_ton)):
             assert se == float(diff.std(ddof=1) / np.sqrt(300))
