@@ -14,10 +14,11 @@ Only two deviation trajectories exist dynamically: both deviations onto
 ``(access, access)`` share one law, as do both onto ``(backoff, backoff)``
 (an idle slot).  Neither alpha nor, off the compliance branches, the device
 bias moves the dynamics, so a region sweep simulates each trajectory once
-on common random numbers (``sim._per_run``) and weights it per alpha, and
-by one more weight column for the stage-1 diagnostics.  Margins within two
-standard errors of zero are reported as indeterminate rather than forced to
-a boolean, so a sweep needs two runs or more.
+on common random numbers (``sim._per_run``), weights it per alpha and
+reduces every cell's four paired differences over the run axis at once;
+``deviation_inequalities`` weights one more column, stage 1 alone.  Margins
+within two standard errors of zero are reported as indeterminate rather
+than forced to a boolean (``_tri_state``), so an estimate needs two runs.
 
 ``simulate_grim_trigger`` audits one trajectory of the etiquette with an
 injected deviation.  It folds the engine's single-row loop, that of
@@ -82,12 +83,19 @@ class Feasibility(enum.Enum):
         return self.value
 
 
+def _tri_state(margin, se):
+    """1 where a margin holds, 0 where it fails, -1 within two SEs of zero (or NaN); any shape."""
+    return np.where(np.abs(margin) >= 2.0 * se, margin >= 0.0, -1).astype(np.int8)
+
+
+def _tri_and(*states):
+    """Kleene AND of tri-states (1, 0, -1) or arrays of them: 0 if any fails, else the least."""
+    states = np.asarray(states, dtype=np.int8)
+    return np.where((states == 0).any(axis=0), 0, states.min(axis=0, initial=1)).astype(np.int8)
+
+
 def feasibility_and(*states: Feasibility) -> Feasibility:
-    if any(s is Feasibility.NO for s in states):
-        return Feasibility.NO
-    if all(s is Feasibility.YES for s in states):
-        return Feasibility.YES
-    return Feasibility.INDETERMINATE
+    return Feasibility(int(_tri_and(*(s.value for s in states))))
 
 
 @dataclass(frozen=True)
@@ -106,13 +114,11 @@ class InequalityEstimate:
 
     @property
     def decided(self) -> bool:
-        return abs(self.margin) >= 2.0 * self.se
+        return self.status is not Feasibility.INDETERMINATE
 
     @property
     def status(self) -> Feasibility:
-        if not self.decided:
-            return Feasibility.INDETERMINATE
-        return Feasibility.YES if self.holds else Feasibility.NO
+        return Feasibility(int(_tri_state(self.margin, self.se)))
 
 
 @dataclass(frozen=True)
@@ -207,68 +213,62 @@ def stage1_expected_ton_throughput(
 
 # Branch tags for the paired trajectories.
 _BRANCHES = ("obey_heads", "obey_tails", "deviate_joint", "deviate_idle")
+# The four inequalities in ``DeviationReport`` order, and the payoff (AON 0,
+# TON 1), obey branch (heads 0, tails 1) and deviation (joint 0, idle 1) that
+# each compares.
+_INEQUALITIES = ("aon_obeys_heads", "ton_obeys_heads", "aon_obeys_tails", "ton_obeys_tails")
+_PAYOFF, _OBEY, _DEVIATE = [0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1]
 
 
-def _estimate(name: str, obey: np.ndarray, dev: np.ndarray) -> InequalityEstimate:
-    margin, se = _mean_se(obey - dev)
-    return InequalityEstimate(name, float(obey.mean()), float(dev.mean()), margin, se)
+def _sweep(params: ScenarioParams, pr_axis, weights, n_runs, seed, threads):
+    """The paired branch payoffs of every bias from shared trajectories.
 
-
-def _sweep(
-    params: ScenarioParams, alpha_axis, pr_axis, n_runs, n_stages, seed, threads
-) -> list[list[DeviationReport]]:
-    """Deviation reports on every (alpha, bias) cell from shared trajectories.
-
-    Every cell replays the run streams ``(seed, r)``: the dynamics never read
+    Every bias replays the run streams ``(seed, r)``: the dynamics never read
     alpha and the deviation branches never read the bias, so the copies
     joint access and idle, then heads and tails per bias, cover the grid,
-    and alpha only selects a column of discount weights.  Cell ``[i][j]``
-    equals the report at ``alpha_axis[i]``, ``pr_axis[j]`` alone.
+    and alpha only selects a column of ``weights``.  Returns the stage-1
+    profile, the (2 x copies x columns x runs) payoffs, and the obey and
+    deviate payoffs of the ``_INEQUALITIES``, (4 x bias x columns x runs)
+    and (4 x 1 x columns x runs).
     """
-    if n_runs < 2:
-        raise ConfigurationError("a deviation estimate needs at least two runs")
     profile_hat, _ = eq.cooperative_optimum(params.sizes, params.slots, params.initial_age)
     tau_hat0, tau_ton = profile_hat.tau_aon, profile_hat.tau_ton
-    n_alpha, n_pr = len(alpha_axis), len(pr_axis)
+    n_pr = len(pr_axis)
     # Copies: joint access and an idle slot, competitive afterwards; then per
     # bias obey heads (AON alone) and obey tails (TON alone), cooperative
     # afterwards.  Each copy's stage-1 (tau_aon, tau_ton):
     p_rs = [None, None, *np.repeat(pr_axis, 2)]
     profiles = [(tau_hat0, tau_ton), (-1.0, -1.0)] + [(tau_hat0, -1.0), (-1.0, tau_ton)] * n_pr
-    # One column per alpha, then stage 1 alone: minus its age, its TON payoff.
-    weights = np.hstack([_discount_weights(alpha_axis, n_stages), np.eye(n_stages, 1)])
     payoffs, _ = _per_run(params, seed, n_runs, p_rs, weights, threads, np.transpose(profiles))
-    # dev: payoff x (joint, idle) x alpha x run; obey: payoff x bias x (heads, tails) x alpha x run.
-    discounted = payoffs[:, :, :n_alpha]
-    dev, obey = discounted[:, :2], discounted[:, 2:].reshape(2, n_pr, 2, n_alpha, n_runs)
-    # In _BRANCHES order: compliance stage 1 does not read the bias, so heads
-    # and tails come from the first bias's copies (2, 3).
-    stage1 = payoffs[:, [2, 3, 0, 1], n_alpha]
-    stage1_age_mc = {b: _mean_se(-stage1[0, k]) for k, b in enumerate(_BRANCHES)}
-    stage1_throughput_mc = {b: _mean_se(stage1[1, k]) for k, b in enumerate(_BRANCHES)}
-
-    def report(i, j):
-        (aon_h, aon_t), (ton_h, ton_t) = obey[0, j, :, i], obey[1, j, :, i]
-        (aon_joint, aon_idle), (ton_joint, ton_idle) = dev[0, :, i], dev[1, :, i]
-        return DeviationReport(
-            aon_obeys_heads=_estimate("aon_obeys_heads", aon_h, aon_idle),
-            ton_obeys_heads=_estimate("ton_obeys_heads", ton_h, ton_joint),
-            aon_obeys_tails=_estimate("aon_obeys_tails", aon_t, aon_joint),
-            ton_obeys_tails=_estimate("ton_obeys_tails", ton_t, ton_idle),
-            stage1_age_mc=dict(stage1_age_mc),
-            stage1_throughput_mc=dict(stage1_throughput_mc),
-            stage1_profile=profile_hat,
-            n_runs=n_runs,
-        )
-
-    return [[report(i, j) for j in range(n_pr)] for i in range(n_alpha)]
+    # dev: payoff x (joint, idle) x column x run; obey: payoff x bias x (heads, tails) x ...
+    dev, obey = payoffs[:, :2], payoffs[:, 2:].reshape(2, n_pr, 2, *payoffs.shape[2:])
+    return profile_hat, payoffs, obey[_PAYOFF, :, _OBEY], dev[_PAYOFF, _DEVIATE][:, None]
 
 
 def deviation_inequalities(
     params: ScenarioParams, n_runs: int, n_stages: int, seed: int, threads: int = 1
 ) -> DeviationReport:
     """Estimate the four obey-versus-deviate inequalities by paired Monte Carlo."""
-    return _sweep(params, [params.alpha], [params.p_r], n_runs, n_stages, seed, threads)[0][0]
+    # The discount column, then stage 1 alone: minus its age, its TON payoff.
+    weights = np.hstack([_discount_weights([params.alpha], n_stages), np.eye(n_stages, 1)])
+    profile_hat, payoffs, obey, dev = _sweep(params, [params.p_r], weights, n_runs, seed, threads)
+    obey, dev = obey[:, 0, 0], dev[:, 0, 0]
+    columns = zip(obey.mean(axis=-1), dev.mean(axis=-1), *_mean_se(obey - dev))
+    estimates = [InequalityEstimate(n, *map(float, c)) for n, c in zip(_INEQUALITIES, columns)]
+    # In _BRANCHES order: compliance stage 1 does not read the bias, so heads
+    # and tails come from the bias's copies (2, 3).
+    stage1 = payoffs[:, [2, 3, 0, 1], 1]
+
+    def by_branch(values):
+        return {b: (float(m), float(se)) for b, m, se in zip(_BRANCHES, *_mean_se(values))}
+
+    return DeviationReport(
+        *estimates,
+        stage1_age_mc=by_branch(-stage1[0]),
+        stage1_throughput_mc=by_branch(stage1[1]),
+        stage1_profile=profile_hat,
+        n_runs=n_runs,
+    )
 
 
 def spe_feasible(
@@ -351,25 +351,20 @@ def region_sweep(
     # Written so that NaN fails too.
     if not np.all((pr_axis > 0.0) & (pr_axis < 1.0)):
         raise ConfigurationError("bias grid must lie inside (0, 1)")
-    reports = _sweep(params, alpha_axis, pr_axis, n_runs, n_stages, seed, threads)
-
-    def cells(value, dtype=np.float64):
-        return np.array([[value(r) for r in row] for row in reports], dtype=dtype)
-
-    def tri(verdict):
-        return cells(lambda r: getattr(r, verdict).to_int(), np.int8)
-
-    def field(attr):
-        return np.array([cells(lambda r: getattr(r.inequalities[k], attr)) for k in range(4)])
-
+    weights = _discount_weights(alpha_axis, n_stages)
+    _, _, obey, dev = _sweep(params, pr_axis, weights, n_runs, seed, threads)
+    # Inequality x bias x alpha, turned to inequality x alpha x bias.
+    margins, ses = (stat.swapaxes(1, 2) for stat in _mean_se(obey - dev))
+    aon_h, ton_h, aon_t, ton_t = _tri_state(margins, ses)
+    aon_prefers, ton_prefers = _tri_and(aon_h, aon_t), _tri_and(ton_h, ton_t)
     return RegionGrid(
         alpha_axis=alpha_axis,
         pr_axis=pr_axis,
-        ton_prefers=tri("ton_prefers"),
-        aon_prefers=tri("aon_prefers"),
-        self_enforceable=tri("self_enforceable"),
-        margins=field("margin"),
-        ses=field("se"),
+        ton_prefers=ton_prefers,
+        aon_prefers=aon_prefers,
+        self_enforceable=_tri_and(aon_prefers, ton_prefers),
+        margins=margins,
+        ses=ses,
     )
 
 

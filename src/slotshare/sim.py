@@ -28,9 +28,10 @@ it is cut into blocks.
 One state (``_Trajectories``) holds every trajectory of a batch chunk:
 copies of its runs stacked as rows, each copy competitive or cooperative
 with its own device bias, optionally forced to a stage-1 profile, with
-payoffs weighted by a (stages x columns) matrix, one column per alpha (the
-region sweep adds a stage-1 column ``1, 0, 0, ...``, whose payoffs are
-exactly minus the stage-1 network age and the stage-1 TON payoff).
+payoffs weighted by a (stages x columns) matrix, one column per alpha
+(``deviation_inequalities`` adds a stage-1 column ``1, 0, 0, ...``, whose
+payoffs are exactly minus the stage-1 network age and the stage-1 TON
+payoff).
 ``simulate`` uses one copy, the gain grid ``1 + |biases|`` and the region
 sweep ``2 + 2 * |biases|``; all copies read the same draws, one slot step
 per stage, by broadcasting the per-run draw against per-copy access
@@ -42,7 +43,8 @@ network age adds whole columns, left to right, and the payoff accumulators
 are (columns x rows), so each stage's weighted payoff is added along the
 contiguous rows of every column.  Every Monte Carlo command collects
 through ``_per_run``, which cuts the runs into chunks of ``_DEFAULT_CHUNK``,
-fans them out over threads and stores each run's results by run index.  A
+fans them out over threads and stores each run's results by run index;
+it refuses fewer than two runs, which leave no standard error.  A
 single row (``run_competition``/``run_cooperation``, the grim-trigger
 audit) is stepped in Python floats by the one generator ``_Engine.trace``,
 which replays its row of a batch bit for bit.
@@ -517,8 +519,8 @@ def _per_run(params: ScenarioParams, seed, n_runs, p_rs, weights, threads, stage
     one contiguous row, the (AON, TON) payoffs (2 x copies x columns x runs)
     and the access frequencies at 1 and 0 (2 x copies x runs).
     """
-    if n_runs < 1:
-        raise ConfigurationError("need at least one run")
+    if n_runs < 2:
+        raise ConfigurationError("a Monte Carlo estimate needs at least two runs")
     engine = _Engine(params)
     copies, n_columns = len(p_rs), weights.shape[1]
     payoffs = np.empty((2, copies, n_columns, n_runs))
@@ -538,17 +540,16 @@ def _per_run(params: ScenarioParams, seed, n_runs, p_rs, weights, threads, stage
     return payoffs, freqs
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / np.sqrt(values.size))
+def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means and standard errors over the last (run) axis."""
+    n_runs = values.shape[-1]
+    return values.mean(axis=-1), values.std(axis=-1, ddof=1) / np.sqrt(n_runs)
 
 
 def _aggregate(payoffs: np.ndarray, freqs: np.ndarray, copy: int, column: int) -> Aggregate:
     """Copy ``copy``'s ``Aggregate`` at alpha column ``column``: (mean, se) of its four rows."""
     rows = (*payoffs[:, copy, column], *freqs[:, copy])
-    return Aggregate(*(stat for row in rows for stat in _mean_se(row)), n_runs=freqs.shape[-1])
+    return Aggregate(*(float(s) for row in rows for s in _mean_se(row)), n_runs=freqs.shape[-1])
 
 
 def monte_carlo(config: RunConfig, n_runs: int, threads: int = 1) -> Aggregate:
@@ -609,7 +610,7 @@ def gain_grid(
     def cell(i, j):
         base = _aggregate(payoffs, freqs, 0, i)
         coop = _aggregate(payoffs, freqs, 1 + j, i)
-        se_aon, se_ton = (_mean_se(diff)[1] for diff in payoffs[:, 1 + j, i] - payoffs[:, 0, i])
+        se_aon, se_ton = map(float, _mean_se(payoffs[:, 1 + j, i] - payoffs[:, 0, i])[1])
         return GainResult(
             gain_aon=coop.u_aon_mean - base.u_aon_mean,
             gain_ton=coop.u_ton_mean - base.u_ton_mean,

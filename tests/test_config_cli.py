@@ -271,6 +271,17 @@ class TestCli:
         assert exit_info.value.code == cli.EXIT_CONFIG
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate", "--mode", "competitive"], ["simulate", "--mode", "cooperative"],
+         ["gain"], ["freq"]],
+        ids=["simulate_competitive", "simulate_cooperative", "gain", "freq"],
+    )
+    def test_one_run_monte_carlo_exit_code(self, command):
+        # One run's standard error would read 0, as if every estimate were exact.
+        code, out = run_cli([*command, "--runs", "1", "--stages", "5"])
+        assert (code, out) == (cli.EXIT_CONFIG, "")
+
     def test_one_run_region_exit_code(self):
         # One run has no standard error, so it cannot decide a cell.
         code, out = run_cli(["region", "--runs", "1", "--stages", "5"])

@@ -200,6 +200,14 @@ class TestDeviationInequalities:
         assert report == expected
 
 
+def assert_array_form(margin, se, status):
+    """The region maps' array form of the 2-SE rule agrees with ``InequalityEstimate``."""
+    margins, ses = np.full((2, 3), margin), np.full((2, 3), se)
+    states = etiquette._tri_state(margins, ses)
+    assert states.dtype == np.int8
+    assert np.array_equal(states, np.full((2, 3), status.value))
+
+
 class TestFeasibility:
     def test_kleene_and(self):
         yes, no, ind = Feasibility.YES, Feasibility.NO, Feasibility.INDETERMINATE
@@ -220,11 +228,37 @@ class TestFeasibility:
         est = etiquette.InequalityEstimate("x", 1.0, 1.0, margin=0.001, se=0.01)
         assert not est.decided
         assert est.status is Feasibility.INDETERMINATE
+        assert_array_form(0.001, 0.01, Feasibility.INDETERMINATE)
 
     def test_zero_variance_margin_is_decided(self):
         est = etiquette.InequalityEstimate("x", 1.0, 1.0, margin=0.0, se=0.0)
         assert est.decided and est.holds
         assert est.status is Feasibility.YES
+        assert_array_form(0.0, 0.0, Feasibility.YES)
+
+    @pytest.mark.parametrize(
+        "margin, se, status",
+        [
+            (0.5, 0.25, Feasibility.YES),
+            (-0.5, 0.25, Feasibility.NO),
+            (-0.0, 0.0, Feasibility.YES),
+            (-0.0, 0.01, Feasibility.INDETERMINATE),
+            (float("nan"), 0.01, Feasibility.INDETERMINATE),
+        ],
+    )
+    def test_ties_at_two_standard_errors(self, margin, se, status):
+        # A margin of exactly two SEs is decided, and -0.0 holds as 0.0 does.
+        est = etiquette.InequalityEstimate("x", 1.0, 1.0, margin=margin, se=se)
+        assert est.status is status
+        assert_array_form(margin, se, status)
+
+    def test_array_and_equals_kleene_and(self):
+        values = list(Feasibility)
+        pairs = [(a, b) for a in values for b in values]
+        left, right = (np.array([p[k].value for p in pairs]) for k in (0, 1))
+        combined = etiquette._tri_and(left, right)
+        assert combined.tolist() == [feasibility_and(a, b).value for a, b in pairs]
+        assert feasibility_and() is Feasibility.YES
 
 
 class TestRegionSweep:
@@ -318,14 +352,34 @@ class TestRegionSweep:
 
         monkeypatch.setattr(sim, "_simulate_batch", batch)
         params = scenario(equal_slots)
+        config = ss.RunConfig(params, 10, ss.Mode.COMPETITIVE, seed=1)
         calls = (
             lambda: ss.region_sweep(params, [0.5], [0.5], n_runs, 10, seed=1),
             lambda: ss.deviation_inequalities(params, n_runs, 10, seed=1),
             lambda: ss.spe_feasible(params, 0.5, 0.5, n_runs, 10, seed=1),
+            lambda: ss.monte_carlo(config, n_runs),
+            lambda: ss.gain_grid(params, n_runs, 10, 1, [0.5], [0.5]),
         )
         for call in calls:
             with pytest.raises(ss.ConfigurationError, match="two runs"):
                 call()
+
+    def test_only_deviation_reports_weight_the_stage1_column(self, equal_slots, monkeypatch):
+        # The sweep weights one column per alpha; a single-point report adds
+        # the stage-1 column for its diagnostics.
+        widths, batch = [], sim._simulate_batch
+
+        def recorded(engine, seed, runs, p_rs, weights, *args):
+            widths.append(weights.shape[1])
+            return batch(engine, seed, runs, p_rs, weights, *args)
+
+        monkeypatch.setattr(sim, "_simulate_batch", recorded)
+        params = scenario(equal_slots)
+        ss.region_sweep(params, [0.3, 0.6, 0.9], [0.2, 0.5], 20, 10, seed=1)
+        assert widths == [3]
+        widths.clear()
+        ss.deviation_inequalities(params, 20, 10, seed=1)
+        assert widths == [2]
 
     def test_empty_axis_rejected_before_simulating(self, equal_slots, monkeypatch):
         def kernel(*args):

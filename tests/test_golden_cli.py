@@ -7,7 +7,7 @@ Monte Carlo subcommands also run on ``golden_cli/lone_ton.ini``, whose
 one-node TON has no second TON draw in a slot, and on
 ``golden_cli/equal_slots.ini``, whose equal success and collision slots let
 every copy share one AON rule call and whose 17-node AON sums 17 columns of
-node ages.  The files
+node ages; on both, ``region`` runs its default 10 x 10 grid.  The files
 change only with a declared output change; regenerate them with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -48,7 +48,12 @@ CASES = {
         ["simulate", "--mode", "cooperative"],
     ),
     "equal_slots_gain.csv": ("equal_slots.ini", ["gain"]),
+    "lone_ton_region.csv": ("lone_ton.ini", ["region"]),
+    "equal_slots_region.csv": ("equal_slots.ini", ["region"]),
 }
+
+# Made at the configs' 2 threads; checked again at one.
+ONE_THREAD = ["lone_ton_region.csv", "equal_slots_region.csv"]
 
 
 def cli_output(config, args) -> str:
@@ -63,6 +68,12 @@ def cli_output(config, args) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     assert cli_output(*CASES[name]).encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ONE_THREAD)
+def test_cli_output_matches_golden_at_one_thread(name):
+    config, args = CASES[name]
+    assert cli_output(config, [*args, "--threads", "1"]).encode() == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":

@@ -88,11 +88,12 @@ class TestDeterminism:
         assert single.final_ages.ages.tolist() == state.ages[0].tolist()
         assert single.stages.u_aon.tolist() == state.u_aon[1:, 0].tolist()
         assert single.stages.u_ton.tolist() == state.u_ton[1:, 0].tolist()
-        agg = ss.monte_carlo(config, 1)
-        assert agg.u_aon_mean == single.u_aon_discounted
-        assert agg.u_ton_mean == single.u_ton_discounted
-        assert agg.u_aon_se == 0.0
-        assert agg.n_runs == 1
+        # Run 0 of a batch of two; one run has no standard error and is refused.
+        payoffs, freqs = sim._per_run(params, 3, 2, [p_r], weights[:, :1], 1)
+        assert payoffs[:, 0, 0, 0].tolist() == [single.u_aon_discounted, single.u_ton_discounted]
+        assert freqs[:, 0, 0].tolist() == [single.freq_tau_one, single.freq_tau_zero]
+        with pytest.raises(ss.ConfigurationError, match="two runs"):
+            ss.monte_carlo(config, 1)
 
 
 def smallest_two(engine, rows):
