@@ -6,10 +6,12 @@ and equilibrium tables (``msne``, ``cooperative_optimum`` and
 ``expected_stage_payoffs`` on both channels) at ages on each threshold, one
 ulp either side of it, and at random ages.  ``golden_records.json`` holds the
 recorded per-stage streams (``StageRecord``) and run scalars of single
-competitive and cooperative runs.  Each stage or table row is one string of
-``float.hex`` values, so any change to the random stream or to rounding fails
-here.  The files change only with a declared output change; regenerate both
-with
+competitive and cooperative runs.  ``golden_large_aon.json`` holds a paired
+gain and a deviation report of a 130-node AON that starts above its rule
+threshold, so that nodes 128 and 129 win slots and have their ages reset.
+Each stage or table row is one string of ``float.hex`` values, so any change
+to the random stream or to rounding fails here.  The files change only with a
+declared output change; regenerate them with
 
     PYTHONPATH=src python tests/test_golden_scalar.py
 """
@@ -17,6 +19,7 @@ with
 import json
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,7 @@ from slotshare.config import SlotScenario, slots_from_scenario
 
 GOLDEN = Path(__file__).parent / "golden_scalar.json"
 GOLDEN_RECORDS = Path(__file__).parent / "golden_records.json"
+GOLDEN_LARGE_AON = Path(__file__).parent / "golden_large_aon.json"
 SIZES = [(5, 5), (1, 3), (3, 1)]
 N_STAGES = 30
 DEVIATE_AT = 5
@@ -141,6 +145,39 @@ def capture_records():
     }
 
 
+def _large_aon_params(slot_scenario):
+    sizes = ss.NetworkSizes(130, 2)
+    slots = slots_from_scenario(slot_scenario)
+    return ss.ScenarioParams(sizes, slots, alpha=0.9, p_r=0.4, initial_age=400.0)
+
+
+def capture_large_aon():
+    """Gain, deviation report and final node ages of a 130-node AON, per slot scenario.
+
+    The reset node's index runs past 127, so a node index stored in too
+    narrow an integer resets the wrong node: the final ages of the batch
+    rows show it at once, and over 300 stages the payoffs move too.
+    """
+    out = {}
+    for slot_scenario in (SlotScenario.SMALL_COLLISION, SlotScenario.EQUAL_SLOTS):
+        params = _large_aon_params(slot_scenario)
+        gain = ss.gain_of_cooperation(params, 40, 300, seed=5)
+        report = ss.deviation_inequalities(params, 40, 300, seed=5)
+        gains = (gain.gain_aon, gain.gain_ton, gain.se_gain_aon, gain.se_gain_ton)
+        arms = (astuple(gain.competitive), astuple(gain.cooperative))
+        gain_rows = [" ".join(map(_hex, values)) for values in (gains, *arms)]
+        report_rows = [" ".join([e.name, *map(_hex, astuple(e)[1:])]) for e in report.inequalities]
+        for branch in etiquette._BRANCHES:
+            stage1 = (*report.stage1_age_mc[branch], *report.stage1_throughput_mc[branch])
+            report_rows.append(" ".join([branch, *map(_hex, stage1)]))
+        # Runs 0 and 1, competing and obeying the device.
+        weights = sim._discount_weights([params.alpha], 300)
+        state = sim._simulate_batch(sim._Engine(params), 5, range(2), [None, params.p_r], weights)
+        ages = [" ".join(map(_hex, row)) for row in state.ages]
+        out[slot_scenario.value] = {"gain": gain_rows, "deviation": report_rows, "ages": ages}
+    return out
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -172,7 +209,15 @@ def test_recorded_streams_match_golden(name, golden_records, current_records):
     assert current_records[name] == golden_records[name]
 
 
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_large_aon_resets_match_golden(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(sim, "_DEFAULT_CHUNK", chunk)
+    assert capture_large_aon() == json.loads(GOLDEN_LARGE_AON.read_text())
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(capture(), indent=1) + "\n")
     GOLDEN_RECORDS.write_text(json.dumps(capture_records(), indent=1) + "\n")
-    print(f"wrote {GOLDEN} and {GOLDEN_RECORDS}", file=sys.stderr)
+    GOLDEN_LARGE_AON.write_text(json.dumps(capture_large_aon(), indent=1) + "\n")
+    print(f"wrote {GOLDEN}, {GOLDEN_RECORDS} and {GOLDEN_LARGE_AON}", file=sys.stderr)
