@@ -21,9 +21,10 @@ its second-smallest ``1 - G * V'**(1/(n - 1))`` (the smallest of the
 is ``floor(W * n)``, uniform and independent of both by exchangeability.
 These are the joint law of the two smallest of ``n`` uniform node draws and
 of the node that holds the smallest, which is all that a slot reads.  A
-chunk of runs draws its rows a block of stages at a time into one reused
-buffer; a counter-based stream read in order yields the same numbers however
-it is cut into blocks.
+chunk of runs draws its rows a block of stages at a time, and each block
+``_SUB_CHUNK`` runs at a time into one small reused buffer; a counter-based
+stream read in order yields the same numbers however it is cut into blocks
+of stages or sub-chunks of runs.
 
 One state (``_Trajectories``) holds every trajectory of a batch chunk:
 copies of its runs stacked as rows, each copy competitive or cooperative
@@ -42,22 +43,28 @@ competitive ones too.  The node ages are column-major, so the per-stage
 network age adds whole columns, left to right, and the payoff accumulators
 are (columns x rows), so each stage's weighted payoff is added along the
 contiguous rows of every column.  Every Monte Carlo command collects
-through ``_per_run``, which cuts the runs into chunks of ``_DEFAULT_CHUNK``,
-fans them out over threads and stores each run's results by run index;
-it refuses fewer than two runs, which leave no standard error.  A
-single row (``run_competition``/``run_cooperation``, the grim-trigger
-audit) is stepped in Python floats by the one generator ``_Engine.trace``,
-which replays its row of a batch bit for bit.
+through ``_per_run``, which cuts the runs into chunks of ``ceil(runs /
+threads)`` runs within ``[_MIN_CHUNK, _DEFAULT_CHUNK]``, fans them out over
+threads when the chunks hold at least ``_POOL_COPIES`` copies, and stores
+each run's results by run index; it refuses fewer than two runs, which
+leave no standard error.  A single row (``run_competition``,
+``run_cooperation``, the grim-trigger audit) is stepped in Python numbers by
+the one generator ``_Engine.trace``, which replays its row of a batch bit
+for bit.
 
 A node transmits iff its draw is below its network's access probability, so
 a network sends 0, 1 or at least 2 packets according to whether that
-probability lies above its smallest and its second-smallest draw.  Each
-block is therefore turned once, before the state reads it, into per-run
-draws of six values per stage: the two smallest draws of each network, the
-device draw and the AON node that holds the smallest, whose age resets on an
-AON success.  The two counts, each clipped at 2, make one event code
-``3 * k_a + k_t`` that indexes the age growth, the TON payoff and the
-recorded event.
+probability lies above its smallest and its second-smallest draw.  The TON
+only ever plays ``tau_T* = 1 / n_ton`` or is silenced (by the device, by an
+idle stage-1 profile, or in ``trace``), so its count is fixed when the block
+is drawn.  Each sub-chunk of a block is therefore turned once, before the
+state reads it, into a compact record per run and stage: the AON's two
+smallest draws and the device draw (doubles), the TON's count at
+``tau_T*`` clipped at 2 (``int8``), and the AON node that holds the
+smallest, whose age resets on an AON success (the smallest unsigned type
+that holds ``n_aon - 1``).  A slot counts the AON's transmitters, reads the
+TON's count or 0, and makes one event code ``3 * k_a + k_t`` that indexes
+the age growth, the TON payoff and the recorded event.
 """
 
 from __future__ import annotations
@@ -75,10 +82,22 @@ from . import equilibrium as eq
 from .model import AgeState, ConfigurationError, ScenarioParams
 from .seeding import run_generator
 
-_DEFAULT_CHUNK = 1024
-# Size of one chunk's block buffers (raw uniform rows, and the draws made
-# from them): they hold as many stages of every run as fit, at least one.
+# A chunk is ceil(runs / threads) runs wide, clipped to
+# [_MIN_CHUNK, _DEFAULT_CHUNK]: threads share only batches of many runs.
+_DEFAULT_CHUNK = 4096
+_MIN_CHUNK = 1024
+# Fewest copies of the runs for which a thread pool pays.  A chunk draws its
+# uniforms in one short Philox call per run and block, and every such call
+# hands the interpreter lock over between two threads; only the slot steps
+# of many copies outweigh that.
+_POOL_COPIES = 8
+# Memory of one chunk's draws: a Philox generator per run, of about
+# _GENERATOR_BYTES, and the block buffers (the compact draws of every run,
+# and the raw uniform rows and work values of one sub-chunk of _SUB_CHUNK
+# runs), which hold as many stages as fit, at least one.
 _BLOCK_BYTES = 8 << 20
+_GENERATOR_BYTES = 640
+_SUB_CHUNK = 256
 
 # Event codes in recorded stage streams.
 EVENT_IDLE = 0
@@ -163,6 +182,10 @@ class _Engine:
         self.aon_columns = self.n_aon if self.n_aon <= 2 else 3
         self.width = 1 + self.aon_columns + min(self.n_ton, 2)
         self.tau_ton_star = 1.0 / self.n_ton
+        # A compact draw per run and stage: the AON's two smallest and the
+        # device draw, the TON's count and the reset node.
+        self.node_dtype = np.min_scalar_type(self.n_aon - 1)
+        self.draw_bytes = 3 * 8 + 1 + self.node_dtype.itemsize
         # Realized network throughput on a TON success: one node delivered a
         # slot's worth of bits, averaged over the network.
         self.ton_payout = params.slots.success * params.rate / self.n_ton
@@ -179,90 +202,132 @@ class _Engine:
         self.event_by_code[[0, 1, 3]] = EVENT_IDLE, EVENT_SUCCESS_TON, EVENT_SUCCESS_AON
 
     def uniforms(self, generators, buf: np.ndarray, n_stages: int) -> np.ndarray:
-        """Draw the next ``n_stages`` rows of every run into ``buf``; returns the block."""
+        """Draw the next ``n_stages`` rows of each generator's run into ``buf``; returns them."""
         for k, gen in enumerate(generators):
             gen.random(out=buf[k, :n_stages])
-        return buf[:, :n_stages]
+        return buf[: len(generators), :n_stages]
 
-    def stage_rows(self, seed: int, run_indices: range, n_stages: int):
-        """Yield each stage's draw of the runs; run ``r`` reads stream ``(seed, r)``.
+    def table(self, n_runs: int, n_stages: int) -> tuple:
+        """An empty compact draw table: (AON's two smallest, device, TON count, reset node).
 
-        A yielded draw is a view into a buffer that the next block overwrites.
+        Stage is the first axis and run the last of each array, so a stage's
+        draw of every run is contiguous.
+        """
+        return (
+            np.empty((n_stages, 2, n_runs)),
+            np.empty((n_stages, n_runs)),
+            np.empty((n_stages, n_runs), dtype=np.int8),
+            np.empty((n_stages, n_runs), dtype=self.node_dtype),
+        )
+
+    def compact(self, raw: np.ndarray, table, work: np.ndarray) -> None:
+        """Write the compact draws of a (runs x stages x width) uniform block into ``table``.
+
+        ``work`` is a contiguous (2 x stages x runs) buffer in which each
+        network's two smallest are made: in one pass per operation, rather
+        than one per stage row of the table.
+        """
+        aon, device, ton, node = table
+        first, second = work
+        columns = raw.transpose(1, 2, 0)
+        split = 1 + self.aon_columns
+        # The TON's two smallest leave only its count at tau_T*.
+        _two_smallest(columns[:, split:], self.n_ton, first, second)
+        tau = self.tau_ton_star
+        np.add(first < tau, second < tau, out=ton, dtype=np.int8)
+        _two_smallest(columns[:, 1:split], self.n_aon, first, second, node)
+        np.copyto(aon.swapaxes(0, 1), work)
+        np.copyto(device, columns[:, 0])
+
+    def blocks(self, seed: int, run_indices: range, n_stages: int):
+        """Yield the runs' compact draw tables a block of stages at a time.
+
+        Run ``r`` reads stream ``(seed, r)``.  The raw rows are drawn
+        ``_SUB_CHUNK`` runs at a time into one small buffer, and every yielded
+        table is a view into one buffer that the next block overwrites.
         """
         generators = [run_generator(seed, run) for run in run_indices]
         n_runs = len(generators)
-        # Per run and stage: a raw row, and the six values of its draw.
-        block = max(1, _BLOCK_BYTES // (8 * n_runs * (self.width + 6)))
+        sub = min(_SUB_CHUNK, n_runs)
+        # Per stage: each run's compact draw, and per run of a sub-chunk a
+        # raw row and two work values.
+        per_stage = n_runs * self.draw_bytes + sub * 8 * (self.width + 2)
+        block = max(1, (_BLOCK_BYTES - n_runs * _GENERATOR_BYTES) // per_stage)
         size = min(block, n_stages)
-        buf = np.empty((n_runs, size, self.width))
-        table = np.empty((size, 6, n_runs))
+        buf = np.empty((sub, size, self.width))
+        work = np.empty(2 * size * sub)
+        table = self.table(n_runs, size)
         for start in range(0, n_stages, block):
-            raw = self.uniforms(generators, buf, min(block, n_stages - start))
-            yield from self.draws(raw, table)
+            stages = min(block, n_stages - start)
+            view = [t[:stages] for t in table]
+            for lo in range(0, n_runs, sub):
+                raw = self.uniforms(generators[lo : lo + sub], buf, stages)
+                runs = len(raw)
+                part = [t[..., lo : lo + runs] for t in view]
+                self.compact(raw, part, work[: 2 * stages * runs].reshape(2, stages, runs))
+            yield view
 
-    def draws(self, block: np.ndarray, table: np.ndarray | None = None):
-        """Yield the draw of each stage of a (runs x stages x width) uniform block.
+    def stage_rows(self, seed: int, run_indices: range, n_stages: int):
+        """Yield each stage's compact draw of the runs; run ``r`` reads stream ``(seed, r)``.
 
-        A draw is a (6 x runs) array: per run, the two smallest AON node
-        draws, the two smallest TON node draws (+inf as the second of a
-        one-node network), the device draw and the index of the AON node
-        that holds the smallest (as a float).  Every copy of the runs reads
-        the same draw: state row ``i`` reads run ``i % runs``.  The draws are
-        views into ``table``, a (stages x 6 x runs) buffer at least as many
-        stages long as the block.
+        A draw is a tuple ``(aon, device, ton, node)``: per run, the AON's two
+        smallest node draws (a 2 x runs array), the device draw, the TON's
+        transmitter count at ``tau_T*`` clipped at 2, and the AON node that
+        holds the smallest.  Every copy of the runs reads the same draw: state
+        row ``i`` reads run ``i % runs``.  A yielded draw is a view into a
+        buffer that the next block overwrites.
         """
-        n_runs, n_stages, _ = block.shape
-        if table is None:
-            table = np.empty((n_stages, 6, n_runs))
-        table = table[:n_stages]
-        columns = block.transpose(1, 2, 0)
-        split = 1 + self.aon_columns
-        np.copyto(table[:, 4], columns[:, 0])
-        _two_smallest(columns[:, 1:split], self.n_aon, table[:, 0], table[:, 1], table[:, 5])
-        _two_smallest(columns[:, split:], self.n_ton, table[:, 2], table[:, 3])
-        yield from table
+        for table in self.blocks(seed, run_indices, n_stages):
+            yield from zip(*table)
 
-    def slot(self, ages: np.ndarray, draw: np.ndarray, tau_a: np.ndarray, tau_t: np.ndarray):
+    def draws(self, block: np.ndarray):
+        """Yield the compact draw of each stage of a (runs x stages x width) uniform block."""
+        n_runs, n_stages, _ = block.shape
+        table = self.table(n_runs, n_stages)
+        self.compact(block, table, np.empty((2, n_stages, n_runs)))
+        yield from zip(*table)
+
+    def slot(self, ages: np.ndarray, draw, tau_a: np.ndarray, ton: np.ndarray):
         """Advance all rows by one slot in place; returns each row's event code.
 
-        ``ages`` stacks copies of the draw's runs as rows, and ``tau_a`` /
-        ``tau_t`` hold one access probability per row; a negative value
-        silences that network (no draw is below it).  A network has a
-        transmitter iff its smallest draw is below its access probability and
-        two or more iff its second-smallest is, so its count ``k`` reads 0, 1
-        or 2 (two or more); the event code is ``3 * k_a + k_t``.  The draw is
-        compared with the taus viewed as (copies x runs), so no copy of the
-        draw is made.
+        ``ages`` stacks copies of the draw's runs as rows.  ``tau_a`` holds one
+        AON access probability per row, a negative value silencing the AON,
+        and ``ton`` whether each row's TON accesses at ``tau_T*``.  The AON
+        has a transmitter iff its smallest draw is below ``tau_a`` and two or
+        more iff its second-smallest is, so its count ``k_a`` reads 0, 1 or 2
+        (two or more); the TON's ``k_t`` is the draw's count, or 0 where it is
+        silenced.  The event code is ``3 * k_a + k_t``.  The draw is compared
+        with the rows viewed as (copies x runs), so no copy of the draw is made.
         """
-        runs = draw.shape[1]
+        aon, _, count, node = draw
+        runs = count.size
         shape = (len(ages) // runs, runs)
-        below_a = draw[0:2, None] < tau_a.reshape(shape)
-        below_t = draw[2:4, None] < tau_t.reshape(shape)
-        k_a = np.add(below_a[0], below_a[1], dtype=np.int8).ravel()
-        k_t = np.add(below_t[0], below_t[1], dtype=np.int8).ravel()
-        code = 3 * k_a + k_t
+        below = aon[:, None] < tau_a.reshape(shape)
+        code = np.add(below[0], below[1], dtype=np.int8)
+        code *= 3
+        code += ton.reshape(shape) * count
+        code = code.ravel()
         ages += self.growth_by_code.take(code)[:, None]
         resets = np.flatnonzero(code == 3)
         if resets.size:
             # The lone AON transmitter is the node that holds the smallest draw.
-            nodes = draw[5].take(resets % runs).astype(np.intp)
-            ages[resets, nodes] = self.slots.success
+            ages[resets, node.take(resets % runs)] = self.slots.success
         return code
 
-    def slot_one(self, ages: list, draw, tau_a: float, tau_t: float) -> int:
-        """``slot`` for a single row in Python floats; returns the event code.
+    def slot_one(self, ages: list, draw, tau_a: float, ton: bool) -> int:
+        """``slot`` for a single row in Python numbers; returns the event code.
 
         ``ages`` is the row's node ages, advanced in place, and ``draw`` its
-        six draw values.  The comparisons, the growth by code and the reset
-        are ``slot``'s, so the row replays the engine's bit for bit without
-        the per-call cost of numpy on one row.
+        values ``(a1, a2, device, count, node)``.  The comparisons, the growth
+        by code and the reset are ``slot``'s, so the row replays the engine's
+        bit for bit without the per-call cost of numpy on one row.
         """
-        a1, a2, t1, t2, _, node = draw
-        code = 3 * ((a1 < tau_a) + (a2 < tau_a)) + (t1 < tau_t) + (t2 < tau_t)
+        a1, a2, _, count, node = draw
+        code = 3 * ((a1 < tau_a) + (a2 < tau_a)) + (count if ton else 0)
         growth = float(self.growth_by_code[code])
         ages[:] = [age + growth for age in ages]
         if code == 3:
-            ages[int(node)] = self.slots.success
+            ages[node] = self.slots.success
         return code
 
     def network_age_one(self, ages: list) -> float:
@@ -273,7 +338,7 @@ class _Engine:
         return functools.reduce(operator.add, ages) / self.n_aon
 
     def trace(self, seed: int, run: int, n_stages: int, p_r=None, switch=None, joint=True):
-        """Step run ``run`` of ``seed`` as one row in Python floats, yielding each stage.
+        """Step run ``run`` of ``seed`` as one row in Python numbers, yielding each stage.
 
         Before stage ``switch`` (always when None) the row obeys a device of
         bias ``p_r``, or competes when ``p_r`` is None; at ``switch`` it plays
@@ -292,15 +357,19 @@ class _Engine:
         after = (True, inf, -inf)
         ages = [self.params.initial_age] * self.n_aon
         delta = self.network_age_one(ages)
-        for n, draw in enumerate(self.stage_rows(seed, range(run, run + 1), n_stages)):
-            draw = draw[:, 0].tolist()
+        # The row's draws, converted to Python numbers a block at a time.
+        rows = (
+            row
+            for aon, *rest in self.blocks(seed, range(run, run + 1), n_stages)
+            for row in zip(*aon[..., 0].T.tolist(), *(t[:, 0].tolist() for t in rest))
+        )
+        for n, draw in enumerate(rows):
             phase = before if switch is None or n < switch else at if n == switch else after
             tau = eq._tau(delta, sizes, slots, rules[phase[0]])
-            tau_a = tau if draw[4] < phase[1] else -1.0
-            tau_t = self.tau_ton_star if draw[4] >= phase[2] else -1.0
-            code = self.slot_one(ages, draw, tau_a, tau_t)
+            tau_a = tau if draw[2] < phase[1] else -1.0
+            code = self.slot_one(ages, draw, tau_a, draw[2] >= phase[2])
             delta = self.network_age_one(ages)
-            yield draw[4], tau, tau_a, code, delta, ages
+            yield draw[2], tau, tau_a, code, delta, ages
 
 
 def _two_smallest(columns: np.ndarray, n: int, first, second, node=None) -> None:
@@ -309,8 +378,9 @@ def _two_smallest(columns: np.ndarray, n: int, first, second, node=None) -> None
     ``columns`` is (stages x columns x runs): the raw node draws of a
     network of one or two nodes, else the uniforms ``U, V`` (and ``W`` when
     ``node`` is given) of the two smallest of ``n`` draws, as the module
-    docstring sets out.  ``node`` receives the index of the node that holds
-    the smallest draw; between two raw draws a tie goes to node 0.
+    docstring sets out.  ``node``, an integer array, receives the index of
+    the node that holds the smallest draw; between two raw draws a tie goes
+    to node 0.
     """
     if n >= 3:
         np.subtract(1.0, columns[:, 0], out=first)
@@ -322,8 +392,8 @@ def _two_smallest(columns: np.ndarray, n: int, first, second, node=None) -> None
         np.subtract(1.0, second, out=second)
         np.subtract(1.0, first, out=first)
         if node is not None:
-            np.multiply(columns[:, 2], n, out=node)
-            np.floor(node, out=node)
+            # floor(W * n): W * n is not negative, so the cast truncates to it.
+            np.multiply(columns[:, 2], n, out=node, casting="unsafe")
     elif n == 2:
         if node is not None:
             np.less(columns[:, 1], columns[:, 0], out=node)
@@ -333,7 +403,7 @@ def _two_smallest(columns: np.ndarray, n: int, first, second, node=None) -> None
         np.copyto(first, columns[:, 0])
         second.fill(np.inf)
         if node is not None:
-            node.fill(0.0)
+            node.fill(0)
 
 
 def _discount_weights(alphas, n_stages: int) -> np.ndarray:
@@ -357,7 +427,8 @@ class _Trajectories:
     ``b`` plays the competitive equilibrium when ``p_rs[b]`` is None, and
     otherwise obeys a device of bias ``p_rs[b]`` at the cooperative optimum.
     ``stage1``, when given, holds the per-row (tau_aon, tau_ton) that every
-    row plays in stage 1 instead; a negative value silences that network.
+    row plays in stage 1 instead; a negative value silences that network,
+    and the TON's tau is otherwise ``tau_T*``, the only one it plays.
 
     ``ages`` is the (rows x n_aon) node ages, column-major so that each
     node's ages are one contiguous column and the network age is a sum of
@@ -370,6 +441,12 @@ class _Trajectories:
 
     def __init__(self, engine: _Engine, n_runs, p_rs, weights, stage1=None):
         self.engine, self.weights, self.stage1 = engine, weights, stage1
+        if stage1 is not None:
+            tau_a, tau_t = stage1
+            ton = tau_t >= 0.0
+            if not np.all(tau_t[ton] == engine.tau_ton_star):
+                raise ConfigurationError("the TON plays tau_T* = 1 / n_ton or is silenced")
+            self.stage1 = tau_a, ton
         rows = len(p_rs) * n_runs
         self.shape = (len(p_rs), n_runs)
         self.ages = np.full((rows, engine.n_aon), engine.params.initial_age, order="F")
@@ -402,22 +479,22 @@ class _Trajectories:
         return total / self.engine.n_aon
 
     def _play(self, device):
-        """The played (tau_aon, tau_ton) of every row."""
+        """The played tau_aon of every row, and whether its TON accesses."""
         engine = self.engine
         sizes, slots = engine.sizes, engine.slots
         taus = [eq._tau(self.delta[rows], sizes, slots, rule) for rule, rows in self.groups]
         tau = taus[0] if len(taus) == 1 else np.concatenate(taus)
         tau_a = np.where(device < self.aon_bias, tau.reshape(self.shape), -1.0)
-        tau_t = np.where(device >= self.ton_bias, engine.tau_ton_star, -1.0)
-        return tau_a.ravel(), tau_t.ravel()
+        ton = device >= self.ton_bias
+        return tau_a.ravel(), ton.ravel()
 
-    def step(self, n: int, draw: np.ndarray) -> None:
+    def step(self, n: int, draw) -> None:
         engine, weights = self.engine, self.weights[n]
         if n == 0 and self.stage1 is not None:
-            tau_a, tau_t = self.stage1
+            tau_a, ton = self.stage1
         else:
-            tau_a, tau_t = self._play(draw[4])
-        code = engine.slot(self.ages, draw, tau_a, tau_t)
+            tau_a, ton = self._play(draw[1])
+        code = engine.slot(self.ages, draw, tau_a, ton)
         self.count_one += tau_a == 1.0
         self.count_zero += tau_a == 0.0
         self.n_access += tau_a >= 0.0
@@ -494,11 +571,23 @@ def run_cooperation(config: RunConfig) -> RunResult:
     return _run_single(config)
 
 
-def _fanout(n_runs: int, work, threads: int) -> None:
-    """Call ``work((start, stop))`` on each run chunk; a pool starts only for several."""
+def _chunks(n_runs: int, threads: int) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` run chunks: ``ceil(n_runs / threads)`` wide, clipped to the bounds."""
+    width = min(_DEFAULT_CHUNK, max(_MIN_CHUNK, -(-n_runs // threads)))
+    return [(s, min(s + width, n_runs)) for s in range(0, n_runs, width)]
+
+
+def _fanout(n_runs: int, work, threads: int, copies: int) -> None:
+    """Call ``work((start, stop))`` on each run chunk of ``copies`` copies.
+
+    A pool starts only for several chunks of at least ``_POOL_COPIES``
+    copies; fewer copies are chunked and stepped as at one thread.
+    """
     if threads < 1:
         raise ConfigurationError(f"need at least one thread, got {threads}")
-    chunks = [(s, min(s + _DEFAULT_CHUNK, n_runs)) for s in range(0, n_runs, _DEFAULT_CHUNK)]
+    if copies < _POOL_COPIES:
+        threads = 1
+    chunks = _chunks(n_runs, threads)
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, chunks))
@@ -536,7 +625,7 @@ def _per_run(params: ScenarioParams, seed, n_runs, p_rs, weights, threads, stage
         payoffs[..., start:stop] = pay.swapaxes(1, 2)
         freqs[..., start:stop] = np.reshape(state.frequencies(), (2, copies, size))
 
-    _fanout(n_runs, work, threads)
+    _fanout(n_runs, work, threads, copies)
     return payoffs, freqs
 
 

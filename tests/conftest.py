@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from slotshare import NetworkSizes, Recommendation, SlotLengths
+from slotshare import NetworkSizes, Recommendation, SlotLengths, sim
 
 
 @pytest.fixture
@@ -95,6 +95,35 @@ def enumerate_slot_probabilities(
         "p_busy_ton": p_success - p_succ_node_t,
         "p_collision": mix("collision"),
     }
+
+
+def ton_smallest(engine, uniforms):
+    """The TON's two smallest node draws of each (... x width) uniform row.
+
+    Made by ``sim._two_smallest`` from the row's TON columns, as the engine
+    makes them before it keeps only their count below ``tau_T*``.
+    """
+    split = 1 + engine.aon_columns
+    columns = np.moveaxis(uniforms[..., split:], -1, 0).reshape(1, engine.width - split, -1)
+    first, second = np.empty((2, 1, columns.shape[-1]))
+    sim._two_smallest(columns, engine.n_ton, first, second)
+    return first.reshape(uniforms.shape[:-1]), second.reshape(uniforms.shape[:-1])
+
+
+def ton_count(engine, uniforms, tau):
+    """The TON's transmitter count at ``tau`` of each uniform row, clipped at 2."""
+    first, second = ton_smallest(engine, uniforms)
+    return np.add(first < tau, second < tau, dtype=np.int8)
+
+
+def with_ton_tau(engine, uniforms, draw, tau):
+    """``draw`` of the ``uniforms`` rows with the TON's count at ``tau`` in place of ``tau_T*``.
+
+    The slot plays the draw's count wherever the TON accesses, so a slot of
+    this draw with the TON on plays it at ``tau`` (one value per run).
+    """
+    aon, device, _, node = draw
+    return aon, device, ton_count(engine, uniforms, tau), node
 
 
 def assert_ordered_beyond_se(means, ses, label=""):

@@ -17,6 +17,7 @@ import slotshare as ss
 from slotshare import cli
 from slotshare.config import parse_config
 from slotshare.sim import _Engine
+from conftest import with_ton_tau
 from test_equilibrium import (
     check_equilibrium_against_oracle,
     competitive_threshold,
@@ -128,7 +129,9 @@ def test_probability_kernel_invariants():
         uniforms = np.random.default_rng(rng_seed).random((draws, engine.width))
         [draw] = engine.draws(uniforms[:, None])
         ages = np.zeros((draws, na))
-        code = engine.slot(ages, draw, np.full(draws, tau_a), np.full(draws, tau_t))
+        # The TON plays its count at tau_t, read off its two smallest draws.
+        draw = with_ton_tau(engine, uniforms, draw, tau_t)
+        code = engine.slot(ages, draw, np.full(draws, tau_a), np.full(draws, True))
         k_a, k_t = np.divmod(code, 3)
         probs = ss.slot_probabilities_competitive(
             params.sizes, ss.AccessProfile(tau_a, tau_t)

@@ -1,13 +1,14 @@
 """CLI outputs pinned byte for byte against files in ``golden_cli/``.
 
-Every subcommand runs on ``golden_cli/golden.ini`` at a small scale whose run
-chunks and uniform stage blocks split inside a run, so a change to chunking,
-streaming or threading that moves any output digit fails here.  The
-Monte Carlo subcommands also run on ``golden_cli/lone_ton.ini``, whose
-one-node TON has no second TON draw in a slot, and on
-``golden_cli/equal_slots.ini``, whose equal success and collision slots let
-every copy share one AON rule call and whose 17-node AON sums 17 columns of
-node ages; on both, ``region`` runs its default 10 x 10 grid.  The files
+Every subcommand runs on ``golden_cli/golden.ini`` at a small scale whose
+uniform stage blocks and 256-run sub-chunks split inside a run, so a change
+to streaming that moves any output digit fails here.  The Monte Carlo
+subcommands also run on ``golden_cli/lone_ton.ini``, whose one-node TON has
+no second TON draw in a slot, and on ``golden_cli/equal_slots.ini``, whose
+equal success and collision slots let every copy share one AON rule call
+and whose 17-node AON sums 17 columns of node ages; on both, ``region``
+runs its default 10 x 10 grid, and ``gain`` and ``region`` split their runs
+into two chunks at the configs' 2 threads and one at a single thread.  The files
 change only with a declared output change; regenerate them with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -52,8 +53,13 @@ CASES = {
     "equal_slots_region.csv": ("equal_slots.ini", ["region"]),
 }
 
-# Made at the configs' 2 threads; checked again at one.
-ONE_THREAD = ["lone_ton_region.csv", "equal_slots_region.csv"]
+# Made at the configs' 2 threads, where their 1100 runs are a 1024-run and a
+# 76-run chunk; checked again at one thread, where they are one chunk.
+ONE_THREAD = [
+    f"{config}_{name}.csv"
+    for config in ("lone_ton", "equal_slots")
+    for name in ("region", "simulate_competitive", "simulate_cooperative")
+]
 
 
 def cli_output(config, args) -> str:

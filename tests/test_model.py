@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import slotshare as ss
 from slotshare import sim
-from conftest import enumerate_slot_probabilities
+from conftest import enumerate_slot_probabilities, with_ton_tau
 
 PROBS_FIELDS = (
     "p_idle",
@@ -227,10 +227,12 @@ class TestExpectedNodeAge:
         engine = sim._Engine(ss.ScenarioParams(sizes, small_collision, initial_age=prior))
         rows = 20_000
         rng = np.random.default_rng(1234)
-        draw = next(engine.draws(rng.random((rows, 1, engine.width))))
+        uniforms = rng.random((rows, engine.width))
+        draw = next(engine.draws(uniforms[:, None]))
         ages = np.full((rows, sizes.n_aon), prior, order="F")
-        taus = np.full((2, rows), [[profile.tau_aon], [profile.tau_ton]])
-        engine.slot(ages, draw, *taus)
+        # The TON plays its count at tau_ton, read off its two smallest draws.
+        draw = with_ton_tau(engine, uniforms, draw, profile.tau_ton)
+        engine.slot(ages, draw, np.full(rows, profile.tau_aon), np.full(rows, True))
         samples = ages[:, 0]
         se = samples.std(ddof=1) / np.sqrt(rows)
         assert abs(samples.mean() - expected) <= 4.0 * se

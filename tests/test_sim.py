@@ -11,6 +11,7 @@ import slotshare as ss
 from slotshare import equilibrium as eq
 from slotshare import sim
 from slotshare.sim import _Engine
+from conftest import ton_count, ton_smallest, with_ton_tau
 
 
 def scenario(slots, na=5, nt=5, alpha=0.9, p_r=0.5, **kw):
@@ -49,13 +50,36 @@ class TestDeterminism:
         with pytest.raises(ss.ConfigurationError, match="thread"):
             ss.monte_carlo(config, 10, threads=threads)
 
-    def test_chunk_size_does_not_change_aggregates(self, equal_slots, monkeypatch):
+    @pytest.mark.parametrize("chunk", [1, 7, 16])
+    def test_chunk_size_does_not_change_aggregates(self, chunk, equal_slots, monkeypatch):
         config = ss.RunConfig(scenario(equal_slots), 60, ss.Mode.COMPETITIVE, seed=42)
-        monkeypatch.setattr(sim, "_DEFAULT_CHUNK", 7)
-        a = ss.monte_carlo(config, 250)
-        monkeypatch.setattr(sim, "_DEFAULT_CHUNK", 1024)
-        b = ss.monte_carlo(config, 250)
-        assert a == b
+        widths, batch = [], sim._simulate_batch
+
+        def recorded(engine, seed, runs, *args):
+            widths.append(len(runs))
+            return batch(engine, seed, runs, *args)
+
+        monkeypatch.setattr(sim, "_simulate_batch", recorded)
+        whole = ss.monte_carlo(config, 250)
+        assert widths == [250]
+        widths.clear()
+        # The cap applies: 250 runs in chunks of at most ``chunk``.
+        monkeypatch.setattr(sim, "_DEFAULT_CHUNK", chunk)
+        assert ss.monte_carlo(config, 250) == whole
+        assert len(widths) == -(-250 // chunk) and max(widths) == chunk
+
+    @pytest.mark.parametrize(
+        "n_runs, threads, n_chunks",
+        [(4096, 1, 1), (512, 2, 1), (2000, 2, 2), (8192, 2, 2), (20000, 1, 5)],
+    )
+    def test_chunk_rule(self, n_runs, threads, n_chunks):
+        # ceil(runs / threads) runs wide within [1024, 4096]: a batch of few
+        # runs stays one chunk, off the thread pool, and a wide one is cut
+        # into 4096-run chunks at any thread count.
+        chunks = sim._chunks(n_runs, threads)
+        assert len(chunks) == n_chunks
+        starts, stops = zip(*chunks)
+        assert starts == (0, *stops[:-1]) and stops[-1] == n_runs
 
     def test_one_run_chunks_of_a_large_aon_match_one_chunk(self, small_collision, monkeypatch):
         # A one-run chunk of one copy holds a single row of node ages, which
@@ -96,61 +120,96 @@ class TestDeterminism:
             ss.monte_carlo(config, 1)
 
 
-def smallest_two(engine, rows):
-    """The draw of (... x width) uniform rows, written out per network: (6, ...) values.
+def compact_reference(engine, rows):
+    """The compact draw of (... x width) uniform rows: (aon, device, ton, node).
 
-    Reference for ``_Engine.draws``: raw node draws sorted for a network of
-    one or two nodes, the direct statistics ``1 - G`` and ``1 - G * H`` of
-    two uniforms for a larger one, then the device draw and the AON node
-    that holds the smallest.
+    Reference for ``_Engine.draws``.  A network's two smallest are its raw
+    node draws sorted for one or two nodes, and the direct statistics
+    ``1 - G`` and ``1 - G * H`` of two uniforms for a larger one.  The AON
+    keeps its two (stacked first), the TON their count below ``tau_T*``; then
+    the device draw and the AON node that holds the smallest.
     """
     split = 1 + engine.aon_columns
-    out = []
+    pairs = []
     for n, columns in ((engine.n_aon, rows[..., 1:split]), (engine.n_ton, rows[..., split:])):
         if n <= 2:
             ordered = np.sort(columns, axis=-1)
             second = ordered[..., 1] if n == 2 else np.full(ordered.shape[:-1], np.inf)
-            out += [ordered[..., 0], second]
+            pairs.append((ordered[..., 0], second))
         else:
             g = np.power(1.0 - columns[..., 0], 1.0 / n)
             h = np.power(1.0 - columns[..., 1], 1.0 / (n - 1))
-            out += [1.0 - g, 1.0 - g * h]
+            pairs.append((1.0 - g, 1.0 - g * h))
+    (a1, a2), (t1, t2) = pairs
+    tau = engine.tau_ton_star
     aon = rows[..., 1:split]
     node = np.floor(aon[..., 2] * engine.n_aon) if engine.n_aon > 2 else np.argmin(aon, axis=-1)
-    return np.stack([*out, rows[..., 0], node])
+    return np.stack([a1, a2]), rows[..., 0], np.add(t1 < tau, t2 < tau, dtype=np.int8), node
+
+
+def block_stages(engine, n_runs):
+    """Stages per block: what the runs' generators leave of the block memory.
+
+    A stage takes the compact draws of every run, and a raw row and two work
+    values of each run of a sub-chunk.  Derived from the table's arrays, so
+    a change of layout moves the block.
+    """
+    compact = sum(t.nbytes for t in engine.table(1, 1))
+    sub = min(sim._SUB_CHUNK, n_runs)
+    free = sim._BLOCK_BYTES - n_runs * sim._GENERATOR_BYTES
+    return free // (n_runs * compact + sub * 8 * (engine.width + 2))
+
+
+def stream_cases():
+    """(runs, stages) around the block boundaries: at 1024 runs, and at a sub-chunk ± 1 run."""
+    engine = _Engine(scenario(ss.SlotLengths(0.01, 1.01, 1.01)))
+    sub = sim._SUB_CHUNK
+    cases = []
+    for n_runs, names in (
+        (1024, ["1", "block-1", "block", "block+1", "2block+3"]),
+        (sub - 1, ["1", "block+1"]),
+        (sub + 1, ["1", "block+1"]),
+    ):
+        block = block_stages(engine, n_runs)
+        stages = {"1": 1, "block-1": block - 1, "block": block, "block+1": block + 1}
+        stages["2block+3"] = 2 * block + 3
+        for name in names:
+            case_id = name if n_runs == 1024 else f"{n_runs}runs-{name}"
+            cases.append(pytest.param(n_runs, stages[name], id=case_id))
+    return cases
 
 
 class TestUniformStream:
-    # 1024 runs of width 6 leave a block of a few dozen stages: per run and
-    # stage the block holds a raw row and the six values of its draw.
-    N_RUNS = 1024
-    BLOCK = sim._BLOCK_BYTES // (8 * (6 + 6) * N_RUNS)
-
-    @pytest.mark.parametrize(
-        "n_stages",
-        [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3],
-        ids=["1", "block-1", "block", "block+1", "2block+3"],
-    )
-    def test_blocks_concatenate_to_one_draw(self, n_stages, equal_slots, monkeypatch):
+    @pytest.mark.parametrize("n_runs, n_stages", stream_cases())
+    def test_blocks_concatenate_to_one_draw(self, n_runs, n_stages, equal_slots, monkeypatch):
         engine = _Engine(scenario(equal_slots))
-        assert engine.width == 6 and 1 < self.BLOCK < 200
-        blocks = []
+        # Three doubles, the TON's int8 count and a uint8 node per run and stage.
+        assert engine.width == 6 and engine.draw_bytes == 3 * 8 + 1 + 1
+        block = block_stages(engine, n_runs)
+        assert 1 < block < 400
+        raws = []
         draw = _Engine.uniforms
 
         def record(self, generators, buf, n):
-            block = draw(self, generators, buf, n)
-            blocks.append(block.copy())
-            return block
+            raw = draw(self, generators, buf, n)
+            raws.append(raw.copy())
+            return raw
 
         monkeypatch.setattr(_Engine, "uniforms", record)
-        # Each draw is a view into the reused block buffer: copy it when yielded.
-        draws = [d.copy() for d in engine.stage_rows(21, range(self.N_RUNS), n_stages)]
-        assert [b.shape[1] for b in blocks[:-1]] == [self.BLOCK] * (len(blocks) - 1)
-        assert 1 <= blocks[-1].shape[1] <= self.BLOCK
+        # Each draw is a view into the reused block buffers: copy it when yielded.
+        draws = [[a.copy() for a in d] for d in engine.stage_rows(21, range(n_runs), n_stages)]
+        # A block's raw rows are drawn a sub-chunk of runs at a time.
+        sub = sim._SUB_CHUNK
+        subs = [min(sub, n_runs - lo) for lo in range(0, n_runs, sub)]
+        assert len(raws) % len(subs) == 0
+        assert [len(r) for r in raws] == subs * (len(raws) // len(subs))
+        blocks = [np.concatenate(raws[i : i + len(subs)]) for i in range(0, len(raws), len(subs))]
+        assert [b.shape[1] for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert 1 <= blocks[-1].shape[1] <= block
         streamed = np.concatenate(blocks, axis=1)
-        expected = smallest_two(engine, streamed).swapaxes(1, 2)
-        assert np.array_equal(np.stack(draws, axis=1), expected)
-        for run in (0, 517, self.N_RUNS - 1):
+        for got, expected in zip(zip(*draws), compact_reference(engine, streamed)):
+            assert np.array_equal(np.stack(got), np.moveaxis(expected, -1, 0))
+        for run in sorted({0, subs[0] - 1, min(sub, n_runs - 1), n_runs - 1}):
             whole = ss.run_generator(21, run).random((n_stages, 6))
             assert np.array_equal(streamed[run], whole)
 
@@ -163,11 +222,14 @@ class TestUniformStream:
         top = np.nextafter(1.0, 0.0)
         rows = np.array(list(itertools.product((0.0, 0.5, top), repeat=engine.width)))
         [draw] = engine.draws(rows[:, None])
-        assert np.array_equal(draw, smallest_two(engine, rows))
-        for first, second, n in ((draw[0], draw[1], na), (draw[2], draw[3], nt)):
+        for got, expected in zip(draw, compact_reference(engine, rows)):
+            assert np.array_equal(got, expected)
+        aon, _, count, node = draw
+        for (first, second), n in ((aon, na), (ton_smallest(engine, rows), nt)):
             assert np.all((first >= 0.0) & (first < 1.0) & (second >= first))
             assert np.all(second < 1.0) if n > 1 else np.all(second == np.inf)
-        assert set(draw[5]) <= set(range(na))
+        assert set(count) <= {0, 1, 2} and set(node) <= set(range(na))
+        assert node.dtype == np.min_scalar_type(na - 1)
 
 
 def counted_slot(engine, ages, nodes, tau_a, tau_t):
@@ -205,15 +267,17 @@ def node_draws(engine, urow, draw):
     """One draw per node, AON then TON, for the reference to count over.
 
     A network of one or two nodes has its raw draws.  A larger one has its
-    two smallest from ``draw``: the smallest at the AON node that ``draw``
+    two smallest (the AON's from ``draw``, the TON's from
+    ``sim._two_smallest``): the smallest at the AON node that ``draw``
     names (node 0 of the TON), the second-smallest at every other node.
     That gives the same counts clipped at 2 and the same lone transmitter.
     """
     split = 1 + engine.aon_columns
     rows = np.arange(len(urow))
+    aon, _, _, node = draw
     networks = (
-        (engine.n_aon, urow[:, 1:split], draw[0], draw[1], draw[5].astype(int)),
-        (engine.n_ton, urow[:, split:], draw[2], draw[3], 0),
+        (engine.n_aon, urow[:, 1:split], *aon, node.astype(int)),
+        (engine.n_ton, urow[:, split:], *ton_smallest(engine, urow), 0),
     )
     out = []
     for n, raw, first, second, holder in networks:
@@ -240,15 +304,15 @@ class TestSlotOrderStatistics:
         split = 1 + engine.aon_columns
         [draw] = engine.draws(urow[:, None])
         networks = (
-            (engine.n_aon, urow[:, 1:split], tau_a, draw[0:2]),
-            (engine.n_ton, urow[:, split:], tau_t, draw[2:4]),
+            (engine.n_aon, urow[:, 1:split], tau_a, draw[0]),
+            (engine.n_ton, urow[:, split:], tau_t, ton_smallest(engine, urow)),
         )
         for n, nodes, taus, smallest in networks:
             tie = rng.random(nodes.shape[:1] + (2,)) < 0.2
             if n > 2:
                 # A tau set exactly to a network's smallest or second draw.
                 for k in (0, 1):
-                    taus[tie[:, k]] = smallest[k, tie[:, k]]
+                    taus[tie[:, k]] = smallest[k][tie[:, k]]
                 continue
             # Draws set exactly equal to tau: a node at tau stays silent.
             tie = rng.random(nodes.shape) < 0.2
@@ -266,29 +330,40 @@ class TestSlotOrderStatistics:
         # Bit for bit against counting over the raw draws of a network of one
         # or two nodes, and over draws rebuilt from the two smallest of a
         # larger one, whose law test_direct_draw_follows_the_exact_slot_law
-        # certifies.
+        # certifies.  The TON's count at any tau is read off the two smallest
+        # that ``_two_smallest`` makes; the slot plays it from the draw.
         engine = _Engine(scenario(small_collision, na=na, nt=nt))
         rng = np.random.default_rng(100 * na + nt)
         urow, draw, tau_a, tau_t = self.inputs(engine, rng)
         nodes = node_draws(engine, urow, draw)
         start = rng.choice([0.5, 1.5, 3.0], (self.ROWS, na))
+        on = np.ones(self.ROWS, dtype=bool)
         constant = (np.full(self.ROWS, t) for t in (engine.tau_ton_star, tau_t[0]))
         for tau_t_case in (tau_t, *constant):
             ref_ages, ages = start.copy(), start.copy()
             ref = counted_slot(engine, ref_ages, nodes, tau_a, tau_t_case)
-            code = engine.slot(ages, draw, tau_a, tau_t_case)
+            code = engine.slot(ages, with_ton_tau(engine, urow, draw, tau_t_case), tau_a, on)
             k_a, k_t = np.divmod(code, 3)
             assert np.array_equal(ages, ref_ages)
             assert np.array_equal(k_a, np.minimum(ref[0], 2))
             assert np.array_equal(k_t, np.minimum(ref[1], 2))
             assert np.array_equal(engine.event_by_code[code], counted_events(*ref))
+        # The draw's own count is at tau_T*; the TON plays it or is silenced per row.
+        ton = rng.random(self.ROWS) < 0.5
+        ref_ages, ages = start.copy(), start.copy()
+        ref = counted_slot(engine, ref_ages, nodes, tau_a, np.where(ton, engine.tau_ton_star, -1.0))
+        code = engine.slot(ages, draw, tau_a, ton)
+        assert np.array_equal(ages, ref_ages)
+        assert np.array_equal(code % 3, np.minimum(ref[1], 2))
+        assert np.array_equal(engine.event_by_code[code], counted_events(*ref))
         # One draw replays each run in every copy of column-major ages.
         copies = 3
         ref_ages = np.tile(start, (copies, 1))
         ages = ref_ages.copy(order="F")
-        taus = np.tile(tau_a, copies), np.tile(tau_t, copies)
+        ton = rng.random(copies * self.ROWS) < 0.5
+        taus = np.tile(tau_a, copies), np.where(ton, np.tile(tau_t, copies), -1.0)
         ref = counted_slot(engine, ref_ages, np.tile(nodes, (copies, 1)), *taus)
-        code = engine.slot(ages, draw, *taus)
+        code = engine.slot(ages, with_ton_tau(engine, urow, draw, tau_t), taus[0], ton)
         assert np.array_equal(ages, ref_ages)
         assert np.array_equal(engine.event_by_code[code], counted_events(*ref))
 
@@ -317,20 +392,26 @@ def test_direct_draw_follows_the_exact_slot_law(n, small_collision):
     # must be the product of the exact multinomial laws, and the AON node
     # whose age resets uniform and independent of the counts: |z| <= 4 per
     # cell.  Both copies reset the same node when both have a lone AON
-    # transmitter (common random numbers).
+    # transmitter (common random numbers).  The TON's counts are read off
+    # the two smallest that ``_two_smallest`` makes; in the slot, copy 0's
+    # TON plays the draw's count at tau_T* (its tau) and copy 1's is silenced.
     engine = _Engine(scenario(small_collision, na=n, nt=n))
     taus_a, taus_t = (0.5 / n, 1.5 / n), (1.0 / n, 2.5 / n)
+    assert taus_t[0] == engine.tau_ton_star
     batch, n_batches = 125_000, 8
     total = batch * n_batches
     counts = np.zeros((3, 3, 3, 3), dtype=np.int64)
     # Reset node counts by copy, by the other copy's AON count (two values) and by node.
     resets = np.zeros((2, 2, n), dtype=np.int64)
     rng = np.random.default_rng(9000 + n)
-    tau_a, tau_t = (np.repeat(taus, batch) for taus in (taus_a, taus_t))
+    tau_a, ton = np.repeat(taus_a, batch), np.repeat([True, False], batch)
     for _ in range(n_batches):
-        [draw] = engine.draws(rng.random((batch, 1, engine.width)))
+        uniforms = rng.random((batch, 1, engine.width))
+        [draw] = engine.draws(uniforms)
         ages = np.full((2 * batch, n), 100.0, order="F")
-        k_a, k_t = np.divmod(engine.slot(ages, draw, tau_a, tau_t).reshape(2, batch), 3)
+        k_a, k_slot = np.divmod(engine.slot(ages, draw, tau_a, ton).reshape(2, batch), 3)
+        k_t = np.array([ton_count(engine, uniforms[:, 0], tau) for tau in taus_t])
+        assert np.array_equal(k_slot[0], k_t[0]) and not k_slot[1].any()
         np.add.at(counts, (k_a[0], k_a[1], k_t[0], k_t[1]), 1)
         node = ages.argmin(axis=1).reshape(2, batch)
         lone = (k_a == 1) & (k_t == 0)
@@ -448,7 +529,9 @@ class TestRealizedVersusExpected:
         [draw] = engine.draws(uniforms[:, None])
         prior = 2.0
         ages = np.full((draws, 3), prior)
-        code = engine.slot(ages, draw, np.full(draws, 0.3), np.full(draws, 0.25))
+        # The TON's 0.25 is its tau_T* at four nodes: the draw's own count.
+        assert engine.tau_ton_star == profile.tau_ton
+        code = engine.slot(ages, draw, np.full(draws, 0.3), np.full(draws, True))
         k_a, k_t = np.divmod(code, 3)
         realized_thr = np.where((k_t == 1) & (k_a == 0), engine.ton_payout, 0.0)
         realized_age = ages.mean(axis=1)
@@ -496,15 +579,21 @@ class TestSingleRow:
         params = scenario(small_collision, na=3, nt=2)
         engine = _Engine(params)
         rows = 2000
-        [draw] = engine.draws(np.random.default_rng(5).random((rows, 1, engine.width)))
-        taus = np.random.default_rng(6).choice([-1.0, 0.0, 0.3, 0.8, 1.0], (2, rows))
-        ages = np.full((rows, 3), 2.0, order="F")
-        codes = engine.slot(ages, draw, *taus)
-        assert set(codes.tolist()) == set(range(9))
-        for r in range(rows):
-            row = [2.0] * 3
-            assert engine.slot_one(row, draw[:, r].tolist(), *taus[:, r].tolist()) == codes[r]
-            assert row == ages[r].tolist()
+        uniforms = np.random.default_rng(5).random((rows, engine.width))
+        [draw] = engine.draws(uniforms[:, None])
+        tau_a, tau_t = np.random.default_rng(6).choice([-1.0, 0.0, 0.3, 0.8, 1.0], (2, rows))
+        # Each row's TON plays its count at its tau_t, or is silenced.
+        draw = with_ton_tau(engine, uniforms, draw, tau_t)
+        for ton in (np.full(rows, True), np.random.default_rng(7).random(rows) < 0.5):
+            ages = np.full((rows, 3), 2.0, order="F")
+            codes = engine.slot(ages, draw, tau_a, ton)
+            assert set(codes.tolist()) == set(range(9))
+            aon, *rest = draw
+            values = zip(*aon.tolist(), *(a.tolist() for a in rest))
+            for r, (row_draw, *taus) in enumerate(zip(values, tau_a.tolist(), ton.tolist())):
+                row = [2.0] * 3
+                assert engine.slot_one(row, row_draw, *taus) == codes[r]
+                assert row == ages[r].tolist()
 
     def test_network_age_one_adds_left_to_right(self, small_collision):
         # 1 + 1e-16 rounds back to 1 at each add, as in the engine's column
@@ -563,6 +652,15 @@ class TestGain:
         for i, (pay, freq) in enumerate(alone):
             assert np.array_equal(payoffs[:, :, i], pay[:, :, 0])
             assert np.array_equal(freqs, freq)
+
+    def test_stage1_ton_plays_tau_star_or_is_silenced(self, small_collision):
+        # The compact draw holds the TON's count at tau_T* = 1 / 5 alone.
+        params = scenario(small_collision)
+        weights = sim._discount_weights([0.9], 5)
+        for tau_t in (0.2, -1.0):
+            sim._per_run(params, 5, 4, [None], weights, 1, np.array([[0.5], [tau_t]]))
+        with pytest.raises(ss.ConfigurationError, match="tau_T"):
+            sim._per_run(params, 5, 4, [None], weights, 1, np.array([[0.5], [0.3]]))
 
     def test_gain_standard_errors_are_of_paired_run_differences(self, small_collision):
         params = scenario(small_collision, p_r=0.4)
