@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -80,6 +81,24 @@ class TestDeterminism:
         assert len(chunks) == n_chunks
         starts, stops = zip(*chunks)
         assert starts == (0, *stops[:-1]) and stops[-1] == n_runs
+
+    @pytest.mark.parametrize("copies, pooled, n_chunks", [(7, False, 1), (8, True, 2)])
+    def test_pool_starts_only_for_many_copies(self, copies, pooled, n_chunks, monkeypatch):
+        # Each chunk's per-run Philox calls hand the interpreter lock between
+        # threads, so fewer than 8 copies are chunked and stepped as at one
+        # thread.
+        pools, chunks = [], []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", Pool)
+        sim._fanout(2000, chunks.append, 2, copies)
+        assert bool(pools) == pooled
+        assert sorted(chunks) == sim._chunks(2000, 2 if pooled else 1)
+        assert len(chunks) == n_chunks
 
     def test_one_run_chunks_of_a_large_aon_match_one_chunk(self, small_collision, monkeypatch):
         # A one-run chunk of one copy holds a single row of node ages, which
