@@ -31,78 +31,20 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-SIMULATE_COLUMNS = [
-    "mode",
-    "N_A",
-    "N_T",
-    "sigma_C_ratio",
-    "alpha",
-    "p_r",
-    "n_runs",
-    "n_stages",
-    "seed",
-    "U_aon_mean",
-    "U_aon_se",
-    "U_ton_mean",
-    "U_ton_se",
-    "f_tau1_mean",
-    "f_tau0_mean",
-]
-
-REGION_COLUMNS = [
-    "alpha",
-    "p_r",
-    "ton_prefers",
-    "aon_prefers",
-    "spe",
-    "indeterminate",
-    "margin_aon_h",
-    "se_aon_h",
-    "margin_ton_h",
-    "se_ton_h",
-    "margin_aon_t",
-    "se_aon_t",
-    "margin_ton_t",
-    "se_ton_t",
-]
-
-GAIN_COLUMNS = [
-    "alpha",
-    "p_r",
-    "gain_aon",
-    "gain_ton",
-    "se_gain_aon",
-    "se_gain_ton",
-    "U_aon_competitive",
-    "U_ton_competitive",
-    "U_aon_cooperative",
-    "U_ton_cooperative",
-]
-
-FREQ_COLUMNS = [
-    "N_A",
-    "N_T",
-    "sigma_C_ratio",
-    "alpha",
-    "n_runs",
-    "n_stages",
-    "seed",
-    "f_tau1_mean",
-    "f_tau1_se",
-    "f_tau0_mean",
-    "f_tau0_se",
-]
-
-
 def _g17(value) -> str:
     return format(float(value), ".17g")
 
 
-def _csv_text(columns, rows) -> str:
+def _csv_text(rows) -> str:
+    """CSV of dict rows under the first row's keys; every row must have those keys, in order."""
+    columns = list(rows[0])
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
+    writer = csv.DictWriter(out, columns, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        if list(row) != columns:
+            raise ValueError(f"CSV row keys {list(row)} differ from the header {columns}")
+        writer.writerow(row)
     return out.getvalue()
 
 
@@ -155,24 +97,24 @@ def cmd_simulate(config: ExperimentConfig, mode: sim.Mode) -> str:
     scen = config.scenario
     run_config = sim.RunConfig(scen, config.n_stages, mode, config.master_seed)
     agg = sim.monte_carlo(run_config, config.n_runs, threads=config.threads)
-    row = [
-        mode.value,
-        scen.sizes.n_aon,
-        scen.sizes.n_ton,
-        _g17(_sigma_ratio(config)),
-        _g17(scen.alpha),
-        _g17(scen.p_r),
-        config.n_runs,
-        config.n_stages,
-        config.master_seed,
-        _g17(agg.u_aon_mean),
-        _g17(agg.u_aon_se),
-        _g17(agg.u_ton_mean),
-        _g17(agg.u_ton_se),
-        _g17(agg.freq_tau_one_mean),
-        _g17(agg.freq_tau_zero_mean),
-    ]
-    return _csv_text(SIMULATE_COLUMNS, [row])
+    row = {
+        "mode": mode.value,
+        "N_A": scen.sizes.n_aon,
+        "N_T": scen.sizes.n_ton,
+        "sigma_C_ratio": _g17(_sigma_ratio(config)),
+        "alpha": _g17(scen.alpha),
+        "p_r": _g17(scen.p_r),
+        "n_runs": config.n_runs,
+        "n_stages": config.n_stages,
+        "seed": config.master_seed,
+        "U_aon_mean": _g17(agg.u_aon_mean),
+        "U_aon_se": _g17(agg.u_aon_se),
+        "U_ton_mean": _g17(agg.u_ton_mean),
+        "U_ton_se": _g17(agg.u_ton_se),
+        "f_tau1_mean": _g17(agg.freq_tau_one_mean),
+        "f_tau0_mean": _g17(agg.freq_tau_zero_mean),
+    }
+    return _csv_text([row])
 
 
 def cmd_region(config: ExperimentConfig) -> str:
@@ -190,16 +132,18 @@ def cmd_region(config: ExperimentConfig) -> str:
     rows = []
     for i, alpha in enumerate(grid.alpha_axis):
         for j, p_r in enumerate(grid.pr_axis):
-            tri = (
-                int(grid.ton_prefers[i, j]),
-                int(grid.aon_prefers[i, j]),
-                int(grid.self_enforceable[i, j]),
-            )
-            row = [_g17(alpha), _g17(p_r), *tri, int(any(v == -1 for v in tri))]
-            for k in range(4):
-                row += [_g17(grid.margins[k, i, j]), _g17(grid.ses[k, i, j])]
+            tri = {
+                "ton_prefers": int(grid.ton_prefers[i, j]),
+                "aon_prefers": int(grid.aon_prefers[i, j]),
+                "spe": int(grid.self_enforceable[i, j]),
+            }
+            row = {"alpha": _g17(alpha), "p_r": _g17(p_r), **tri}
+            row["indeterminate"] = int(-1 in tri.values())
+            for name, k in (("aon_h", 0), ("ton_h", 1), ("aon_t", 2), ("ton_t", 3)):
+                row[f"margin_{name}"] = _g17(grid.margins[k, i, j])
+                row[f"se_{name}"] = _g17(grid.ses[k, i, j])
             rows.append(row)
-    return _csv_text(REGION_COLUMNS, rows)
+    return _csv_text(rows)
 
 
 def cmd_gain(config: ExperimentConfig) -> str:
@@ -217,20 +161,20 @@ def cmd_gain(config: ExperimentConfig) -> str:
     for alpha, cells in zip(config.alphas, grid):
         for p_r, result in zip(config.pr_grid, cells):
             rows.append(
-                [
-                    _g17(alpha),
-                    _g17(p_r),
-                    _g17(result.gain_aon),
-                    _g17(result.gain_ton),
-                    _g17(result.se_gain_aon),
-                    _g17(result.se_gain_ton),
-                    _g17(result.competitive.u_aon_mean),
-                    _g17(result.competitive.u_ton_mean),
-                    _g17(result.cooperative.u_aon_mean),
-                    _g17(result.cooperative.u_ton_mean),
-                ]
+                {
+                    "alpha": _g17(alpha),
+                    "p_r": _g17(p_r),
+                    "gain_aon": _g17(result.gain_aon),
+                    "gain_ton": _g17(result.gain_ton),
+                    "se_gain_aon": _g17(result.se_gain_aon),
+                    "se_gain_ton": _g17(result.se_gain_ton),
+                    "U_aon_competitive": _g17(result.competitive.u_aon_mean),
+                    "U_ton_competitive": _g17(result.competitive.u_ton_mean),
+                    "U_aon_cooperative": _g17(result.cooperative.u_aon_mean),
+                    "U_ton_cooperative": _g17(result.cooperative.u_ton_mean),
+                }
             )
-    return _csv_text(GAIN_COLUMNS, rows)
+    return _csv_text(rows)
 
 
 def cmd_freq(config: ExperimentConfig) -> str:
@@ -242,21 +186,21 @@ def cmd_freq(config: ExperimentConfig) -> str:
         run_config = sim.RunConfig(params, config.n_stages, sim.Mode.COMPETITIVE, config.master_seed)
         agg = sim.monte_carlo(run_config, config.n_runs, threads=config.threads)
         rows.append(
-            [
-                int(n_aon),
-                params.sizes.n_ton,
-                _g17(_sigma_ratio(config)),
-                _g17(params.alpha),
-                config.n_runs,
-                config.n_stages,
-                config.master_seed,
-                _g17(agg.freq_tau_one_mean),
-                _g17(agg.freq_tau_one_se),
-                _g17(agg.freq_tau_zero_mean),
-                _g17(agg.freq_tau_zero_se),
-            ]
+            {
+                "N_A": int(n_aon),
+                "N_T": params.sizes.n_ton,
+                "sigma_C_ratio": _g17(_sigma_ratio(config)),
+                "alpha": _g17(params.alpha),
+                "n_runs": config.n_runs,
+                "n_stages": config.n_stages,
+                "seed": config.master_seed,
+                "f_tau1_mean": _g17(agg.freq_tau_one_mean),
+                "f_tau1_se": _g17(agg.freq_tau_one_se),
+                "f_tau0_mean": _g17(agg.freq_tau_zero_mean),
+                "f_tau0_se": _g17(agg.freq_tau_zero_se),
+            }
         )
-    return _csv_text(FREQ_COLUMNS, rows)
+    return _csv_text(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,17 +253,10 @@ def _load_config(args) -> ExperimentConfig:
 
 def _dispatch(args) -> str:
     config = _load_config(args)
-    if args.command == "msne":
-        return cmd_msne(config)
-    if args.command == "stage":
-        return cmd_stage(config)
     if args.command == "simulate":
         return cmd_simulate(config, sim.Mode(args.mode))
-    if args.command == "region":
-        return cmd_region(config)
-    if args.command == "gain":
-        return cmd_gain(config)
-    return cmd_freq(config)
+    commands = {"msne": cmd_msne, "stage": cmd_stage, "region": cmd_region, "gain": cmd_gain}
+    return commands.get(args.command, cmd_freq)(config)
 
 
 def main(argv=None) -> int:

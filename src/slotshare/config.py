@@ -21,6 +21,11 @@ from .model import ConfigurationError, NetworkSizes, ScenarioParams, SlotLengths
 PAPER_SCALE_RUNS = 100_000
 PAPER_SCALE_STAGES = 1_000
 
+# The [run] keys (integers) and the [grids] keys holding floats, each named as
+# its ExperimentConfig field, in the order emit_config writes them.
+_RUN_KEYS = ("n_runs", "n_stages", "master_seed", "threads")
+_GRID_FLOAT_KEYS = ("alpha_grid", "pr_grid", "ages", "alphas")
+
 
 class ConfigError(ConfigurationError):
     """Config-file problem, annotated with the offending section and key."""
@@ -207,14 +212,8 @@ def parse_config(source) -> ExperimentConfig:
         scenario=scenario,
         slot_scenario=slot_scenario,
         beta=beta,
-        n_runs=run.get_int("n_runs", base.n_runs),
-        n_stages=run.get_int("n_stages", base.n_stages),
-        master_seed=run.get_int("master_seed", base.master_seed),
-        threads=run.get_int("threads", base.threads),
-        alpha_grid=grids.get_values("alpha_grid", base.alpha_grid),
-        pr_grid=grids.get_values("pr_grid", base.pr_grid),
-        ages=grids.get_values("ages", base.ages),
-        alphas=grids.get_values("alphas", base.alphas),
+        **{key: run.get_int(key, getattr(base, key)) for key in _RUN_KEYS},
+        **{key: grids.get_values(key, getattr(base, key)) for key in _GRID_FLOAT_KEYS},
         n_aon_list=grids.get_int_values("n_aon_list", base.n_aon_list),
     )
 
@@ -240,19 +239,9 @@ def emit_config(config: ExperimentConfig) -> str:
         "p_r": repr(scen.p_r),
         "initial_age": repr(scen.initial_age),
     }
-    parser["run"] = {
-        "n_runs": str(config.n_runs),
-        "n_stages": str(config.n_stages),
-        "master_seed": str(config.master_seed),
-        "threads": str(config.threads),
-    }
-    parser["grids"] = {
-        "alpha_grid": values(config.alpha_grid),
-        "pr_grid": values(config.pr_grid),
-        "ages": values(config.ages),
-        "alphas": values(config.alphas),
-        "n_aon_list": ", ".join(str(v) for v in config.n_aon_list),
-    }
+    parser["run"] = {key: str(getattr(config, key)) for key in _RUN_KEYS}
+    parser["grids"] = {key: values(getattr(config, key)) for key in _GRID_FLOAT_KEYS}
+    parser["grids"]["n_aon_list"] = ", ".join(str(v) for v in config.n_aon_list)
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

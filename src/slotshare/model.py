@@ -15,7 +15,9 @@ grim-trigger audit replays too; ``AgeState`` holds a finished run's ages.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +159,14 @@ class SlotProbabilities:
             raise ConfigurationError("per-node successes do not aggregate to p_success_total")
 
 
+def _mean_left_to_right(ages) -> float:
+    """The mean of node ages added left to right, as the engine adds its columns.
+
+    Not ``sum``, which compensates rounding from Python 3.12, nor numpy's pairwise sum.
+    """
+    return functools.reduce(operator.add, ages) / len(ages)
+
+
 @dataclass(frozen=True)
 class AgeState:
     """Per-AON-node update ages at a slot boundary; ``network_age`` is their mean."""
@@ -170,7 +180,7 @@ class AgeState:
             raise ConfigurationError("ages must be a non-empty vector")
         # min() is NaN when any age is, which fails the comparison; a finite
         # mean then rules out +inf.
-        mean = float(ages.sum() / ages.size)
+        mean = _mean_left_to_right(ages.tolist())
         if not (ages.min() >= 0.0 and math.isfinite(mean)):
             raise ConfigurationError("ages must be finite and non-negative")
         ages.flags.writeable = False

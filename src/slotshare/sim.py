@@ -70,16 +70,14 @@ the age growth, the TON payoff and the recorded event.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import equilibrium as eq
-from .model import AgeState, ConfigurationError, ScenarioParams
+from .model import AgeState, ConfigurationError, ScenarioParams, _mean_left_to_right
 from .seeding import run_generator
 
 # A chunk is ceil(runs / threads) runs wide, clipped to
@@ -323,6 +321,8 @@ class _Engine:
         bit for bit without the per-call cost of numpy on one row.
         """
         a1, a2, _, count, node = draw
+        # A numpy scalar's comparisons give np.bool_, whose sum is a logical OR.
+        tau_a = float(tau_a)
         code = 3 * ((a1 < tau_a) + (a2 < tau_a)) + (count if ton else 0)
         growth = float(self.growth_by_code[code])
         ages[:] = [age + growth for age in ages]
@@ -331,11 +331,8 @@ class _Engine:
         return code
 
     def network_age_one(self, ages: list) -> float:
-        """The mean of one row's node ages, added left to right as ``_Trajectories`` adds columns.
-
-        Not ``sum``: from Python 3.12 it compensates float rounding.
-        """
-        return functools.reduce(operator.add, ages) / self.n_aon
+        """The mean of one row's node ages, added left to right as ``_Trajectories`` adds columns."""
+        return _mean_left_to_right(ages)
 
     def trace(self, seed: int, run: int, n_stages: int, p_r=None, switch=None, joint=True):
         """Step run ``run`` of ``seed`` as one row in Python numbers, yielding each stage.

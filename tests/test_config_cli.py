@@ -3,6 +3,7 @@
 import csv
 import io
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,15 @@ from slotshare.config import (
     parse_config,
     slots_from_scenario,
 )
+
+
+GOLDEN = Path(__file__).parent / "golden_cli"
+
+
+def explicit_slots_config():
+    config = default_config()
+    scenario = replace(config.scenario, slots=ss.SlotLengths(0.02, 1.5, 0.7))
+    return replace(config, scenario=scenario, slot_scenario=None)
 
 
 class TestConfig:
@@ -50,10 +60,16 @@ class TestConfig:
         assert parse_config(emit_config(config)) == config
 
     def test_round_trip_explicit_slots(self):
-        config = default_config()
-        scenario = replace(config.scenario, slots=ss.SlotLengths(0.02, 1.5, 0.7))
-        config = replace(config, scenario=scenario, slot_scenario=None)
+        config = explicit_slots_config()
         assert parse_config(emit_config(config)) == config
+
+    @pytest.mark.parametrize(
+        "config, golden",
+        [(default_config, "emit_default.ini"), (explicit_slots_config, "emit_explicit_slots.ini")],
+    )
+    def test_emit_matches_golden(self, config, golden):
+        # Pins the sections, key order and value text, not only the round trip.
+        assert emit_config(config()).encode() == (GOLDEN / golden).read_bytes()
 
     def test_parse_reads_named_scenario_and_grids(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -118,6 +134,18 @@ def run_cli(args):
 
 
 class TestCli:
+    def test_csv_text_header_is_first_row_keys(self):
+        rows = [{"b": 1, "a": "x"}, {"b": 2, "a": "y"}]
+        assert cli._csv_text(rows) == "b,a\n1,x\n2,y\n"
+
+    @pytest.mark.parametrize(
+        "row", [{"b": 2}, {"b": 2, "a": "y", "c": 0}, {"a": "y", "b": 2}],
+        ids=["missing", "extra", "reordered"],
+    )
+    def test_csv_text_rejects_rows_with_other_keys(self, row):
+        with pytest.raises(ValueError, match="differ from the header"):
+            cli._csv_text([{"b": 1, "a": "x"}, row])
+
     def test_msne_table_thresholds(self, tmp_path):
         config = tmp_path / "c.ini"
         config.write_text(
@@ -154,7 +182,11 @@ class TestCli:
         )
         assert code == 0
         rows = list(csv.reader(out_path.read_text().splitlines()))
-        assert rows[0] == cli.SIMULATE_COLUMNS
+        assert rows[0] == [
+            "mode", "N_A", "N_T", "sigma_C_ratio", "alpha", "p_r", "n_runs", "n_stages",
+            "seed", "U_aon_mean", "U_aon_se", "U_ton_mean", "U_ton_se", "f_tau1_mean",
+            "f_tau0_mean",
+        ]
         assert len(rows) == 2
         assert rows[1][0] == "competitive"
 
@@ -192,7 +224,10 @@ class TestCli:
         )
         assert code == 0
         rows = list(csv.reader(out.splitlines()))
-        assert rows[0] == cli.FREQ_COLUMNS
+        assert rows[0] == [
+            "N_A", "N_T", "sigma_C_ratio", "alpha", "n_runs", "n_stages", "seed",
+            "f_tau1_mean", "f_tau1_se", "f_tau0_mean", "f_tau0_se",
+        ]
         assert [r[0] for r in rows[1:]] == ["1", "3"]
 
     def test_region_csv_intersection(self, tmp_path):
@@ -206,7 +241,11 @@ class TestCli:
         )
         assert code == 0
         rows = list(csv.reader(out.splitlines()))
-        assert rows[0] == cli.REGION_COLUMNS
+        assert rows[0] == [
+            "alpha", "p_r", "ton_prefers", "aon_prefers", "spe", "indeterminate",
+            "margin_aon_h", "se_aon_h", "margin_ton_h", "se_ton_h",
+            "margin_aon_t", "se_aon_t", "margin_ton_t", "se_ton_t",
+        ]
         assert len(rows) == 5
         for row in rows[1:]:
             ton, aon, spe, indet = (int(row[i]) for i in (2, 3, 4, 5))

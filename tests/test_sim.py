@@ -610,18 +610,30 @@ class TestSingleRow:
             aon, *rest = draw
             values = zip(*aon.tolist(), *(a.tolist() for a in rest))
             for r, (row_draw, *taus) in enumerate(zip(values, tau_a.tolist(), ton.tolist())):
-                row = [2.0] * 3
-                assert engine.slot_one(row, row_draw, *taus) == codes[r]
-                assert row == ages[r].tolist()
+                # A numpy scalar tau counts as a Python float does.
+                for tau in (taus[0], np.float64(taus[0])):
+                    row = [2.0] * 3
+                    assert engine.slot_one(row, row_draw, tau, taus[1]) == codes[r]
+                    assert row == ages[r].tolist()
 
     def test_network_age_one_adds_left_to_right(self, small_collision):
         # 1 + 1e-16 rounds back to 1 at each add, as in the engine's column
         # sum; a compensated sum would keep the two small ages.
-        engine = _Engine(scenario(small_collision, na=3))
-        ages = [1.0, 1e-16, 1e-16]
-        state = sim._Trajectories(engine, 1, [None], sim._discount_weights([0.9], 1))
-        state.ages[:] = ages
-        assert engine.network_age_one(ages) == state._network_age()[0] == 1.0 / 3
+        # At 8 or more nodes numpy's own sum adds pairwise, and would keep them.
+        for ages, mean in (([1.0, 1e-16, 1e-16], 1.0 / 3), ([1.0] + [1e-16] * 8, 1.0 / 9)):
+            engine = _Engine(scenario(small_collision, na=len(ages)))
+            state = sim._Trajectories(engine, 1, [None], sim._discount_weights([0.9], 1))
+            state.ages[:] = ages
+            assert engine.network_age_one(ages) == state._network_age()[0] == mean
+            assert ss.AgeState(np.array(ages)).network_age == mean
+
+    @pytest.mark.parametrize("na", [8, 9, 10, 17, 33])
+    def test_final_network_age_is_last_stage_age(self, na, small_collision):
+        # A run's final AgeState reads the network age its last stage paid.
+        params = scenario(small_collision, na=na, initial_age=3.3)
+        for seed in range(1, 30):
+            result = ss.run_competition(ss.RunConfig(params, 40, ss.Mode.COMPETITIVE, seed))
+            assert result.final_ages.network_age == -result.stages.u_aon[-1]
 
 
 class TestGain:
