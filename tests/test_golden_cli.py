@@ -8,8 +8,11 @@ no second TON draw in a slot, and on ``golden_cli/equal_slots.ini``, whose
 equal success and collision slots let every copy share one AON rule call
 and whose 17-node AON sums 17 columns of node ages; on both, ``region``
 runs its default 10 x 10 grid, and ``gain`` and ``region`` split their runs
-into two chunks at the configs' 2 threads and one at a single thread.  The files
-change only with a declared output change; regenerate them with
+into two chunks at the configs' 2 threads and one at a single thread.
+``golden_cli/interior_stage1.ini`` starts a three-node AON above its
+cooperative threshold, so its ``region`` plays an interior stage-1 tau, on
+the thread pool at 2 threads.  The files change only with a declared
+output change; regenerate them with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -51,6 +54,7 @@ CASES = {
     "equal_slots_gain.csv": ("equal_slots.ini", ["gain"]),
     "lone_ton_region.csv": ("lone_ton.ini", ["region"]),
     "equal_slots_region.csv": ("equal_slots.ini", ["region"]),
+    "interior_stage1_region.csv": ("interior_stage1.ini", ["region"]),
 }
 
 # Made at the configs' 2 threads, where their 1100 runs are a 1024-run and a
@@ -59,7 +63,7 @@ ONE_THREAD = [
     f"{config}_{name}.csv"
     for config in ("lone_ton", "equal_slots")
     for name in ("region", "simulate_competitive", "simulate_cooperative")
-]
+] + ["interior_stage1_region.csv"]
 
 
 def cli_output(config, args) -> str:
