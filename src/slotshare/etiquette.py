@@ -28,6 +28,7 @@ injected deviation.  It folds the engine's single-row loop, that of
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ from .model import (
     SlotLengths,
     AccessProfile,
 )
-from .sim import _Engine, _discount_weights, _mean_se, _per_run
+from .sim import IDLE, JOINT, _Engine, _discount_weights, _mean_se, _per_run
 from . import model as _model
 
 
@@ -226,23 +227,20 @@ def _sweep(params: ScenarioParams, pr_axis, weights, n_runs, seed, threads):
     Every bias replays the run streams ``(seed, r)``: the dynamics never read
     alpha and the deviation branches never read the bias, so the copies
     joint access and idle, then heads and tails per bias, cover the grid,
-    and alpha only selects a column of ``weights``.  Returns the stage-1
-    profile, the (2 x copies x columns x runs) payoffs, and the obey and
-    deviate payoffs of the ``_INEQUALITIES``, (4 x bias x columns x runs)
-    and (4 x 1 x columns x runs).
+    and alpha only selects a column of ``weights``.  Returns the (2 x copies
+    x columns x runs) payoffs, and the obey and deviate payoffs of the
+    ``_INEQUALITIES``, (4 x bias x columns x runs) and (4 x 1 x columns x
+    runs).
     """
-    profile_hat, _ = eq.cooperative_optimum(params.sizes, params.slots, params.initial_age)
-    tau_hat0, tau_ton = profile_hat.tau_aon, profile_hat.tau_ton
     n_pr = len(pr_axis)
-    # Copies: joint access and an idle slot, competitive afterwards; then per
-    # bias obey heads (AON alone) and obey tails (TON alone), cooperative
-    # afterwards.  Each copy's stage-1 (tau_aon, tau_ton):
-    p_rs = [None, None, *np.repeat(pr_axis, 2)]
-    profiles = [(tau_hat0, tau_ton), (-1.0, -1.0)] + [(tau_hat0, -1.0), (-1.0, tau_ton)] * n_pr
-    payoffs, _ = _per_run(params, seed, n_runs, p_rs, weights, threads, np.transpose(profiles))
+    # Copies: in stage 1 joint access and an idle slot, competitive afterwards;
+    # then per bias obey heads (AON alone) and obey tails (TON alone),
+    # cooperative afterwards.
+    schedule = [(0, [JOINT, IDLE] + [1.0, 0.0] * n_pr), (1, [None, None, *np.repeat(pr_axis, 2)])]
+    payoffs, _ = _per_run(params, seed, n_runs, schedule, weights, threads)
     # dev: payoff x (joint, idle) x column x run; obey: payoff x bias x (heads, tails) x ...
     dev, obey = payoffs[:, :2], payoffs[:, 2:].reshape(2, n_pr, 2, *payoffs.shape[2:])
-    return profile_hat, payoffs, obey[_PAYOFF, :, _OBEY], dev[_PAYOFF, _DEVIATE][:, None]
+    return payoffs, obey[_PAYOFF, :, _OBEY], dev[_PAYOFF, _DEVIATE][:, None]
 
 
 def deviation_inequalities(
@@ -251,7 +249,7 @@ def deviation_inequalities(
     """Estimate the four obey-versus-deviate inequalities by paired Monte Carlo."""
     # The discount column, then stage 1 alone: minus its age, its TON payoff.
     weights = np.hstack([_discount_weights([params.alpha], n_stages), np.eye(n_stages, 1)])
-    profile_hat, payoffs, obey, dev = _sweep(params, [params.p_r], weights, n_runs, seed, threads)
+    payoffs, obey, dev = _sweep(params, [params.p_r], weights, n_runs, seed, threads)
     obey, dev = obey[:, 0, 0], dev[:, 0, 0]
     columns = zip(obey.mean(axis=-1), dev.mean(axis=-1), *_mean_se(obey - dev))
     estimates = [InequalityEstimate(n, *map(float, c)) for n, c in zip(_INEQUALITIES, columns)]
@@ -266,7 +264,7 @@ def deviation_inequalities(
         *estimates,
         stage1_age_mc=by_branch(-stage1[0]),
         stage1_throughput_mc=by_branch(stage1[1]),
-        stage1_profile=profile_hat,
+        stage1_profile=eq.cooperative_optimum(params.sizes, params.slots, params.initial_age)[0],
         n_runs=n_runs,
     )
 
@@ -352,7 +350,7 @@ def region_sweep(
     if not np.all((pr_axis > 0.0) & (pr_axis < 1.0)):
         raise ConfigurationError("bias grid must lie inside (0, 1)")
     weights = _discount_weights(alpha_axis, n_stages)
-    _, _, obey, dev = _sweep(params, pr_axis, weights, n_runs, seed, threads)
+    _, obey, dev = _sweep(params, pr_axis, weights, n_runs, seed, threads)
     # Inequality x bias x alpha, turned to inequality x alpha x bias.
     margins, ses = (stat.swapaxes(1, 2) for stat in _mean_se(obey - dev))
     aon_h, ton_h, aon_t, ton_t = _tri_state(margins, ses)
@@ -402,26 +400,26 @@ def simulate_grim_trigger(
     deviation reports the profile (0, 0).  The trace folds the engine's
     single-row loop (``sim._Engine.trace``) on run 0 of ``seed``, the loop
     of ``run_cooperation``, so its cooperative prefix equals that run bit for
-    bit.
+    bit, and a deviation at stage 0 equals the region sweep's branch.
     """
-    if not 0 <= deviate_at_stage < n_stages:
-        raise ConfigurationError("deviation stage outside the run")
+    k = deviate_at_stage
+    if not (isinstance(k, numbers.Integral) and 0 <= k < n_stages):
+        raise ConfigurationError(f"deviation stage must be an integer stage of the run, got {k}")
     engine = _Engine(params)
-    stages = engine.trace(seed, 0, n_stages, params.p_r, deviate_at_stage, case.joint_access)
+    schedule = [(0, [params.p_r]), (k, [JOINT if case.joint_access else IDLE]), (k + 1, [None])]
+    stages = engine.trace(seed, 0, n_stages, schedule)
     trace = []
     for n, (device, tau, _, _, delta, _) in enumerate(stages):
         recommendation = Recommendation.HEADS if device < params.p_r else Recommendation.TAILS
-        if n == deviate_at_stage:
+        if n == k:
             recommendation = case.recommendation
-        idle = n == deviate_at_stage and not case.joint_access
+        idle = n == k and not case.joint_access
         shown = (0.0, 0.0) if idle else (tau, engine.tau_ton_star)
         trace.append(
             StageTrace(
                 stage=n,
-                compliance=ComplianceFlag(
-                    stage=n, recommendation=recommendation, obeyed=n < deviate_at_stage
-                ),
-                competitive_play=n > deviate_at_stage,
+                compliance=ComplianceFlag(stage=n, recommendation=recommendation, obeyed=n < k),
+                competitive_play=n > k,
                 tau_aon=shown[0],
                 tau_ton=shown[1],
                 network_age_after=delta,

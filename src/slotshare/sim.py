@@ -26,9 +26,15 @@ chunk of runs draws its rows a block of stages at a time, and each block
 stream read in order yields the same numbers however it is cut into blocks
 of stages or sub-chunks of runs.
 
+Every trajectory plays a schedule: a list of ``(start_stage, plays)``, one
+play per copy of the runs, each in force until the next entry's stage.  A
+play is None (compete), a device bias p (obey a device of bias p: 1.0 is
+heads, the AON alone, and 0.0 tails, the TON alone), ``JOINT`` (both
+networks on the air at the cooperative tau) or ``IDLE`` (both silent), and
+``_Engine.access`` turns it into who may access.
+
 One state (``_Trajectories``) holds every trajectory of a batch chunk:
-copies of its runs stacked as rows, each copy competitive or cooperative
-with its own device bias, optionally forced to a stage-1 profile, with
+copies of its runs stacked as rows, each playing its schedule, with
 payoffs weighted by a (stages x columns) matrix, one column per alpha
 (``deviation_inequalities`` adds a stage-1 column ``1, 0, 0, ...``, whose
 payoffs are exactly minus the stage-1 network age and the stage-1 TON
@@ -54,10 +60,10 @@ for bit.
 
 A node transmits iff its draw is below its network's access probability, so
 a network sends 0, 1 or at least 2 packets according to whether that
-probability lies above its smallest and its second-smallest draw.  The TON
-only ever plays ``tau_T* = 1 / n_ton`` or is silenced (by the device, by an
-idle stage-1 profile, or in ``trace``), so its count is fixed when the block
-is drawn.  Each sub-chunk of a block is therefore turned once, before the
+probability lies above its smallest and its second-smallest draw.  No
+schedule can state another TON tau than ``tau_T* = 1 / n_ton``: the TON
+accesses at it or is silenced, so its count is fixed when the block is
+drawn.  Each sub-chunk of a block is therefore turned once, before the
 state reads it, into a compact record per run and stage: the AON's two
 smallest draws and the device draw (doubles), the TON's count at
 ``tau_T*`` clipped at 2 (``int8``), and the AON node that holds the
@@ -96,6 +102,9 @@ _POOL_COPIES = 8
 _BLOCK_BYTES = 8 << 20
 _GENERATOR_BYTES = 640
 _SUB_CHUNK = 256
+
+# The forced plays of a schedule, beside a device bias and competition (None).
+JOINT, IDLE = "joint", "idle"
 
 # Event codes in recorded stage streams.
 EVENT_IDLE = 0
@@ -198,6 +207,18 @@ class _Engine:
         self.ton_by_code[1] = self.ton_payout
         self.event_by_code = np.full(9, EVENT_COLLISION, dtype=np.int8)
         self.event_by_code[[0, 1, 3]] = EVENT_IDLE, EVENT_SUCCESS_TON, EVENT_SUCCESS_AON
+
+    def access(self, play):
+        """Who may access under one play of a schedule: ``(rule, aon_bias, ton_bias)``.
+
+        The AON may access at ``rule``'s tau where the device draw is below
+        ``aon_bias``, and the TON at ``tau_T*`` where it is at or above ``ton_bias``.
+        """
+        inf = float("inf")
+        if play is None:
+            return eq._rule(self.sizes, self.slots, True), inf, -inf
+        biases = {JOINT: (inf, -inf), IDLE: (-inf, inf)}.get(play, (play, play))
+        return eq._rule(self.sizes, self.slots, False), *biases
 
     def uniforms(self, generators, buf: np.ndarray, n_stages: int) -> np.ndarray:
         """Draw the next ``n_stages`` rows of each generator's run into ``buf``; returns them."""
@@ -334,26 +355,18 @@ class _Engine:
         """The mean of one row's node ages, added left to right as ``_Trajectories`` adds columns."""
         return _mean_left_to_right(ages)
 
-    def trace(self, seed: int, run: int, n_stages: int, p_r=None, switch=None, joint=True):
+    def trace(self, seed: int, run: int, n_stages: int, schedule):
         """Step run ``run`` of ``seed`` as one row in Python numbers, yielding each stage.
 
-        Before stage ``switch`` (always when None) the row obeys a device of
-        bias ``p_r``, or competes when ``p_r`` is None; at ``switch`` it plays
-        the cooperative tau with the TON (``joint``) or silences both; after
-        it, it competes.  A stage yields the device draw, the rule's tau, the
-        played tau_aon, the event code, the network age and the node ages
-        (a list that the next stage advances in place).
+        The row plays the one-copy ``schedule``, as its copy of a batch does.
+        A stage yields the device draw, the rule's tau, the played tau_aon,
+        the event code, the network age and the node ages (a list that the
+        next stage advances in place).
         """
         sizes, slots = self.sizes, self.slots
-        rules = {competitive: eq._rule(sizes, slots, competitive) for competitive in (False, True)}
-        # Per phase (competitive, aon_bias, ton_bias): as in _Trajectories the AON
-        # may access below aon_bias and the TON at or above ton_bias.
-        inf = float("inf")
-        before = (True, inf, -inf) if p_r is None else (False, p_r, p_r)
-        at = (False, inf, -inf) if joint else (False, -inf, inf)
-        after = (True, inf, -inf)
+        phases = {start: self.access(play) for start, (play,) in schedule}
         ages = [self.params.initial_age] * self.n_aon
-        delta = self.network_age_one(ages)
+        delta, phase = self.params.initial_age, phases[0]
         # The row's draws, converted to Python numbers a block at a time.
         rows = (
             row
@@ -361,10 +374,10 @@ class _Engine:
             for row in zip(*aon[..., 0].T.tolist(), *(t[:, 0].tolist() for t in rest))
         )
         for n, draw in enumerate(rows):
-            phase = before if switch is None or n < switch else at if n == switch else after
-            tau = eq._tau(delta, sizes, slots, rules[phase[0]])
-            tau_a = tau if draw[2] < phase[1] else -1.0
-            code = self.slot_one(ages, draw, tau_a, draw[2] >= phase[2])
+            rule, aon_bias, ton_bias = phase = phases.get(n, phase)
+            tau = eq._tau(delta, sizes, slots, rule)
+            tau_a = tau if draw[2] < aon_bias else -1.0
+            code = self.slot_one(ages, draw, tau_a, draw[2] >= ton_bias)
             delta = self.network_age_one(ages)
             yield draw[2], tau, tau_a, code, delta, ages
 
@@ -420,48 +433,41 @@ def _discount_weights(alphas, n_stages: int) -> np.ndarray:
 class _Trajectories:
     """Copies of a chunk's runs stacked as rows, advanced one stage at a time.
 
-    Row ``b * n_runs + r`` replays run ``r``'s draws in copy ``b``.  Copy
-    ``b`` plays the competitive equilibrium when ``p_rs[b]`` is None, and
-    otherwise obeys a device of bias ``p_rs[b]`` at the cooperative optimum.
-    ``stage1``, when given, holds the per-row (tau_aon, tau_ton) that every
-    row plays in stage 1 instead; a negative value silences that network,
-    and the TON's tau is otherwise ``tau_T*``, the only one it plays.
+    Row ``b * n_runs + r`` replays run ``r``'s draws in copy ``b``, which
+    plays entry ``b`` of each play list of ``schedule``.  Per schedule entry a
+    phase holds the rule groups (consecutive copies under one AON rule share
+    one call on their rows' network ages) and the per-copy bias columns.
 
     ``ages`` is the (rows x n_aon) node ages, column-major so that each
     node's ages are one contiguous column and the network age is a sum of
-    columns.  Accumulators: ``u_aon``/``u_ton`` are (columns x rows)
-    payoffs, stage ``n`` weighted by ``weights[n]``: column-major, so that
-    each stage's multiply-and-add runs along the long row axis rather than
-    the few weight columns; ``count_one``/``count_zero``/``n_access`` count
-    the stages in which the AON may access, with probability 1, 0 or any.
+    columns; every row starts at network age ``initial_age``.  Accumulators:
+    ``u_aon``/``u_ton`` are (columns x rows) payoffs, stage ``n`` weighted
+    by ``weights[n]``: column-major, so that each stage's multiply-and-add
+    runs along the long row axis rather than the few weight columns;
+    ``count_one``/``count_zero``/``n_access`` count the stages in which the
+    AON may access, with probability 1, 0 or any.
     """
 
-    def __init__(self, engine: _Engine, n_runs, p_rs, weights, stage1=None):
-        self.engine, self.weights, self.stage1 = engine, weights, stage1
-        if stage1 is not None:
-            tau_a, tau_t = stage1
-            ton = tau_t >= 0.0
-            if not np.all(tau_t[ton] == engine.tau_ton_star):
-                raise ConfigurationError("the TON plays tau_T* = 1 / n_ton or is silenced")
-            self.stage1 = tau_a, ton
-        rows = len(p_rs) * n_runs
-        self.shape = (len(p_rs), n_runs)
+    def __init__(self, engine: _Engine, n_runs, schedule, weights):
+        self.engine, self.weights = engine, weights
+        self.phases = {start: self._phase(plays, n_runs) for start, plays in schedule}
+        self.phase = self.phases[0]
+        self.shape = (len(schedule[0][1]), n_runs)
+        rows = self.shape[0] * n_runs
+        self.delta = np.full(rows, engine.params.initial_age)
         self.ages = np.full((rows, engine.n_aon), engine.params.initial_age, order="F")
-        self.delta = self._network_age()
         self.u_aon, self.u_ton = np.zeros((2, weights.shape[1], rows))
         self.count_one, self.count_zero, self.n_access = np.zeros((3, rows), dtype=np.int64)
-        # Per copy, the device draw below which the AON may access and at or
-        # above which the TON may: a competitive copy lets both access.
-        self.aon_bias = np.array([[np.inf if p_r is None else p_r] for p_r in p_rs])
-        self.ton_bias = np.array([[-np.inf if p_r is None else p_r] for p_r in p_rs])
-        # Consecutive copies that follow the same AON rule share one call on
-        # their rows' network ages.
-        rules = [eq._rule(engine.sizes, engine.slots, p_r is None) for p_r in p_rs]
-        self.groups, start = [], 0
+
+    def _phase(self, plays, n_runs):
+        """One play per copy, as (rule groups, AON bias column, TON bias column)."""
+        rules, aon_bias, ton_bias = zip(*map(self.engine.access, plays))
+        groups, start = [], 0
         for rule, group in itertools.groupby(rules):
             stop = start + len(list(group))
-            self.groups.append((rule, slice(start * n_runs, stop * n_runs)))
+            groups.append((rule, slice(start * n_runs, stop * n_runs)))
             start = stop
+        return groups, np.array(aon_bias)[:, None], np.array(ton_bias)[:, None]
 
     def _network_age(self) -> np.ndarray:
         """Per row, the mean of the node ages, adding whole columns left to right.
@@ -477,20 +483,17 @@ class _Trajectories:
 
     def _play(self, device):
         """The played tau_aon of every row, and whether its TON accesses."""
-        engine = self.engine
-        sizes, slots = engine.sizes, engine.slots
-        taus = [eq._tau(self.delta[rows], sizes, slots, rule) for rule, rows in self.groups]
+        sizes, slots = self.engine.sizes, self.engine.slots
+        groups, aon_bias, ton_bias = self.phase
+        taus = [eq._tau(self.delta[rows], sizes, slots, rule) for rule, rows in groups]
         tau = taus[0] if len(taus) == 1 else np.concatenate(taus)
-        tau_a = np.where(device < self.aon_bias, tau.reshape(self.shape), -1.0)
-        ton = device >= self.ton_bias
-        return tau_a.ravel(), ton.ravel()
+        tau_a = np.where(device < aon_bias, tau.reshape(self.shape), -1.0)
+        return tau_a.ravel(), (device >= ton_bias).ravel()
 
     def step(self, n: int, draw) -> None:
         engine, weights = self.engine, self.weights[n]
-        if n == 0 and self.stage1 is not None:
-            tau_a, ton = self.stage1
-        else:
-            tau_a, ton = self._play(draw[1])
+        self.phase = self.phases.get(n, self.phase)
+        tau_a, ton = self._play(draw[1])
         code = engine.slot(self.ages, draw, tau_a, ton)
         self.count_one += tau_a == 1.0
         self.count_zero += tau_a == 0.0
@@ -509,18 +512,13 @@ class _Trajectories:
 
 
 def _simulate_batch(
-    engine: _Engine,
-    seed: int,
-    run_indices: range,
-    p_rs,
-    weights: np.ndarray,
-    stage1: np.ndarray | None = None,
+    engine: _Engine, seed: int, run_indices: range, schedule, weights: np.ndarray
 ) -> _Trajectories:
-    """Advance one copy of the runs per entry of ``p_rs`` through every row of ``weights``.
+    """Advance one copy of the runs per play of ``schedule`` through every row of ``weights``.
 
     All copies read the runs' shared draws, one slot step per stage.
     """
-    state = _Trajectories(engine, len(run_indices), p_rs, weights, stage1)
+    state = _Trajectories(engine, len(run_indices), schedule, weights)
     for n, draw in enumerate(engine.stage_rows(seed, run_indices, len(weights))):
         state.step(n, draw)
     return state
@@ -536,7 +534,7 @@ def _run_single(config: RunConfig, run_index: int = 0) -> RunResult:
     u_aon = u_ton = 0.0
     stages = []
     for w, (_, tau, tau_a, code, delta, ages) in zip(
-        weights, engine.trace(config.seed, run_index, config.n_stages, p_r)
+        weights, engine.trace(config.seed, run_index, config.n_stages, [(0, [p_r])])
     ):
         u_aon -= w * delta
         u_ton += w * ton_by_code[code]
@@ -593,12 +591,11 @@ def _fanout(n_runs: int, work, threads: int, copies: int) -> None:
             work(bounds)
 
 
-def _per_run(params: ScenarioParams, seed, n_runs, p_rs, weights, threads, stage1=None):
-    """Per-run results of one copy of the runs per entry of ``p_rs``, by run index.
+def _per_run(params: ScenarioParams, seed, n_runs, schedule, weights, threads):
+    """Per-run results of one copy of the runs per play of ``schedule``, by run index.
 
-    Copy ``b`` competes when ``p_rs[b]`` is None and otherwise obeys a device
-    of that bias; ``stage1`` is an optional (2 x copies) array of each copy's
-    stage-1 (tau_aon, tau_ton).  ``weights`` is the (stages x columns)
+    Copy ``b`` plays entry ``b`` of each play list of the schedule (see the
+    module docstring).  ``weights`` is the (stages x columns)
     payoff weight matrix: ``_discount_weights`` gives one column per alpha,
     and a caller may append others, such as ``np.eye(n_stages, 1)`` for the
     stage-1 outcomes.  Returns, run axis last so that each reduction reads
@@ -608,15 +605,14 @@ def _per_run(params: ScenarioParams, seed, n_runs, p_rs, weights, threads, stage
     if n_runs < 2:
         raise ConfigurationError("a Monte Carlo estimate needs at least two runs")
     engine = _Engine(params)
-    copies, n_columns = len(p_rs), weights.shape[1]
+    copies, n_columns = len(schedule[0][1]), weights.shape[1]
     payoffs = np.empty((2, copies, n_columns, n_runs))
     freqs = np.empty((2, copies, n_runs))
 
     def work(bounds):
         start, stop = bounds
         size = stop - start
-        rows = None if stage1 is None else np.repeat(stage1, size, axis=1)
-        state = _simulate_batch(engine, seed, range(start, stop), p_rs, weights, rows)
+        state = _simulate_batch(engine, seed, range(start, stop), schedule, weights)
         # State row b * size + r is run start + r in copy b.
         pay = np.reshape((state.u_aon, state.u_ton), (2, n_columns, copies, size))
         payoffs[..., start:stop] = pay.swapaxes(1, 2)
@@ -649,7 +645,8 @@ def monte_carlo(config: RunConfig, n_runs: int, threads: int = 1) -> Aggregate:
     params = config.params
     p_r = None if config.mode is Mode.COMPETITIVE else params.p_r
     weights = _discount_weights([params.alpha], config.n_stages)
-    return _aggregate(*_per_run(params, config.seed, n_runs, [p_r], weights, threads), 0, 0)
+    payoffs, freqs = _per_run(params, config.seed, n_runs, [(0, [p_r])], weights, threads)
+    return _aggregate(payoffs, freqs, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -689,9 +686,8 @@ def gain_grid(
         raise ConfigurationError("alpha and bias grids need at least one value")
     if not np.all((biases >= 0.0) & (biases <= 1.0)):
         raise ConfigurationError("device bias must lie in [0, 1]")
-    p_rs = [None, *biases]
     weights = _discount_weights(alphas, n_stages)
-    payoffs, freqs = _per_run(params, seed, n_runs, p_rs, weights, threads)
+    payoffs, freqs = _per_run(params, seed, n_runs, [(0, [None, *biases])], weights, threads)
 
     def cell(i, j):
         base = _aggregate(payoffs, freqs, 0, i)

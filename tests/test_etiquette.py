@@ -456,18 +456,36 @@ class TestGrimTrigger:
             assert [st.tau_aon for st in prefix] == run.stages.tau_aon.tolist()
             assert [st.network_age_after for st in prefix] == (-run.stages.u_aon).tolist()
 
-    @pytest.mark.parametrize("na,nt", [(5, 5), (17, 4), (1, 3), (3, 1)])
+    @pytest.mark.parametrize(
+        "na, nt, slots, initial_age",
+        [
+            pytest.param(5, 5, "large_collision", None, id="5-5"),
+            pytest.param(17, 4, "large_collision", None, id="17-4"),
+            pytest.param(1, 3, "large_collision", None, id="1-3"),
+            pytest.param(3, 1, "large_collision", None, id="3-1"),
+            # Interior stage-1 taus (above th0 = N_A (sigma_S - sigma_I)), where
+            # the mean of the equal node ages is not the initial age.
+            pytest.param(3, 5, "small_collision", 3.3, id="3-5-interior"),
+            pytest.param(6, 5, "small_collision", 9.7, id="6-5-interior"),
+        ],
+    )
     @pytest.mark.parametrize("case", list(ss.DeviationCase))
-    def test_stage0_deviation_replays_the_engine_branch(self, case, na, nt, large_collision):
-        params = scenario(large_collision, na=na, nt=nt, p_r=0.4)
+    def test_stage0_deviation_replays_the_engine_branch(
+        self, case, na, nt, slots, initial_age, request
+    ):
+        slots = request.getfixturevalue(slots)
+        params = scenario(slots, na=na, nt=nt, p_r=0.4)
+        if initial_age is not None:
+            params = replace(params, initial_age=initial_age)
         n_stages, seed = 40, 3
         trace = ss.simulate_grim_trigger(params, n_stages, seed, 0, case)
+        # The sweep's branch, the audit and the report share one stage-1 tau.
         coop, _ = ss.cooperative_optimum(params.sizes, params.slots, params.initial_age)
-        forced = (coop.tau_aon, 1.0 / nt) if case.joint_access else (-1.0, -1.0)
+        assert trace.stages[0].tau_aon == (coop.tau_aon if case.joint_access else 0.0)
+        dev = sim.JOINT if case.joint_access else sim.IDLE
         # Weight column n takes stage n alone: minus its network age.
         state = sim._simulate_batch(
-            sim._Engine(params), seed, range(1), [None], np.eye(n_stages),
-            stage1=np.array(forced).reshape(2, 1),
+            sim._Engine(params), seed, range(1), [(0, [dev]), (1, [None])], np.eye(n_stages)
         )
         ages = [st.network_age_after for st in trace.stages]
         assert ages == (-state.u_aon[:, 0]).tolist()
@@ -477,8 +495,11 @@ class TestGrimTrigger:
         assert taus == eq._tau(-state.u_aon[:-1, 0], params.sizes, params.slots, rule).tolist()
 
     def test_deviation_stage_bounds_checked(self, equal_slots):
-        with pytest.raises(ss.ConfigurationError):
-            ss.simulate_grim_trigger(
-                scenario(equal_slots), 10, seed=1, deviate_at_stage=10,
-                case=ss.DeviationCase.H_AON_DEVIATES,
-            )
+        # Past the run, or between two stages: a stage 2.5 would never deviate
+        # and yet flag stages 3 on as competitive.
+        for stage in (10, 2.5):
+            with pytest.raises(ss.ConfigurationError):
+                ss.simulate_grim_trigger(
+                    scenario(equal_slots), 10, seed=1, deviate_at_stage=stage,
+                    case=ss.DeviationCase.H_AON_DEVIATES,
+                )

@@ -172,7 +172,8 @@ def capture_large_aon():
             report_rows.append(" ".join([branch, *map(_hex, stage1)]))
         # Runs 0 and 1, competing and obeying the device.
         weights = sim._discount_weights([params.alpha], 300)
-        state = sim._simulate_batch(sim._Engine(params), 5, range(2), [None, params.p_r], weights)
+        schedule = [(0, [None, params.p_r])]
+        state = sim._simulate_batch(sim._Engine(params), 5, range(2), schedule, weights)
         ages = [" ".join(map(_hex, row)) for row in state.ages]
         out[slot_scenario.value] = {"gain": gain_rows, "deviation": report_rows, "ages": ages}
     return out

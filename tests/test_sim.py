@@ -124,7 +124,7 @@ class TestDeterminism:
         single = sim._run_single(config)
         p_r = None if mode is ss.Mode.COMPETITIVE else params.p_r
         weights = np.hstack([sim._discount_weights([params.alpha], n_stages), np.eye(n_stages)])
-        state = sim._simulate_batch(_Engine(params), 3, range(1), [p_r], weights)
+        state = sim._simulate_batch(_Engine(params), 3, range(1), [(0, [p_r])], weights)
         assert single.u_aon_discounted == state.u_aon[0, 0]
         assert single.u_ton_discounted == state.u_ton[0, 0]
         assert [single.freq_tau_one, single.freq_tau_zero] == [f[0] for f in state.frequencies()]
@@ -132,7 +132,7 @@ class TestDeterminism:
         assert single.stages.u_aon.tolist() == state.u_aon[1:, 0].tolist()
         assert single.stages.u_ton.tolist() == state.u_ton[1:, 0].tolist()
         # Run 0 of a batch of two; one run has no standard error and is refused.
-        payoffs, freqs = sim._per_run(params, 3, 2, [p_r], weights[:, :1], 1)
+        payoffs, freqs = sim._per_run(params, 3, 2, [(0, [p_r])], weights[:, :1], 1)
         assert payoffs[:, 0, 0, 0].tolist() == [single.u_aon_discounted, single.u_ton_discounted]
         assert freqs[:, 0, 0].tolist() == [single.freq_tau_one, single.freq_tau_zero]
         with pytest.raises(ss.ConfigurationError, match="two runs"):
@@ -573,7 +573,7 @@ class TestRealizedVersusExpected:
         p_r = None if mode is ss.Mode.COMPETITIVE else params.p_r
         weights = sim._discount_weights([params.alpha], n_stages)
         # Weight column n takes stage n alone: minus its network age, its TON payoff.
-        state = sim._simulate_batch(engine, 31, range(n_runs), [p_r], np.eye(n_stages))
+        state = sim._simulate_batch(engine, 31, range(n_runs), [(0, [p_r])], np.eye(n_stages))
         # The batch replays monte_carlo's runs.
         assert state.frequencies()[0].mean() == realized.freq_tau_one_mean
         assert state.frequencies()[1].mean() == realized.freq_tau_zero_mean
@@ -622,7 +622,7 @@ class TestSingleRow:
         # At 8 or more nodes numpy's own sum adds pairwise, and would keep them.
         for ages, mean in (([1.0, 1e-16, 1e-16], 1.0 / 3), ([1.0] + [1e-16] * 8, 1.0 / 9)):
             engine = _Engine(scenario(small_collision, na=len(ages)))
-            state = sim._Trajectories(engine, 1, [None], sim._discount_weights([0.9], 1))
+            state = sim._Trajectories(engine, 1, [(0, [None])], sim._discount_weights([0.9], 1))
             state.ages[:] = ages
             assert engine.network_age_one(ages) == state._network_age()[0] == mean
             assert ss.AgeState(np.array(ages)).network_age == mean
@@ -642,7 +642,7 @@ class TestGain:
         # cooperation against itself gains exactly zero, run by run.
         weights = sim._discount_weights([0.5, 0.9], 100)
         payoffs, freqs = sim._per_run(
-            scenario(small_collision), 8, 50, [0.4, 0.4], weights, threads=1
+            scenario(small_collision), 8, 50, [(0, [0.4, 0.4])], weights, threads=1
         )
         assert np.array_equal(payoffs[:, 0], payoffs[:, 1])
         assert np.array_equal(freqs[:, 0], freqs[:, 1])
@@ -669,35 +669,26 @@ class TestGain:
     ):
         # The state keeps its payoffs column-major and ``_per_run`` swaps them
         # to copies x columns at each chunk's offset; every alpha column, and
-        # with forced stage-1 profiles the stage-1 column, must equal that
+        # with forced stage-1 plays the stage-1 column, must equal that
         # column simulated alone.
         params = scenario(small_collision, initial_age=3.0)
         alphas, p_rs = [0.3, 0.8, 0.95], [None, 0.25, 0.7]
-        stage1 = np.array([[1.0, 0.4, -1.0], [0.2, -1.0, 0.2]]) if forced else None
+        schedule = [(0, [sim.JOINT, 1.0, sim.IDLE]), (1, p_rs)] if forced else [(0, p_rs)]
         columns = list(sim._discount_weights(alphas, 40).T) + ([np.eye(40)[0]] if forced else [])
-        alone = [sim._per_run(params, 5, 30, p_rs, c[:, None], 1, stage1) for c in columns]
+        alone = [sim._per_run(params, 5, 30, schedule, c[:, None], 1) for c in columns]
         monkeypatch.setattr(sim, "_DEFAULT_CHUNK", chunk_size)
         weights = np.transpose(columns)
-        payoffs, freqs = sim._per_run(params, 5, 30, p_rs, weights, threads, stage1)
+        payoffs, freqs = sim._per_run(params, 5, 30, schedule, weights, threads)
         assert payoffs.shape == (2, 3, len(columns), 30)
         for i, (pay, freq) in enumerate(alone):
             assert np.array_equal(payoffs[:, :, i], pay[:, :, 0])
             assert np.array_equal(freqs, freq)
 
-    def test_stage1_ton_plays_tau_star_or_is_silenced(self, small_collision):
-        # The compact draw holds the TON's count at tau_T* = 1 / 5 alone.
-        params = scenario(small_collision)
-        weights = sim._discount_weights([0.9], 5)
-        for tau_t in (0.2, -1.0):
-            sim._per_run(params, 5, 4, [None], weights, 1, np.array([[0.5], [tau_t]]))
-        with pytest.raises(ss.ConfigurationError, match="tau_T"):
-            sim._per_run(params, 5, 4, [None], weights, 1, np.array([[0.5], [0.3]]))
-
     def test_gain_standard_errors_are_of_paired_run_differences(self, small_collision):
         params = scenario(small_collision, p_r=0.4)
         result = ss.gain_of_cooperation(params, 300, 60, seed=17)
         weights = sim._discount_weights([params.alpha], 60)
-        payoffs, _ = sim._per_run(params, 17, 300, [None, 0.4], weights, 1)
+        payoffs, _ = sim._per_run(params, 17, 300, [(0, [None, 0.4])], weights, 1)
         diffs = payoffs[:, 1, 0] - payoffs[:, 0, 0]
         for diff, se in zip(diffs, (result.se_gain_aon, result.se_gain_ton)):
             assert se == float(diff.std(ddof=1) / np.sqrt(300))
@@ -804,11 +795,12 @@ class TestRuleSharing:
 
     @pytest.mark.parametrize("slots, groups", [("equal_slots", 1), ("small_collision", 2)])
     def test_region_sweep(self, calls, slots, groups, request):
-        # Stage 1 plays the forced profiles and calls no rule.
+        # Every stage-1 play (joint, idle, heads, tails) reads the cooperative
+        # rule, so stage 1 makes one call on every row of a chunk.
         params = scenario(request.getfixturevalue(slots))
         ss.region_sweep(params, [0.5, 0.9], [0.2, 0.5, 0.8], 40, 12, seed=3)
-        assert len(calls) == 3 * 11 * groups
-        assert sum(calls) == 40 * 8 * 11
+        assert len(calls) == 3 * (1 + 11 * groups)
+        assert sum(calls) == 40 * 8 * 12
 
 
 def test_run_config_validation(small_collision):
