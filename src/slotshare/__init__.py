@@ -57,6 +57,5 @@ from .etiquette import (
     spe_feasible,
     stage1_expected_ton_throughput,
 )
-from .seeding import run_generator
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -224,7 +224,7 @@ _PAYOFF, _OBEY, _DEVIATE = [0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1]
 def _sweep(params: ScenarioParams, pr_axis, weights, n_runs, seed, threads):
     """The paired branch payoffs of every bias from shared trajectories.
 
-    Every bias replays the run streams ``(seed, r)``: the dynamics never read
+    Every bias replays the same run draws of ``seed``: the dynamics never read
     alpha and the deviation branches never read the bias, so the copies
     joint access and idle, then heads and tails per bias, cover the grid,
     and alpha only selects a column of ``weights``.  Returns the (2 x copies
@@ -338,7 +338,7 @@ def region_sweep(
 ) -> RegionGrid:
     """Evaluate the four inequalities on every (alpha, bias) grid cell.
 
-    All cells share the run streams ``(seed, r)`` (common random numbers),
+    All cells share the run draws of ``seed`` (common random numbers),
     and cell (i, j) equals ``deviation_inequalities`` at that point and seed
     at any thread count.
     """

@@ -7,24 +7,21 @@ slot outcome, and accumulating the discounted payoff stream
 at ``n_stages`` leaves a tail bounded by ``alpha**n_stages * sup|u|`` which
 is ignored, matching the evaluation protocol.
 
-Runs are vectorized: a batch of runs advances in lockstep, each run drawing
-its randomness from its own counter-based stream (see ``seeding``), so
-results are bit-identical for a fixed master seed no matter how the batch is
-chunked or threaded.  Run ``r``'s stream is read as one row of uniforms per
-stage.  Column 0 is the coordination-device draw.  The AON's columns follow,
-then the TON's.  A network of one or two nodes has one column per node: its
-raw node draws.  A larger network of ``n`` nodes has two columns ``U, V``
-and, for the AON only, a third ``W``: with ``U' = 1 - U`` and
-``V' = 1 - V``, its smallest node draw is ``1 - G`` with ``G = U'**(1/n)``,
-its second-smallest ``1 - G * V'**(1/(n - 1))`` (the smallest of the
-``n - 1`` draws above the first), and the AON node that holds the smallest
-is ``floor(W * n)``, uniform and independent of both by exchangeability.
-These are the joint law of the two smallest of ``n`` uniform node draws and
-of the node that holds the smallest, which is all that a slot reads.  A
-chunk of runs draws its rows a block of stages at a time, and each block
-``_SUB_CHUNK`` runs at a time into one small reused buffer; a counter-based
-stream read in order yields the same numbers however it is cut into blocks
-of stages or sub-chunks of runs.
+Runs are vectorized: a batch of runs advances in lockstep, and run ``r``
+reads one row of uniforms per stage from counter-based streams (see
+``seeding``), so results are bit-identical for a fixed master seed no matter
+how the batch is chunked or threaded.  Column 0 is the coordination-device
+draw, the AON's columns follow, and the last is the TON's.  An AON of one
+or two nodes has one column per node, its raw node draws.  A larger AON of
+``n`` nodes has three, ``U, V, W``: with ``U' = 1 - U`` and ``V' = 1 - V``,
+its smallest node draw is ``1 - G`` with ``G = U'**(1/n)``, its
+second-smallest ``1 - G * V'**(1/(n - 1))`` (the smallest of the ``n - 1``
+draws above the first), and the node that holds the smallest is
+``floor(W * n)``, independent of both by exchangeability: the joint law of
+all that a slot reads of the AON.  The TON's column gives its count at
+``tau_T*`` by inverse CDF (``_Engine.compact``).  A chunk draws whole stage
+blocks, ``_SUB_CHUNK`` runs of a block per call, and the transform is
+elementwise, so neither chunks nor sub-chunks change a draw.
 
 Every trajectory plays a schedule: a list of ``(start_stage, plays)``, one
 play per copy of the runs, each in force until the next entry's stage.  A
@@ -59,14 +56,13 @@ the one generator ``_Engine.trace``, which replays its row of a batch bit
 for bit.
 
 A node transmits iff its draw is below its network's access probability, so
-a network sends 0, 1 or at least 2 packets according to whether that
-probability lies above its smallest and its second-smallest draw.  No
-schedule can state another TON tau than ``tau_T* = 1 / n_ton``: the TON
-accesses at it or is silenced, so its count is fixed when the block is
-drawn.  Each sub-chunk of a block is therefore turned once, before the
-state reads it, into a compact record per run and stage: the AON's two
-smallest draws and the device draw (doubles), the TON's count at
-``tau_T*`` clipped at 2 (``int8``), and the AON node that holds the
+the AON sends 0, 1 or at least 2 packets according to whether its tau lies
+above its smallest and its second-smallest draw.  No schedule can state
+another TON tau than ``tau_T* = 1 / n_ton``: the TON accesses at it or is
+silenced, so its count is fixed when the block is drawn.  Each sub-chunk of
+a block is therefore turned once, before the state reads it, into a compact
+record per run and stage: the AON's two smallest draws and the device draw
+(doubles), the TON's count (``int8``), and the AON node that holds the
 smallest, whose age resets on an AON success (the smallest unsigned type
 that holds ``n_aon - 1``).  A slot counts the AON's transmitters, reads the
 TON's count or 0, and makes one event code ``3 * k_a + k_t`` that indexes
@@ -83,24 +79,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import equilibrium as eq
+from . import seeding
 from .model import AgeState, ConfigurationError, ScenarioParams, _mean_left_to_right
-from .seeding import run_generator
 
 # A chunk is ceil(runs / threads) runs wide, clipped to
 # [_MIN_CHUNK, _DEFAULT_CHUNK]: threads share only batches of many runs.
 _DEFAULT_CHUNK = 4096
 _MIN_CHUNK = 1024
-# Fewest copies of the runs for which a thread pool pays.  A chunk draws its
-# uniforms in one short Philox call per run and block, and every such call
-# hands the interpreter lock over between two threads; only the slot steps
-# of many copies outweigh that.
+# Fewest copies of the runs for which a thread pool pays.  With the pool
+# forced on, a one-copy 8192 x 1000 batch took 0.80-1.02 s at one thread and
+# 0.79-0.98 s at two (1.22-1.44 s and 2.04-2.43 s with one Philox call per run).
 _POOL_COPIES = 8
-# Memory of one chunk's draws: a Philox generator per run, of about
-# _GENERATOR_BYTES, and the block buffers (the compact draws of every run,
-# and the raw uniform rows and work values of one sub-chunk of _SUB_CHUNK
-# runs), which hold as many stages as fit, at least one.
-_BLOCK_BYTES = 8 << 20
-_GENERATOR_BYTES = 640
+# Runs whose raw uniform rows are drawn into one small buffer; a chunk of
+# fewer runs compacts several stage blocks at a time.
 _SUB_CHUNK = 256
 
 # The forced plays of a schedule, beside a device bias and competition (None).
@@ -184,15 +175,17 @@ class _Engine:
         self.slots = params.slots
         self.n_aon = params.sizes.n_aon
         self.n_ton = params.sizes.n_ton
-        # Uniform columns of a stage row: the device, then each network's
-        # (one per node up to two nodes; U, V and the AON's W above).
+        # Uniform columns of a stage row: the device, the AON's (one per node
+        # up to two nodes, else U, V and W) and one for the TON.
         self.aon_columns = self.n_aon if self.n_aon <= 2 else 3
-        self.width = 1 + self.aon_columns + min(self.n_ton, 2)
-        self.tau_ton_star = 1.0 / self.n_ton
-        # A compact draw per run and stage: the AON's two smallest and the
-        # device draw, the TON's count and the reset node.
+        self.width = 2 + self.aon_columns
+        # The TON's count at tau_T*, clipped at 2, from its one uniform by
+        # inverse CDF: 0 below P(no sender), 1 below P(at most one), else 2.
+        tau = self.tau_ton_star = 1.0 / self.n_ton
+        none = (1.0 - tau) ** self.n_ton
+        self.ton_cdf = none, none + self.n_ton * tau * (1.0 - tau) ** (self.n_ton - 1)
+        # A compact draw's reset node: the smallest type that holds its index.
         self.node_dtype = np.min_scalar_type(self.n_aon - 1)
-        self.draw_bytes = 3 * 8 + 1 + self.node_dtype.itemsize
         # Realized network throughput on a TON success: one node delivered a
         # slot's worth of bits, averaged over the network.
         self.ton_payout = params.slots.success * params.rate / self.n_ton
@@ -220,91 +213,83 @@ class _Engine:
         biases = {JOINT: (inf, -inf), IDLE: (-inf, inf)}.get(play, (play, play))
         return eq._rule(self.sizes, self.slots, False), *biases
 
-    def uniforms(self, generators, buf: np.ndarray, n_stages: int) -> np.ndarray:
-        """Draw the next ``n_stages`` rows of each generator's run into ``buf``; returns them."""
-        for k, gen in enumerate(generators):
-            gen.random(out=buf[k, :n_stages])
-        return buf[: len(generators), :n_stages]
+    def uniforms(self, stream, seed: int, block: int, run: int, out: np.ndarray) -> np.ndarray:
+        """Draw stage block ``block`` of runs ``run``, ``run + 1``, ... into ``out``; returns it.
 
-    def table(self, n_runs: int, n_stages: int) -> tuple:
+        ``out`` is a contiguous (runs x ``seeding.BLOCK_STAGES`` x width)
+        array, one stretch of the block's stream, so it takes one call.
+        """
+        stream.seek(seed, block, run, self.width)
+        return stream.random(out=out)
+
+    def table(self, n_runs: int, n_blocks: int, n_stages: int) -> tuple:
         """An empty compact draw table: (AON's two smallest, device, TON count, reset node).
 
-        Stage is the first axis and run the last of each array, so a stage's
-        draw of every run is contiguous.
+        Blocks and their stages are the first axes of each array and run the
+        last, so a stage's draw of every run is contiguous.
         """
+        shape = n_blocks, n_stages
         return (
-            np.empty((n_stages, 2, n_runs)),
-            np.empty((n_stages, n_runs)),
-            np.empty((n_stages, n_runs), dtype=np.int8),
-            np.empty((n_stages, n_runs), dtype=self.node_dtype),
+            np.empty((*shape, 2, n_runs)),
+            np.empty((*shape, n_runs)),
+            np.empty((*shape, n_runs), dtype=np.int8),
+            np.empty((*shape, n_runs), dtype=self.node_dtype),
         )
 
     def compact(self, raw: np.ndarray, table, work: np.ndarray) -> None:
-        """Write the compact draws of a (runs x stages x width) uniform block into ``table``.
+        """Write the compact draws of (blocks x runs x stages x width) uniforms into ``table``.
 
-        ``work`` is a contiguous (2 x stages x runs) buffer in which each
-        network's two smallest are made: in one pass per operation, rather
+        ``work`` is a contiguous (2 x blocks x stages x runs) buffer in which
+        the AON's two smallest are made: in one pass per operation, rather
         than one per stage row of the table.
         """
         aon, device, ton, node = table
-        first, second = work
-        columns = raw.transpose(1, 2, 0)
-        split = 1 + self.aon_columns
-        # The TON's two smallest leave only its count at tau_T*.
-        _two_smallest(columns[:, split:], self.n_ton, first, second)
-        tau = self.tau_ton_star
-        np.add(first < tau, second < tau, out=ton, dtype=np.int8)
-        _two_smallest(columns[:, 1:split], self.n_aon, first, second, node)
-        np.copyto(aon.swapaxes(0, 1), work)
-        np.copyto(device, columns[:, 0])
+        columns = raw.transpose(0, 2, 3, 1)
+        _two_smallest(columns[..., 1:-1, :], self.n_aon, *work, node)
+        np.copyto(aon, work.transpose(1, 2, 0, 3))
+        np.copyto(device, columns[..., 0, :])
+        none, at_most_one = self.ton_cdf
+        u = columns[..., -1, :]
+        np.add(u >= none, u >= at_most_one, out=ton, dtype=np.int8)
 
     def blocks(self, seed: int, run_indices: range, n_stages: int):
-        """Yield the runs' compact draw tables a block of stages at a time.
+        """Yield the runs' compact draw tables, whole stage blocks at a time, cut to ``n_stages``.
 
-        Run ``r`` reads stream ``(seed, r)``.  The raw rows are drawn
-        ``_SUB_CHUNK`` runs at a time into one small buffer, and every yielded
-        table is a view into one buffer that the next block overwrites.
+        A table holds one block, or ``_SUB_CHUNK // runs`` for a narrower
+        chunk, so that a single row of a few hundred stages is one
+        compaction.  Each yielded table is a view into one buffer that the
+        next table overwrites.
         """
-        generators = [run_generator(seed, run) for run in run_indices]
-        n_runs = len(generators)
+        n_runs, size = len(run_indices), seeding.BLOCK_STAGES
+        n_blocks = -(-n_stages // size)
+        per_table = min(n_blocks, max(1, _SUB_CHUNK // n_runs))
         sub = min(_SUB_CHUNK, n_runs)
-        # Per stage: each run's compact draw, and per run of a sub-chunk a
-        # raw row and two work values.
-        per_stage = n_runs * self.draw_bytes + sub * 8 * (self.width + 2)
-        block = max(1, (_BLOCK_BYTES - n_runs * _GENERATOR_BYTES) // per_stage)
-        size = min(block, n_stages)
-        buf = np.empty((sub, size, self.width))
-        work = np.empty(2 * size * sub)
-        table = self.table(n_runs, size)
-        for start in range(0, n_stages, block):
-            stages = min(block, n_stages - start)
-            view = [t[:stages] for t in table]
+        stream = seeding.BlockStream()
+        buf = np.empty((per_table, sub, size, self.width))
+        work = np.empty(2 * per_table * size * sub)
+        table = self.table(n_runs, per_table, size)
+        for first in range(0, n_blocks, per_table):
+            k = min(per_table, n_blocks - first)
             for lo in range(0, n_runs, sub):
-                raw = self.uniforms(generators[lo : lo + sub], buf, stages)
-                runs = len(raw)
-                part = [t[..., lo : lo + runs] for t in view]
-                self.compact(raw, part, work[: 2 * stages * runs].reshape(2, stages, runs))
-            yield view
+                runs = min(sub, n_runs - lo)
+                for j in range(k):
+                    self.uniforms(stream, seed, first + j, run_indices[lo], buf[j, :runs])
+                part = [t[:k, ..., lo : lo + runs] for t in table]
+                scratch = work[: 2 * k * size * runs].reshape(2, k, size, runs)
+                self.compact(buf[:k, :runs], part, scratch)
+            stages = min(k * size, n_stages - first * size)
+            yield [t[:k].reshape(k * size, *t.shape[2:])[:stages] for t in table]
 
     def stage_rows(self, seed: int, run_indices: range, n_stages: int):
-        """Yield each stage's compact draw of the runs; run ``r`` reads stream ``(seed, r)``.
+        """Yield each stage's compact draw of the runs (see ``blocks``).
 
         A draw is a tuple ``(aon, device, ton, node)``: per run, the AON's two
         smallest node draws (a 2 x runs array), the device draw, the TON's
         transmitter count at ``tau_T*`` clipped at 2, and the AON node that
-        holds the smallest.  Every copy of the runs reads the same draw: state
-        row ``i`` reads run ``i % runs``.  A yielded draw is a view into a
-        buffer that the next block overwrites.
+        holds the smallest.  State row ``i`` reads run ``i % runs``.
         """
         for table in self.blocks(seed, run_indices, n_stages):
             yield from zip(*table)
-
-    def draws(self, block: np.ndarray):
-        """Yield the compact draw of each stage of a (runs x stages x width) uniform block."""
-        n_runs, n_stages, _ = block.shape
-        table = self.table(n_runs, n_stages)
-        self.compact(block, table, np.empty((2, n_stages, n_runs)))
-        yield from zip(*table)
 
     def slot(self, ages: np.ndarray, draw, tau_a: np.ndarray, ton: np.ndarray):
         """Advance all rows by one slot in place; returns each row's event code.
@@ -367,7 +352,7 @@ class _Engine:
         phases = {start: self.access(play) for start, (play,) in schedule}
         ages = [self.params.initial_age] * self.n_aon
         delta, phase = self.params.initial_age, phases[0]
-        # The row's draws, converted to Python numbers a block at a time.
+        # The row's draws, converted to Python numbers a table at a time.
         rows = (
             row
             for aon, *rest in self.blocks(seed, range(run, run + 1), n_stages)
@@ -382,38 +367,35 @@ class _Engine:
             yield draw[2], tau, tau_a, code, delta, ages
 
 
-def _two_smallest(columns: np.ndarray, n: int, first, second, node=None) -> None:
-    """Write a network's two smallest node draws, per stage and run, into ``first``/``second``.
+def _two_smallest(columns: np.ndarray, n: int, first, second, node) -> None:
+    """Write the AON's two smallest node draws, per stage and run, into ``first``/``second``.
 
-    ``columns`` is (stages x columns x runs): the raw node draws of a
-    network of one or two nodes, else the uniforms ``U, V`` (and ``W`` when
-    ``node`` is given) of the two smallest of ``n`` draws, as the module
-    docstring sets out.  ``node``, an integer array, receives the index of
-    the node that holds the smallest draw; between two raw draws a tie goes
-    to node 0.
+    ``columns`` is (... x columns x runs): the raw node draws of an AON of
+    one or two nodes, else the uniforms ``U, V, W`` of the two smallest of
+    ``n`` draws, as the module docstring sets out.  ``node``, an integer
+    array, receives the index of the node that holds the smallest draw;
+    between two raw draws a tie goes to node 0.
     """
+    u = [columns[..., i, :] for i in range(columns.shape[-2])]
     if n >= 3:
-        np.subtract(1.0, columns[:, 0], out=first)
+        np.subtract(1.0, u[0], out=first)
         np.power(first, 1.0 / n, out=first)
-        np.subtract(1.0, columns[:, 1], out=second)
+        np.subtract(1.0, u[1], out=second)
         np.power(second, 1.0 / (n - 1), out=second)
         np.multiply(first, second, out=second)
         # 1 - G and 1 - G * H with G, H in (0, 1]: both in [0, 1), ordered.
         np.subtract(1.0, second, out=second)
         np.subtract(1.0, first, out=first)
-        if node is not None:
-            # floor(W * n): W * n is not negative, so the cast truncates to it.
-            np.multiply(columns[:, 2], n, out=node, casting="unsafe")
+        # floor(W * n): W * n is not negative, so the cast truncates to it.
+        np.multiply(u[2], n, out=node, casting="unsafe")
     elif n == 2:
-        if node is not None:
-            np.less(columns[:, 1], columns[:, 0], out=node)
-        np.minimum(columns[:, 0], columns[:, 1], out=first)
-        np.maximum(columns[:, 0], columns[:, 1], out=second)
+        np.less(u[1], u[0], out=node)
+        np.minimum(u[0], u[1], out=first)
+        np.maximum(u[0], u[1], out=second)
     else:
-        np.copyto(first, columns[:, 0])
+        np.copyto(first, u[0])
         second.fill(np.inf)
-        if node is not None:
-            node.fill(0)
+        node.fill(0)
 
 
 def _discount_weights(alphas, n_stages: int) -> np.ndarray:
@@ -637,10 +619,10 @@ def _aggregate(payoffs: np.ndarray, freqs: np.ndarray, copy: int, column: int) -
 def monte_carlo(config: RunConfig, n_runs: int, threads: int = 1) -> Aggregate:
     """Average the run scalars over independent runs.
 
-    Run ``r`` draws from the stream keyed by ``(config.seed, r)``, results are
-    stored by run index, and the reductions use numpy's pairwise summation,
-    so the aggregate is bit-identical for a fixed seed at any thread count or
-    chunk size.
+    Run ``r`` reads its rows of the seed's stage-block streams (see
+    ``seeding``), results are stored by run index, and the reductions use
+    numpy's pairwise summation, so the aggregate is bit-identical for a
+    fixed seed at any thread count or chunk size.
     """
     params = config.params
     p_r = None if config.mode is Mode.COMPETITIVE else params.p_r
@@ -654,7 +636,7 @@ class GainResult:
     """Cooperation-minus-competition discounted payoffs from paired batches.
 
     ``se_gain_aon``/``se_gain_ton`` are the standard errors of the per-run
-    differences: both arms replay each run's stream, so they are paired.
+    differences: both arms replay each run's draws, so they are paired.
     """
 
     gain_aon: float
@@ -677,7 +659,7 @@ def gain_grid(
     """Paired gains of cooperating on every (alpha, bias) cell, ``[alpha][bias]``.
 
     The copies are one competitive copy, then one cooperative copy per bias,
-    all on the run streams ``(seed, r)``; alpha only selects a column of
+    all on the same run draws of ``seed``; alpha only selects a column of
     discount weights.
     Cell ``[i][j]`` equals ``gain_of_cooperation`` at that point alone.
     """
@@ -714,7 +696,7 @@ def gain_of_cooperation(
 ) -> GainResult:
     """Paired gain of cooperating over competing under a shared master seed.
 
-    Both arms advance in lockstep on the same per-run streams, drawn once, so
+    Both arms advance in lockstep on the same run draws, drawn once, so
     each aggregate equals its own ``monte_carlo`` call.
     """
     axes = [params.alpha], [params.p_r]

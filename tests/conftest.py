@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from slotshare import NetworkSizes, Recommendation, SlotLengths, sim
+from slotshare import NetworkSizes, Recommendation, SlotLengths
 
 
 @pytest.fixture
@@ -97,23 +98,30 @@ def enumerate_slot_probabilities(
     }
 
 
-def ton_smallest(engine, uniforms):
-    """The TON's two smallest node draws of each (... x width) uniform row.
+def compact_draw(engine, uniforms):
+    """The engine's compact draw ``(aon, device, ton, node)`` of (rows x width) uniforms.
 
-    Made by ``sim._two_smallest`` from the row's TON columns, as the engine
-    makes them before it keeps only their count below ``tau_T*``.
+    Each row is one run's stage, made by ``_Engine.compact`` as a batch makes it.
     """
-    split = 1 + engine.aon_columns
-    columns = np.moveaxis(uniforms[..., split:], -1, 0).reshape(1, engine.width - split, -1)
-    first, second = np.empty((2, 1, columns.shape[-1]))
-    sim._two_smallest(columns, engine.n_ton, first, second)
-    return first.reshape(uniforms.shape[:-1]), second.reshape(uniforms.shape[:-1])
+    table = engine.table(len(uniforms), 1, 1)
+    engine.compact(uniforms[None, :, None], table, np.empty((2, 1, 1, len(uniforms))))
+    return tuple(t[0, 0] for t in table)
 
 
 def ton_count(engine, uniforms, tau):
-    """The TON's transmitter count at ``tau`` of each uniform row, clipped at 2."""
-    first, second = ton_smallest(engine, uniforms)
-    return np.add(first < tau, second < tau, dtype=np.int8)
+    """The TON's transmitter count at ``tau`` of each uniform row, clipped at 2.
+
+    By inverse CDF of the row's TON uniform ``u`` (its last column), as the
+    engine makes the count at ``tau_T*``: 0 below the binomial chance that
+    none of the ``n_ton`` nodes sends, 1 below the chance that at most one
+    does, else 2.  Any ``tau`` in [0, 1] (one value or one per row) gives
+    the law of the clipped count at that tau; a negative one silences.
+    """
+    n, u = engine.n_ton, uniforms[..., -1]
+    tau = np.maximum(tau, 0.0)
+    none = math.comb(n, 0) * (1.0 - tau) ** n
+    at_most_one = none + math.comb(n, 1) * tau * (1.0 - tau) ** (n - 1)
+    return np.add(u >= none, u >= at_most_one, dtype=np.int8)
 
 
 def with_ton_tau(engine, uniforms, draw, tau):

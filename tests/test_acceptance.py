@@ -17,7 +17,7 @@ import slotshare as ss
 from slotshare import cli
 from slotshare.config import parse_config
 from slotshare.sim import _Engine
-from conftest import with_ton_tau
+from conftest import compact_draw, with_ton_tau
 from test_equilibrium import (
     check_equilibrium_against_oracle,
     competitive_threshold,
@@ -127,7 +127,7 @@ def test_probability_kernel_invariants():
         params = ss.ScenarioParams(ss.NetworkSizes(na, nt), SMALL)
         engine = _Engine(params)
         uniforms = np.random.default_rng(rng_seed).random((draws, engine.width))
-        [draw] = engine.draws(uniforms[:, None])
+        draw = compact_draw(engine, uniforms)
         ages = np.zeros((draws, na))
         # The TON plays its count at tau_t, read off its two smallest draws.
         draw = with_ton_tau(engine, uniforms, draw, tau_t)

@@ -172,10 +172,8 @@ class TestDeviationInequalities:
 
     @pytest.mark.parametrize("case", ["equal_slots", "small_collision"])
     def test_reports_match_golden(self, case):
-        # Reports stored with round-tripping float reprs: the two-node case
-        # as the per-branch implementation that the shared-trajectory kernel
-        # replaced wrote it, the five-node case as regenerated when networks
-        # of three or more nodes began to draw their two smallest directly.
+        # Reports stored with round-tripping float reprs, both as regenerated
+        # when runs began to read stage-block streams.
         golden = json.loads((Path(__file__).parent / "golden_deviation.json").read_text())[case]
         spec = golden["scenario"]
         params = ss.ScenarioParams(

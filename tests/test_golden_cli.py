@@ -3,8 +3,8 @@
 Every subcommand runs on ``golden_cli/golden.ini`` at a small scale whose
 uniform stage blocks and 256-run sub-chunks split inside a run, so a change
 to streaming that moves any output digit fails here.  The Monte Carlo
-subcommands also run on ``golden_cli/lone_ton.ini``, whose one-node TON has
-no second TON draw in a slot, and on ``golden_cli/equal_slots.ini``, whose
+subcommands also run on ``golden_cli/lone_ton.ini``, whose one-node TON
+sends in every slot it accesses, and on ``golden_cli/equal_slots.ini``, whose
 equal success and collision slots let every copy share one AON rule call
 and whose 17-node AON sums 17 columns of node ages; on both, ``region``
 runs its default 10 x 10 grid, and ``gain`` and ``region`` split their runs

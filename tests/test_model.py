@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import slotshare as ss
 from slotshare import sim
-from conftest import enumerate_slot_probabilities, with_ton_tau
+from conftest import compact_draw, enumerate_slot_probabilities, with_ton_tau
 
 PROBS_FIELDS = (
     "p_idle",
@@ -228,7 +228,7 @@ class TestExpectedNodeAge:
         rows = 20_000
         rng = np.random.default_rng(1234)
         uniforms = rng.random((rows, engine.width))
-        draw = next(engine.draws(uniforms[:, None]))
+        draw = compact_draw(engine, uniforms)
         ages = np.full((rows, sizes.n_aon), prior, order="F")
         # The TON plays its count at tau_ton, read off its two smallest draws.
         draw = with_ton_tau(engine, uniforms, draw, profile.tau_ton)

@@ -10,9 +10,9 @@ import pytest
 
 import slotshare as ss
 from slotshare import equilibrium as eq
-from slotshare import sim
+from slotshare import seeding, sim
 from slotshare.sim import _Engine
-from conftest import ton_count, ton_smallest, with_ton_tau
+from conftest import compact_draw, ton_count, with_ton_tau
 
 
 def scenario(slots, na=5, nt=5, alpha=0.9, p_r=0.5, **kw):
@@ -84,9 +84,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("copies, pooled, n_chunks", [(7, False, 1), (8, True, 2)])
     def test_pool_starts_only_for_many_copies(self, copies, pooled, n_chunks, monkeypatch):
-        # Each chunk's per-run Philox calls hand the interpreter lock between
-        # threads, so fewer than 8 copies are chunked and stepped as at one
-        # thread.
+        # The slot steps of fewer than 8 copies are too short to overlap
+        # between threads, so they are chunked and stepped as at one thread.
         pools, chunks = [], []
 
         class Pool(ThreadPoolExecutor):
@@ -142,124 +141,129 @@ class TestDeterminism:
 def compact_reference(engine, rows):
     """The compact draw of (... x width) uniform rows: (aon, device, ton, node).
 
-    Reference for ``_Engine.draws``.  A network's two smallest are its raw
+    Reference for ``_Engine.compact``.  The AON's two smallest are its raw
     node draws sorted for one or two nodes, and the direct statistics
-    ``1 - G`` and ``1 - G * H`` of two uniforms for a larger one.  The AON
-    keeps its two (stacked first), the TON their count below ``tau_T*``; then
-    the device draw and the AON node that holds the smallest.
+    ``1 - G`` and ``1 - G * H`` of two uniforms for a larger one (stacked
+    first); then the device draw, the TON's count at ``tau_T*`` from its one
+    uniform, and the AON node that holds the smallest.
     """
     split = 1 + engine.aon_columns
-    pairs = []
-    for n, columns in ((engine.n_aon, rows[..., 1:split]), (engine.n_ton, rows[..., split:])):
-        if n <= 2:
-            ordered = np.sort(columns, axis=-1)
-            second = ordered[..., 1] if n == 2 else np.full(ordered.shape[:-1], np.inf)
-            pairs.append((ordered[..., 0], second))
-        else:
-            g = np.power(1.0 - columns[..., 0], 1.0 / n)
-            h = np.power(1.0 - columns[..., 1], 1.0 / (n - 1))
-            pairs.append((1.0 - g, 1.0 - g * h))
-    (a1, a2), (t1, t2) = pairs
-    tau = engine.tau_ton_star
-    aon = rows[..., 1:split]
-    node = np.floor(aon[..., 2] * engine.n_aon) if engine.n_aon > 2 else np.argmin(aon, axis=-1)
-    return np.stack([a1, a2]), rows[..., 0], np.add(t1 < tau, t2 < tau, dtype=np.int8), node
+    n, aon = engine.n_aon, rows[..., 1:split]
+    if n <= 2:
+        ordered = np.sort(aon, axis=-1)
+        a1, a2 = ordered[..., 0], ordered[..., 1] if n == 2 else np.full(ordered.shape[:-1], np.inf)
+        node = np.argmin(aon, axis=-1)
+    else:
+        g = np.power(1.0 - aon[..., 0], 1.0 / n)
+        h = np.power(1.0 - aon[..., 1], 1.0 / (n - 1))
+        a1, a2, node = 1.0 - g, 1.0 - g * h, np.floor(aon[..., 2] * n)
+    return np.stack([a1, a2]), rows[..., 0], ton_count(engine, rows, engine.tau_ton_star), node
 
 
-def block_stages(engine, n_runs):
-    """Stages per block: what the runs' generators leave of the block memory.
+B = seeding.BLOCK_STAGES
 
-    A stage takes the compact draws of every run, and a raw row and two work
-    values of each run of a sub-chunk.  Derived from the table's arrays, so
-    a change of layout moves the block.
+
+def block_rows(seed, block, run, width):
+    """Run ``run``'s ``B`` rows of stage block ``block``, from a literal Philox4x64 call.
+
+    The stream contract: block ``b`` of seed ``s`` is the Philox4x64 stream
+    keyed ``(s, b)``, and run ``r`` reads ``B`` rows of ``width`` doubles
+    from its double ``r * B * width`` on, which is counter ``r * B * width / 4``.
     """
-    compact = sum(t.nbytes for t in engine.table(1, 1))
-    sub = min(sim._SUB_CHUNK, n_runs)
-    free = sim._BLOCK_BYTES - n_runs * sim._GENERATOR_BYTES
-    return free // (n_runs * compact + sub * 8 * (engine.width + 2))
-
-
-def stream_cases():
-    """(runs, stages) around the block boundaries: at 1024 runs, and at a sub-chunk ± 1 run."""
-    engine = _Engine(scenario(ss.SlotLengths(0.01, 1.01, 1.01)))
-    sub = sim._SUB_CHUNK
-    cases = []
-    for n_runs, names in (
-        (1024, ["1", "block-1", "block", "block+1", "2block+3"]),
-        (sub - 1, ["1", "block+1"]),
-        (sub + 1, ["1", "block+1"]),
-    ):
-        block = block_stages(engine, n_runs)
-        stages = {"1": 1, "block-1": block - 1, "block": block, "block+1": block + 1}
-        stages["2block+3"] = 2 * block + 3
-        for name in names:
-            case_id = name if n_runs == 1024 else f"{n_runs}runs-{name}"
-            cases.append(pytest.param(n_runs, stages[name], id=case_id))
-    return cases
+    bits = np.random.Philox(key=[seed, block], counter=run * B * width // 4)
+    return np.random.Generator(bits).random((B, width))
 
 
 class TestUniformStream:
-    @pytest.mark.parametrize("n_runs, n_stages", stream_cases())
-    def test_blocks_concatenate_to_one_draw(self, n_runs, n_stages, equal_slots, monkeypatch):
-        engine = _Engine(scenario(equal_slots))
-        # Three doubles, the TON's int8 count and a uint8 node per run and stage.
-        assert engine.width == 6 and engine.draw_bytes == 3 * 8 + 1 + 1
-        block = block_stages(engine, n_runs)
-        assert 1 < block < 400
-        raws = []
-        draw = _Engine.uniforms
+    def test_a_counter_step_is_four_doubles(self):
+        # Run r's rows are the stretch of its block's stream from double
+        # r * B * width on: one call can draw consecutive runs.
+        whole = np.random.Generator(np.random.Philox(key=[21, 3])).random(3 * B * 5)
+        for run in range(3):
+            assert np.array_equal(block_rows(21, 3, run, 5).ravel(), whole[run * B * 5 :][: B * 5])
 
-        def record(self, generators, buf, n):
-            raw = draw(self, generators, buf, n)
-            raws.append(raw.copy())
-            return raw
+    @pytest.mark.parametrize("n_stages", [B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("n_runs", [1, 255, 257, 1100])
+    def test_batch_and_trace_read_the_block_streams(
+        self, n_runs, n_stages, equal_slots, monkeypatch
+    ):
+        # Around a stage block and a 256-run sub-chunk, and from run 7 on, as
+        # a chunk that is not the first reads them.
+        engine = _Engine(scenario(equal_slots))
+        shapes, uniforms = [], _Engine.uniforms
+
+        def record(self, *args):
+            shapes.append(args[-1].shape)
+            return uniforms(self, *args)
 
         monkeypatch.setattr(_Engine, "uniforms", record)
-        # Each draw is a view into the reused block buffers: copy it when yielded.
-        draws = [[a.copy() for a in d] for d in engine.stage_rows(21, range(n_runs), n_stages)]
-        # A block's raw rows are drawn a sub-chunk of runs at a time.
-        sub = sim._SUB_CHUNK
-        subs = [min(sub, n_runs - lo) for lo in range(0, n_runs, sub)]
-        assert len(raws) % len(subs) == 0
-        assert [len(r) for r in raws] == subs * (len(raws) // len(subs))
-        blocks = [np.concatenate(raws[i : i + len(subs)]) for i in range(0, len(raws), len(subs))]
-        assert [b.shape[1] for b in blocks[:-1]] == [block] * (len(blocks) - 1)
-        assert 1 <= blocks[-1].shape[1] <= block
-        streamed = np.concatenate(blocks, axis=1)
-        for got, expected in zip(zip(*draws), compact_reference(engine, streamed)):
+        # Three doubles, the TON's int8 count and a uint8 node per run and stage.
+        assert engine.width == 5 and sum(t.nbytes for t in engine.table(1, 1, 1)) == 26
+        runs = range(7, 7 + n_runs)
+        blocks = range(-(-n_stages // B))
+        rows = np.array(
+            [np.concatenate([block_rows(21, b, r, 5) for b in blocks])[:n_stages] for r in runs]
+        )
+        reference = compact_reference(engine, rows)
+        # Each draw is a view into the reused table: copy it when yielded.
+        draws = [[a.copy() for a in d] for d in engine.stage_rows(21, runs, n_stages)]
+        assert len(draws) == n_stages
+        # One draw call per stage block and sub-chunk of at most 256 runs.
+        subs = [min(256, n_runs - lo) for lo in range(0, n_runs, 256)]
+        assert sorted(shapes) == sorted((m, B, 5) for m in subs for _ in blocks)
+        for got, expected in zip(zip(*draws), reference):
             assert np.array_equal(np.stack(got), np.moveaxis(expected, -1, 0))
-        for run in sorted({0, subs[0] - 1, min(sub, n_runs - 1), n_runs - 1}):
-            whole = ss.run_generator(21, run).random((n_stages, 6))
-            assert np.array_equal(streamed[run], whole)
+        # A single row reads its run's rows: the device draws, and each
+        # stage's event code is the reference draw's slot at the played tau
+        # (competing, so the TON always plays its count).
+        aon, device, count, _ = reference
+        for i in sorted({0, min(255, n_runs - 1), n_runs - 1}):
+            stages = list(engine.trace(21, runs[i], n_stages, [(0, [None])]))
+            assert [s[0] for s in stages] == device[i].tolist()
+            tau_a = np.array([s[2] for s in stages])
+            k_a = (aon[0, i] < tau_a).astype(int) + (aon[1, i] < tau_a)
+            assert [s[3] for s in stages] == (3 * k_a + count[i]).tolist()
+
+    def test_a_single_row_compacts_once(self, equal_slots, monkeypatch):
+        # A 300-stage row draws its five stage blocks into one table and
+        # compacts them in one pass, not one per block.
+        engine, calls = _Engine(scenario(equal_slots)), []
+        compact = _Engine.compact
+        monkeypatch.setattr(
+            _Engine, "compact", lambda self, *args: calls.append(1) or compact(self, *args)
+        )
+        assert len(list(engine.trace(4, 0, 300, [(0, [None])]))) == 300
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("na, nt", [(1, 1), (2, 2), (1, 3), (5, 5), (17, 4)])
     def test_extreme_uniforms_stay_in_range(self, na, nt, equal_slots):
-        # Uniforms of 0 and of the largest double below 1: every statistic
-        # lies in [0, 1), so tau = 1 always transmits and tau = 0 never
-        # does; the second is never below the first; the node is an index.
+        # Uniforms of 0 and of the largest double below 1: the AON's
+        # statistics lie in [0, 1), so tau = 1 always transmits and tau = 0
+        # never does; the second is never below the first; the node is an
+        # index.  The TON's count is 0 at u = 0 (1 for a lone node, which
+        # always sends) and min(n_ton, 2) at the top.
         engine = _Engine(scenario(equal_slots, na=na, nt=nt))
         top = np.nextafter(1.0, 0.0)
         rows = np.array(list(itertools.product((0.0, 0.5, top), repeat=engine.width)))
-        [draw] = engine.draws(rows[:, None])
+        draw = compact_draw(engine, rows)
         for got, expected in zip(draw, compact_reference(engine, rows)):
             assert np.array_equal(got, expected)
-        aon, _, count, node = draw
-        for (first, second), n in ((aon, na), (ton_smallest(engine, rows), nt)):
-            assert np.all((first >= 0.0) & (first < 1.0) & (second >= first))
-            assert np.all(second < 1.0) if n > 1 else np.all(second == np.inf)
-        assert set(count) <= {0, 1, 2} and set(node) <= set(range(na))
+        (first, second), _, count, node = draw
+        assert np.all((first >= 0.0) & (first < 1.0) & (second >= first))
+        assert np.all(second < 1.0) if na > 1 else np.all(second == np.inf)
+        u = rows[:, -1]
+        assert np.all(count[u == 0.0] == (nt == 1)) and np.all(count[u == top] == min(nt, 2))
+        assert set(node) <= set(range(na))
         assert node.dtype == np.min_scalar_type(na - 1)
 
 
-def counted_slot(engine, ages, nodes, tau_a, tau_t):
-    """The slot step that counted transmitters per row, kept as the reference.
+def counted_slot(engine, ages, nodes, tau_a, k_t):
+    """The slot step that counted the AON's transmitters per row, kept as the reference.
 
-    ``nodes`` holds one draw per node: the AON's ``n_aon``, then the TON's.
+    ``nodes`` holds one draw per AON node and ``k_t`` the TON's count.
     """
-    ta = nodes[:, : engine.n_aon] < tau_a[:, None]
-    tt = nodes[:, engine.n_aon :] < tau_t[:, None]
+    ta = nodes < tau_a[:, None]
     k_a = ta.sum(axis=1)
-    k_t = tt.sum(axis=1)
     total = k_a + k_t
     ages += np.where(
         total == 0,
@@ -270,11 +274,11 @@ def counted_slot(engine, ages, nodes, tau_a, tau_t):
     if resets.any():
         rows = np.nonzero(resets)[0]
         ages[rows, ta[rows].argmax(axis=1)] = engine.slots.success
-    return k_a, k_t
+    return k_a
 
 
 def counted_events(k_a, k_t):
-    """Recorded event codes of unclipped transmitter counts, one mask per event."""
+    """Recorded event codes of transmitter counts, one mask per event."""
     events = np.full(k_a.shape, sim.EVENT_COLLISION, dtype=np.int8)
     events[(k_a == 0) & (k_t == 0)] = sim.EVENT_IDLE
     events[(k_a == 1) & (k_t == 0)] = sim.EVENT_SUCCESS_AON
@@ -282,31 +286,20 @@ def counted_events(k_a, k_t):
     return events
 
 
-def node_draws(engine, urow, draw):
-    """One draw per node, AON then TON, for the reference to count over.
+def aon_node_draws(engine, urow, draw):
+    """One draw per AON node for the reference to count over.
 
-    A network of one or two nodes has its raw draws.  A larger one has its
-    two smallest (the AON's from ``draw``, the TON's from
-    ``sim._two_smallest``): the smallest at the AON node that ``draw``
-    names (node 0 of the TON), the second-smallest at every other node.
-    That gives the same counts clipped at 2 and the same lone transmitter.
+    An AON of one or two nodes has its raw draws.  A larger one has the
+    smallest of ``draw`` at the node that ``draw`` names and the
+    second-smallest at every other node, which gives the same count clipped
+    at 2 and the same lone transmitter.
     """
-    split = 1 + engine.aon_columns
-    rows = np.arange(len(urow))
-    aon, _, _, node = draw
-    networks = (
-        (engine.n_aon, urow[:, 1:split], *aon, node.astype(int)),
-        (engine.n_ton, urow[:, split:], *ton_smallest(engine, urow), 0),
-    )
-    out = []
-    for n, raw, first, second, holder in networks:
-        if n <= 2:
-            out.append(raw)
-        else:
-            nodes = np.repeat(second[:, None], n, axis=1)
-            nodes[rows, holder] = first
-            out.append(nodes)
-    return np.hstack(out)
+    (first, second), _, _, node = draw
+    if engine.n_aon <= 2:
+        return urow[:, 1 : 1 + engine.n_aon]
+    nodes = np.repeat(second[:, None], engine.n_aon, axis=1)
+    nodes[np.arange(len(urow)), node.astype(int)] = first
+    return nodes
 
 
 class TestSlotOrderStatistics:
@@ -315,76 +308,70 @@ class TestSlotOrderStatistics:
     def inputs(self, engine, rng):
         """Raw uniforms, their draw, and per-row AON and TON taus with ties and edge values.
 
-        Networks of one or two nodes also get duplicated draws.
+        An AON of one or two nodes also gets duplicated draws.
         """
         urow = rng.random((self.ROWS, engine.width))
         tau_a = rng.choice([-1.0, 0.0, 1.0, 0.2, 0.5, 0.8], self.ROWS)
         tau_t = rng.choice([-1.0, 0.0, 1.0, 0.3, 0.6], self.ROWS)
-        split = 1 + engine.aon_columns
-        [draw] = engine.draws(urow[:, None])
-        networks = (
-            (engine.n_aon, urow[:, 1:split], tau_a, draw[0]),
-            (engine.n_ton, urow[:, split:], tau_t, ton_smallest(engine, urow)),
-        )
-        for n, nodes, taus, smallest in networks:
-            tie = rng.random(nodes.shape[:1] + (2,)) < 0.2
-            if n > 2:
-                # A tau set exactly to a network's smallest or second draw.
-                for k in (0, 1):
-                    taus[tie[:, k]] = smallest[k][tie[:, k]]
-                continue
+        nodes = urow[:, 1 : 1 + engine.aon_columns]
+        if engine.n_aon > 2:
+            # A tau set exactly to the AON's smallest or second draw.
+            (first, second), *_ = compact_draw(engine, urow)
+            tie = rng.random((self.ROWS, 2)) < 0.2
+            tau_a[tie[:, 0]], tau_a[tie[:, 1]] = first[tie[:, 0]], second[tie[:, 1]]
+        else:
             # Draws set exactly equal to tau: a node at tau stays silent.
             tie = rng.random(nodes.shape) < 0.2
-            nodes[tie] = np.broadcast_to(taus[:, None], nodes.shape)[tie]
-            # Duplicated draws within a network: both nodes transmit or neither.
-            if n > 1:
+            nodes[tie] = np.broadcast_to(tau_a[:, None], nodes.shape)[tie]
+            # Duplicated draws: both nodes transmit or neither.
+            if engine.n_aon > 1:
                 dup = rng.random(self.ROWS) < 0.3
                 nodes[dup, -1] = nodes[dup, 0]
-        [draw] = engine.draws(urow[:, None])
+        draw = compact_draw(engine, urow)
         return urow, draw, tau_a, tau_t
 
     @pytest.mark.parametrize("na", [1, 2, 5, 10])
     @pytest.mark.parametrize("nt", [1, 2, 5])
     def test_matches_counting_transmitters(self, na, nt, small_collision):
-        # Bit for bit against counting over the raw draws of a network of one
-        # or two nodes, and over draws rebuilt from the two smallest of a
-        # larger one, whose law test_direct_draw_follows_the_exact_slot_law
-        # certifies.  The TON's count at any tau is read off the two smallest
-        # that ``_two_smallest`` makes; the slot plays it from the draw.
+        # Bit for bit against counting over the AON's raw draws for one or
+        # two nodes, and over draws rebuilt from the two smallest of a
+        # larger AON, whose law test_direct_draw_follows_the_exact_slot_law
+        # certifies.  The TON plays a count: at any tau its inverse-CDF
+        # count (``conftest.ton_count``), which the slot reads off the draw.
         engine = _Engine(scenario(small_collision, na=na, nt=nt))
         rng = np.random.default_rng(100 * na + nt)
         urow, draw, tau_a, tau_t = self.inputs(engine, rng)
-        nodes = node_draws(engine, urow, draw)
+        nodes = aon_node_draws(engine, urow, draw)
         start = rng.choice([0.5, 1.5, 3.0], (self.ROWS, na))
         on = np.ones(self.ROWS, dtype=bool)
         constant = (np.full(self.ROWS, t) for t in (engine.tau_ton_star, tau_t[0]))
         for tau_t_case in (tau_t, *constant):
+            k_t = ton_count(engine, urow, tau_t_case)
             ref_ages, ages = start.copy(), start.copy()
-            ref = counted_slot(engine, ref_ages, nodes, tau_a, tau_t_case)
+            k_a = counted_slot(engine, ref_ages, nodes, tau_a, k_t)
             code = engine.slot(ages, with_ton_tau(engine, urow, draw, tau_t_case), tau_a, on)
-            k_a, k_t = np.divmod(code, 3)
             assert np.array_equal(ages, ref_ages)
-            assert np.array_equal(k_a, np.minimum(ref[0], 2))
-            assert np.array_equal(k_t, np.minimum(ref[1], 2))
-            assert np.array_equal(engine.event_by_code[code], counted_events(*ref))
+            assert np.array_equal(code, 3 * np.minimum(k_a, 2) + k_t)
+            assert np.array_equal(engine.event_by_code[code], counted_events(k_a, k_t))
         # The draw's own count is at tau_T*; the TON plays it or is silenced per row.
         ton = rng.random(self.ROWS) < 0.5
+        k_t = np.where(ton, ton_count(engine, urow, engine.tau_ton_star), 0)
         ref_ages, ages = start.copy(), start.copy()
-        ref = counted_slot(engine, ref_ages, nodes, tau_a, np.where(ton, engine.tau_ton_star, -1.0))
+        k_a = counted_slot(engine, ref_ages, nodes, tau_a, k_t)
         code = engine.slot(ages, draw, tau_a, ton)
         assert np.array_equal(ages, ref_ages)
-        assert np.array_equal(code % 3, np.minimum(ref[1], 2))
-        assert np.array_equal(engine.event_by_code[code], counted_events(*ref))
+        assert np.array_equal(code, 3 * np.minimum(k_a, 2) + k_t)
         # One draw replays each run in every copy of column-major ages.
         copies = 3
         ref_ages = np.tile(start, (copies, 1))
         ages = ref_ages.copy(order="F")
         ton = rng.random(copies * self.ROWS) < 0.5
-        taus = np.tile(tau_a, copies), np.where(ton, np.tile(tau_t, copies), -1.0)
-        ref = counted_slot(engine, ref_ages, np.tile(nodes, (copies, 1)), *taus)
-        code = engine.slot(ages, with_ton_tau(engine, urow, draw, tau_t), taus[0], ton)
+        taus = np.tile(tau_a, copies)
+        k_t = np.where(ton, np.tile(ton_count(engine, urow, tau_t), copies), 0)
+        k_a = counted_slot(engine, ref_ages, np.tile(nodes, (copies, 1)), taus, k_t)
+        code = engine.slot(ages, with_ton_tau(engine, urow, draw, tau_t), taus, ton)
         assert np.array_equal(ages, ref_ages)
-        assert np.array_equal(engine.event_by_code[code], counted_events(*ref))
+        assert np.array_equal(engine.event_by_code[code], counted_events(k_a, k_t))
 
 
 def clipped_count_law(n, tau1, tau2):
@@ -404,34 +391,41 @@ def clipped_count_law(n, tau1, tau2):
     return law
 
 
+def clipped_binomial_law(n, tau):
+    """Exact P(min(Binomial(n, tau), 2) = k) for k = 0, 1, 2."""
+    law = [math.comb(n, k) * tau**k * (1.0 - tau) ** (n - k) for k in (0, 1)]
+    return np.array([*law, 1.0 - sum(law)])
+
+
+def z_scores(observed, total, p):
+    """|z| of observed counts of ``total`` draws against cell probabilities ``p``."""
+    return np.abs(observed / total - p) / np.sqrt(p * (1.0 - p) / total)
+
+
 @pytest.mark.parametrize("n", [3, 5, 10, 17])
 def test_direct_draw_follows_the_exact_slot_law(n, small_collision):
-    # Two copies of 10**6 runs read one draw per run, at two access
-    # probabilities per network.  The joint law of the four clipped counts
-    # must be the product of the exact multinomial laws, and the AON node
-    # whose age resets uniform and independent of the counts: |z| <= 4 per
-    # cell.  Both copies reset the same node when both have a lone AON
-    # transmitter (common random numbers).  The TON's counts are read off
-    # the two smallest that ``_two_smallest`` makes; in the slot, copy 0's
-    # TON plays the draw's count at tau_T* (its tau) and copy 1's is silenced.
+    # Two copies of 10**6 runs read one draw per run, at two AON access
+    # probabilities.  The joint law of the two clipped AON counts and the
+    # TON's count at tau_T* (copy 0's TON plays it, copy 1's is silenced)
+    # must be the product of the exact laws, and the AON node whose age
+    # resets uniform and independent of the counts: |z| <= 4 per cell.
+    # Both copies reset the same node when both have a lone AON
+    # transmitter (common random numbers).
     engine = _Engine(scenario(small_collision, na=n, nt=n))
-    taus_a, taus_t = (0.5 / n, 1.5 / n), (1.0 / n, 2.5 / n)
-    assert taus_t[0] == engine.tau_ton_star
+    taus_a = (0.5 / n, 1.5 / n)
     batch, n_batches = 125_000, 8
     total = batch * n_batches
-    counts = np.zeros((3, 3, 3, 3), dtype=np.int64)
+    counts = np.zeros((3, 3, 3), dtype=np.int64)
     # Reset node counts by copy, by the other copy's AON count (two values) and by node.
     resets = np.zeros((2, 2, n), dtype=np.int64)
     rng = np.random.default_rng(9000 + n)
     tau_a, ton = np.repeat(taus_a, batch), np.repeat([True, False], batch)
     for _ in range(n_batches):
-        uniforms = rng.random((batch, 1, engine.width))
-        [draw] = engine.draws(uniforms)
+        draw = compact_draw(engine, rng.random((batch, engine.width)))
         ages = np.full((2 * batch, n), 100.0, order="F")
-        k_a, k_slot = np.divmod(engine.slot(ages, draw, tau_a, ton).reshape(2, batch), 3)
-        k_t = np.array([ton_count(engine, uniforms[:, 0], tau) for tau in taus_t])
-        assert np.array_equal(k_slot[0], k_t[0]) and not k_slot[1].any()
-        np.add.at(counts, (k_a[0], k_a[1], k_t[0], k_t[1]), 1)
+        k_a, k_t = np.divmod(engine.slot(ages, draw, tau_a, ton).reshape(2, batch), 3)
+        assert np.array_equal(k_t[0], draw[2]) and not k_t[1].any()
+        np.add.at(counts, (k_a[0], k_a[1], k_t[0]), 1)
         node = ages.argmin(axis=1).reshape(2, batch)
         lone = (k_a == 1) & (k_t == 0)
         both = lone[0] & lone[1]
@@ -441,18 +435,30 @@ def test_direct_draw_follows_the_exact_slot_law(n, small_collision):
         for copy, other in ((0, k_a[1] - 1), (1, k_a[0])):
             np.add.at(resets[copy], (other[lone[copy]], node[copy, lone[copy]]), 1)
     law_a = clipped_count_law(n, *taus_a)
-    law_t = clipped_count_law(n, *taus_t)
-    law = law_a[:, :, None, None] * law_t[None, None, :, :]
+    law_t = clipped_binomial_law(n, 1.0 / n)
+    law = law_a[:, :, None] * law_t
     assert np.all(counts[law == 0.0] == 0)
+    assert np.all(z_scores(counts[law > 0.0], total, law[law > 0.0]) <= 4.0)
+    expected = np.array([law_a[1, 1:] * law_t[0], law_a[:2, 1]]) / n
+    assert np.all(z_scores(resets, total, expected[..., None]) <= 4.0)
 
-    def z(observed, p):
-        return np.abs(observed / total - p) / np.sqrt(p * (1.0 - p) / total)
 
-    assert np.all(z(counts[law > 0.0], law[law > 0.0]) <= 4.0)
-    # The TON is silent at its copy's tau: k_t = 0.
-    silent_t = law_t[0].sum(), law_t[:, 0].sum()
-    expected = np.array([law_a[1, 1:] * silent_t[0], law_a[:2, 1] * silent_t[1]]) / n
-    assert np.all(z(resets, expected[..., None]) <= 4.0)
+@pytest.mark.parametrize("nt", [1, 2, 3, 5, 10])
+def test_ton_count_follows_the_exact_binomial_law(nt, small_collision):
+    # The TON's count at tau_T* = 1 / nt, made from one uniform, against the
+    # exact law of min(Binomial(nt, tau_T*), 2) over 10**6 draws: |z| <= 4
+    # per count, a count of probability 0 never drawn and one of
+    # probability 1 (a lone node always sends) always.
+    engine = _Engine(scenario(small_collision, na=2, nt=nt))
+    law = clipped_binomial_law(nt, 1.0 / nt)
+    rng = np.random.default_rng(7000 + nt)
+    total = 10**6
+    _, _, count, _ = compact_draw(engine, rng.random((total, engine.width)))
+    observed = np.bincount(count, minlength=3)
+    zero, sure = law <= 1e-15, law >= 1.0 - 1e-15
+    assert np.all(observed[zero] == 0) and np.all(observed[sure] == total)
+    cells = ~(zero | sure)
+    assert np.all(z_scores(observed[cells], total, law[cells]) <= 4.0)
 
 
 class TestCompetitiveRuns:
@@ -545,7 +551,7 @@ class TestRealizedVersusExpected:
         draws = 100_000
         rng = np.random.default_rng(123)
         uniforms = rng.random((draws, engine.width))
-        [draw] = engine.draws(uniforms[:, None])
+        draw = compact_draw(engine, uniforms)
         prior = 2.0
         ages = np.full((draws, 3), prior)
         # The TON's 0.25 is its tau_T* at four nodes: the draw's own count.
@@ -599,7 +605,7 @@ class TestSingleRow:
         engine = _Engine(params)
         rows = 2000
         uniforms = np.random.default_rng(5).random((rows, engine.width))
-        [draw] = engine.draws(uniforms[:, None])
+        draw = compact_draw(engine, uniforms)
         tau_a, tau_t = np.random.default_rng(6).choice([-1.0, 0.0, 0.3, 0.8, 1.0], (2, rows))
         # Each row's TON plays its count at its tau_t, or is silenced.
         draw = with_ton_tau(engine, uniforms, draw, tau_t)
@@ -684,7 +690,9 @@ class TestGain:
             assert np.array_equal(payoffs[:, :, i], pay[:, :, 0])
             assert np.array_equal(freqs, freq)
 
-    def test_gain_standard_errors_are_of_paired_run_differences(self, small_collision):
+    def test_gain_standard_errors_are_of_paired_run_differences(
+        self, small_collision, equal_slots
+    ):
         params = scenario(small_collision, p_r=0.4)
         result = ss.gain_of_cooperation(params, 300, 60, seed=17)
         weights = sim._discount_weights([params.alpha], 60)
@@ -693,10 +701,15 @@ class TestGain:
         for diff, se in zip(diffs, (result.se_gain_aon, result.se_gain_ton)):
             assert se == float(diff.std(ddof=1) / np.sqrt(300))
         # Both arms replay each run's stream, so their payoffs move together
-        # and the paired SE is below the SE of two independent arms.
+        # and the paired SE is well below the SE of two independent arms.
+        # Shown at equal slots: under short collisions the competitive AON is
+        # nearly deterministic (SE about 7e-5), so there the two SEs differ
+        # by noise alone.  At equal slots the ratio over seeds 0-39 is
+        # 0.63-0.76 for the AON and 0.55-0.69 for the TON.
+        result = ss.gain_of_cooperation(scenario(equal_slots, p_r=0.4), 300, 60, seed=17)
         base, coop = result.competitive, result.cooperative
-        assert result.se_gain_aon < np.hypot(base.u_aon_se, coop.u_aon_se)
-        assert result.se_gain_ton < np.hypot(base.u_ton_se, coop.u_ton_se)
+        assert result.se_gain_aon < 0.85 * np.hypot(base.u_aon_se, coop.u_aon_se)
+        assert result.se_gain_ton < 0.85 * np.hypot(base.u_ton_se, coop.u_ton_se)
 
     def test_ton_gains_from_cooperation_under_short_collisions(self, small_collision):
         params = scenario(small_collision)
