@@ -40,21 +40,18 @@ from .sim import (
     gain_grid,
     gain_of_cooperation,
     monte_carlo,
-    run_competition,
-    run_cooperation,
+    run_single,
 )
 from .etiquette import (
     ComplianceFlag,
     DeviationCase,
     DeviationReport,
-    Feasibility,
     InequalityEstimate,
     RegionGrid,
     deviation_inequalities,
     expected_next_network_age,
     region_sweep,
     simulate_grim_trigger,
-    spe_feasible,
     stage1_expected_ton_throughput,
 )
 

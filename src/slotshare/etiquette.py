@@ -22,7 +22,7 @@ than forced to a boolean (``_tri_state``), so an estimate needs two runs.
 
 ``simulate_grim_trigger`` audits one trajectory of the etiquette with an
 injected deviation.  It folds the engine's single-row loop, that of
-``run_cooperation`` too (``sim._Engine.trace``), on run 0 of its seed.
+``run_single`` too (``sim._Engine.trace``), on run 0 of its seed.
 """
 
 from __future__ import annotations
@@ -75,15 +75,6 @@ class ComplianceFlag:
     obeyed: bool
 
 
-class Feasibility(enum.Enum):
-    YES = 1
-    NO = 0
-    INDETERMINATE = -1
-
-    def to_int(self) -> int:
-        return self.value
-
-
 def _tri_state(margin, se):
     """1 where a margin holds, 0 where it fails, -1 within two SEs of zero (or NaN); any shape."""
     return np.where(np.abs(margin) >= 2.0 * se, margin >= 0.0, -1).astype(np.int8)
@@ -93,10 +84,6 @@ def _tri_and(*states):
     """Kleene AND of tri-states (1, 0, -1) or arrays of them: 0 if any fails, else the least."""
     states = np.asarray(states, dtype=np.int8)
     return np.where((states == 0).any(axis=0), 0, states.min(axis=0, initial=1)).astype(np.int8)
-
-
-def feasibility_and(*states: Feasibility) -> Feasibility:
-    return Feasibility(int(_tri_and(*(s.value for s in states))))
 
 
 @dataclass(frozen=True)
@@ -109,22 +96,12 @@ class InequalityEstimate:
     margin: float
     se: float
 
-    @property
-    def holds(self) -> bool:
-        return self.margin >= 0.0
-
-    @property
-    def decided(self) -> bool:
-        return self.status is not Feasibility.INDETERMINATE
-
-    @property
-    def status(self) -> Feasibility:
-        return Feasibility(int(_tri_state(self.margin, self.se)))
-
 
 @dataclass(frozen=True)
 class DeviationReport:
     """The four inequality estimates plus stage-1 diagnostics.
+
+    Its verdicts are cell ``[0, 0]`` of ``region_sweep`` at its point and seed.
 
     ``stage1_age_mc`` / ``stage1_throughput_mc`` map each branch (keys
     ``obey_heads``, ``obey_tails``, ``deviate_joint``, ``deviate_idle``) to a
@@ -149,18 +126,6 @@ class DeviationReport:
             self.aon_obeys_tails,
             self.ton_obeys_tails,
         )
-
-    @property
-    def aon_prefers(self) -> Feasibility:
-        return feasibility_and(self.aon_obeys_heads.status, self.aon_obeys_tails.status)
-
-    @property
-    def ton_prefers(self) -> Feasibility:
-        return feasibility_and(self.ton_obeys_heads.status, self.ton_obeys_tails.status)
-
-    @property
-    def self_enforceable(self) -> Feasibility:
-        return feasibility_and(self.aon_prefers, self.ton_prefers)
 
 
 def _stage1_play(case, profile_hat: AccessProfile):
@@ -269,20 +234,6 @@ def deviation_inequalities(
     )
 
 
-def spe_feasible(
-    params: ScenarioParams,
-    alpha: float,
-    p_r: float,
-    n_runs: int,
-    n_stages: int,
-    seed: int,
-    threads: int = 1,
-) -> Feasibility:
-    """Whether obeying the device is self-enforceable at one (alpha, bias) point."""
-    grid = region_sweep(params, [alpha], [p_r], n_runs, n_stages, seed, threads)
-    return Feasibility(int(grid.self_enforceable[0, 0]))
-
-
 @dataclass(frozen=True)
 class RegionGrid:
     """Tri-state feasibility maps over an (alpha, device-bias) grid.
@@ -311,9 +262,10 @@ class RegionGrid:
         decidedly infeasible.  Both verdicts clear two standard errors, so a
         flag can mark a real non-monotone region, not only a call for grid
         refinement: at N = 2, equal slots, p_r = 0.15 (2000 runs x 300
-        stages, seed 1) the AON's obey margins are +13.9 / +9.6 SE at alpha
-        0.85 and -7.7 / -9.2 SE at alpha 0.95; at a low bias a patient AON
-        prefers competing.
+        stages, seed 1, stage-block Philox streams) the AON's obey-heads /
+        obey-tails margins are +15.6 / +11.2 SE at alpha 0.85 and -7.0 / -8.3
+        SE at alpha 0.95, flag (0, 1, 0); at a low bias a patient AON prefers
+        competing.
         """
         flags = []
         n_alpha = self.alpha_axis.size
@@ -399,8 +351,8 @@ def simulate_grim_trigger(
     plays the competitive equilibrium, as the trigger requires.  An idle
     deviation reports the profile (0, 0).  The trace folds the engine's
     single-row loop (``sim._Engine.trace``) on run 0 of ``seed``, the loop
-    of ``run_cooperation``, so its cooperative prefix equals that run bit for
-    bit, and a deviation at stage 0 equals the region sweep's branch.
+    of ``run_single``, so its cooperative prefix equals a cooperative run bit
+    for bit, and a deviation at stage 0 equals the region sweep's branch.
     """
     k = deviate_at_stage
     if not (isinstance(k, numbers.Integral) and 0 <= k < n_stages):

@@ -50,10 +50,9 @@ through ``_per_run``, which cuts the runs into chunks of ``ceil(runs /
 threads)`` runs within ``[_MIN_CHUNK, _DEFAULT_CHUNK]``, fans them out over
 threads when the chunks hold at least ``_POOL_COPIES`` copies, and stores
 each run's results by run index; it refuses fewer than two runs, which
-leave no standard error.  A single row (``run_competition``,
-``run_cooperation``, the grim-trigger audit) is stepped in Python numbers by
-the one generator ``_Engine.trace``, which replays its row of a batch bit
-for bit.
+leave no standard error.  A single row (``run_single``, the grim-trigger
+audit) is stepped in Python numbers by the one generator ``_Engine.trace``,
+which replays its row of a batch bit for bit.
 
 A node transmits iff its draw is below its network's access probability, so
 the AON sends 0, 1 or at least 2 packets according to whether its tau lies
@@ -336,10 +335,6 @@ class _Engine:
             ages[node] = self.slots.success
         return code
 
-    def network_age_one(self, ages: list) -> float:
-        """The mean of one row's node ages, added left to right as ``_Trajectories`` adds columns."""
-        return _mean_left_to_right(ages)
-
     def trace(self, seed: int, run: int, n_stages: int, schedule):
         """Step run ``run`` of ``seed`` as one row in Python numbers, yielding each stage.
 
@@ -363,7 +358,8 @@ class _Engine:
             tau = eq._tau(delta, sizes, slots, rule)
             tau_a = tau if draw[2] < aon_bias else -1.0
             code = self.slot_one(ages, draw, tau_a, draw[2] >= ton_bias)
-            delta = self.network_age_one(ages)
+            # Added left to right, as ``_Trajectories`` adds columns.
+            delta = _mean_left_to_right(ages)
             yield draw[2], tau, tau_a, code, delta, ages
 
 
@@ -506,8 +502,13 @@ def _simulate_batch(
     return state
 
 
-def _run_single(config: RunConfig, run_index: int = 0) -> RunResult:
-    """One run folded from ``_Engine.trace``, discounted and counted as its batch row is."""
+def run_single(config: RunConfig, run_index: int = 0) -> RunResult:
+    """Run ``run_index`` of ``config.seed`` in ``config.mode``, folded from ``_Engine.trace``.
+
+    It is discounted and counted as its batch row is.  In cooperative mode
+    the access-frequency statistics are computed over the stages in which
+    the device selected the AON (zero if it never was).
+    """
     params = config.params
     engine = _Engine(params)
     p_r = None if config.mode is Mode.COMPETITIVE else params.p_r
@@ -528,24 +529,6 @@ def _run_single(config: RunConfig, run_index: int = 0) -> RunResult:
     events = engine.event_by_code.take(code)
     record = StageRecord(-delta, engine.ton_by_code.take(code), tau, events, selected)
     return RunResult(u_aon, u_ton, *freqs, AgeState(ages), record)
-
-
-def run_competition(config: RunConfig) -> RunResult:
-    """One competitive run: the equilibrium profile is re-solved every stage."""
-    if config.mode is not Mode.COMPETITIVE:
-        raise ConfigurationError("run_competition requires competitive mode")
-    return _run_single(config)
-
-
-def run_cooperation(config: RunConfig) -> RunResult:
-    """One cooperative run: both networks obey the device every stage.
-
-    The access-frequency statistics are computed over the stages in which the
-    device selected the AON (zero if it never was).
-    """
-    if config.mode is not Mode.COOPERATIVE:
-        raise ConfigurationError("run_cooperation requires cooperative mode")
-    return _run_single(config)
 
 
 def _chunks(n_runs: int, threads: int) -> list[tuple[int, int]]:

@@ -237,7 +237,7 @@ def test_determinism_across_thread_counts(tmp_path):
 
 def test_discounting_identity():
     params = ss.ScenarioParams(ss.NetworkSizes(1, 1), LARGE, alpha=0.9)
-    run = ss.run_competition(ss.RunConfig(params, 1000, ss.Mode.COMPETITIVE, seed=5))
+    run = ss.run_single(ss.RunConfig(params, 1000, ss.Mode.COMPETITIVE, seed=5))
     expected = (1.0 - 0.9**1000) * LARGE.success
     err = abs(run.u_ton_discounted - expected)
     criterion("discounting identity on degenerate run", err < 1e-12, f"error {err:.2e}")

@@ -1,4 +1,4 @@
-"""Configuration round-trips, CSV schemas, CLI determinism, and exit codes."""
+"""Configuration round-trips, CSV schemas, CLI determinism, exit codes and the public names."""
 
 import csv
 import io
@@ -380,3 +380,53 @@ class TestPublishedShapes:
             row = list(csv.DictReader(io.StringIO(text)))[0]
             means.append(float(row["U_aon_mean"]))
         assert means[0] < means[1] < means[2]
+
+
+def test_public_names_are_pinned():
+    # Adding or removing a public name must show in this list.
+    assert sorted(ss.__all__) == [
+        "AccessProfile",
+        "AgeState",
+        "Aggregate",
+        "ComplianceFlag",
+        "ConfigurationError",
+        "CooperationRange",
+        "DeviationCase",
+        "DeviationReport",
+        "GainResult",
+        "InequalityEstimate",
+        "Mode",
+        "NetworkSizes",
+        "OutOfRangeError",
+        "Recommendation",
+        "Regime",
+        "RegionGrid",
+        "RunConfig",
+        "RunResult",
+        "ScenarioParams",
+        "SlotLengths",
+        "SlotProbabilities",
+        "StagePayoffs",
+        "ThresholdAges",
+        "best_response_oracle",
+        "cooperation_beneficial_pr_set",
+        "cooperative_optimum",
+        "deviation_inequalities",
+        "equilibrium",
+        "etiquette",
+        "expected_next_network_age",
+        "expected_stage_payoffs",
+        "gain_grid",
+        "gain_of_cooperation",
+        "model",
+        "monte_carlo",
+        "msne",
+        "region_sweep",
+        "run_single",
+        "seeding",
+        "sim",
+        "simulate_grim_trigger",
+        "slot_probabilities_competitive",
+        "slot_probabilities_cooperative",
+        "stage1_expected_ton_throughput",
+    ]

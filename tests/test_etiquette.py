@@ -10,7 +10,6 @@ import pytest
 import slotshare as ss
 from slotshare import equilibrium as eq
 from slotshare import etiquette, sim
-from slotshare.etiquette import Feasibility, feasibility_and
 from conftest import HEADS, TAILS
 
 
@@ -144,15 +143,15 @@ class TestDeviationInequalities:
         # deviation earns positive throughput against zero for compliance.
         params = scenario(equal_slots, alpha=0.01, p_r=0.3)
         report = ss.deviation_inequalities(params, 800, 150, seed=17)
-        assert report.ton_obeys_heads.margin < 0.0
-        assert report.ton_obeys_heads.status is Feasibility.NO
+        est = report.ton_obeys_heads
+        assert est.margin <= -2.0 * est.se
 
     def test_two_node_networks_cooperate_at_patient_mid_bias(self, equal_slots):
         params = scenario(equal_slots, alpha=0.9, p_r=0.3)
         report = ss.deviation_inequalities(params, 2000, 300, seed=42)
+        # All four margins hold beyond two SEs: obedience is self-enforceable.
         for est in report.inequalities:
-            assert est.status is Feasibility.YES, est
-        assert report.self_enforceable is Feasibility.YES
+            assert est.margin >= 2.0 * est.se, est
 
     def test_full_bias_device_runs_clean(self, small_collision):
         params = scenario(small_collision, na=1, nt=1, alpha=0.9, p_r=1.0)
@@ -198,65 +197,49 @@ class TestDeviationInequalities:
         assert report == expected
 
 
-def assert_array_form(margin, se, status):
-    """The region maps' array form of the 2-SE rule agrees with ``InequalityEstimate``."""
-    margins, ses = np.full((2, 3), margin), np.full((2, 3), se)
-    states = etiquette._tri_state(margins, ses)
-    assert states.dtype == np.int8
-    assert np.array_equal(states, np.full((2, 3), status.value))
+# The Kleene AND of every pair of tri-states (1 holds, 0 fails, -1 indeterminate).
+KLEENE_AND = [
+    ((1, 1), 1),
+    ((1, 0), 0),
+    ((1, -1), -1),
+    ((0, 1), 0),
+    ((0, 0), 0),
+    ((0, -1), 0),
+    ((-1, 1), -1),
+    ((-1, 0), 0),
+    ((-1, -1), -1),
+]
 
 
-class TestFeasibility:
-    def test_kleene_and(self):
-        yes, no, ind = Feasibility.YES, Feasibility.NO, Feasibility.INDETERMINATE
-        assert feasibility_and(yes, yes) is yes
-        assert feasibility_and(yes, no) is no
-        assert feasibility_and(no, ind) is no
-        assert feasibility_and(yes, ind) is ind
-        assert feasibility_and(ind, ind) is ind
-
-    def test_spe_feasible_examples(self, equal_slots):
-        p2 = scenario(equal_slots, na=2, nt=2)
-        assert ss.spe_feasible(p2, 0.9, 0.3, 800, 200, seed=17) is Feasibility.YES
-        assert ss.spe_feasible(p2, 0.01, 0.3, 800, 200, seed=17) is Feasibility.NO
-        p10 = scenario(equal_slots, na=10, nt=10)
-        assert ss.spe_feasible(p10, 0.5, 0.5, 800, 200, seed=17) is Feasibility.NO
-
-    def test_undecided_margin_is_indeterminate(self):
-        est = etiquette.InequalityEstimate("x", 1.0, 1.0, margin=0.001, se=0.01)
-        assert not est.decided
-        assert est.status is Feasibility.INDETERMINATE
-        assert_array_form(0.001, 0.01, Feasibility.INDETERMINATE)
-
-    def test_zero_variance_margin_is_decided(self):
-        est = etiquette.InequalityEstimate("x", 1.0, 1.0, margin=0.0, se=0.0)
-        assert est.decided and est.holds
-        assert est.status is Feasibility.YES
-        assert_array_form(0.0, 0.0, Feasibility.YES)
-
+class TestTriState:
     @pytest.mark.parametrize(
-        "margin, se, status",
+        "margin, se, state",
         [
-            (0.5, 0.25, Feasibility.YES),
-            (-0.5, 0.25, Feasibility.NO),
-            (-0.0, 0.0, Feasibility.YES),
-            (-0.0, 0.01, Feasibility.INDETERMINATE),
-            (float("nan"), 0.01, Feasibility.INDETERMINATE),
+            (0.5, 0.25, 1),
+            (-0.5, 0.25, 0),
+            (-0.0, 0.0, 1),
+            (-0.0, 0.01, -1),
+            (0.0, 0.0, 1),
+            (float("nan"), 0.01, -1),
+            (0.001, 0.01, -1),
         ],
     )
-    def test_ties_at_two_standard_errors(self, margin, se, status):
-        # A margin of exactly two SEs is decided, and -0.0 holds as 0.0 does.
-        est = etiquette.InequalityEstimate("x", 1.0, 1.0, margin=margin, se=se)
-        assert est.status is status
-        assert_array_form(margin, se, status)
+    def test_ties_at_two_standard_errors(self, margin, se, state):
+        # A margin of exactly two SEs is decided, -0.0 holds as 0.0 does, a
+        # zero-variance zero margin holds, and NaN is indeterminate.
+        states = etiquette._tri_state(np.full((2, 3), margin), np.full((2, 3), se))
+        assert states.dtype == np.int8
+        assert np.array_equal(states, np.full((2, 3), state))
 
-    def test_array_and_equals_kleene_and(self):
-        values = list(Feasibility)
-        pairs = [(a, b) for a in values for b in values]
-        left, right = (np.array([p[k].value for p in pairs]) for k in (0, 1))
+    @pytest.mark.parametrize("states, combined", [*KLEENE_AND, ((), 1)])
+    def test_kleene_and(self, states, combined):
+        assert etiquette._tri_and(*states) == combined
+
+    def test_array_and_is_elementwise(self):
+        left, right = (np.array([p[k] for p, _ in KLEENE_AND], dtype=np.int8) for k in (0, 1))
         combined = etiquette._tri_and(left, right)
-        assert combined.tolist() == [feasibility_and(a, b).value for a, b in pairs]
-        assert feasibility_and() is Feasibility.YES
+        assert combined.dtype == np.int8
+        assert combined.tolist() == [c for _, c in KLEENE_AND]
 
 
 class TestRegionSweep:
@@ -268,13 +251,8 @@ class TestRegionSweep:
         again = ss.region_sweep(params, alphas, biases, 300, 120, seed=7, threads=4)
         assert np.array_equal(grid.self_enforceable, again.self_enforceable)
         assert np.array_equal(grid.margins, again.margins)
-        for i in range(2):
-            for j in range(2):
-                combined = feasibility_and(
-                    Feasibility(int(grid.ton_prefers[i, j])),
-                    Feasibility(int(grid.aon_prefers[i, j])),
-                )
-                assert grid.self_enforceable[i, j] == combined.to_int()
+        combined = etiquette._tri_and(grid.ton_prefers, grid.aon_prefers)
+        assert np.array_equal(grid.self_enforceable, combined)
 
     def test_aon_preference_region_shrinks_with_size_under_short_collisions(
         self, small_collision
@@ -286,11 +264,9 @@ class TestRegionSweep:
         verdicts = {}
         for n in (2, 10):
             params = scenario(small_collision, na=n, nt=n, alpha=0.9, p_r=0.75)
-            verdicts[n] = ss.deviation_inequalities(
-                params, 3000, 300, seed=77
-            ).aon_prefers
-        assert verdicts[2] is Feasibility.YES
-        assert verdicts[10] is Feasibility.NO
+            grid = ss.region_sweep(params, [0.9], [0.75], 3000, 300, seed=77)
+            verdicts[n] = grid.aon_prefers[0, 0]
+        assert verdicts == {2: 1, 10: 0}
 
     @pytest.mark.parametrize(
         "slots_name, n", [("equal_slots", 2), ("small_collision", 5), ("equal_slots", 10)]
@@ -307,9 +283,14 @@ class TestRegionSweep:
                 report = ss.deviation_inequalities(point, 120, 40, seed=9)
                 assert [e.margin for e in report.inequalities] == list(grid.margins[:, i, j])
                 assert [e.se for e in report.inequalities] == list(grid.ses[:, i, j])
-                assert grid.ton_prefers[i, j] == report.ton_prefers.to_int()
-                assert grid.aon_prefers[i, j] == report.aon_prefers.to_int()
-                assert grid.self_enforceable[i, j] == report.self_enforceable.to_int()
+                aon_h, ton_h, aon_t, ton_t = (
+                    etiquette._tri_state(e.margin, e.se) for e in report.inequalities
+                )
+                assert grid.ton_prefers[i, j] == etiquette._tri_and(ton_h, ton_t)
+                assert grid.aon_prefers[i, j] == etiquette._tri_and(aon_h, aon_t)
+                assert grid.self_enforceable[i, j] == etiquette._tri_and(
+                    aon_h, aon_t, ton_h, ton_t
+                )
 
     def test_sweep_invariant_to_threads_and_chunks(self, small_collision, monkeypatch):
         params = scenario(small_collision, na=3, nt=3, initial_age=5.0)
@@ -322,13 +303,6 @@ class TestRegionSweep:
         for other in variants:
             for name in ("margins", "ses", "ton_prefers", "aon_prefers", "self_enforceable"):
                 assert np.array_equal(getattr(base, name), getattr(other, name)), name
-
-    def test_spe_feasible_is_the_one_cell_sweep(self, equal_slots):
-        params = scenario(equal_slots, na=2, nt=2)
-        for alpha, p_r in ((0.9, 0.3), (0.01, 0.3), (0.6, 0.7)):
-            grid = ss.region_sweep(params, [alpha], [p_r], 300, 100, seed=17)
-            verdict = ss.spe_feasible(params, alpha, p_r, 300, 100, seed=17)
-            assert verdict.to_int() == grid.self_enforceable[0, 0]
 
     def test_grid_bounds_validated(self, equal_slots, monkeypatch):
         def batch(*args, **kwargs):
@@ -354,7 +328,6 @@ class TestRegionSweep:
         calls = (
             lambda: ss.region_sweep(params, [0.5], [0.5], n_runs, 10, seed=1),
             lambda: ss.deviation_inequalities(params, n_runs, 10, seed=1),
-            lambda: ss.spe_feasible(params, 0.5, 0.5, n_runs, 10, seed=1),
             lambda: ss.monte_carlo(config, n_runs),
             lambda: ss.gain_grid(params, n_runs, 10, 1, [0.5], [0.5]),
         )
@@ -444,12 +417,12 @@ class TestGrimTrigger:
             previous_age = stage.network_age_after
 
     @pytest.mark.parametrize("na,nt", [(5, 5), (17, 4), (1, 3), (3, 1)])
-    def test_cooperative_prefix_replays_run_cooperation(self, na, nt, small_collision):
+    def test_cooperative_prefix_replays_a_cooperative_run(self, na, nt, small_collision):
         params = scenario(small_collision, na=na, nt=nt, p_r=0.4)
         k = 25
         for case in ss.DeviationCase:
             trace = ss.simulate_grim_trigger(params, k + 5, 7, k, case)
-            run = sim.run_cooperation(sim.RunConfig(params, k, sim.Mode.COOPERATIVE, 7))
+            run = sim.run_single(sim.RunConfig(params, k, sim.Mode.COOPERATIVE, 7))
             prefix = trace.stages[:k]
             assert [st.tau_aon for st in prefix] == run.stages.tau_aon.tolist()
             assert [st.network_age_after for st in prefix] == (-run.stages.u_aon).tolist()

@@ -125,7 +125,7 @@ def _record_cases():
 
 def _record_rows(params, mode, seed, run_index):
     """Run scalars and final ages, then one row per stage of the recorded streams."""
-    run = sim._run_single(sim.RunConfig(params, RECORD_STAGES, mode, seed), run_index)
+    run = sim.run_single(sim.RunConfig(params, RECORD_STAGES, mode, seed), run_index)
     stages = run.stages
     scalars = (run.u_aon_discounted, run.u_ton_discounted, run.freq_tau_one, run.freq_tau_zero)
     rows = [" ".join(_hex(v) for v in scalars), " ".join(_hex(a) for a in run.final_ages.ages)]

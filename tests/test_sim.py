@@ -24,7 +24,7 @@ class TestDiscounting:
     def test_payoff_recomputes_from_stage_stream(self, mode, small_collision):
         params = scenario(small_collision)
         config = ss.RunConfig(params, 400, mode, seed=11)
-        run = (ss.run_competition if mode is ss.Mode.COMPETITIVE else ss.run_cooperation)(config)
+        run = ss.run_single(config)
         weights = (1.0 - params.alpha) * params.alpha ** np.arange(400)
         assert abs(run.u_aon_discounted - float(weights @ run.stages.u_aon)) < 1e-12
         assert abs(run.u_ton_discounted - float(weights @ run.stages.u_ton)) < 1e-12
@@ -33,7 +33,7 @@ class TestDiscounting:
         # Long collisions with a lone TON node force tau_aon*=0, tau_ton*=1:
         # the TON succeeds every stage and earns a constant payoff.
         params = scenario(large_collision, na=1, nt=1, alpha=0.9)
-        run = ss.run_competition(ss.RunConfig(params, 300, ss.Mode.COMPETITIVE, seed=5))
+        run = ss.run_single(ss.RunConfig(params, 300, ss.Mode.COMPETITIVE, seed=5))
         expected = (1.0 - 0.9**300) * large_collision.success
         assert abs(run.u_ton_discounted - expected) < 1e-12
         assert np.all(run.stages.events == ss.sim.EVENT_SUCCESS_TON)
@@ -120,7 +120,7 @@ class TestDeterminism:
         params = scenario(small_collision, na=na, nt=nt, p_r=0.4)
         n_stages = 150
         config = ss.RunConfig(params, n_stages, mode, seed=3)
-        single = sim._run_single(config)
+        single = ss.run_single(config)
         p_r = None if mode is ss.Mode.COMPETITIVE else params.p_r
         weights = np.hstack([sim._discount_weights([params.alpha], n_stages), np.eye(n_stages)])
         state = sim._simulate_batch(_Engine(params), 3, range(1), [(0, [p_r])], weights)
@@ -464,13 +464,13 @@ def test_ton_count_follows_the_exact_binomial_law(nt, small_collision):
 class TestCompetitiveRuns:
     def test_two_singletons_short_collisions_always_transmit(self, small_collision):
         params = scenario(small_collision, na=1, nt=1)
-        run = ss.run_competition(ss.RunConfig(params, 200, ss.Mode.COMPETITIVE, seed=1))
+        run = ss.run_single(ss.RunConfig(params, 200, ss.Mode.COMPETITIVE, seed=1))
         assert run.freq_tau_one == 1.0
         assert run.freq_tau_zero == 0.0
 
     def test_two_singletons_long_collisions_never_transmit(self, large_collision):
         params = scenario(large_collision, na=1, nt=1)
-        run = ss.run_competition(ss.RunConfig(params, 200, ss.Mode.COMPETITIVE, seed=1))
+        run = ss.run_single(ss.RunConfig(params, 200, ss.Mode.COMPETITIVE, seed=1))
         assert run.freq_tau_zero == 1.0
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
@@ -479,16 +479,11 @@ class TestCompetitiveRuns:
         # deterministically until it crosses the threshold, so the opening
         # tau=1 streak and the first interior value are seed-independent.
         params = scenario(small_collision)
-        run = ss.run_competition(ss.RunConfig(params, 60, ss.Mode.COMPETITIVE, seed=seed))
+        run = ss.run_single(ss.RunConfig(params, 60, ss.Mode.COMPETITIVE, seed=seed))
         taus = run.stages.tau_aon
         first_interior = int(np.argmax(taus < 1.0))
         assert first_interior >= 30
         assert taus[first_interior] == pytest.approx(0.9295, abs=1e-4)
-
-    def test_mode_mismatch_rejected(self, small_collision):
-        config = ss.RunConfig(scenario(small_collision), 10, ss.Mode.COOPERATIVE, seed=1)
-        with pytest.raises(ss.ConfigurationError):
-            ss.run_competition(config)
 
     def test_silence_frequency_grows_with_network_size(self, equal_slots):
         aggs = []
@@ -504,14 +499,14 @@ class TestCompetitiveRuns:
 class TestCooperativeRuns:
     def test_zero_bias_never_selects_aon(self, equal_slots):
         params = scenario(equal_slots, p_r=0.0)
-        run = ss.run_cooperation(ss.RunConfig(params, 300, ss.Mode.COOPERATIVE, seed=9))
+        run = ss.run_single(ss.RunConfig(params, 300, ss.Mode.COOPERATIVE, seed=9))
         assert run.freq_tau_one == 0.0 and run.freq_tau_zero == 0.0
         assert not np.any(run.stages.events == ss.sim.EVENT_SUCCESS_AON)
         assert not np.any(run.stages.aon_selected)
 
     def test_full_bias_never_selects_ton(self, equal_slots):
         params = scenario(equal_slots, p_r=1.0)
-        run = ss.run_cooperation(ss.RunConfig(params, 300, ss.Mode.COOPERATIVE, seed=9))
+        run = ss.run_single(ss.RunConfig(params, 300, ss.Mode.COOPERATIVE, seed=9))
         assert run.u_ton_discounted == 0.0
         assert not np.any(run.stages.events == ss.sim.EVENT_SUCCESS_TON)
 
@@ -519,7 +514,7 @@ class TestCooperativeRuns:
         # One AON node holding the channel transmits with probability 1 and
         # its age comes back to the success-slot length after every stage.
         params = scenario(equal_slots, na=1, nt=3, p_r=1.0)
-        run = ss.run_cooperation(ss.RunConfig(params, 100, ss.Mode.COOPERATIVE, seed=4))
+        run = ss.run_single(ss.RunConfig(params, 100, ss.Mode.COOPERATIVE, seed=4))
         assert np.all(run.stages.events == ss.sim.EVENT_SUCCESS_AON)
         assert run.final_ages.ages.tolist() == [equal_slots.success]
         assert run.freq_tau_one == 1.0
@@ -528,12 +523,12 @@ class TestCooperativeRuns:
         # With one node per network any collision would have to involve both
         # networks; under the device none may occur.
         params = scenario(equal_slots, na=1, nt=1)
-        run = ss.run_cooperation(ss.RunConfig(params, 500, ss.Mode.COOPERATIVE, seed=21))
+        run = ss.run_single(ss.RunConfig(params, 500, ss.Mode.COOPERATIVE, seed=21))
         assert not np.any(run.stages.events == ss.sim.EVENT_COLLISION)
 
     def test_equal_slots_aon_never_aggressive_sometimes_silent(self, equal_slots):
         params = scenario(equal_slots)
-        run = ss.run_cooperation(ss.RunConfig(params, 300, ss.Mode.COOPERATIVE, seed=4))
+        run = ss.run_single(ss.RunConfig(params, 300, ss.Mode.COOPERATIVE, seed=4))
         selected = run.stages.aon_selected
         assert np.all(run.stages.tau_aon[selected] < 1.0)
         assert np.any(run.stages.tau_aon[selected] == 0.0)
@@ -622,7 +617,7 @@ class TestSingleRow:
                     assert engine.slot_one(row, row_draw, tau, taus[1]) == codes[r]
                     assert row == ages[r].tolist()
 
-    def test_network_age_one_adds_left_to_right(self, small_collision):
+    def test_row_network_age_adds_left_to_right(self, small_collision):
         # 1 + 1e-16 rounds back to 1 at each add, as in the engine's column
         # sum; a compensated sum would keep the two small ages.
         # At 8 or more nodes numpy's own sum adds pairwise, and would keep them.
@@ -630,7 +625,7 @@ class TestSingleRow:
             engine = _Engine(scenario(small_collision, na=len(ages)))
             state = sim._Trajectories(engine, 1, [(0, [None])], sim._discount_weights([0.9], 1))
             state.ages[:] = ages
-            assert engine.network_age_one(ages) == state._network_age()[0] == mean
+            assert ss.model._mean_left_to_right(ages) == state._network_age()[0] == mean
             assert ss.AgeState(np.array(ages)).network_age == mean
 
     @pytest.mark.parametrize("na", [8, 9, 10, 17, 33])
@@ -638,7 +633,7 @@ class TestSingleRow:
         # A run's final AgeState reads the network age its last stage paid.
         params = scenario(small_collision, na=na, initial_age=3.3)
         for seed in range(1, 30):
-            result = ss.run_competition(ss.RunConfig(params, 40, ss.Mode.COMPETITIVE, seed))
+            result = ss.run_single(ss.RunConfig(params, 40, ss.Mode.COMPETITIVE, seed))
             assert result.final_ages.network_age == -result.stages.u_aon[-1]
 
 
