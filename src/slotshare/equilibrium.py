@@ -87,49 +87,31 @@ def _raise_out_of_range(value, age, th0: float, th1: float):
     )
 
 
-def _three_branch(delta, th0: float, th1: float, interior) -> np.ndarray | float:
+def _three_branch(delta, th0: float, th1: float, interior) -> np.ndarray:
     """Evaluate the threshold rule; ties at th0 == th1 resolve to the silent branch.
 
-    Two paths do the same IEEE arithmetic.  An array of ages (the batch
-    engine) goes through numpy in one pass.  A scalar age (a Python or numpy
-    float, an int or a 0-d array: the scalar stage-game API) is evaluated in
-    Python floats, which skips numpy's per-call dispatch and returns a
-    bit-identical float.
+    ``delta`` is an array of ages (the batch engine), evaluated through numpy
+    in one pass; ``_scalar_rule`` does the same IEEE arithmetic on one age.
     """
     th = max(th0, th1)
     pinned = 0.0 if th == th0 else 1.0
-    if not isinstance(delta, float):
-        arr = np.asarray(delta, dtype=np.float64)
-        if arr.ndim:
-            mask = arr > th
-            # Every row is evaluated; rows at or below th may divide by zero.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tau = interior(arr)
-            np.copyto(tau, pinned, where=~mask)
-            # Only a row outside [0, 1], or NaN (which fails both comparisons),
-            # needs the tolerance check and the clip.
-            if not (tau.min(initial=0.0) >= 0.0 and tau.max(initial=1.0) <= 1.0):
-                bad = ~((tau >= -BOUNDARY_TOL) & (tau <= 1.0 + BOUNDARY_TOL))
-                if np.any(bad):
-                    first = np.flatnonzero(bad)[0]
-                    _raise_out_of_range(tau[first], arr[first], th0, th1)
-                # Like np.clip, keep -0.0 (np.maximum would return +0.0).
-                np.copyto(tau, 0.0, where=tau < 0.0)
-                np.minimum(tau, 1.0, out=tau)
-            return tau
-    d = float(delta)
-    if not d > th:
-        return pinned
-    try:
-        raw = float(interior(d))
-    except ZeroDivisionError:
-        # Python floats raise where numpy returns inf or nan; report the
-        # value the array path would.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = float(interior(np.float64(d)))
-    if not -BOUNDARY_TOL <= raw <= 1.0 + BOUNDARY_TOL:
-        _raise_out_of_range(raw, d, th0, th1)
-    return min(max(raw, 0.0), 1.0)
+    arr = np.asarray(delta, dtype=np.float64)
+    mask = arr > th
+    # Every row is evaluated; rows at or below th may divide by zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = interior(arr)
+    np.copyto(tau, pinned, where=~mask)
+    # Only a row outside [0, 1], or NaN (which fails both comparisons),
+    # needs the tolerance check and the clip.
+    if not (tau.min(initial=0.0) >= 0.0 and tau.max(initial=1.0) <= 1.0):
+        bad = ~((tau >= -BOUNDARY_TOL) & (tau <= 1.0 + BOUNDARY_TOL))
+        if np.any(bad):
+            first = np.flatnonzero(bad)[0]
+            _raise_out_of_range(tau[first], arr[first], th0, th1)
+        # Like np.clip, keep -0.0 (np.maximum would return +0.0).
+        np.copyto(tau, 0.0, where=tau < 0.0)
+        np.minimum(tau, 1.0, out=tau)
+    return tau
 
 
 class _Rule(NamedTuple):
@@ -166,8 +148,51 @@ def _rule(sizes: NetworkSizes, slots: SlotLengths, competitive: bool) -> _Rule:
     return _Rule(k, c, th0, na * (ss - sc))
 
 
+def _scalar_rule(sizes: NetworkSizes, slots: SlotLengths, rule: _Rule):
+    """``_tau`` on one age as a float -> float function, ``rule``'s constants folded once.
+
+    It does the array path's IEEE operations in the same order in Python
+    floats, so it returns a bit-identical float without numpy's per-call
+    dispatch, and raises the same ``OutOfRangeError``.
+    """
+    si, ss, sc = slots.idle, slots.success, slots.collision
+    na = sizes.n_aon
+    k, c, th0, th1 = rule
+    th = max(th0, th1)
+    pinned = 0.0 if th == th0 else 1.0
+    # The age-free terms of ``_tau``'s interior formula, as it groups them.
+    shift, kna, gap, span = na * (ss - si), k * na, si - sc, na * (ss - sc)
+
+    def tau(d: float) -> float:
+        if not d > th:
+            return pinned
+        if na == 1:
+            # The interior formula's single-node collapse (see ``_tau``).
+            return 1.0
+        num = k * (d - shift) + c
+        den = kna * (d + gap - span) + c
+        try:
+            raw = num / den
+        except ZeroDivisionError:
+            # Python floats raise where numpy returns inf or nan; report the
+            # value the array path would.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                raw = float(np.float64(num) / den)
+        if not -BOUNDARY_TOL <= raw <= 1.0 + BOUNDARY_TOL:
+            _raise_out_of_range(raw, d, th0, th1)
+        return min(max(raw, 0.0), 1.0)
+
+    return tau
+
+
 def _tau(delta, sizes: NetworkSizes, slots: SlotLengths, rule: _Rule):
-    """The AON access probability under ``rule`` (from ``_rule``), vectorized in the age."""
+    """The AON access probability under ``rule`` (from ``_rule``), vectorized in the age.
+
+    A scalar age (a Python or numpy float, an int or a 0-d array) goes
+    through ``_scalar_rule`` and gives a float.
+    """
+    if not isinstance(delta, np.ndarray) or not delta.ndim:
+        return _scalar_rule(sizes, slots, rule)(float(delta))
     si, ss, sc = slots.idle, slots.success, slots.collision
     na = sizes.n_aon
     k, c, th0, th1 = rule

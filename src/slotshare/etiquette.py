@@ -22,7 +22,8 @@ than forced to a boolean (``_tri_state``), so an estimate needs two runs.
 
 ``simulate_grim_trigger`` audits one trajectory of the etiquette with an
 injected deviation.  It folds the engine's single-row loop, that of
-``run_single`` too (``sim._Engine.trace``), on run 0 of its seed.
+``run_single`` too (``sim._Engine.trace``), on run 0 of its seed into
+named-tuple records (``StageTrace``, ``ComplianceFlag``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import enum
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +68,7 @@ class DeviationCase(enum.Enum):
         return self in (DeviationCase.H_TON_DEVIATES, DeviationCase.T_AON_DEVIATES)
 
 
-@dataclass(frozen=True)
-class ComplianceFlag:
+class ComplianceFlag(NamedTuple):
     """Whether the stage's action profile matched the recommendation."""
 
     stage: int
@@ -318,8 +319,9 @@ def region_sweep(
     )
 
 
-@dataclass(frozen=True)
-class StageTrace:
+class StageTrace(NamedTuple):
+    """One audited stage: its compliance, whether it competed, the profile shown and its age."""
+
     stage: int
     compliance: ComplianceFlag
     competitive_play: bool
@@ -359,22 +361,19 @@ def simulate_grim_trigger(
         raise ConfigurationError(f"deviation stage must be an integer stage of the run, got {k}")
     engine = _Engine(params)
     schedule = [(0, [params.p_r]), (k, [JOINT if case.joint_access else IDLE]), (k + 1, [None])]
+    p_r, tau_t = params.p_r, engine.tau_ton_star
+    heads, tails = Recommendation.HEADS, Recommendation.TAILS
+    # Every stage reads its recommendation off the device, obeys before k
+    # and competes after it; stage k is then replaced.
     stages = engine.trace(seed, 0, n_stages, schedule)
-    trace = []
-    for n, (device, tau, _, _, delta, _) in enumerate(stages):
-        recommendation = Recommendation.HEADS if device < params.p_r else Recommendation.TAILS
-        if n == k:
-            recommendation = case.recommendation
-        idle = n == k and not case.joint_access
-        shown = (0.0, 0.0) if idle else (tau, engine.tau_ton_star)
-        trace.append(
-            StageTrace(
-                stage=n,
-                compliance=ComplianceFlag(stage=n, recommendation=recommendation, obeyed=n < k),
-                competitive_play=n > k,
-                tau_aon=shown[0],
-                tau_ton=shown[1],
-                network_age_after=delta,
-            )
+    trace = [
+        StageTrace(
+            n, ComplianceFlag(n, heads if device < p_r else tails, n < k), n > k, tau, tau_t, delta
         )
+        for n, (device, tau, _, _, delta, _) in enumerate(stages)
+    ]
+    # The deviation forces the case's recommendation; an idle one shows (0, 0).
+    _, _, _, tau, _, delta = trace[k]
+    shown = (tau, tau_t) if case.joint_access else (0.0, 0.0)
+    trace[k] = StageTrace(k, ComplianceFlag(k, case.recommendation, False), False, *shown, delta)
     return GrimTriggerTrace(stages=tuple(trace))

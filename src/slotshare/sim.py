@@ -52,7 +52,8 @@ threads when the chunks hold at least ``_POOL_COPIES`` copies, and stores
 each run's results by run index; it refuses fewer than two runs, which
 leave no standard error.  A single row (``run_single``, the grim-trigger
 audit) is stepped in Python numbers by the one generator ``_Engine.trace``,
-which replays its row of a batch bit for bit.
+which replays its row of a batch bit for bit: each schedule entry's rule is
+folded once into a float function (``equilibrium._scalar_rule``).
 
 A node transmits iff its draw is below its network's access probability, so
 the AON sends 0, 1 or at least 2 packets according to whether its tau lies
@@ -199,6 +200,8 @@ class _Engine:
         self.ton_by_code[1] = self.ton_payout
         self.event_by_code = np.full(9, EVENT_COLLISION, dtype=np.int8)
         self.event_by_code[[0, 1, 3]] = EVENT_IDLE, EVENT_SUCCESS_TON, EVENT_SUCCESS_AON
+        # The single row's copy, in Python floats.
+        self.growth_one = self.growth_by_code.tolist()
 
     def access(self, play):
         """Who may access under one play of a schedule: ``(rule, aon_bias, ton_bias)``.
@@ -329,7 +332,7 @@ class _Engine:
         # A numpy scalar's comparisons give np.bool_, whose sum is a logical OR.
         tau_a = float(tau_a)
         code = 3 * ((a1 < tau_a) + (a2 < tau_a)) + (count if ton else 0)
-        growth = float(self.growth_by_code[code])
+        growth = self.growth_one[code]
         ages[:] = [age + growth for age in ages]
         if code == 3:
             ages[node] = self.slots.success
@@ -338,13 +341,16 @@ class _Engine:
     def trace(self, seed: int, run: int, n_stages: int, schedule):
         """Step run ``run`` of ``seed`` as one row in Python numbers, yielding each stage.
 
-        The row plays the one-copy ``schedule``, as its copy of a batch does.
-        A stage yields the device draw, the rule's tau, the played tau_aon,
-        the event code, the network age and the node ages (a list that the
-        next stage advances in place).
+        The row plays the one-copy ``schedule``, as its copy of a batch does,
+        each entry's rule folded once (``equilibrium._scalar_rule``).  A
+        stage yields the device draw, the rule's tau, the played tau_aon, the
+        event code, the network age and the node ages (a list that the next
+        stage advances in place).
         """
-        sizes, slots = self.sizes, self.slots
-        phases = {start: self.access(play) for start, (play,) in schedule}
+        phases = {}
+        for start, (play,) in schedule:
+            rule, aon_bias, ton_bias = self.access(play)
+            phases[start] = eq._scalar_rule(self.sizes, self.slots, rule), aon_bias, ton_bias
         ages = [self.params.initial_age] * self.n_aon
         delta, phase = self.params.initial_age, phases[0]
         # The row's draws, converted to Python numbers a table at a time.
@@ -354,13 +360,13 @@ class _Engine:
             for row in zip(*aon[..., 0].T.tolist(), *(t[:, 0].tolist() for t in rest))
         )
         for n, draw in enumerate(rows):
-            rule, aon_bias, ton_bias = phase = phases.get(n, phase)
-            tau = eq._tau(delta, sizes, slots, rule)
-            tau_a = tau if draw[2] < aon_bias else -1.0
-            code = self.slot_one(ages, draw, tau_a, draw[2] >= ton_bias)
+            tau_of, aon_bias, ton_bias = phase = phases.get(n, phase)
+            tau, device = tau_of(delta), draw[2]
+            tau_a = tau if device < aon_bias else -1.0
+            code = self.slot_one(ages, draw, tau_a, device >= ton_bias)
             # Added left to right, as ``_Trajectories`` adds columns.
             delta = _mean_left_to_right(ages)
-            yield draw[2], tau, tau_a, code, delta, ages
+            yield device, tau, tau_a, code, delta, ages
 
 
 def _two_smallest(columns: np.ndarray, n: int, first, second, node) -> None:

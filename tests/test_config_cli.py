@@ -412,19 +412,14 @@ def test_public_names_are_pinned():
         "cooperation_beneficial_pr_set",
         "cooperative_optimum",
         "deviation_inequalities",
-        "equilibrium",
-        "etiquette",
         "expected_next_network_age",
         "expected_stage_payoffs",
         "gain_grid",
         "gain_of_cooperation",
-        "model",
         "monte_carlo",
         "msne",
         "region_sweep",
         "run_single",
-        "seeding",
-        "sim",
         "simulate_grim_trigger",
         "slot_probabilities_competitive",
         "slot_probabilities_cooperative",

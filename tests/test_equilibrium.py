@@ -308,19 +308,30 @@ def test_interior_is_continuous_at_threshold_for_multinode_aon():
                 assert below in (0.0, 1.0)
 
 
-# The two inputs of ``_three_branch``: a Python float takes the scalar path,
-# a one-element array the array path.
-BOTH_PATHS = (float, lambda x: np.array([x]))
+# Hand-built rules: on these slots, at age 1 the interior formula is c / (k + c).
+HAND_SIZES, HAND_SLOTS = ss.NetworkSizes(2, 1), ss.SlotLengths(0.5, 1.0, 1.0)
+
+
+def _hand_rule(k, c):
+    return eq._Rule(k, c, 0.0, 0.5)
 
 
 def test_out_of_range_raises_instead_of_clamping():
-    for as_input in BOTH_PATHS:
-        with pytest.raises(ss.OutOfRangeError, match="probability 50.0 "):
-            eq._three_branch(as_input(5.0), 0.0, 1.0, lambda d: d * 10.0)
-        # A Python float raises ZeroDivisionError here; it must surface as the
-        # same error, with the value numpy reports.
-        with pytest.raises(ss.OutOfRangeError, match="probability nan "):
-            eq._three_branch(as_input(5.0), 0.0, 1.0, lambda d: d * 0.0 / 0.0)
+    # The array path, on a bare interior formula.
+    with pytest.raises(ss.OutOfRangeError, match="probability 50.0 "):
+        eq._three_branch(np.array([5.0]), 0.0, 1.0, lambda d: d * 10.0)
+    with pytest.raises(ss.OutOfRangeError, match="probability nan "):
+        eq._three_branch(np.array([5.0]), 0.0, 1.0, lambda d: d * 0.0 / 0.0)
+    # The scalar evaluator: 50 / 1, and 0 / 0, where a Python float raises
+    # ZeroDivisionError; it must surface as the same error, with the value
+    # numpy reports, and read as the array path's.
+    for (k, c), value in (((-49.0, 50.0), "50.0"), ((0.0, 0.0), "nan")):
+        rule = _hand_rule(k, c)
+        with pytest.raises(ss.OutOfRangeError, match=f"probability {value} ") as scalar:
+            eq._scalar_rule(HAND_SIZES, HAND_SLOTS, rule)(1.0)
+        with pytest.raises(ss.OutOfRangeError) as array:
+            eq._tau(np.array([1.0]), HAND_SIZES, HAND_SLOTS, rule)
+        assert str(scalar.value) == str(array.value)
 
 
 def _rule_result(tau, age, *args):
@@ -334,7 +345,7 @@ def _rule_result(tau, age, *args):
 def test_scalar_path_equals_array_path(scenario):
     slots = slots_from_scenario(scenario)
     rng = np.random.default_rng(11)
-    for na, nt in ((5, 5), (1, 3), (3, 1), (2, 6)):
+    for na, nt in ((5, 5), (1, 3), (3, 1), (2, 6), (17, 4), (2, 1)):
         sizes = ss.NetworkSizes(na, nt)
         rules = [eq._rule(sizes, slots, competitive) for competitive in (True, False)]
         # Integer ages also go in as Python ints.
@@ -343,17 +354,22 @@ def test_scalar_path_equals_array_path(scenario):
             if np.isfinite(th):
                 ages += [np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf)]
         for rule in rules:
+            folded = eq._scalar_rule(sizes, slots, rule)
             for age in ages:
                 array = np.array([age], dtype=np.float64)
                 expected = _rule_result(eq._tau, array, sizes, slots, rule)
                 if not isinstance(expected, str):
                     expected = float(expected[0]).hex()
-                for scalar in (age, float(age), np.float64(age), np.array(float(age))):
-                    got = _rule_result(eq._tau, scalar, sizes, slots, rule)
+                # The evaluator itself, then ``_tau`` on every scalar input type.
+                scalars = (age, float(age), np.float64(age), np.array(float(age)))
+                results = [("evaluator", _rule_result(folded, float(age)))] + [
+                    (type(x), _rule_result(eq._tau, x, sizes, slots, rule)) for x in scalars
+                ]
+                for path, got in results:
                     if not isinstance(got, str):
                         assert type(got) is float
                         got = got.hex()
-                    assert got == expected, (rule, sizes, age, type(scalar))
+                    assert got == expected, (rule, sizes, age, path)
 
 
 def _reference_thresholds(sizes, slots, competitive):
@@ -423,11 +439,13 @@ def test_one_rule_equals_the_two_reference_rules():
         for th in filter(np.isfinite, reference):
             ages += [np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf)]
         for age in (a for a in ages if a >= 0.0):
-            # The array path, then every scalar input type.
+            # The array path, then every scalar input type, against the
+            # reference rules on the array (their threshold rule has no
+            # scalar path of its own).
+            want = _rule_result(_reference_tau, np.array([age]), sizes, slots, competitive)
             scalars = (age, float(age), np.float64(age), np.array(float(age)))
             for value in (np.array([age]), *scalars):
                 got = _rule_result(eq._tau, value, sizes, slots, rule)
-                want = _rule_result(_reference_tau, value, sizes, slots, competitive)
                 assert _hex_or_text(got) == _hex_or_text(want), (sizes, slots, competitive, age)
 
 
@@ -517,8 +535,11 @@ def test_stage_payoffs_reject_non_finite(u_aon, u_ton):
 
 
 def test_boundary_tolerance_clamps_tiny_overshoot():
-    for as_input in BOTH_PATHS:
-        assert eq._three_branch(as_input(5.0), 0.0, 1.0, lambda d: d * 0.0 + 1.0 + 1e-10) == 1.0
+    assert eq._three_branch(np.array([5.0]), 0.0, 1.0, lambda d: d * 0.0 + 1.0 + 1e-10) == 1.0
+    # 1 / (1 - 1e-10) overshoots 1 by about 1e-10.
+    rule = _hand_rule(-1e-10, 1.0)
+    assert 1.0 < 1.0 / (1.0 - 1e-10) <= 1.0 + eq.BOUNDARY_TOL
+    assert eq._scalar_rule(HAND_SIZES, HAND_SLOTS, rule)(1.0) == 1.0
 
 
 class TestCooperationRange:

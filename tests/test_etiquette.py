@@ -465,6 +465,25 @@ class TestGrimTrigger:
         taus = [st.tau_aon for st in trace.stages[1:]]
         assert taus == eq._tau(-state.u_aon[:-1, 0], params.sizes, params.slots, rule).tolist()
 
+    def test_stage_records_are_immutable_tuples(self, equal_slots):
+        # The records are named tuples: fixed field order, read-only fields,
+        # and the trace's compliance is each stage's flag.
+        trace = ss.simulate_grim_trigger(
+            scenario(equal_slots), 8, seed=2, deviate_at_stage=3, case=ss.DeviationCase.H_AON_DEVIATES
+        )
+        assert etiquette.StageTrace._fields == (
+            "stage", "compliance", "competitive_play", "tau_aon", "tau_ton", "network_age_after"
+        )
+        assert ss.ComplianceFlag._fields == ("stage", "recommendation", "obeyed")
+        stage = trace.stages[3]
+        for record, field in ((stage, "tau_aon"), (stage.compliance, "obeyed")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0.5)
+        assert trace.compliance == tuple(st.compliance for st in trace.stages)
+        assert [flag.obeyed for flag in trace.compliance] == [True] * 3 + [False] * 5
+        assert [flag.stage for flag in trace.compliance] == list(range(8))
+        assert stage.compliance == (3, ss.Recommendation.HEADS, False)
+
     def test_deviation_stage_bounds_checked(self, equal_slots):
         # Past the run, or between two stages: a stage 2.5 would never deviate
         # and yet flag stages 3 on as competitive.

@@ -11,6 +11,7 @@ import pytest
 import slotshare as ss
 from slotshare import equilibrium as eq
 from slotshare import seeding, sim
+from slotshare.config import SlotScenario, slots_from_scenario
 from slotshare.sim import _Engine
 from conftest import compact_draw, ton_count, with_ton_tau
 
@@ -627,6 +628,54 @@ class TestSingleRow:
             state.ages[:] = ages
             assert ss.model._mean_left_to_right(ages) == state._network_age()[0] == mean
             assert ss.AgeState(np.array(ages)).network_age == mean
+
+    @pytest.mark.parametrize("interior", [False, True], ids=["default-age", "interior-age"])
+    @pytest.mark.parametrize("scenario_", list(SlotScenario), ids=lambda s: s.value)
+    def test_trace_replays_its_batch_row_under_random_schedules(self, scenario_, interior):
+        # Schedules of competition, device biases, JOINT and IDLE entries at
+        # random stages: the single row's network age, TON payoff, rule tau
+        # and played tau equal its one-run batch's bit for bit.  Weight
+        # column n takes stage n alone: minus its network age, its TON payoff.
+        slots = slots_from_scenario(scenario_)
+        rng = np.random.default_rng(1789)
+        n_stages = 150
+        plays = [None, 0.0, 1.0, 0.37, sim.JOINT, sim.IDLE]
+
+        def bits(values):
+            return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+        for na, nt in itertools.product((1, 2, 3, 9, 17), (1, 2, 5)):
+            sizes = ss.NetworkSizes(na, nt)
+            rules = [eq._rule(sizes, slots, competitive) for competitive in (True, False)]
+            # Above every finite threshold, so that stage 1 plays an interior tau.
+            top = max(t for rule in rules for t in (rule.th0, rule.th1) if np.isfinite(t))
+            params = scenario(slots, na=na, nt=nt, initial_age=top + 0.7 if interior else None)
+            starts = sorted({0, *rng.integers(1, n_stages, 4).tolist()})
+            schedule = [(s, [plays[i]]) for s, i in zip(starts, rng.integers(0, len(plays), 5))]
+            seed, run = int(rng.integers(1000)), int(rng.integers(300))
+            stages = list(_Engine(params).trace(seed, run, n_stages, schedule))
+            engine, played = _Engine(params), []
+            slot = engine.slot
+
+            def recorded(ages, draw, tau_a, ton):
+                played.append(tau_a[0])
+                return slot(ages, draw, tau_a, ton)
+
+            engine.slot = recorded
+            weights = np.eye(n_stages)
+            state = sim._simulate_batch(engine, seed, range(run, run + 1), schedule, weights)
+            ages = (-state.u_aon[:, 0]).tolist()
+            _, tau, tau_a, code, delta, _ = zip(*stages)
+            assert bits(delta) == bits(ages), (na, nt, schedule)
+            assert bits(engine.ton_by_code[list(code)]) == bits(state.u_ton[:, 0])
+            assert bits(tau_a) == bits(played)
+            # The rule's tau, by the array path on the batch's pre-slot ages.
+            before = np.array([params.initial_age] + ages[:-1])
+            bounds = starts[1:] + [n_stages]
+            for (start, (play,)), stop in zip(schedule, bounds):
+                rule = engine.access(play)[0]
+                want = eq._tau(before[start:stop], params.sizes, params.slots, rule)
+                assert bits(tau[start:stop]) == bits(want), (na, nt, schedule, start)
 
     @pytest.mark.parametrize("na", [8, 9, 10, 17, 33])
     def test_final_network_age_is_last_stage_age(self, na, small_collision):
