@@ -3,7 +3,8 @@
 In each slot the AON picks its access probability to minimize the expected
 network age at the slot end, the TON to maximize its expected throughput.
 Both problems have closed-form solutions.  The AON's is one threshold rule
-in the current network age for both modes (``_rule``, ``_tau``): below the
+in the current network age for both modes (``_rule``), folded once into a
+float evaluator and an array evaluator (``_evaluators``): below the
 threshold the AON is pinned to 0 or 1 (depending on which slot type is
 cheaper), above it an interior probability applies, and competing differs
 from obeying the device only by the TON's contention term.  A brute-force
@@ -87,33 +88,6 @@ def _raise_out_of_range(value, age, th0: float, th1: float):
     )
 
 
-def _three_branch(delta, th0: float, th1: float, interior) -> np.ndarray:
-    """Evaluate the threshold rule; ties at th0 == th1 resolve to the silent branch.
-
-    ``delta`` is an array of ages (the batch engine), evaluated through numpy
-    in one pass; ``_scalar_rule`` does the same IEEE arithmetic on one age.
-    """
-    th = max(th0, th1)
-    pinned = 0.0 if th == th0 else 1.0
-    arr = np.asarray(delta, dtype=np.float64)
-    mask = arr > th
-    # Every row is evaluated; rows at or below th may divide by zero.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau = interior(arr)
-    np.copyto(tau, pinned, where=~mask)
-    # Only a row outside [0, 1], or NaN (which fails both comparisons),
-    # needs the tolerance check and the clip.
-    if not (tau.min(initial=0.0) >= 0.0 and tau.max(initial=1.0) <= 1.0):
-        bad = ~((tau >= -BOUNDARY_TOL) & (tau <= 1.0 + BOUNDARY_TOL))
-        if np.any(bad):
-            first = np.flatnonzero(bad)[0]
-            _raise_out_of_range(tau[first], arr[first], th0, th1)
-        # Like np.clip, keep -0.0 (np.maximum would return +0.0).
-        np.copyto(tau, 0.0, where=tau < 0.0)
-        np.minimum(tau, 1.0, out=tau)
-    return tau
-
-
 class _Rule(NamedTuple):
     """One mode's AON access rule, as ``_rule`` builds it."""
 
@@ -148,82 +122,74 @@ def _rule(sizes: NetworkSizes, slots: SlotLengths, competitive: bool) -> _Rule:
     return _Rule(k, c, th0, na * (ss - sc))
 
 
-def _scalar_rule(sizes: NetworkSizes, slots: SlotLengths, rule: _Rule):
-    """``_tau`` on one age as a float -> float function, ``rule``'s constants folded once.
+def _evaluators(sizes: NetworkSizes, slots: SlotLengths, rule: _Rule):
+    """The AON's tau under ``rule`` (from ``_rule``) as ``(one, rows)``, constants folded once.
 
-    It does the array path's IEEE operations in the same order in Python
-    floats, so it returns a bit-identical float without numpy's per-call
-    dispatch, and raises the same ``OutOfRangeError``.
+    ``one`` maps one age (a float) to a float and ``rows`` an array of ages
+    (the batch engine) to an array.  Both evaluate one interior formula in
+    the same IEEE operations, so they agree bit for bit and raise the same
+    ``OutOfRangeError``; ties at th0 == th1 resolve to the silent branch.
     """
     si, ss, sc = slots.idle, slots.success, slots.collision
     na = sizes.n_aon
     k, c, th0, th1 = rule
     th = max(th0, th1)
     pinned = 0.0 if th == th0 else 1.0
-    # The age-free terms of ``_tau``'s interior formula, as it groups them.
     shift, kna, gap, span = na * (ss - si), k * na, si - sc, na * (ss - sc)
 
-    def tau(d: float) -> float:
+    def interior(d):
+        return (k * (d - shift) + c) / (kna * (d + gap - span) + c)
+
+    # Single-node AON: the stage objective is linear in the access
+    # probability, the stationarity numerator and denominator coincide, and
+    # the formula collapses to exactly 1.
+    def one(d: float) -> float:
         if not d > th:
             return pinned
         if na == 1:
-            # The interior formula's single-node collapse (see ``_tau``).
             return 1.0
-        num = k * (d - shift) + c
-        den = kna * (d + gap - span) + c
         try:
-            raw = num / den
+            raw = interior(d)
         except ZeroDivisionError:
             # Python floats raise where numpy returns inf or nan; report the
-            # value the array path would.
+            # value ``rows`` would.
             with np.errstate(divide="ignore", invalid="ignore"):
-                raw = float(np.float64(num) / den)
+                raw = float(interior(np.float64(d)))
         if not -BOUNDARY_TOL <= raw <= 1.0 + BOUNDARY_TOL:
             _raise_out_of_range(raw, d, th0, th1)
         return min(max(raw, 0.0), 1.0)
 
-    return tau
+    def rows(delta: np.ndarray) -> np.ndarray:
+        arr = np.asarray(delta, dtype=np.float64)
+        # Every row is evaluated; rows at or below th may divide by zero.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = np.ones_like(arr) if na == 1 else interior(arr)
+        np.copyto(tau, pinned, where=~(arr > th))
+        # Only a row outside [0, 1], or NaN (which fails both comparisons),
+        # needs the tolerance check and the clip.
+        if not (tau.min(initial=0.0) >= 0.0 and tau.max(initial=1.0) <= 1.0):
+            bad = ~((tau >= -BOUNDARY_TOL) & (tau <= 1.0 + BOUNDARY_TOL))
+            if np.any(bad):
+                first = np.flatnonzero(bad)[0]
+                _raise_out_of_range(tau[first], arr[first], th0, th1)
+            # Like np.clip, keep -0.0 (np.maximum would return +0.0).
+            np.copyto(tau, 0.0, where=tau < 0.0)
+            np.minimum(tau, 1.0, out=tau)
+        return tau
 
-
-def _tau(delta, sizes: NetworkSizes, slots: SlotLengths, rule: _Rule):
-    """The AON access probability under ``rule`` (from ``_rule``), vectorized in the age.
-
-    A scalar age (a Python or numpy float, an int or a 0-d array) goes
-    through ``_scalar_rule`` and gives a float.
-    """
-    if not isinstance(delta, np.ndarray) or not delta.ndim:
-        return _scalar_rule(sizes, slots, rule)(float(delta))
-    si, ss, sc = slots.idle, slots.success, slots.collision
-    na = sizes.n_aon
-    k, c, th0, th1 = rule
-
-    def interior(d):
-        if na == 1:
-            # Single-node AON: the stage objective is linear in the access
-            # probability, the stationarity numerator and denominator
-            # coincide, and the formula collapses to exactly 1.
-            return np.ones_like(d)
-        num = k * (d - na * (ss - si)) + c
-        den = k * na * (d + (si - sc) - na * (ss - sc)) + c
-        return num / den
-
-    return _three_branch(delta, th0, th1, interior)
-
-
-def _regime(delta: float, th0: float, th1: float) -> Regime:
-    th = max(th0, th1)
-    if delta > th:
-        return Regime.INTERIOR
-    return Regime.FORCED_ZERO if th == th0 else Regime.FORCED_ONE
+    return one, rows
 
 
 def _solve(sizes: NetworkSizes, slots: SlotLengths, network_age: float, competitive: bool):
     """Stage-game profile and thresholds of one mode's AON access rule at one age."""
     check_age(network_age, "network age")
     rule = _rule(sizes, slots, competitive)
-    tau_a = _tau(network_age, sizes, slots, rule)
+    tau_a = _evaluators(sizes, slots, rule)[0](float(network_age))
     profile = AccessProfile(tau_aon=tau_a, tau_ton=1.0 / sizes.n_ton)
-    return profile, ThresholdAges(rule.th0, rule.th1, _regime(network_age, rule.th0, rule.th1))
+    th = max(rule.th0, rule.th1)
+    pinned = Regime.FORCED_ZERO if th == rule.th0 else Regime.FORCED_ONE
+    regime = Regime.INTERIOR if network_age > th else pinned
+    return profile, ThresholdAges(rule.th0, rule.th1, regime)
 
 
 def msne(

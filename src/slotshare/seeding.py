@@ -30,6 +30,6 @@ class BlockStream:
         """Position the stream at run ``run``'s rows of stage block ``block`` of ``seed``."""
         state = self._state["state"]
         state["counter"][0] = run * BLOCK_STAGES * width // 4
-        state["key"][:] = seed % 2**64, block % 2**64
+        state["key"][:] = seed, block
         # The state's buffer is empty, so the next double starts the counter's four.
         self._bits.state = self._state

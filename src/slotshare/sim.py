@@ -39,21 +39,22 @@ payoff).
 ``simulate`` uses one copy, the gain grid ``1 + |biases|`` and the region
 sweep ``2 + 2 * |biases|``; all copies read the same draws, one slot step
 per stage, by broadcasting the per-run draw against per-copy access
-probabilities and biases.  Consecutive copies whose AON rules
-(``equilibrium._rule``) are equal share one rule call per stage: the
-cooperative copies, and with equal success and collision slots the
-competitive ones too.  The node ages are column-major, so the per-stage
-network age adds whole columns, left to right, and the payoff accumulators
-are (columns x rows), so each stage's weighted payoff is added along the
-contiguous rows of every column.  Every Monte Carlo command collects
-through ``_per_run``, which cuts the runs into chunks of ``ceil(runs /
-threads)`` runs within ``[_MIN_CHUNK, _DEFAULT_CHUNK]``, fans them out over
-threads when the chunks hold at least ``_POOL_COPIES`` copies, and stores
-each run's results by run index; it refuses fewer than two runs, which
-leave no standard error.  A single row (``run_single``, the grim-trigger
-audit) is stepped in Python numbers by the one generator ``_Engine.trace``,
-which replays its row of a batch bit for bit: each schedule entry's rule is
-folded once into a float function (``equilibrium._scalar_rule``).
+probabilities and biases.  The engine folds each distinct AON rule
+(``equilibrium._rule``) once into its ``(one, rows)`` evaluators
+(``equilibrium._evaluators``), and consecutive copies under one rule share
+one ``rows`` call per stage: the cooperative copies, and with equal success
+and collision slots the competitive ones too.  The node ages are
+column-major, so the per-stage network age adds whole columns, left to
+right, and the payoff accumulators are (columns x rows), so each stage's
+weighted payoff is added along the contiguous rows of every column.  Every
+Monte Carlo command collects through ``_per_run``, which cuts the runs into
+chunks of ``ceil(runs / threads)`` runs within ``[_MIN_CHUNK,
+_DEFAULT_CHUNK]``, fans them out over threads when the chunks hold at least
+``_POOL_COPIES`` copies, and stores each run's results by run index; it
+refuses fewer than two runs, which leave no standard error.  A single row
+(``run_single``, the grim-trigger audit) is stepped in Python numbers by the
+one generator ``_Engine.trace``, which replays its row of a batch bit for
+bit through the same rules' float evaluators ``one``.
 
 A node transmits iff its draw is below its network's access probability, so
 the AON sends 0, 1 or at least 2 packets according to whether its tau lies
@@ -73,6 +74,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -202,18 +204,24 @@ class _Engine:
         self.event_by_code[[0, 1, 3]] = EVENT_IDLE, EVENT_SUCCESS_TON, EVENT_SUCCESS_AON
         # The single row's copy, in Python floats.
         self.growth_one = self.growth_by_code.tolist()
+        # The AON rule's evaluators when competing and when obeying, folded
+        # once per distinct rule: at sigma_S = sigma_C the modes share one pair.
+        rules = [eq._rule(self.sizes, self.slots, competitive) for competitive in (True, False)]
+        folded = {rule: eq._evaluators(self.sizes, self.slots, rule) for rule in set(rules)}
+        self.compete, self.obey = map(folded.get, rules)
 
     def access(self, play):
-        """Who may access under one play of a schedule: ``(rule, aon_bias, ton_bias)``.
+        """Who may access under one play of a schedule: ``(evaluators, aon_bias, ton_bias)``.
 
-        The AON may access at ``rule``'s tau where the device draw is below
+        The AON may access at the tau of its rule's ``(one, rows)`` evaluators
+        (``equilibrium._evaluators``) where the device draw is below
         ``aon_bias``, and the TON at ``tau_T*`` where it is at or above ``ton_bias``.
         """
         inf = float("inf")
         if play is None:
-            return eq._rule(self.sizes, self.slots, True), inf, -inf
+            return self.compete, inf, -inf
         biases = {JOINT: (inf, -inf), IDLE: (-inf, inf)}.get(play, (play, play))
-        return eq._rule(self.sizes, self.slots, False), *biases
+        return self.obey, *biases
 
     def uniforms(self, stream, seed: int, block: int, run: int, out: np.ndarray) -> np.ndarray:
         """Draw stage block ``block`` of runs ``run``, ``run + 1``, ... into ``out``; returns it.
@@ -342,31 +350,37 @@ class _Engine:
         """Step run ``run`` of ``seed`` as one row in Python numbers, yielding each stage.
 
         The row plays the one-copy ``schedule``, as its copy of a batch does,
-        each entry's rule folded once (``equilibrium._scalar_rule``).  A
+        through the engine's float evaluator of each entry's rule.  A
         stage yields the device draw, the rule's tau, the played tau_aon, the
         event code, the network age and the node ages (a list that the next
         stage advances in place).
         """
-        phases = {}
-        for start, (play,) in schedule:
-            rule, aon_bias, ton_bias = self.access(play)
-            phases[start] = eq._scalar_rule(self.sizes, self.slots, rule), aon_bias, ton_bias
+        _check_seed(seed)
+        if not (isinstance(run, numbers.Integral) and run >= 0):
+            raise ConfigurationError(f"run index must be a non-negative integer, got {run!r}")
+        phases = {start: self.access(play) for start, (play,) in schedule}
         ages = [self.params.initial_age] * self.n_aon
         delta, phase = self.params.initial_age, phases[0]
         # The row's draws, converted to Python numbers a table at a time.
-        rows = (
+        draws = (
             row
             for aon, *rest in self.blocks(seed, range(run, run + 1), n_stages)
             for row in zip(*aon[..., 0].T.tolist(), *(t[:, 0].tolist() for t in rest))
         )
-        for n, draw in enumerate(rows):
-            tau_of, aon_bias, ton_bias = phase = phases.get(n, phase)
+        for n, draw in enumerate(draws):
+            (tau_of, _), aon_bias, ton_bias = phase = phases.get(n, phase)
             tau, device = tau_of(delta), draw[2]
             tau_a = tau if device < aon_bias else -1.0
             code = self.slot_one(ages, draw, tau_a, device >= ton_bias)
             # Added left to right, as ``_Trajectories`` adds columns.
             delta = _mean_left_to_right(ages)
             yield device, tau, tau_a, code, delta, ages
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that keys no stream of its own: only integers in [0, 2**64) do."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ConfigurationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _two_smallest(columns: np.ndarray, n: int, first, second, node) -> None:
@@ -420,7 +434,7 @@ class _Trajectories:
     Row ``b * n_runs + r`` replays run ``r``'s draws in copy ``b``, which
     plays entry ``b`` of each play list of ``schedule``.  Per schedule entry a
     phase holds the rule groups (consecutive copies under one AON rule share
-    one call on their rows' network ages) and the per-copy bias columns.
+    one ``rows`` call on their rows' network ages) and the per-copy bias columns.
 
     ``ages`` is the (rows x n_aon) node ages, column-major so that each
     node's ages are one contiguous column and the network age is a sum of
@@ -445,11 +459,11 @@ class _Trajectories:
 
     def _phase(self, plays, n_runs):
         """One play per copy, as (rule groups, AON bias column, TON bias column)."""
-        rules, aon_bias, ton_bias = zip(*map(self.engine.access, plays))
+        pairs, aon_bias, ton_bias = zip(*map(self.engine.access, plays))
         groups, start = [], 0
-        for rule, group in itertools.groupby(rules):
+        for (_, rows), group in itertools.groupby(pairs):
             stop = start + len(list(group))
-            groups.append((rule, slice(start * n_runs, stop * n_runs)))
+            groups.append((rows, slice(start * n_runs, stop * n_runs)))
             start = stop
         return groups, np.array(aon_bias)[:, None], np.array(ton_bias)[:, None]
 
@@ -467,9 +481,8 @@ class _Trajectories:
 
     def _play(self, device):
         """The played tau_aon of every row, and whether its TON accesses."""
-        sizes, slots = self.engine.sizes, self.engine.slots
         groups, aon_bias, ton_bias = self.phase
-        taus = [eq._tau(self.delta[rows], sizes, slots, rule) for rule, rows in groups]
+        taus = [rows(self.delta[span]) for rows, span in groups]
         tau = taus[0] if len(taus) == 1 else np.concatenate(taus)
         tau_a = np.where(device < aon_bias, tau.reshape(self.shape), -1.0)
         return tau_a.ravel(), (device >= ton_bias).ravel()
@@ -575,6 +588,7 @@ def _per_run(params: ScenarioParams, seed, n_runs, schedule, weights, threads):
     """
     if n_runs < 2:
         raise ConfigurationError("a Monte Carlo estimate needs at least two runs")
+    _check_seed(seed)
     engine = _Engine(params)
     copies, n_columns = len(schedule[0][1]), weights.shape[1]
     payoffs = np.empty((2, copies, n_columns, n_runs))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import slotshare as ss
-from slotshare import cli
+from slotshare import cli, etiquette
 from slotshare.config import parse_config
 from slotshare.sim import _Engine
 from conftest import compact_draw, with_ton_tau
@@ -195,6 +195,31 @@ def test_fig4_always_transmit_frequency_monotone():
         ok,
         "f1=" + ", ".join(f"{m:.4f}" for m in means),
     )
+
+
+def test_ua_avg_payoff_shorter_collisions_pay_the_aon_more():
+    # The paper's ua_avg_payoff passage: though a larger AON collides more
+    # often, its average discounted payoff is larger the shorter the
+    # collision slots, as its tau = 1 branch then makes a collision cheaper
+    # than staying silent.  The draws do not read the slot lengths, so the
+    # three scenarios' runs pair: small - equal and equal - large must both
+    # hold (tri-state 1) at every AON size.
+    n_runs, n_stages = 300, 100
+    weights = ss.sim._discount_weights([0.9], n_stages)
+    details, ok = [], True
+    for na in (1, 2, 5, 17):
+        aon = [
+            ss.sim._per_run(
+                ss.ScenarioParams(ss.NetworkSizes(na, 5), slots, alpha=0.9),
+                17, n_runs, [(0, [None])], weights, 1,
+            )[0][0, 0, 0]
+            for slots in (SMALL, EQUAL, LARGE)
+        ]
+        for shorter, longer in zip(aon, aon[1:]):
+            mean, se = ss.sim._mean_se(shorter - longer)
+            ok &= etiquette._tri_state(mean, se) == 1
+            details.append(f"N_A={na}: z={mean / se:.1f}")
+    criterion("ua_avg_payoff: AON payoff falls as collisions lengthen", ok, "; ".join(details))
 
 
 def test_observation1_region_shrinks_with_size():

@@ -321,6 +321,21 @@ class TestCli:
         code, out = run_cli([*command, "--runs", "1", "--stages", "5"])
         assert (code, out) == (cli.EXIT_CONFIG, "")
 
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [("-1", cli.EXIT_CONFIG), ("18446744073709551616", cli.EXIT_CONFIG),
+         ("0", cli.EXIT_OK), ("18446744073709551615", cli.EXIT_OK)],
+    )
+    def test_seed_range_exit_code(self, seed, expected):
+        # A seed keys one 64-bit Philox word: -1 and 2**64 would alias the
+        # streams of 2**64 - 1 and of 0, so they are refused before any draw.
+        for command in (["gain"], ["region"], ["freq"], ["simulate", "--mode", "competitive"]):
+            code, out = run_cli([*command, "--seed", seed, "--runs", "3", "--stages", "3"])
+            assert (code, bool(out)) == (expected, expected == cli.EXIT_OK)
+        if out:
+            # The last command's CSV, ``simulate``'s, prints the seed it ran.
+            assert next(csv.DictReader(io.StringIO(out)))["seed"] == seed
+
     def test_one_run_region_exit_code(self):
         # One run has no standard error, so it cannot decide a cell.
         code, out = run_cli(["region", "--runs", "1", "--stages", "5"])

@@ -301,8 +301,9 @@ def test_interior_is_continuous_at_threshold_for_multinode_aon():
         for competitive in (True, False):
             rule = eq._rule(sizes, slots, competitive)
             th = max(rule.th0, rule.th1)
-            below = eq._tau(th, sizes, slots, rule)
-            above = eq._tau(th + 1e-9, sizes, slots, rule)
+            one, _ = eq._evaluators(sizes, slots, rule)
+            below = one(th)
+            above = one(th + 1e-9)
             assert abs(above - below) <= 1e-6, (sizes, slots, competitive, below, above)
             if expected_boundary is not None:
                 assert below in (0.0, 1.0)
@@ -317,26 +318,21 @@ def _hand_rule(k, c):
 
 
 def test_out_of_range_raises_instead_of_clamping():
-    # The array path, on a bare interior formula.
-    with pytest.raises(ss.OutOfRangeError, match="probability 50.0 "):
-        eq._three_branch(np.array([5.0]), 0.0, 1.0, lambda d: d * 10.0)
-    with pytest.raises(ss.OutOfRangeError, match="probability nan "):
-        eq._three_branch(np.array([5.0]), 0.0, 1.0, lambda d: d * 0.0 / 0.0)
-    # The scalar evaluator: 50 / 1, and 0 / 0, where a Python float raises
-    # ZeroDivisionError; it must surface as the same error, with the value
-    # numpy reports, and read as the array path's.
+    # 50 / 1, and 0 / 0, where a Python float raises ZeroDivisionError: the
+    # float evaluator must surface it as the same error, with the value numpy
+    # reports, and read as the array evaluator's.
     for (k, c), value in (((-49.0, 50.0), "50.0"), ((0.0, 0.0), "nan")):
-        rule = _hand_rule(k, c)
+        one, rows = eq._evaluators(HAND_SIZES, HAND_SLOTS, _hand_rule(k, c))
         with pytest.raises(ss.OutOfRangeError, match=f"probability {value} ") as scalar:
-            eq._scalar_rule(HAND_SIZES, HAND_SLOTS, rule)(1.0)
-        with pytest.raises(ss.OutOfRangeError) as array:
-            eq._tau(np.array([1.0]), HAND_SIZES, HAND_SLOTS, rule)
+            one(1.0)
+        with pytest.raises(ss.OutOfRangeError, match=f"probability {value} ") as array:
+            rows(np.array([1.0]))
         assert str(scalar.value) == str(array.value)
 
 
-def _rule_result(tau, age, *args):
+def _rule_result(tau, age):
     try:
-        return tau(age, *args)
+        return tau(age)
     except ss.OutOfRangeError as err:
         return str(err)
 
@@ -353,23 +349,31 @@ def test_scalar_path_equals_array_path(scenario):
         for th in (t for rule in rules for t in (rule.th0, rule.th1)):
             if np.isfinite(th):
                 ages += [np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf)]
-        for rule in rules:
-            folded = eq._scalar_rule(sizes, slots, rule)
+        for competitive, rule in zip((True, False), rules):
+            one, rows = eq._evaluators(sizes, slots, rule)
             for age in ages:
                 array = np.array([age], dtype=np.float64)
-                expected = _rule_result(eq._tau, array, sizes, slots, rule)
+                expected = _rule_result(rows, array)
                 if not isinstance(expected, str):
                     expected = float(expected[0]).hex()
-                # The evaluator itself, then ``_tau`` on every scalar input type.
+                # The float evaluator, then the solver, which refuses a
+                # negative age, on every scalar input type.
                 scalars = (age, float(age), np.float64(age), np.array(float(age)))
-                results = [("evaluator", _rule_result(folded, float(age)))] + [
-                    (type(x), _rule_result(eq._tau, x, sizes, slots, rule)) for x in scalars
+                results = [("evaluator", _rule_result(one, float(age)))]
+                results += [
+                    (type(x), _rule_result(lambda a: _solved_tau(sizes, slots, a, competitive), x))
+                    for x in scalars
+                    if age >= 0.0
                 ]
                 for path, got in results:
                     if not isinstance(got, str):
                         assert type(got) is float
                         got = got.hex()
                     assert got == expected, (rule, sizes, age, path)
+
+
+def _solved_tau(sizes, slots, age, competitive):
+    return eq._solve(sizes, slots, age, competitive)[0].tau_aon
 
 
 def _reference_thresholds(sizes, slots, competitive):
@@ -409,7 +413,7 @@ def _reference_tau(delta, sizes, slots, competitive):
         return num / den
 
     interior = competing if competitive and ss_ != sc else cooperative
-    return eq._three_branch(delta, th0, th1, interior)
+    return _clip_three_branch(delta, th0, th1, interior)
 
 
 def _hex_or_text(result):
@@ -429,6 +433,7 @@ def test_one_rule_equals_the_two_reference_rules():
         sizes = ss.NetworkSizes(na, nt)
         slots = ss.SlotLengths(0.01, 1.01, ratio * 1.01)
         rule = eq._rule(sizes, slots, competitive)
+        one, rows = eq._evaluators(sizes, slots, rule)
         reference = _reference_thresholds(sizes, slots, competitive)
         assert [_hex_or_text(t) for t in (rule.th0, rule.th1)] == [
             _hex_or_text(t) for t in reference
@@ -439,18 +444,19 @@ def test_one_rule_equals_the_two_reference_rules():
         for th in filter(np.isfinite, reference):
             ages += [np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf)]
         for age in (a for a in ages if a >= 0.0):
-            # The array path, then every scalar input type, against the
-            # reference rules on the array (their threshold rule has no
-            # scalar path of its own).
-            want = _rule_result(_reference_tau, np.array([age]), sizes, slots, competitive)
-            scalars = (age, float(age), np.float64(age), np.array(float(age)))
-            for value in (np.array([age]), *scalars):
-                got = _rule_result(eq._tau, value, sizes, slots, rule)
+            # The array evaluator, then the float one, against the reference
+            # rules on the array (their threshold rule has no scalar path of
+            # its own).
+            want = _rule_result(
+                lambda a: _reference_tau(a, sizes, slots, competitive), np.array([age])
+            )
+            for tau, value in ((rows, np.array([age])), (one, float(age))):
+                got = _rule_result(tau, value)
                 assert _hex_or_text(got) == _hex_or_text(want), (sizes, slots, competitive, age)
 
 
 def _clip_three_branch(delta, th0, th1, interior):
-    """The array path of ``_three_branch`` as one where/clip expression, kept as the reference."""
+    """The threshold rule's array path as one where/clip expression, kept as the reference."""
     th = max(th0, th1)
     pinned = 0.0 if th == th0 else 1.0
     mask = delta > th
@@ -464,7 +470,7 @@ def _clip_three_branch(delta, th0, th1, interior):
 
 
 def _clip_tau(delta, sizes, slots, rule):
-    """``_tau`` through the reference array path, every rule scaling by k and adding c."""
+    """``rule``'s tau through the reference array path, every rule scaling by k and adding c."""
     si, ss_, sc = slots.idle, slots.success, slots.collision
     na = sizes.n_aon
     k, c, th0, th1 = rule
@@ -484,7 +490,7 @@ def _bits(result):
 
 
 @pytest.mark.parametrize("scenario", list(SlotScenario), ids=lambda s: s.value)
-def test_tau_array_path_equals_the_clip_expression(scenario):
+def test_rows_equals_the_clip_expression(scenario):
     # The array path clips in place and only when a row leaves [0, 1]: on
     # ages in every regime, near each threshold and infinite (an error), the
     # taus are bit-equal to the where/clip expression and errors read alike.
@@ -493,6 +499,7 @@ def test_tau_array_path_equals_the_clip_expression(scenario):
     for na, nt, competitive in itertools.product((1, 2, 5, 17), (1, 2, 5), (True, False)):
         sizes = ss.NetworkSizes(na, nt)
         rule = eq._rule(sizes, slots, competitive)
+        _, rows = eq._evaluators(sizes, slots, rule)
         finite = [t for t in (rule.th0, rule.th1) if np.isfinite(t)]
         top = max(finite + [1.0])
         ages = [rng.uniform(0.0, 3.0 * top, 200)]
@@ -502,21 +509,30 @@ def test_tau_array_path_equals_the_clip_expression(scenario):
         delta = np.concatenate(ages)
         delta = delta[delta >= 0.0]
         for case in (delta, np.append(delta, np.inf)):
-            got = _rule_result(eq._tau, case, sizes, slots, rule)
-            want = _rule_result(_clip_tau, case, sizes, slots, rule)
+            got = _rule_result(rows, case)
+            want = _rule_result(lambda d: _clip_tau(d, sizes, slots, rule), case)
             assert _bits(got) == _bits(want), (sizes, competitive)
 
 
-def test_three_branch_clip_keeps_bits_of_the_clip_expression():
+def test_rows_clip_keeps_bits_of_the_clip_expression():
     # Rows slightly outside [0, 1] within the tolerance are clipped, and a
-    # -0.0 row stays -0.0, exactly as np.clip leaves it.
-    offsets = np.array([-1e-10, -0.0, 0.0, 0.5, 1.0, 1.0 + 1e-10, 0.25])
-    delta = np.arange(offsets.size, dtype=np.float64)
-    for th0, th1 in ((1.5, 0.0), (0.0, 1.5), (-1.0, -2.0)):
-        got = eq._three_branch(delta, th0, th1, lambda d: offsets.copy())
-        want = _clip_three_branch(delta, th0, th1, lambda d: offsets.copy())
-        assert _bits(got) == _bits(want)
-    assert np.signbit(got[1])
+    # -0.0 row stays -0.0, exactly as np.clip leaves it; the float evaluator
+    # reads the same bits.  Hand rules whose age-1 tau c / (k + c) is about
+    # -1e-10, -0.0, 0.0, 0.5, 1.0, 1 + 1e-10 and 0.25, on both pinned
+    # branches and with every age interior.
+    kcs = ((1.0 + 1e-10, -1e-10), (-1.0, 0.0), (1.0, 0.0), (0.5, 0.5), (0.0, 1.0),
+           (-1e-10, 1.0 + 1e-10), (0.75, 0.25))
+    for th0, th1, ages in ((0.5, 0.0, [0.0, 1.0, 2.0]), (0.0, 0.5, [0.0, 1.0, 2.0]),
+                           (-1.0, -2.0, [1.0, 2.0])):
+        delta = np.array(ages)
+        for k, c in kcs:
+            rule = eq._Rule(k, c, th0, th1)
+            one, rows = eq._evaluators(HAND_SIZES, HAND_SLOTS, rule)
+            got = rows(delta)
+            assert _bits(got) == _bits(_clip_tau(delta, HAND_SIZES, HAND_SLOTS, rule))
+            assert _bits(got) == _bits(np.array([one(d) for d in ages]))
+        one, rows = eq._evaluators(HAND_SIZES, HAND_SLOTS, eq._Rule(-1.0, 0.0, th0, th1))
+        assert np.signbit(rows(np.array([1.0]))[0]) and np.signbit(one(1.0))
 
 
 @pytest.mark.parametrize("solver", [ss.msne, ss.cooperative_optimum])
@@ -535,11 +551,11 @@ def test_stage_payoffs_reject_non_finite(u_aon, u_ton):
 
 
 def test_boundary_tolerance_clamps_tiny_overshoot():
-    assert eq._three_branch(np.array([5.0]), 0.0, 1.0, lambda d: d * 0.0 + 1.0 + 1e-10) == 1.0
     # 1 / (1 - 1e-10) overshoots 1 by about 1e-10.
-    rule = _hand_rule(-1e-10, 1.0)
+    one, rows = eq._evaluators(HAND_SIZES, HAND_SLOTS, _hand_rule(-1e-10, 1.0))
     assert 1.0 < 1.0 / (1.0 - 1e-10) <= 1.0 + eq.BOUNDARY_TOL
-    assert eq._scalar_rule(HAND_SIZES, HAND_SLOTS, rule)(1.0) == 1.0
+    assert rows(np.array([1.0])) == 1.0
+    assert one(1.0) == 1.0
 
 
 class TestCooperationRange:

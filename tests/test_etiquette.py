@@ -463,7 +463,8 @@ class TestGrimTrigger:
         # After stage 1 the branch competes: the rule's tau at each pre-slot age.
         rule = eq._rule(params.sizes, params.slots, True)
         taus = [st.tau_aon for st in trace.stages[1:]]
-        assert taus == eq._tau(-state.u_aon[:-1, 0], params.sizes, params.slots, rule).tolist()
+        _, rows = eq._evaluators(params.sizes, params.slots, rule)
+        assert taus == rows(-state.u_aon[:-1, 0]).tolist()
 
     def test_stage_records_are_immutable_tuples(self, equal_slots):
         # The records are named tuples: fixed field order, read-only fields,

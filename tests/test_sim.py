@@ -582,7 +582,8 @@ class TestRealizedVersusExpected:
         sizes, tau_t = params.sizes, engine.tau_ton_star
         # Pre-slot network ages: the initial age, then each stage's post-slot age.
         delta = np.hstack([np.full((n_runs, 1), params.initial_age), -state.u_aon[:-1].T])
-        tau = eq._tau(delta, sizes, equal_slots, eq._rule(sizes, equal_slots, p_r is None))
+        _, rows = eq._evaluators(sizes, equal_slots, eq._rule(sizes, equal_slots, p_r is None))
+        tau = rows(delta)
         stage_aon = -eq._stage_age(tau, tau_t, sizes, equal_slots, delta, p_r=p_r)
         stage_ton = eq._stage_throughput(tau, tau_t, sizes, equal_slots, params.rate, p_r=p_r)
         for field, stage in (("u_aon", stage_aon), ("u_ton", stage_ton)):
@@ -669,12 +670,12 @@ class TestSingleRow:
             assert bits(delta) == bits(ages), (na, nt, schedule)
             assert bits(engine.ton_by_code[list(code)]) == bits(state.u_ton[:, 0])
             assert bits(tau_a) == bits(played)
-            # The rule's tau, by the array path on the batch's pre-slot ages.
+            # The rule's tau, by the array evaluator on the batch's pre-slot ages.
             before = np.array([params.initial_age] + ages[:-1])
             bounds = starts[1:] + [n_stages]
             for (start, (play,)), stop in zip(schedule, bounds):
-                rule = engine.access(play)[0]
-                want = eq._tau(before[start:stop], params.sizes, params.slots, rule)
+                _, rows = engine.access(play)[0]
+                want = rows(before[start:stop])
                 assert bits(tau[start:stop]) == bits(want), (na, nt, schedule, start)
 
     @pytest.mark.parametrize("na", [8, 9, 10, 17, 33])
@@ -828,15 +829,19 @@ class TestRuleSharing:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The length of every array rule call; scalar ones (``cooperative_optimum``) are left out."""
-        lengths, tau = [], eq._tau
+        """The length of every ``rows`` call; float ones (``cooperative_optimum``) are left out."""
+        lengths, evaluators = [], eq._evaluators
 
-        def counted(delta, *args):
-            if np.ndim(delta):
+        def counted(*args):
+            one, rows = evaluators(*args)
+
+            def counted_rows(delta):
                 lengths.append(len(delta))
-            return tau(delta, *args)
+                return rows(delta)
 
-        monkeypatch.setattr(eq, "_tau", counted)
+            return one, counted_rows
+
+        monkeypatch.setattr(eq, "_evaluators", counted)
         monkeypatch.setattr(sim, "_DEFAULT_CHUNK", 16)
         return lengths
 
@@ -858,6 +863,82 @@ class TestRuleSharing:
         ss.region_sweep(params, [0.5, 0.9], [0.2, 0.5, 0.8], 40, 12, seed=3)
         assert len(calls) == 3 * (1 + 11 * groups)
         assert sum(calls) == 40 * 8 * 12
+
+
+class TestRuleFolding:
+    """The engine folds each distinct AON rule once; its trajectories fold none."""
+
+    @pytest.mark.parametrize("slots, shared", [("equal_slots", True), ("small_collision", False)])
+    def test_engine_folds_each_rule_once(self, slots, shared, request, monkeypatch):
+        folds, evaluators = [], eq._evaluators
+
+        def counted(*args):
+            folds.append(args[-1])
+            return evaluators(*args)
+
+        monkeypatch.setattr(eq, "_evaluators", counted)
+        engine = _Engine(scenario(request.getfixturevalue(slots)))
+        # Equal slots give the competitive copies the cooperative rule.
+        assert len(folds) == len(set(folds)) == (1 if shared else 2)
+        assert (engine.access(None)[0] is engine.access(0.5)[0]) is shared
+        folds.clear()
+        schedule = [(0, [0.5, None]), (3, [sim.JOINT, sim.IDLE]), (7, [None, 1.0])]
+        sim._simulate_batch(engine, 5, range(4), schedule, sim._discount_weights([0.9], 12))
+        row = [(0, [0.5]), (3, [sim.JOINT]), (7, [None]), (9, [sim.IDLE])]
+        assert len(list(engine.trace(5, 2, 12, row))) == 12
+        assert folds == []
+
+
+class TestSeedRange:
+    """A seed is one Philox key word: only integers in [0, 2**64) key streams of their own."""
+
+    @pytest.fixture
+    def no_draw(self, monkeypatch):
+        """Fail any uniform draw or thread pool: a refused seed must be refused first."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew or pooled for a refused seed")
+
+        monkeypatch.setattr(_Engine, "uniforms", refuse)
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", refuse)
+
+    @staticmethod
+    def readers(params, seed):
+        """Every public reader of the run streams, at ``seed``."""
+        config = ss.RunConfig(params, 5, ss.Mode.COMPETITIVE, seed)
+        return [
+            lambda: ss.monte_carlo(config, 3, threads=2),
+            lambda: ss.gain_grid(params, 3, 5, seed, [0.9], [0.5], threads=2),
+            lambda: ss.gain_of_cooperation(params, 3, 5, seed),
+            lambda: ss.region_sweep(params, [0.9], [0.5], 3, 5, seed, threads=2),
+            lambda: ss.deviation_inequalities(params, 3, 5, seed),
+            lambda: ss.simulate_grim_trigger(params, 5, seed, 1, ss.DeviationCase.H_AON_DEVIATES),
+            lambda: ss.run_single(config),
+        ]
+
+    # -1 and 2**64 would key the streams of 2**64 - 1 and of 0, 2**64 + 3
+    # those of 3, and 1.5 those of 1.
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3, 1.5, np.float64(3.0)])
+    def test_seed_outside_one_word_refused_before_any_draw(self, seed, no_draw, equal_slots):
+        for read in self.readers(scenario(equal_slots, na=2, nt=2), seed):
+            with pytest.raises(ss.ConfigurationError, match="seed must be an integer"):
+                read()
+
+    @pytest.mark.parametrize("run_index", [-1, 1.0])
+    def test_run_index_must_be_a_non_negative_integer(self, run_index, no_draw, equal_slots):
+        config = ss.RunConfig(scenario(equal_slots), 5, ss.Mode.COMPETITIVE, seed=1)
+        with pytest.raises(ss.ConfigurationError, match="run index"):
+            ss.run_single(config, run_index=run_index)
+
+    def test_edge_seeds_run_on_streams_of_their_own(self, equal_slots):
+        params = scenario(equal_slots, na=2, nt=2)
+        singles = {}
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            for read in self.readers(params, seed):
+                read()
+            single = ss.run_single(ss.RunConfig(params, 40, ss.Mode.COMPETITIVE, seed))
+            singles[int(seed)] = single.stages.u_aon.tolist()
+        assert singles[0] != singles[2**64 - 1]
 
 
 def test_run_config_validation(small_collision):
