@@ -8,8 +8,8 @@ analysis (``etiquette``), and a CSV-emitting experiment CLI (``cli``).
 """
 
 from .model import (
-    AccessProfile, AgeState, ConfigurationError, NetworkSizes, Recommendation, ScenarioParams,
-    SlotLengths, SlotProbabilities, slot_probabilities_competitive, slot_probabilities_cooperative,
+    AccessProfile, ConfigurationError, NetworkSizes, Recommendation, ScenarioParams, SlotLengths,
+    SlotProbabilities, slot_probabilities_competitive, slot_probabilities_cooperative,
 )
 from .equilibrium import (
     CooperationRange, OutOfRangeError, Regime, StagePayoffs, ThresholdAges, best_response_oracle,
@@ -27,8 +27,8 @@ from .etiquette import (
 
 # The public names, by module; the submodules stay importable but are not exported.
 __all__ = [
-    "AccessProfile", "AgeState", "ConfigurationError", "NetworkSizes", "Recommendation",
-    "ScenarioParams", "SlotLengths", "SlotProbabilities",
+    "AccessProfile", "ConfigurationError", "NetworkSizes", "Recommendation", "ScenarioParams",
+    "SlotLengths", "SlotProbabilities",
     "slot_probabilities_competitive", "slot_probabilities_cooperative",
     "CooperationRange", "OutOfRangeError", "Regime", "StagePayoffs", "ThresholdAges",
     "best_response_oracle", "cooperation_beneficial_pr_set", "cooperative_optimum",

@@ -1,10 +1,11 @@
 """Experiment configuration: slot-length scenarios and INI parsing.
 
 Config files are flat ``key = value`` INI sections (``[scenario]``, ``[run]``,
-``[grids]``); every key is optional and falls back to the defaults below.
-Grids accept either a comma list (``0.1, 0.5, 0.9``) or a linspace spec
-``lo:hi:count``.  ``emit_config`` round-trips: parsing its output reproduces
-the identical configuration.
+``[grids]``); every key is optional and falls back to the defaults below,
+and a ``[DEFAULT]`` key, or a section or key that ``emit_config`` does not
+write, is refused.  Grids accept either a comma list (``0.1, 0.5, 0.9``) or a
+linspace spec ``lo:hi:count``.  ``emit_config`` round-trips: parsing its
+output reproduces the identical configuration.
 """
 
 from __future__ import annotations
@@ -177,6 +178,17 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(f"invalid config syntax: {err}") from None
 
     base = default_config()
+    # The known sections and keys are those emit_config writes.
+    known = configparser.ConfigParser()
+    known.read_string(emit_config(base))
+    if parser.defaults():
+        raise ConfigError("[DEFAULT] section is not supported")
+    for name in parser.sections():
+        if not known.has_section(name):
+            raise ConfigError(f"unknown section [{name}]")
+        for key in parser.options(name):
+            if not known.has_option(name, key):
+                raise ConfigError(f"{name}.{key}: unknown key")
     scen = _Section(parser, "scenario")
     run = _Section(parser, "run")
     grids = _Section(parser, "grids")

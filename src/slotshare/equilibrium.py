@@ -37,6 +37,8 @@ from .model import (
 # Interior-formula output is clamped to [0, 1] only within this tolerance;
 # anything farther out signals an unreachable parameter regime.
 BOUNDARY_TOL = 1e-9
+# Spacing of the device-bias grid that ``cooperation_beneficial_pr_set`` scans.
+PR_GRID_STEP = 1e-3
 
 
 class OutOfRangeError(RuntimeError):
@@ -125,14 +127,14 @@ def _rule(sizes: NetworkSizes, slots: SlotLengths, competitive: bool) -> _Rule:
 def _evaluators(sizes: NetworkSizes, slots: SlotLengths, rule: _Rule):
     """The AON's tau under ``rule`` (from ``_rule``) as ``(one, rows)``, constants folded once.
 
-    ``one`` maps one age (a float) to a float and ``rows`` an array of ages
+    The constants are Python floats, so ``one`` maps one age (a float) to a
+    float even for numpy-typed sizes and slots, and ``rows`` an array of ages
     (the batch engine) to an array.  Both evaluate one interior formula in
     the same IEEE operations, so they agree bit for bit and raise the same
     ``OutOfRangeError``; ties at th0 == th1 resolve to the silent branch.
     """
-    si, ss, sc = slots.idle, slots.success, slots.collision
-    na = sizes.n_aon
-    k, c, th0, th1 = rule
+    si, ss, sc, na = map(float, (slots.idle, slots.success, slots.collision, sizes.n_aon))
+    k, c, th0, th1 = map(float, rule)
     th = max(th0, th1)
     pinned = 0.0 if th == th0 else 1.0
     shift, kna, gap, span = na * (ss - si), k * na, si - sc, na * (ss - sc)
@@ -297,7 +299,6 @@ def cooperation_beneficial_pr_set(
     sizes: NetworkSizes,
     slots: SlotLengths,
     network_age: float,
-    pr_grid_step: float = 1e-3,
 ) -> CooperationRange:
     """Scan the device bias for one-shot mutual benefit of cooperation.
 
@@ -306,13 +307,11 @@ def cooperation_beneficial_pr_set(
     equilibrium).  The transmission rate scales both throughput sides equally
     and cannot change the outcome, so it is fixed at 1 here.
     """
-    if not 0.0 < pr_grid_step <= 0.01:
-        raise ConfigurationError("grid step must lie in (0, 0.01]")
     nash, _ = msne(sizes, slots, network_age)
     coop, _ = cooperative_optimum(sizes, slots, network_age)
     base = expected_stage_payoffs(sizes, slots, nash, network_age, rate=1.0)
 
-    pr = np.linspace(0.0, 1.0, int(round(1.0 / pr_grid_step)) + 1)
+    pr = np.linspace(0.0, 1.0, int(round(1.0 / PR_GRID_STEP)) + 1)
     age_c = _stage_age(coop.tau_aon, coop.tau_ton, sizes, slots, network_age, p_r=pr)
     thr_c = _stage_throughput(coop.tau_aon, coop.tau_ton, sizes, slots, 1.0, p_r=pr)
     ok = (-age_c >= base.u_aon) & (thr_c >= base.u_ton)
@@ -330,7 +329,7 @@ def cooperation_beneficial_pr_set(
 
     return CooperationRange(
         intervals=tuple(intervals),
-        grid_step=pr_grid_step,
+        grid_step=PR_GRID_STEP,
         reported_lower_bound=_reported_pr_lower_bound(sizes, slots, network_age, nash, coop),
         reported_upper_bound=1.0 - (1.0 - nash.tau_aon) ** sizes.n_aon,
     )

@@ -9,18 +9,14 @@ closed-form slot-outcome probabilities for the competitive mode (both
 networks access) and the cooperative mode (a coordination device grants
 exclusive access).  Slots are sampled, and ages advanced, in one place only:
 the trajectory engine (``sim._Engine``), whose draws and slot law the
-grim-trigger audit replays too; ``AgeState`` holds a finished run's ages.
+grim-trigger audit replays too.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
-import operator
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 # Probability identities (partition sums, derived means) are checked to this
 # absolute tolerance; violations indicate a bug, not noise.
@@ -157,35 +153,6 @@ class SlotProbabilities:
         total = sizes.n_aon * self.p_success_node_aon + sizes.n_ton * self.p_success_node_ton
         if abs(total - self.p_success_total) > PROB_ATOL:
             raise ConfigurationError("per-node successes do not aggregate to p_success_total")
-
-
-def _mean_left_to_right(ages) -> float:
-    """The mean of node ages added left to right, as the engine adds its columns.
-
-    Not ``sum``, which compensates rounding from Python 3.12, nor numpy's pairwise sum.
-    """
-    return functools.reduce(operator.add, ages) / len(ages)
-
-
-@dataclass(frozen=True)
-class AgeState:
-    """Per-AON-node update ages at a slot boundary; ``network_age`` is their mean."""
-
-    ages: np.ndarray
-    network_age: float = field(init=False)
-
-    def __post_init__(self):
-        ages = np.array(self.ages, dtype=np.float64)
-        if ages.ndim != 1 or ages.size == 0:
-            raise ConfigurationError("ages must be a non-empty vector")
-        # min() is NaN when any age is, which fails the comparison; a finite
-        # mean then rules out +inf.
-        mean = _mean_left_to_right(ages.tolist())
-        if not (ages.min() >= 0.0 and math.isfinite(mean)):
-            raise ConfigurationError("ages must be finite and non-negative")
-        ages.flags.writeable = False
-        object.__setattr__(self, "ages", ages)
-        object.__setattr__(self, "network_age", mean)
 
 
 def _clip_probability(p: float) -> float:

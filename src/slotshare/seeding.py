@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import ConfigurationError
+
 BLOCK_STAGES = 64
 
 
@@ -28,8 +30,11 @@ class BlockStream:
 
     def seek(self, seed: int, block: int, run: int, width: int) -> None:
         """Position the stream at run ``run``'s rows of stage block ``block`` of ``seed``."""
+        counter = run * BLOCK_STAGES * width // 4
+        if counter >= 2**64:
+            raise ConfigurationError(f"run index {run} puts its Philox counter past 64 bits")
         state = self._state["state"]
-        state["counter"][0] = run * BLOCK_STAGES * width // 4
+        state["counter"][0] = counter
         state["key"][:] = seed, block
         # The state's buffer is empty, so the next double starts the counter's four.
         self._bits.state = self._state

@@ -52,9 +52,9 @@ chunks of ``ceil(runs / threads)`` runs within ``[_MIN_CHUNK,
 _DEFAULT_CHUNK]``, fans them out over threads when the chunks hold at least
 ``_POOL_COPIES`` copies, and stores each run's results by run index; it
 refuses fewer than two runs, which leave no standard error.  A single row
-(``run_single``, the grim-trigger audit) is stepped in Python numbers by the
-one generator ``_Engine.trace``, which replays its row of a batch bit for
-bit through the same rules' float evaluators ``one``.
+(``run_single``, the grim-trigger audit) is stepped in Python floats by
+``_Engine.trace``, which replays its batch row bit for bit: the same rules'
+``one`` evaluators, slot step and network age (``_mean_left_to_right``).
 
 A node transmits iff its draw is below its network's access probability, so
 the AON sends 0, 1 or at least 2 packets according to whether its tau lies
@@ -82,7 +82,7 @@ import numpy as np
 
 from . import equilibrium as eq
 from . import seeding
-from .model import AgeState, ConfigurationError, ScenarioParams, _mean_left_to_right
+from .model import ConfigurationError, ScenarioParams
 
 # A chunk is ceil(runs / threads) runs wide, clipped to
 # [_MIN_CHUNK, _DEFAULT_CHUNK]: threads share only batches of many runs.
@@ -142,8 +142,8 @@ class RunResult:
     u_ton_discounted: float
     freq_tau_one: float
     freq_tau_zero: float
-    final_ages: AgeState
-    stages: StageRecord | None = None
+    final_ages: tuple[float, ...]
+    stages: StageRecord
 
     def __post_init__(self):
         if self.u_ton_discounted < 0.0:
@@ -173,10 +173,8 @@ class _Engine:
 
     def __init__(self, params: ScenarioParams):
         self.params = params
-        self.sizes = params.sizes
-        self.slots = params.slots
-        self.n_aon = params.sizes.n_aon
-        self.n_ton = params.sizes.n_ton
+        slots = self.slots = params.slots
+        self.n_aon, self.n_ton = params.sizes.n_aon, params.sizes.n_ton
         # Uniform columns of a stage row: the device, the AON's (one per node
         # up to two nodes, else U, V and W) and one for the TON.
         self.aon_columns = self.n_aon if self.n_aon <= 2 else 3
@@ -190,24 +188,21 @@ class _Engine:
         self.node_dtype = np.min_scalar_type(self.n_aon - 1)
         # Realized network throughput on a TON success: one node delivered a
         # slot's worth of bits, averaged over the network.
-        self.ton_payout = params.slots.success * params.rate / self.n_ton
+        self.ton_payout = slots.success * params.rate / self.n_ton
         # Every node's age increment, the TON payoff and the recorded event,
         # indexed by the event code 3 * k_a + k_t (each count clipped at 2):
         # code 0 is an idle slot, 1 a TON success, 3 an AON success and any
         # other a collision.
-        slots = params.slots
         self.growth_by_code = np.full(9, slots.collision)
         self.growth_by_code[[0, 1, 3]] = slots.idle, slots.success, slots.success
         self.ton_by_code = np.zeros(9)
         self.ton_by_code[1] = self.ton_payout
         self.event_by_code = np.full(9, EVENT_COLLISION, dtype=np.int8)
         self.event_by_code[[0, 1, 3]] = EVENT_IDLE, EVENT_SUCCESS_TON, EVENT_SUCCESS_AON
-        # The single row's copy, in Python floats.
-        self.growth_one = self.growth_by_code.tolist()
         # The AON rule's evaluators when competing and when obeying, folded
         # once per distinct rule: at sigma_S = sigma_C the modes share one pair.
-        rules = [eq._rule(self.sizes, self.slots, competitive) for competitive in (True, False)]
-        folded = {rule: eq._evaluators(self.sizes, self.slots, rule) for rule in set(rules)}
+        rules = [eq._rule(params.sizes, slots, competitive) for competitive in (True, False)]
+        folded = {rule: eq._evaluators(params.sizes, slots, rule) for rule in set(rules)}
         self.compete, self.obey = map(folded.get, rules)
 
     def access(self, play):
@@ -328,51 +323,39 @@ class _Engine:
             ages[resets, node.take(resets % runs)] = self.slots.success
         return code
 
-    def slot_one(self, ages: list, draw, tau_a: float, ton: bool) -> int:
-        """``slot`` for a single row in Python numbers; returns the event code.
-
-        ``ages`` is the row's node ages, advanced in place, and ``draw`` its
-        values ``(a1, a2, device, count, node)``.  The comparisons, the growth
-        by code and the reset are ``slot``'s, so the row replays the engine's
-        bit for bit without the per-call cost of numpy on one row.
-        """
-        a1, a2, _, count, node = draw
-        # A numpy scalar's comparisons give np.bool_, whose sum is a logical OR.
-        tau_a = float(tau_a)
-        code = 3 * ((a1 < tau_a) + (a2 < tau_a)) + (count if ton else 0)
-        growth = self.growth_one[code]
-        ages[:] = [age + growth for age in ages]
-        if code == 3:
-            ages[node] = self.slots.success
-        return code
-
     def trace(self, seed: int, run: int, n_stages: int, schedule):
-        """Step run ``run`` of ``seed`` as one row in Python numbers, yielding each stage.
+        """Step run ``run`` of ``seed`` as one row in Python floats, yielding each stage.
 
-        The row plays the one-copy ``schedule``, as its copy of a batch does,
-        through the engine's float evaluator of each entry's rule.  A
-        stage yields the device draw, the rule's tau, the played tau_aon, the
-        event code, the network age and the node ages (a list that the next
-        stage advances in place).
+        The row plays the one-copy ``schedule`` as its copy of a batch does:
+        each entry's rule by its float evaluator, then ``slot``'s comparisons,
+        growth by code and reset, bit for bit without numpy's per-call cost.
+        A stage yields the device draw, the rule's tau, the played tau_aon,
+        the event code, the network age and the node ages (a list that the
+        next stage advances in place).
         """
         _check_seed(seed)
         if not (isinstance(run, numbers.Integral) and run >= 0):
             raise ConfigurationError(f"run index must be a non-negative integer, got {run!r}")
         phases = {start: self.access(play) for start, (play,) in schedule}
-        ages = [self.params.initial_age] * self.n_aon
-        delta, phase = self.params.initial_age, phases[0]
+        # Floats, not numpy scalars: two np.bool_ comparisons add as a logical OR.
+        delta, phase = float(self.params.initial_age), phases[0]
+        ages, growth_by_code = [delta] * self.n_aon, self.growth_by_code.tolist()
         # The row's draws, converted to Python numbers a table at a time.
         draws = (
             row
             for aon, *rest in self.blocks(seed, range(run, run + 1), n_stages)
             for row in zip(*aon[..., 0].T.tolist(), *(t[:, 0].tolist() for t in rest))
         )
-        for n, draw in enumerate(draws):
+        for n, (a1, a2, device, count, node) in enumerate(draws):
             (tau_of, _), aon_bias, ton_bias = phase = phases.get(n, phase)
-            tau, device = tau_of(delta), draw[2]
+            tau = tau_of(delta)
             tau_a = tau if device < aon_bias else -1.0
-            code = self.slot_one(ages, draw, tau_a, device >= ton_bias)
-            # Added left to right, as ``_Trajectories`` adds columns.
+            code = 3 * ((a1 < tau_a) + (a2 < tau_a)) + (count if device >= ton_bias else 0)
+            growth = growth_by_code[code]
+            ages[:] = [age + growth for age in ages]
+            if code == 3:
+                # The lone AON transmitter resets to a success slot, code 3's growth.
+                ages[node] = growth
             delta = _mean_left_to_right(ages)
             yield device, tau, tau_a, code, delta, ages
 
@@ -381,6 +364,21 @@ def _check_seed(seed) -> None:
     """Refuse a seed that keys no stream of its own: only integers in [0, 2**64) do."""
     if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
         raise ConfigurationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def _mean_left_to_right(ages):
+    """The network age: the mean of the node ages, added left to right.
+
+    ``ages`` is one row's list of floats or the batch's (nodes x rows)
+    array; ``* 1.0`` copies an array's first node and keeps a float's bits,
+    -0.0 included.  Not ``sum``, which compensates rounding from Python 3.12
+    on, nor numpy's row sum, which adds pairwise from 8 nodes on: a one-run
+    chunk would then differ in the last bits from the same run in a larger one.
+    """
+    total = ages[0] * 1.0
+    for age in ages[1:]:
+        total += age
+    return total / len(ages)
 
 
 def _two_smallest(columns: np.ndarray, n: int, first, second, node) -> None:
@@ -467,18 +465,6 @@ class _Trajectories:
             start = stop
         return groups, np.array(aon_bias)[:, None], np.array(ton_bias)[:, None]
 
-    def _network_age(self) -> np.ndarray:
-        """Per row, the mean of the node ages, adding whole columns left to right.
-
-        Not ``ages.mean(axis=1)``: a single row is contiguous along that axis,
-        where numpy sums pairwise, so at 8 or more AON nodes a one-run chunk
-        would differ in the last bits from the same run in a larger chunk.
-        """
-        total = self.ages[:, 0].copy()
-        for column in self.ages.T[1:]:
-            total += column
-        return total / self.engine.n_aon
-
     def _play(self, device):
         """The played tau_aon of every row, and whether its TON accesses."""
         groups, aon_bias, ton_bias = self.phase
@@ -496,7 +482,7 @@ class _Trajectories:
         self.count_zero += tau_a == 0.0
         self.n_access += tau_a >= 0.0
         # The stage's payoffs, and the next stage's network age.
-        self.delta = self._network_age()
+        self.delta = _mean_left_to_right(self.ages.T)
         self.u_aon -= weights[:, None] * self.delta
         self.u_ton += weights[:, None] * engine.ton_by_code.take(code)
 
@@ -547,7 +533,7 @@ def run_single(config: RunConfig, run_index: int = 0) -> RunResult:
     selected = None if p_r is None else tau_a >= 0.0
     events = engine.event_by_code.take(code)
     record = StageRecord(-delta, engine.ton_by_code.take(code), tau, events, selected)
-    return RunResult(u_aon, u_ton, *freqs, AgeState(ages), record)
+    return RunResult(u_aon, u_ton, *freqs, tuple(ages), record)
 
 
 def _chunks(n_runs: int, threads: int) -> list[tuple[int, int]]:

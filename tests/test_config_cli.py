@@ -107,6 +107,34 @@ class TestConfig:
             parse_config("[grids]\nalpha_grid = 0.1:0.9:0\n")
         assert parse_config("[grids]\nn_aon_list = 1:10:4\n").n_aon_list == (1, 4, 7, 10)
 
+    @pytest.mark.parametrize(
+        "ini, where",
+        [
+            ("[run]\nn_run = 7\n", "run.n_run: unknown key"),
+            ("[scenario]\nn_runs = 7\n", "scenario.n_runs: unknown key"),
+            ("[grid]\nages = 1.0\n", r"unknown section \[grid\]"),
+            ("[Run]\nn_runs = 7\n", r"unknown section \[Run\]"),
+            ("[DEFAULT]\nn_run = 7\n", r"\[DEFAULT\] section is not supported"),
+            ("[DEFAULT]\nn_aon = 3\n[scenario]\n", r"\[DEFAULT\] section is not supported"),
+        ],
+        ids=[
+            "misspelt_key",
+            "key_in_wrong_section",
+            "misspelt_section",
+            "capitalised_section",
+            "default_section",
+            "known_key_in_default_section",
+        ],
+    )
+    def test_unknown_section_or_key_refused(self, tmp_path, ini, where):
+        # Read in silence, each would leave its default in force.
+        with pytest.raises(ConfigError, match=where):
+            parse_config(ini)
+        config = tmp_path / "c.ini"
+        config.write_text(ini)
+        code, out = run_cli(["simulate", "--mode", "competitive", "--config", str(config)])
+        assert (code, out) == (cli.EXIT_CONFIG, "")
+
     def test_one_line_inline_config(self, tmp_path):
         assert parse_config("[run]") == parse_config("[run]\n") == default_config()
         assert parse_config("  [run]").n_runs == default_config().n_runs
@@ -401,7 +429,6 @@ def test_public_names_are_pinned():
     # Adding or removing a public name must show in this list.
     assert sorted(ss.__all__) == [
         "AccessProfile",
-        "AgeState",
         "Aggregate",
         "ComplianceFlag",
         "ConfigurationError",

@@ -581,7 +581,3 @@ class TestCooperationRange:
         lo, hi = result.intervals[0]
         assert result.reported_lower_bound == pytest.approx(lo, abs=2 * result.grid_step)
         assert result.reported_upper_bound == pytest.approx(hi, abs=2 * result.grid_step)
-
-    def test_rejects_coarse_grid(self, equal_slots):
-        with pytest.raises(ss.ConfigurationError):
-            ss.cooperation_beneficial_pr_set(ss.NetworkSizes(1, 1), equal_slots, 1.0, 0.5)

@@ -128,7 +128,7 @@ def _record_rows(params, mode, seed, run_index):
     run = sim.run_single(sim.RunConfig(params, RECORD_STAGES, mode, seed), run_index)
     stages = run.stages
     scalars = (run.u_aon_discounted, run.u_ton_discounted, run.freq_tau_one, run.freq_tau_zero)
-    rows = [" ".join(_hex(v) for v in scalars), " ".join(_hex(a) for a in run.final_ages.ages)]
+    rows = [" ".join(_hex(v) for v in scalars), " ".join(_hex(a) for a in run.final_ages)]
     for n in range(RECORD_STAGES):
         selected = "-" if stages.aon_selected is None else str(bool(stages.aon_selected[n]))
         values = (stages.u_aon[n], stages.u_ton[n], stages.tau_aon[n])

@@ -41,35 +41,6 @@ class TestDomainTypes:
         params = ss.ScenarioParams(ss.NetworkSizes(2, 2), equal_slots)
         assert params.initial_age == equal_slots.success
 
-    def test_age_state_mean_is_derived(self):
-        state = ss.AgeState(np.array([1.0, 3.0]))
-        assert state.network_age == 2.0
-        assert type(state.network_age) is float
-        # The mean is computed, never passed in.
-        with pytest.raises(TypeError):
-            ss.AgeState(ages=np.array([1.0, 3.0]), network_age=2.5)
-
-    def test_age_state_rejects_empty(self):
-        with pytest.raises(ss.ConfigurationError):
-            ss.AgeState([])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-    def test_age_state_rejects_non_finite_or_negative(self, bad):
-        with pytest.raises(ss.ConfigurationError, match="finite and non-negative"):
-            ss.AgeState([bad, 1.0])
-        with pytest.raises(ss.ConfigurationError, match="finite and non-negative"):
-            ss.AgeState(np.array([1.0, bad]))
-
-    def test_age_state_copies_and_freezes(self):
-        source = np.array([1.0, 3.0])
-        state = ss.AgeState(source)
-        source[0] = 7.0
-        assert state.ages[0] == 1.0
-        assert state.network_age == 2.0
-        assert not state.ages.flags.writeable
-        with pytest.raises(ss.ConfigurationError, match="non-empty vector"):
-            ss.AgeState(np.ones((2, 2)))
-
     @pytest.mark.parametrize("field", ["initial_age", "rate"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_scenario_rejects_non_finite(self, field, bad, equal_slots):
@@ -252,8 +223,3 @@ class TestThroughputAndNetworkAge:
         assert _throughput(ss.NetworkSizes(5, 5), profile, small_collision, 1.0) == pytest.approx(
             0.0827392, abs=1e-12
         )
-
-    def test_network_age_is_mean(self):
-        assert ss.AgeState([2.0, 2.0, 2.0]).network_age == 2.0
-        assert ss.AgeState([1.0, 3.0]).network_age == 2.0
-        assert ss.AgeState([1.01]).network_age == 1.01

@@ -128,7 +128,7 @@ class TestDeterminism:
         assert single.u_aon_discounted == state.u_aon[0, 0]
         assert single.u_ton_discounted == state.u_ton[0, 0]
         assert [single.freq_tau_one, single.freq_tau_zero] == [f[0] for f in state.frequencies()]
-        assert single.final_ages.ages.tolist() == state.ages[0].tolist()
+        assert single.final_ages == tuple(state.ages[0].tolist())
         assert single.stages.u_aon.tolist() == state.u_aon[1:, 0].tolist()
         assert single.stages.u_ton.tolist() == state.u_ton[1:, 0].tolist()
         # Run 0 of a batch of two; one run has no standard error and is refused.
@@ -517,7 +517,7 @@ class TestCooperativeRuns:
         params = scenario(equal_slots, na=1, nt=3, p_r=1.0)
         run = ss.run_single(ss.RunConfig(params, 100, ss.Mode.COOPERATIVE, seed=4))
         assert np.all(run.stages.events == ss.sim.EVENT_SUCCESS_AON)
-        assert run.final_ages.ages.tolist() == [equal_slots.success]
+        assert run.final_ages == (equal_slots.success,)
         assert run.freq_tau_one == 1.0
 
     def test_device_prevents_cross_network_collisions(self, equal_slots):
@@ -595,62 +595,58 @@ class TestRealizedVersusExpected:
 
 
 class TestSingleRow:
-    def test_slot_one_replays_slot(self, small_collision):
-        # Row by row, the scalar step reads the vectorized step's event code,
-        # increments and reset, with silenced, idle, mixed and certain access.
-        params = scenario(small_collision, na=3, nt=2)
-        engine = _Engine(params)
-        rows = 2000
-        uniforms = np.random.default_rng(5).random((rows, engine.width))
-        draw = compact_draw(engine, uniforms)
-        tau_a, tau_t = np.random.default_rng(6).choice([-1.0, 0.0, 0.3, 0.8, 1.0], (2, rows))
-        # Each row's TON plays its count at its tau_t, or is silenced.
-        draw = with_ton_tau(engine, uniforms, draw, tau_t)
-        for ton in (np.full(rows, True), np.random.default_rng(7).random(rows) < 0.5):
-            ages = np.full((rows, 3), 2.0, order="F")
-            codes = engine.slot(ages, draw, tau_a, ton)
-            assert set(codes.tolist()) == set(range(9))
-            aon, *rest = draw
-            values = zip(*aon.tolist(), *(a.tolist() for a in rest))
-            for r, (row_draw, *taus) in enumerate(zip(values, tau_a.tolist(), ton.tolist())):
-                # A numpy scalar tau counts as a Python float does.
-                for tau in (taus[0], np.float64(taus[0])):
-                    row = [2.0] * 3
-                    assert engine.slot_one(row, row_draw, tau, taus[1]) == codes[r]
-                    assert row == ages[r].tolist()
+    def test_row_network_age_adds_left_to_right(self):
+        # 1 + 1e-16 rounds back to 1 at each add, so the two small ages are
+        # lost; a compensated sum would keep them, and so would numpy's own
+        # pairwise sum at 8 or more nodes.  A list is one row; the batch's
+        # column-major ages give the function a (nodes x rows) array.
+        cases = [([1.0, 1e-16, 1e-16], 1.0 / 3), ([1.0] + [1e-16] * 8, 1.0 / 9)]
+        cases += [([2.0, 2.0, 2.0], 2.0), ([1.0, 3.0], 2.0), ([1.01], 1.01), ([-0.0], -0.0)]
+        for ages, mean in cases:
+            got = sim._mean_left_to_right(ages)
+            assert type(got) is float and math.copysign(1.0, got) == math.copysign(1.0, mean)
+            assert got == mean, ages
+            rows = np.asfortranarray(np.tile(ages, (4, 1)))
+            network = sim._mean_left_to_right(rows.T)
+            assert network.tolist() == [mean] * 4 and rows.tolist() == [ages] * 4
 
-    def test_row_network_age_adds_left_to_right(self, small_collision):
-        # 1 + 1e-16 rounds back to 1 at each add, as in the engine's column
-        # sum; a compensated sum would keep the two small ages.
-        # At 8 or more nodes numpy's own sum adds pairwise, and would keep them.
-        for ages, mean in (([1.0, 1e-16, 1e-16], 1.0 / 3), ([1.0] + [1e-16] * 8, 1.0 / 9)):
-            engine = _Engine(scenario(small_collision, na=len(ages)))
-            state = sim._Trajectories(engine, 1, [(0, [None])], sim._discount_weights([0.9], 1))
-            state.ages[:] = ages
-            assert ss.model._mean_left_to_right(ages) == state._network_age()[0] == mean
-            assert ss.AgeState(np.array(ages)).network_age == mean
-
-    @pytest.mark.parametrize("interior", [False, True], ids=["default-age", "interior-age"])
+    @pytest.mark.parametrize(
+        "initial, np_inputs",
+        [(None, False), (float, False), (np.float64, False), (np.float64, True)],
+        ids=["default-age", "interior-age", "np-interior-age", "np-sizes-slots"],
+    )
     @pytest.mark.parametrize("scenario_", list(SlotScenario), ids=lambda s: s.value)
-    def test_trace_replays_its_batch_row_under_random_schedules(self, scenario_, interior):
+    def test_trace_replays_its_batch_row_under_random_schedules(
+        self, scenario_, initial, np_inputs
+    ):
         # Schedules of competition, device biases, JOINT and IDLE entries at
         # random stages: the single row's network age, TON payoff, rule tau
         # and played tau equal its one-run batch's bit for bit.  Weight
         # column n takes stage n alone: minus its network age, its TON payoff.
+        # An interior initial age, the sizes and the slot lengths may be
+        # numpy scalars: the row still steps in Python floats, whose two
+        # comparisons add as counts (two np.bool_ would add as a logical OR
+        # and miss the AON's collisions).
         slots = slots_from_scenario(scenario_)
+        if np_inputs:
+            slots = ss.SlotLengths(*np.array([slots.idle, slots.success, slots.collision]))
         rng = np.random.default_rng(1789)
         n_stages = 150
         plays = [None, 0.0, 1.0, 0.37, sim.JOINT, sim.IDLE]
+        codes = set()
 
         def bits(values):
             return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
         for na, nt in itertools.product((1, 2, 3, 9, 17), (1, 2, 5)):
+            if np_inputs:
+                na, nt = np.int64(na), np.int64(nt)
             sizes = ss.NetworkSizes(na, nt)
             rules = [eq._rule(sizes, slots, competitive) for competitive in (True, False)]
             # Above every finite threshold, so that stage 1 plays an interior tau.
             top = max(t for rule in rules for t in (rule.th0, rule.th1) if np.isfinite(t))
-            params = scenario(slots, na=na, nt=nt, initial_age=top + 0.7 if interior else None)
+            initial_age = initial and initial(top + 0.7)
+            params = scenario(slots, na=na, nt=nt, initial_age=initial_age)
             starts = sorted({0, *rng.integers(1, n_stages, 4).tolist()})
             schedule = [(s, [plays[i]]) for s, i in zip(starts, rng.integers(0, len(plays), 5))]
             seed, run = int(rng.integers(1000)), int(rng.integers(300))
@@ -667,6 +663,8 @@ class TestSingleRow:
             state = sim._simulate_batch(engine, seed, range(run, run + 1), schedule, weights)
             ages = (-state.u_aon[:, 0]).tolist()
             _, tau, tau_a, code, delta, _ = zip(*stages)
+            codes.update(code)
+            assert {type(v) for v in tau + tau_a + delta} == {float}
             assert bits(delta) == bits(ages), (na, nt, schedule)
             assert bits(engine.ton_by_code[list(code)]) == bits(state.u_ton[:, 0])
             assert bits(tau_a) == bits(played)
@@ -677,14 +675,16 @@ class TestSingleRow:
                 _, rows = engine.access(play)[0]
                 want = rows(before[start:stop])
                 assert bits(tau[start:stop]) == bits(want), (na, nt, schedule, start)
+        assert codes == set(range(9))
 
     @pytest.mark.parametrize("na", [8, 9, 10, 17, 33])
     def test_final_network_age_is_last_stage_age(self, na, small_collision):
-        # A run's final AgeState reads the network age its last stage paid.
+        # A run's final node ages give the network age its last stage paid.
         params = scenario(small_collision, na=na, initial_age=3.3)
         for seed in range(1, 30):
             result = ss.run_single(ss.RunConfig(params, 40, ss.Mode.COMPETITIVE, seed))
-            assert result.final_ages.network_age == -result.stages.u_aon[-1]
+            assert {type(age) for age in result.final_ages} == {float}
+            assert sim._mean_left_to_right(result.final_ages) == -result.stages.u_aon[-1]
 
 
 class TestGain:
@@ -929,6 +929,19 @@ class TestSeedRange:
         config = ss.RunConfig(scenario(equal_slots), 5, ss.Mode.COMPETITIVE, seed=1)
         with pytest.raises(ss.ConfigurationError, match="run index"):
             ss.run_single(config, run_index=run_index)
+
+    @pytest.mark.parametrize("na, width", [(1, 3), (5, 5)])
+    def test_run_index_whose_counter_fits_in_64_bits_draws(self, na, width, equal_slots):
+        # Run r's rows start at Philox counter r * BLOCK_STAGES * width / 4,
+        # one 64-bit word: the largest run index whose counter fits draws
+        # its two blocks, and the next is refused.
+        params = scenario(equal_slots, na=na, nt=2)
+        assert _Engine(params).width == width
+        last = (2**64 - 1) // (seeding.BLOCK_STAGES * width // 4)
+        config = ss.RunConfig(params, 70, ss.Mode.COMPETITIVE, seed=1)
+        assert len(ss.run_single(config, run_index=last).stages.u_aon) == 70
+        with pytest.raises(ss.ConfigurationError, match="run index .* past 64 bits"):
+            ss.run_single(config, run_index=last + 1)
 
     def test_edge_seeds_run_on_streams_of_their_own(self, equal_slots):
         params = scenario(equal_slots, na=2, nt=2)
