@@ -3,8 +3,8 @@
 In each slot the AON picks its access probability to minimize the expected
 network age at the slot end, the TON to maximize its expected throughput.
 Both problems have closed-form solutions.  The AON's is one threshold rule
-in the current network age for both modes (``_rule``), folded once into a
-float evaluator and an array evaluator (``_evaluators``): below the
+in the current network age for both modes (``_rule``), folded once per
+scenario into a float evaluator and an array evaluator (``_fold``): below the
 threshold the AON is pinned to 0 or 1 (depending on which slot type is
 cheaper), above it an interior probability applies, and competing differs
 from obeying the device only by the TON's contention term.  A brute-force
@@ -15,6 +15,7 @@ re-deriving the optimality conditions.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,6 +40,8 @@ from .model import (
 BOUNDARY_TOL = 1e-9
 # Spacing of the device-bias grid that ``cooperation_beneficial_pr_set`` scans.
 PR_GRID_STEP = 1e-3
+# Folded rules that ``_fold`` keeps: two per scenario.
+_FOLDS = 64
 
 
 class OutOfRangeError(RuntimeError):
@@ -157,6 +160,8 @@ def _evaluators(sizes: NetworkSizes, slots: SlotLengths, rule: _Rule):
             # value ``rows`` would.
             with np.errstate(divide="ignore", invalid="ignore"):
                 raw = float(interior(np.float64(d)))
+        if 0.0 <= raw <= 1.0:  # its own clip, -0.0 included
+            return raw
         if not -BOUNDARY_TOL <= raw <= 1.0 + BOUNDARY_TOL:
             _raise_out_of_range(raw, d, th0, th1)
         return min(max(raw, 0.0), 1.0)
@@ -182,11 +187,17 @@ def _evaluators(sizes: NetworkSizes, slots: SlotLengths, rule: _Rule):
     return one, rows
 
 
+@functools.lru_cache(maxsize=_FOLDS)
+def _fold(sizes: NetworkSizes, slots: SlotLengths, rule: _Rule):
+    """``_evaluators`` once per scenario and rule: by rule, so sigma_S = sigma_C has one pair."""
+    return _evaluators(sizes, slots, rule)
+
+
 def _solve(sizes: NetworkSizes, slots: SlotLengths, network_age: float, competitive: bool):
     """Stage-game profile and thresholds of one mode's AON access rule at one age."""
     check_age(network_age, "network age")
     rule = _rule(sizes, slots, competitive)
-    tau_a = _evaluators(sizes, slots, rule)[0](float(network_age))
+    tau_a = _fold(sizes, slots, rule)[0](float(network_age))
     profile = AccessProfile(tau_aon=tau_a, tau_ton=1.0 / sizes.n_ton)
     th = max(rule.th0, rule.th1)
     pinned = Regime.FORCED_ZERO if th == rule.th0 else Regime.FORCED_ONE
@@ -224,12 +235,12 @@ def expected_stage_payoffs(
 
     ``p_r=None`` evaluates the competitive channel, otherwise the cooperative
     channel with the given device bias.  The slot probabilities are evaluated
-    once, in Python floats: they validate the profile and give both payoffs,
-    as ``_stage_age`` and ``_stage_throughput`` would.
+    once, in Python floats, as one checked tuple: they validate the profile
+    and give both payoffs, as ``_stage_age`` and ``_stage_throughput`` would.
     """
     check_rate(rate)
     check_age(network_age, "network age")
-    _, terms = _slot_probabilities(sizes, profile, p_r)
+    terms = _slot_probabilities(sizes, profile, p_r)
     return StagePayoffs(
         u_aon=-float(_age_of_terms(terms, slots, network_age)),
         u_ton=float(_throughput_of_terms(terms, slots, rate)),

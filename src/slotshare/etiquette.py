@@ -44,7 +44,7 @@ from .model import (
     SlotLengths,
     AccessProfile,
 )
-from .sim import IDLE, JOINT, _Engine, _discount_weights, _mean_se, _per_run
+from .sim import IDLE, JOINT, _check_stages, _Engine, _discount_weights, _mean_se, _per_run
 from . import model as _model
 
 
@@ -356,6 +356,7 @@ def simulate_grim_trigger(
     of ``run_single``, so its cooperative prefix equals a cooperative run bit
     for bit, and a deviation at stage 0 equals the region sweep's branch.
     """
+    _check_stages(n_stages)
     k = deviate_at_stage
     if not (isinstance(k, numbers.Integral) and 0 <= k < n_stages):
         raise ConfigurationError(f"deviation stage must be an integer stage of the run, got {k}")
@@ -364,12 +365,12 @@ def simulate_grim_trigger(
     p_r, tau_t = params.p_r, engine.tau_ton_star
     heads, tails = Recommendation.HEADS, Recommendation.TAILS
     # Every stage reads its recommendation off the device, obeys before k
-    # and competes after it; stage k is then replaced.
-    stages = engine.trace(seed, 0, n_stages, schedule)
+    # and competes after it; stage k is then replaced.  ``tuple.__new__``
+    # makes each named tuple without the Python frame of its ``__new__``.
+    stages, new = engine.trace(seed, 0, n_stages, schedule), tuple.__new__
     trace = [
-        StageTrace(
-            n, ComplianceFlag(n, heads if device < p_r else tails, n < k), n > k, tau, tau_t, delta
-        )
+        new(StageTrace, (n, new(ComplianceFlag, (n, heads if device < p_r else tails, n < k)),
+                         n > k, tau, tau_t, delta))
         for n, (device, tau, _, _, delta, _) in enumerate(stages)
     ]
     # The deviation forces the case's recommendation; an idle one shows (0, 0).

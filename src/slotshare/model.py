@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import astuple, dataclass
 
 # Probability identities (partition sums, derived means) are checked to this
 # absolute tolerance; violations indicate a bug, not noise.
@@ -68,6 +69,9 @@ class NetworkSizes:
     n_ton: int
 
     def __post_init__(self):
+        counts = self.n_aon, self.n_ton
+        if not all(isinstance(n, numbers.Integral) for n in counts):
+            raise ConfigurationError(f"node counts must be integers, got {counts!r}")
         if self.n_aon < 1 or self.n_ton < 1:
             raise ConfigurationError("both networks need at least one node")
 
@@ -130,29 +134,22 @@ class SlotProbabilities:
     p_collision: float
 
     def validate(self, sizes: NetworkSizes) -> None:
-        fields = (
-            self.p_idle,
-            self.p_success_total,
-            self.p_success_node_aon,
-            self.p_success_node_ton,
-            self.p_busy_aon,
-            self.p_busy_ton,
-            self.p_collision,
-        )
-        if any(not (-PROB_ATOL <= p <= 1.0 + PROB_ATOL) for p in fields):
-            raise ConfigurationError(f"probability outside [0, 1]: {self}")
-        if abs(self.p_idle + self.p_success_total + self.p_collision - 1.0) > PROB_ATOL:
-            raise ConfigurationError("slot-type probabilities do not sum to 1")
-        for p_succ, p_busy in (
-            (self.p_success_node_aon, self.p_busy_aon),
-            (self.p_success_node_ton, self.p_busy_ton),
-        ):
-            part = p_succ + p_busy + self.p_idle + self.p_collision
-            if abs(part - 1.0) > PROB_ATOL:
-                raise ConfigurationError("per-node event partition does not sum to 1")
-        total = sizes.n_aon * self.p_success_node_aon + sizes.n_ton * self.p_success_node_ton
-        if abs(total - self.p_success_total) > PROB_ATOL:
-            raise ConfigurationError("per-node successes do not aggregate to p_success_total")
+        _check_terms(astuple(self), sizes)
+
+
+def _check_terms(terms, sizes: NetworkSizes) -> None:
+    """Check slot probabilities in ``SlotProbabilities`` field order: ranges, partitions, totals."""
+    if any(not (-PROB_ATOL <= p <= 1.0 + PROB_ATOL) for p in terms):
+        raise ConfigurationError(f"probability outside [0, 1]: {SlotProbabilities(*terms)}")
+    p_idle, p_success, node_a, node_t, busy_a, busy_t, p_collision = terms
+    if abs(p_idle + p_success + p_collision - 1.0) > PROB_ATOL:
+        raise ConfigurationError("slot-type probabilities do not sum to 1")
+    for p_succ, p_busy in ((node_a, busy_a), (node_t, busy_t)):
+        part = p_succ + p_busy + p_idle + p_collision
+        if abs(part - 1.0) > PROB_ATOL:
+            raise ConfigurationError("per-node event partition does not sum to 1")
+    if abs(sizes.n_aon * node_a + sizes.n_ton * node_t - p_success) > PROB_ATOL:
+        raise ConfigurationError("per-node successes do not aggregate to p_success_total")
 
 
 def _clip_probability(p: float) -> float:
@@ -194,22 +191,21 @@ def _slot_terms(ta, tt, na: int, nt: int, p_r=None):
     )
 
 
-def _slot_probabilities(sizes: NetworkSizes, profile: AccessProfile, p_r=None):
-    """Validated slot probabilities of a profile, and the ``_slot_terms`` they come from."""
+def _slot_probabilities(sizes: NetworkSizes, profile: AccessProfile, p_r=None) -> tuple:
+    """A profile's ``_slot_terms`` in floats, the collision clipped, checked by ``_check_terms``."""
     if p_r is not None and not 0.0 <= p_r <= 1.0:
         raise ConfigurationError("device bias must lie in [0, 1]")
-    terms = _slot_terms(profile.tau_aon, profile.tau_ton, sizes.n_aon, sizes.n_ton, p_r)
-    *head, p_collision = terms
-    probs = SlotProbabilities(*head, p_collision=_clip_probability(p_collision))
-    probs.validate(sizes)
-    return probs, terms
+    *head, p_col = _slot_terms(profile.tau_aon, profile.tau_ton, sizes.n_aon, sizes.n_ton, p_r)
+    terms = (*head, _clip_probability(p_col))
+    _check_terms(terms, sizes)
+    return terms
 
 
 def slot_probabilities_competitive(
     sizes: NetworkSizes, profile: AccessProfile
 ) -> SlotProbabilities:
     """Slot-outcome probabilities when both networks contend in the same slot."""
-    return _slot_probabilities(sizes, profile)[0]
+    return SlotProbabilities(*_slot_probabilities(sizes, profile))
 
 
 def slot_probabilities_cooperative(
@@ -221,4 +217,4 @@ def slot_probabilities_cooperative(
     the TON otherwise, so the channel is a ``p_r``-weighted mixture of the two
     single-network channels and the networks never collide with each other.
     """
-    return _slot_probabilities(sizes, profile, p_r)[0]
+    return SlotProbabilities(*_slot_probabilities(sizes, profile, p_r))

@@ -39,9 +39,9 @@ payoff).
 ``simulate`` uses one copy, the gain grid ``1 + |biases|`` and the region
 sweep ``2 + 2 * |biases|``; all copies read the same draws, one slot step
 per stage, by broadcasting the per-run draw against per-copy access
-probabilities and biases.  The engine folds each distinct AON rule
-(``equilibrium._rule``) once into its ``(one, rows)`` evaluators
-(``equilibrium._evaluators``), and consecutive copies under one rule share
+probabilities and biases.  Each distinct AON rule (``equilibrium._rule``)
+is folded once per scenario into its ``(one, rows)`` evaluators
+(``equilibrium._fold``), and consecutive copies under one rule share
 one ``rows`` call per stage: the cooperative copies, and with equal success
 and collision slots the competitive ones too.  The node ages are
 column-major, so the per-stage network age adds whole columns, left to
@@ -121,8 +121,7 @@ class RunConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_stages < 1:
-            raise ConfigurationError("a run needs at least one stage")
+        _check_stages(self.n_stages)
 
 
 @dataclass(frozen=True)
@@ -200,10 +199,12 @@ class _Engine:
         self.event_by_code = np.full(9, EVENT_COLLISION, dtype=np.int8)
         self.event_by_code[[0, 1, 3]] = EVENT_IDLE, EVENT_SUCCESS_TON, EVENT_SUCCESS_AON
         # The AON rule's evaluators when competing and when obeying, folded
-        # once per distinct rule: at sigma_S = sigma_C the modes share one pair.
-        rules = [eq._rule(params.sizes, slots, competitive) for competitive in (True, False)]
-        folded = {rule: eq._evaluators(params.sizes, slots, rule) for rule in set(rules)}
-        self.compete, self.obey = map(folded.get, rules)
+        # once per scenario and rule (``equilibrium._fold``): at sigma_S =
+        # sigma_C the modes share one pair, and so do engines of one scenario.
+        self.compete, self.obey = (
+            eq._fold(params.sizes, slots, eq._rule(params.sizes, slots, competitive))
+            for competitive in (True, False)
+        )
 
     def access(self, play):
         """Who may access under one play of a schedule: ``(evaluators, aon_bias, ton_bias)``.
@@ -341,10 +342,9 @@ class _Engine:
         delta, phase = float(self.params.initial_age), phases[0]
         ages, growth_by_code = [delta] * self.n_aon, self.growth_by_code.tolist()
         # The row's draws, converted to Python numbers a table at a time.
-        draws = (
-            row
+        draws = itertools.chain.from_iterable(
+            zip(*aon[..., 0].T.tolist(), *(t[:, 0].tolist() for t in rest))
             for aon, *rest in self.blocks(seed, range(run, run + 1), n_stages)
-            for row in zip(*aon[..., 0].T.tolist(), *(t[:, 0].tolist() for t in rest))
         )
         for n, (a1, a2, device, count, node) in enumerate(draws):
             (tau_of, _), aon_bias, ton_bias = phase = phases.get(n, phase)
@@ -364,6 +364,12 @@ def _check_seed(seed) -> None:
     """Refuse a seed that keys no stream of its own: only integers in [0, 2**64) do."""
     if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
         raise ConfigurationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def _check_stages(n_stages) -> None:
+    """Refuse a stage count that is not an integer of at least one."""
+    if not (isinstance(n_stages, numbers.Integral) and n_stages >= 1):
+        raise ConfigurationError(f"stage count must be an integer of at least 1, got {n_stages!r}")
 
 
 def _mean_left_to_right(ages):
@@ -415,8 +421,7 @@ def _two_smallest(columns: np.ndarray, n: int, first, second, node) -> None:
 def _discount_weights(alphas, n_stages: int) -> np.ndarray:
     """(stages x alphas) weights ``(1 - a) * a**n``, as a running product over stages."""
     alphas = np.asarray(alphas, dtype=np.float64)
-    if n_stages < 1:
-        raise ConfigurationError("need at least one stage")
+    _check_stages(n_stages)
     # Written so that NaN fails too.
     if not np.all((alphas > 0.0) & (alphas < 1.0)):
         raise ConfigurationError("discount factor must lie in (0, 1)")

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slotshare as ss
 from slotshare import equilibrium as eq
@@ -533,6 +535,63 @@ def test_rows_clip_keeps_bits_of_the_clip_expression():
             assert _bits(got) == _bits(np.array([one(d) for d in ages]))
         one, rows = eq._evaluators(HAND_SIZES, HAND_SLOTS, eq._Rule(-1.0, 0.0, th0, th1))
         assert np.signbit(rows(np.array([1.0]))[0]) and np.signbit(one(1.0))
+
+
+def _dataclass_payoffs(sizes, slots, profile, age, rate, p_r):
+    """The stage payoffs read off the public ``SlotProbabilities`` kernels."""
+    if p_r is None:
+        probs = ss.slot_probabilities_competitive(sizes, profile)
+    else:
+        probs = ss.slot_probabilities_cooperative(sizes, profile, p_r)
+    growth = (
+        probs.p_idle * slots.idle
+        + probs.p_success_total * slots.success
+        + max(probs.p_collision, 0.0) * slots.collision
+    )
+    u_aon = -float((1.0 - probs.p_success_node_aon) * age + growth)
+    return u_aon, float(probs.p_success_node_ton * slots.success * rate)
+
+
+@given(
+    na=st.sampled_from([1, 2, 5, 17]),
+    nt=st.sampled_from([1, 2, 5]),
+    scenario=st.sampled_from(list(SlotScenario)),
+    calls=st.lists(st.tuples(st.floats(0.0, 60.0), st.booleans()), min_size=1, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_cached_folds_equal_a_fresh_fold_and_the_dataclass_payoffs(na, nt, scenario, calls):
+    # Numpy- and Python-typed sizes and slots of one scenario are equal fold
+    # keys, so interleaved calls share the first call's cached pair.  Every
+    # solve equals a fresh, uncached fold, and the stage payoffs equal those
+    # read off SlotProbabilities, by float.hex; the thresholds keep the
+    # caller's number types, since the rule itself is built per call.
+    slots = slots_from_scenario(scenario)
+    typed = ss.NetworkSizes(*map(np.int64, (na, nt))), ss.SlotLengths(
+        *map(np.float64, (slots.idle, slots.success, slots.collision))
+    )
+    plain = ss.NetworkSizes(na, nt), slots
+    # Each drawn age, then both rules' finite thresholds and their neighbours.
+    ages = list(calls)
+    for competitive in (True, False):
+        for th in eq._rule(*plain, competitive)[2:]:
+            if np.isfinite(th) and th >= 0.0:
+                near = (np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf))
+                ages += [(float(a), i % 2 == 0) for i, a in enumerate(near) if a >= 0.0]
+    eq._fold.cache_clear()
+    for age, numpy_typed in ages:
+        sizes, slots_ = typed if numpy_typed else plain
+        for solver, competitive, p_r in ((ss.msne, True, None), (ss.cooperative_optimum, False, 0.4)):
+            profile, th = solver(sizes, slots_, age)
+            rule = eq._rule(sizes, slots_, competitive)
+            fresh, _ = eq._evaluators(sizes, slots_, rule)
+            assert type(profile.tau_aon) is float
+            assert profile.tau_aon.hex() == fresh(float(age)).hex()
+            assert (th.th0, th.th1) == rule[2:]
+            assert [type(t) for t in (th.th0, th.th1)] == [type(t) for t in rule[2:]]
+            assert type(th.th1) is (np.float64 if numpy_typed else float)
+            pay = ss.expected_stage_payoffs(sizes, slots_, profile, age, 1.5, p_r)
+            want = _dataclass_payoffs(sizes, slots_, profile, age, 1.5, p_r)
+            assert [pay.u_aon.hex(), pay.u_ton.hex()] == [w.hex() for w in want]
 
 
 @pytest.mark.parametrize("solver", [ss.msne, ss.cooperative_optimum])

@@ -477,6 +477,11 @@ class TestGrimTrigger:
         )
         assert ss.ComplianceFlag._fields == ("stage", "recommendation", "obeyed")
         stage = trace.stages[3]
+        # Built without their __new__, they are still the named tuples it makes.
+        for st in trace.stages[2:4]:
+            assert type(st) is etiquette.StageTrace and type(st.compliance) is ss.ComplianceFlag
+            assert st == etiquette.StageTrace(*st[:1], ss.ComplianceFlag(*st.compliance), *st[2:])
+            assert st.network_age_after == st[5] and st.compliance.obeyed == st.compliance[2]
         for record, field in ((stage, "tau_aon"), (stage.compliance, "obeyed")):
             with pytest.raises(AttributeError):
                 setattr(record, field, 0.5)
@@ -484,6 +489,14 @@ class TestGrimTrigger:
         assert [flag.obeyed for flag in trace.compliance] == [True] * 3 + [False] * 5
         assert [flag.stage for flag in trace.compliance] == list(range(8))
         assert stage.compliance == (3, ss.Recommendation.HEADS, False)
+
+    @pytest.mark.parametrize("n_stages", [300.0, 10.5, "300"])
+    def test_non_integer_stage_count_refused(self, n_stages, equal_slots):
+        # 300.0 stages used to reach the draws and fail there with a TypeError.
+        with pytest.raises(ss.ConfigurationError, match="stage count must be an integer"):
+            ss.simulate_grim_trigger(
+                scenario(equal_slots), n_stages, 1, 5, ss.DeviationCase.H_AON_DEVIATES
+            )
 
     def test_deviation_stage_bounds_checked(self, equal_slots):
         # Past the run, or between two stages: a stage 2.5 would never deviate

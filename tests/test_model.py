@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slotshare as ss
-from slotshare import sim
+from slotshare import model, sim
 from conftest import compact_draw, enumerate_slot_probabilities, with_ton_tau
 
 PROBS_FIELDS = (
@@ -32,6 +32,20 @@ class TestDomainTypes:
     def test_network_sizes_positive(self):
         with pytest.raises(ss.ConfigurationError):
             ss.NetworkSizes(0, 3)
+
+    @pytest.mark.parametrize("counts", [(5, 2.5), (5.5, 5), (5.0, 5), (5, np.float64(2.0)), ("5", 5)])
+    def test_network_sizes_must_be_integers(self, counts, equal_slots):
+        # A 2.5-node TON would be simulated as such, and a 5.5-node AON
+        # failed later with a bare TypeError.
+        with pytest.raises(ss.ConfigurationError, match="node counts must be integers"):
+            ss.NetworkSizes(*counts)
+
+    def test_network_sizes_take_numpy_integers(self, equal_slots):
+        sizes = ss.NetworkSizes(np.int64(5), np.uint8(2))
+        assert sizes == ss.NetworkSizes(5, 2) and hash(sizes) == hash(ss.NetworkSizes(5, 2))
+        params = ss.ScenarioParams(sizes, equal_slots)
+        config = ss.RunConfig(params, 5, ss.Mode.COMPETITIVE, seed=1)
+        assert ss.monte_carlo(config, 4).n_runs == 4
 
     def test_access_profile_range(self):
         with pytest.raises(ss.ConfigurationError):
@@ -135,6 +149,42 @@ class TestCooperativeKernel:
         )
         for field in PROBS_FIELDS:
             assert getattr(competitive, field) == getattr(cooperative, field), field
+
+
+class TestOneSlotCheck:
+    """One check of the slot probabilities serves the kernels and the stage payoffs."""
+
+    SIZES = ss.NetworkSizes(2, 3)
+    # In field order (idle, success, node AON, node TON, busy AON, busy TON,
+    # collision), each breaking one check and passing those before it.
+    BROKEN = {
+        "probability outside": (1.5, 0.0, 0.0, 0.0, 0.0, 0.0, -0.5),
+        "slot-type probabilities do not sum": (0.5, 0.25, 0.0, 0.0625, 0.25, 0.0, 0.125),
+        "per-node event partition": (0.25, 0.5, 0.125, 0.0625, 0.125, 0.4375, 0.25),
+        "do not aggregate": (0.25, 0.5, 0.125, 0.0625, 0.375, 0.4375, 0.25),
+    }
+
+    @pytest.mark.parametrize("p_r", [None, 0.5])
+    @pytest.mark.parametrize("check", list(BROKEN))
+    def test_kernels_and_payoffs_raise_one_message(self, check, p_r, equal_slots, monkeypatch):
+        terms = self.BROKEN[check]
+        monkeypatch.setattr(model, "_slot_terms", lambda *args: terms)
+        profile = ss.AccessProfile(0.5, 0.5)
+        if p_r is None:
+            kernel = lambda: ss.slot_probabilities_competitive(self.SIZES, profile)
+        else:
+            kernel = lambda: ss.slot_probabilities_cooperative(self.SIZES, profile, p_r)
+        callers = [
+            kernel,
+            lambda: ss.expected_stage_payoffs(self.SIZES, equal_slots, profile, 2.0, 1.0, p_r),
+            lambda: ss.SlotProbabilities(*terms).validate(self.SIZES),
+        ]
+        messages = set()
+        for call in callers:
+            with pytest.raises(ss.ConfigurationError, match=check) as err:
+                call()
+            messages.add(str(err.value))
+        assert len(messages) == 1, messages
 
 
 @given(

@@ -843,7 +843,10 @@ class TestRuleSharing:
 
         monkeypatch.setattr(eq, "_evaluators", counted)
         monkeypatch.setattr(sim, "_DEFAULT_CHUNK", 16)
-        return lengths
+        # Fold afresh through the counting evaluators, and keep none of their pairs.
+        eq._fold.cache_clear()
+        yield lengths
+        eq._fold.cache_clear()
 
     # Chunks of 16, 16 and 8 runs.  Equal slots give the competitive copies
     # the cooperative rule, so every copy shares one call; small collisions
@@ -868,8 +871,9 @@ class TestRuleSharing:
 class TestRuleFolding:
     """The engine folds each distinct AON rule once; its trajectories fold none."""
 
-    @pytest.mark.parametrize("slots, shared", [("equal_slots", True), ("small_collision", False)])
-    def test_engine_folds_each_rule_once(self, slots, shared, request, monkeypatch):
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        """The rule of every fold, from an empty fold cache."""
         folds, evaluators = [], eq._evaluators
 
         def counted(*args):
@@ -877,6 +881,12 @@ class TestRuleFolding:
             return evaluators(*args)
 
         monkeypatch.setattr(eq, "_evaluators", counted)
+        eq._fold.cache_clear()
+        yield folds
+        eq._fold.cache_clear()
+
+    @pytest.mark.parametrize("slots, shared", [("equal_slots", True), ("small_collision", False)])
+    def test_engine_folds_each_rule_once(self, slots, shared, request, folds):
         engine = _Engine(scenario(request.getfixturevalue(slots)))
         # Equal slots give the competitive copies the cooperative rule.
         assert len(folds) == len(set(folds)) == (1 if shared else 2)
@@ -887,6 +897,26 @@ class TestRuleFolding:
         row = [(0, [0.5]), (3, [sim.JOINT]), (7, [None]), (9, [sim.IDLE])]
         assert len(list(engine.trace(5, 2, 12, row))) == 12
         assert folds == []
+
+    @pytest.mark.parametrize("slots, rules", [("equal_slots", 1), ("small_collision", 2)])
+    def test_engines_and_solves_of_one_scenario_fold_each_rule_once(
+        self, slots, rules, request, folds
+    ):
+        # Two engines, then 1000 msne calls, half of them on numpy-typed
+        # sizes and slots, which key the same scenario.
+        params = scenario(request.getfixturevalue(slots))
+        first, second = _Engine(params), _Engine(params)
+        assert first.access(None)[0] is second.access(None)[0]
+        assert first.access(0.5)[0] is second.access(0.5)[0]
+        sizes, slots_ = params.sizes, params.slots
+        typed = (
+            ss.NetworkSizes(*map(np.int64, (sizes.n_aon, sizes.n_ton))),
+            ss.SlotLengths(*map(np.float64, (slots_.idle, slots_.success, slots_.collision))),
+        )
+        for age in np.linspace(0.0, 20.0, 500).tolist():
+            ss.msne(sizes, slots_, age)
+            ss.msne(*typed, age)
+        assert len(folds) == len(set(folds)) == rules
 
 
 class TestSeedRange:
@@ -957,6 +987,21 @@ class TestSeedRange:
 def test_run_config_validation(small_collision):
     with pytest.raises(ss.ConfigurationError):
         ss.RunConfig(scenario(small_collision), 0, ss.Mode.COMPETITIVE, seed=1)
+    # A non-integer stage count is refused where it enters, not by a
+    # TypeError deep in the batch; a numpy integer is a stage count.
+    for n_stages in (5.5, 5.0, np.float64(5.0), "5"):
+        with pytest.raises(ss.ConfigurationError, match="stage count must be an integer"):
+            ss.RunConfig(scenario(small_collision), n_stages, ss.Mode.COMPETITIVE, seed=1)
+    params = scenario(small_collision)
+    for read in (
+        lambda: ss.gain_grid(params, 4, 5.5, 1, [0.9], [0.5]),
+        lambda: ss.region_sweep(params, [0.9], [0.5], 4, 5.5, seed=1),
+        lambda: ss.deviation_inequalities(params, 4, 5.5, seed=1),
+    ):
+        with pytest.raises(ss.ConfigurationError, match="stage count must be an integer"):
+            read()
+    config = ss.RunConfig(params, np.int64(5), ss.Mode.COMPETITIVE, seed=1)
+    assert ss.monte_carlo(config, 4).n_runs == 4
     with pytest.raises(ss.ConfigurationError):
         ss.monte_carlo(
             ss.RunConfig(scenario(small_collision), 5, ss.Mode.COMPETITIVE, seed=1), 0
