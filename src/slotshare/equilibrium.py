@@ -109,8 +109,9 @@ def _rule(sizes: NetworkSizes, slots: SlotLengths, competitive: bool) -> _Rule:
     the TON at ``tau_ton* = 1 / n_ton`` scales the AON's trade-off by
     ``k = 1 - tau_ton*`` and adds ``c = N_A N_T tau_ton* (sigma_S - sigma_C)``.
     The term vanishes at sigma_S = sigma_C, so competing there, like obeying
-    the device, has ``(k, c) = (1, 0)``.  Multiplying by 1 and adding 0 are
-    exact, so every mode evaluates one formula.
+    the device, has ``(k, c) = (1, 0)``.  Every mode evaluates one formula;
+    ``_evaluators`` leaves out the multiply by 1 and the add of 0, which are
+    exact identities there.
     """
     si, ss, sc = slots.idle, slots.success, slots.collision
     na, nt = sizes.n_aon, sizes.n_ton
@@ -132,18 +133,32 @@ def _evaluators(sizes: NetworkSizes, slots: SlotLengths, rule: _Rule):
 
     The constants are Python floats, so ``one`` maps one age (a float) to a
     float even for numpy-typed sizes and slots, and ``rows`` an array of ages
-    (the batch engine) to an array.  Both evaluate one interior formula in
-    the same IEEE operations, so they agree bit for bit and raise the same
+    (the batch engine) to an array.  Both evaluate one interior formula,
+    ``(k (d - shift) + c) / (k na (d + gap - span) + c)``, in the same IEEE
+    operations, so they agree bit for bit and raise the same
     ``OutOfRangeError``; ties at th0 == th1 resolve to the silent branch.
+    The fold leaves out each operation that the rule's constants make an
+    exact identity: ``k *`` and ``+ c`` at ``(k, c) = (1, 0)``, ``- span``
+    at ``span = 0``.
     """
     si, ss, sc, na = map(float, (slots.idle, slots.success, slots.collision, sizes.n_aon))
     k, c, th0, th1 = map(float, rule)
     th = max(th0, th1)
     pinned = 0.0 if th == th0 else 1.0
     shift, kna, gap, span = na * (ss - si), k * na, si - sc, na * (ss - sc)
+    # x * 1.0 and x - 0.0 are x for every x, and x + 0.0 is x except at
+    # x = -0.0.  Neither sum can be -0.0: a -0.0 numerator needs d = -0.0 and
+    # shift = 0, which SlotLengths refuses (sigma_I < sigma_S), and a -0.0
+    # denominator needs gap = -0.0, which a difference of positive slots is not.
+    scaled = (k, c) != (1.0, 0.0)
 
     def interior(d):
-        return (k * (d - shift) + c) / (kna * (d + gap - span) + c)
+        num, den = d - shift, d + gap
+        if span:
+            den = den - span
+        if scaled:
+            return (k * num + c) / (kna * den + c)
+        return num / (na * den)
 
     # Single-node AON: the stage objective is linear in the access
     # probability, the stationarity numerator and denominator coincide, and

@@ -196,14 +196,14 @@ def _sweep(params: ScenarioParams, pr_axis, weights, n_runs, seed, threads):
     and alpha only selects a column of ``weights``.  Returns the (2 x copies
     x columns x runs) payoffs, and the obey and deviate payoffs of the
     ``_INEQUALITIES``, (4 x bias x columns x runs) and (4 x 1 x columns x
-    runs).
+    runs); no access frequencies, so no access counters are kept.
     """
     n_pr = len(pr_axis)
     # Copies: in stage 1 joint access and an idle slot, competitive afterwards;
     # then per bias obey heads (AON alone) and obey tails (TON alone),
     # cooperative afterwards.
     schedule = [(0, [JOINT, IDLE] + [1.0, 0.0] * n_pr), (1, [None, None, *np.repeat(pr_axis, 2)])]
-    payoffs, _ = _per_run(params, seed, n_runs, schedule, weights, threads)
+    payoffs, _ = _per_run(params, seed, n_runs, schedule, weights, threads, counted=False)
     # dev: payoff x (joint, idle) x column x run; obey: payoff x bias x (heads, tails) x ...
     dev, obey = payoffs[:, :2], payoffs[:, 2:].reshape(2, n_pr, 2, *payoffs.shape[2:])
     return payoffs, obey[_PAYOFF, :, _OBEY], dev[_PAYOFF, _DEVIATE][:, None]

@@ -335,8 +335,7 @@ class _Engine:
         next stage advances in place).
         """
         _check_seed(seed)
-        if not (isinstance(run, numbers.Integral) and run >= 0):
-            raise ConfigurationError(f"run index must be a non-negative integer, got {run!r}")
+        _check_count(run, 0, "run index must be a non-negative integer")
         phases = {start: self.access(play) for start, (play,) in schedule}
         # Floats, not numpy scalars: two np.bool_ comparisons add as a logical OR.
         delta, phase = float(self.params.initial_age), phases[0]
@@ -366,23 +365,28 @@ def _check_seed(seed) -> None:
         raise ConfigurationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
+def _check_count(n, least: int, message: str) -> None:
+    """Refuse a count that is not an integer of at least ``least``, numpy integers included."""
+    if not (isinstance(n, numbers.Integral) and n >= least):
+        raise ConfigurationError(f"{message}, got {n!r}")
+
+
 def _check_stages(n_stages) -> None:
-    """Refuse a stage count that is not an integer of at least one."""
-    if not (isinstance(n_stages, numbers.Integral) and n_stages >= 1):
-        raise ConfigurationError(f"stage count must be an integer of at least 1, got {n_stages!r}")
+    _check_count(n_stages, 1, "stage count must be an integer of at least 1")
 
 
 def _mean_left_to_right(ages):
     """The network age: the mean of the node ages, added left to right.
 
     ``ages`` is one row's list of floats or the batch's (nodes x rows)
-    array; ``* 1.0`` copies an array's first node and keeps a float's bits,
-    -0.0 included.  Not ``sum``, which compensates rounding from Python 3.12
+    array.  The sum starts from the first two nodes' sum, a new array; a
+    lone node is copied by ``* 1.0``, which keeps a float's bits, -0.0
+    included.  Not ``sum``, which compensates rounding from Python 3.12
     on, nor numpy's row sum, which adds pairwise from 8 nodes on: a one-run
     chunk would then differ in the last bits from the same run in a larger one.
     """
-    total = ages[0] * 1.0
-    for age in ages[1:]:
+    total = ages[0] + ages[1] if len(ages) > 1 else ages[0] * 1.0
+    for age in ages[2:]:
         total += age
     return total / len(ages)
 
@@ -444,12 +448,13 @@ class _Trajectories:
     columns; every row starts at network age ``initial_age``.  Accumulators:
     ``u_aon``/``u_ton`` are (columns x rows) payoffs, stage ``n`` weighted
     by ``weights[n]``: column-major, so that each stage's multiply-and-add
-    runs along the long row axis rather than the few weight columns;
-    ``count_one``/``count_zero``/``n_access`` count the stages in which the
-    AON may access, with probability 1, 0 or any.
+    runs along the long row axis rather than the few weight columns.  Only
+    when ``counted`` (for ``frequencies``), ``count_one``/``count_zero``/
+    ``n_access`` count the stages in which the AON may access, with
+    probability 1, 0 or any.
     """
 
-    def __init__(self, engine: _Engine, n_runs, schedule, weights):
+    def __init__(self, engine: _Engine, n_runs, schedule, weights, counted=True):
         self.engine, self.weights = engine, weights
         self.phases = {start: self._phase(plays, n_runs) for start, plays in schedule}
         self.phase = self.phases[0]
@@ -458,7 +463,9 @@ class _Trajectories:
         self.delta = np.full(rows, engine.params.initial_age)
         self.ages = np.full((rows, engine.n_aon), engine.params.initial_age, order="F")
         self.u_aon, self.u_ton = np.zeros((2, weights.shape[1], rows))
-        self.count_one, self.count_zero, self.n_access = np.zeros((3, rows), dtype=np.int64)
+        self.counted = counted
+        if counted:
+            self.count_one, self.count_zero, self.n_access = np.zeros((3, rows), dtype=np.int64)
 
     def _phase(self, plays, n_runs):
         """One play per copy, as (rule groups, AON bias column, TON bias column)."""
@@ -483,9 +490,10 @@ class _Trajectories:
         self.phase = self.phases.get(n, self.phase)
         tau_a, ton = self._play(draw[1])
         code = engine.slot(self.ages, draw, tau_a, ton)
-        self.count_one += tau_a == 1.0
-        self.count_zero += tau_a == 0.0
-        self.n_access += tau_a >= 0.0
+        if self.counted:
+            self.count_one += tau_a == 1.0
+            self.count_zero += tau_a == 0.0
+            self.n_access += tau_a >= 0.0
         # The stage's payoffs, and the next stage's network age.
         self.delta = _mean_left_to_right(self.ages.T)
         self.u_aon -= weights[:, None] * self.delta
@@ -500,13 +508,14 @@ class _Trajectories:
 
 
 def _simulate_batch(
-    engine: _Engine, seed: int, run_indices: range, schedule, weights: np.ndarray
+    engine: _Engine, seed: int, run_indices: range, schedule, weights: np.ndarray, counted=True
 ) -> _Trajectories:
     """Advance one copy of the runs per play of ``schedule`` through every row of ``weights``.
 
-    All copies read the runs' shared draws, one slot step per stage.
+    All copies read the runs' shared draws, one slot step per stage; the
+    access counters are kept only if ``counted``.
     """
-    state = _Trajectories(engine, len(run_indices), schedule, weights)
+    state = _Trajectories(engine, len(run_indices), schedule, weights, counted)
     for n, draw in enumerate(engine.stage_rows(seed, run_indices, len(weights))):
         state.step(n, draw)
     return state
@@ -553,8 +562,7 @@ def _fanout(n_runs: int, work, threads: int, copies: int) -> None:
     A pool starts only for several chunks of at least ``_POOL_COPIES``
     copies; fewer copies are chunked and stepped as at one thread.
     """
-    if threads < 1:
-        raise ConfigurationError(f"need at least one thread, got {threads}")
+    _check_count(threads, 1, "thread count must be an integer of at least 1")
     if copies < _POOL_COPIES:
         threads = 1
     chunks = _chunks(n_runs, threads)
@@ -566,7 +574,7 @@ def _fanout(n_runs: int, work, threads: int, copies: int) -> None:
             work(bounds)
 
 
-def _per_run(params: ScenarioParams, seed, n_runs, schedule, weights, threads):
+def _per_run(params: ScenarioParams, seed, n_runs, schedule, weights, threads, counted=True):
     """Per-run results of one copy of the runs per play of ``schedule``, by run index.
 
     Copy ``b`` plays entry ``b`` of each play list of the schedule (see the
@@ -575,24 +583,25 @@ def _per_run(params: ScenarioParams, seed, n_runs, schedule, weights, threads):
     and a caller may append others, such as ``np.eye(n_stages, 1)`` for the
     stage-1 outcomes.  Returns, run axis last so that each reduction reads
     one contiguous row, the (AON, TON) payoffs (2 x copies x columns x runs)
-    and the access frequencies at 1 and 0 (2 x copies x runs).
+    and the access frequencies at 1 and 0 (2 x copies x runs), or None for
+    a caller that reads none: ``counted`` off skips the access counters.
     """
-    if n_runs < 2:
-        raise ConfigurationError("a Monte Carlo estimate needs at least two runs")
+    _check_count(n_runs, 2, "a Monte Carlo estimate needs an integer count of at least two runs")
     _check_seed(seed)
     engine = _Engine(params)
     copies, n_columns = len(schedule[0][1]), weights.shape[1]
     payoffs = np.empty((2, copies, n_columns, n_runs))
-    freqs = np.empty((2, copies, n_runs))
+    freqs = np.empty((2, copies, n_runs)) if counted else None
 
     def work(bounds):
         start, stop = bounds
         size = stop - start
-        state = _simulate_batch(engine, seed, range(start, stop), schedule, weights)
+        state = _simulate_batch(engine, seed, range(start, stop), schedule, weights, counted)
         # State row b * size + r is run start + r in copy b.
         pay = np.reshape((state.u_aon, state.u_ton), (2, n_columns, copies, size))
         payoffs[..., start:stop] = pay.swapaxes(1, 2)
-        freqs[..., start:stop] = np.reshape(state.frequencies(), (2, copies, size))
+        if counted:
+            freqs[..., start:stop] = np.reshape(state.frequencies(), (2, copies, size))
 
     _fanout(n_runs, work, threads, copies)
     return payoffs, freqs

@@ -427,8 +427,8 @@ def _hex_or_text(result):
 
 
 def test_one_rule_equals_the_two_reference_rules():
-    # The one rule multiplies by 1 and adds 0 where a reference rule does
-    # neither; both are exact, so every result and error text is identical.
+    # The one rule and the reference rules each write their own formula;
+    # every result and error text is identical.
     rng = np.random.default_rng(2025)
     grid = itertools.product((1, 2, 5, 17), (1, 2, 5), (0.1, 0.99, 1.0, 1.01, 2.0), (True, False))
     for na, nt, ratio, competitive in grid:
@@ -485,6 +485,38 @@ def _clip_tau(delta, sizes, slots, rule):
         return num / den
 
     return _clip_three_branch(delta, th0, th1, interior)
+
+
+# Beside the three scenarios, sigma_I = sigma_C (gap 0) and another sigma_S = sigma_C (span 0).
+FOLD_SLOTS = [slots_from_scenario(s) for s in SlotScenario] + [
+    ss.SlotLengths(0.101, 1.01, 0.101),
+    ss.SlotLengths(0.25, 2.0, 2.0),
+]
+
+
+@given(
+    na=st.sampled_from([1, 2, 5, 17]),
+    nt=st.sampled_from([1, 2, 5]),
+    slots=st.sampled_from(FOLD_SLOTS),
+    competitive=st.booleans(),
+    drawn=st.lists(st.one_of(st.floats(0.0, 100.0), st.floats(0.0, 1e300)), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_folded_rule_equals_the_unfolded_formula(na, nt, slots, competitive, drawn):
+    # The fold leaves out k *, + c and - span where they are identities: both
+    # evaluators equal the formula with every operation (``_clip_tau``) by
+    # float.hex, and raise the same out-of-range error or none.
+    sizes = ss.NetworkSizes(na, nt)
+    rule = eq._rule(sizes, slots, competitive)
+    one, rows = eq._evaluators(sizes, slots, rule)
+    ages = [0.0, -0.0, *drawn]
+    for th in filter(np.isfinite, rule[2:]):
+        ages += [a for a in (np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf)) if a >= 0.0]
+    for age in ages:
+        want = _rule_result(lambda d: _clip_tau(d, sizes, slots, rule), np.array([age]))
+        for tau, value in ((rows, np.array([age])), (one, float(age))):
+            got = _rule_result(tau, value)
+            assert _hex_or_text(got) == _hex_or_text(want), (sizes, slots, rule, age)
 
 
 def _bits(result):

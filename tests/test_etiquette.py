@@ -314,11 +314,20 @@ class TestRegionSweep:
             with pytest.raises(ss.ConfigurationError):
                 ss.region_sweep(scenario(equal_slots), alphas, biases, 10, 10, seed=1)
 
-    @pytest.mark.parametrize("n_runs", [0, 1])
+    @pytest.mark.parametrize(
+        "n_runs, threads, match",
+        [
+            pytest.param(0, 1, "two runs", id="0"),
+            pytest.param(1, 1, "two runs", id="1"),
+            pytest.param(4.5, 1, "two runs", id="4.5"),
+            pytest.param(4, 1.5, "thread", id="threads-1.5"),
+        ],
+    )
     def test_fewer_than_two_runs_rejected_before_simulating(
-        self, n_runs, equal_slots, monkeypatch
+        self, n_runs, threads, match, equal_slots, monkeypatch
     ):
-        # One run has no standard error, so every margin would read as decided.
+        # One run has no standard error, so every margin would read as decided;
+        # run and thread counts are integers, as the CLI reads them.
         def batch(*args, **kwargs):
             raise AssertionError("simulated a sweep without a standard error")
 
@@ -326,14 +335,32 @@ class TestRegionSweep:
         params = scenario(equal_slots)
         config = ss.RunConfig(params, 10, ss.Mode.COMPETITIVE, seed=1)
         calls = (
-            lambda: ss.region_sweep(params, [0.5], [0.5], n_runs, 10, seed=1),
-            lambda: ss.deviation_inequalities(params, n_runs, 10, seed=1),
-            lambda: ss.monte_carlo(config, n_runs),
-            lambda: ss.gain_grid(params, n_runs, 10, 1, [0.5], [0.5]),
+            lambda: ss.region_sweep(params, [0.5], [0.5], n_runs, 10, seed=1, threads=threads),
+            lambda: ss.deviation_inequalities(params, n_runs, 10, seed=1, threads=threads),
+            lambda: ss.monte_carlo(config, n_runs, threads=threads),
+            lambda: ss.gain_grid(params, n_runs, 10, 1, [0.5], [0.5], threads=threads),
         )
         for call in calls:
-            with pytest.raises(ss.ConfigurationError, match="two runs"):
+            with pytest.raises(ss.ConfigurationError, match=match):
                 call()
+
+    def test_sweep_keeps_no_access_counters(self, small_collision, monkeypatch):
+        # The sweep reads payoffs only: without the access counters its
+        # payoffs are the same bits, and neither entry reads a frequency.
+        params = scenario(small_collision)
+        weights = sim._discount_weights([0.5, 0.9], 12)
+        schedule = [(0, [sim.JOINT, sim.IDLE, 1.0, 0.0]), (1, [None, None, 0.3, 0.3])]
+        payoffs, freqs = sim._per_run(params, 4, 40, schedule, weights, 1)
+        uncounted, none = sim._per_run(params, 4, 40, schedule, weights, 1, counted=False)
+        assert freqs.shape == (2, 4, 40) and none is None
+        assert uncounted.tobytes() == payoffs.tobytes()
+
+        def frequencies(self):
+            raise AssertionError("read access frequencies")
+
+        monkeypatch.setattr(sim._Trajectories, "frequencies", frequencies)
+        ss.region_sweep(params, [0.5, 0.9], [0.3], 40, 12, seed=4)
+        ss.deviation_inequalities(params, 40, 12, seed=4)
 
     def test_only_deviation_reports_weight_the_stage1_column(self, equal_slots, monkeypatch):
         # The sweep weights one column per alpha; a single-point report adds
