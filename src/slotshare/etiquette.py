@@ -16,7 +16,11 @@ Only two deviation trajectories exist dynamically: both deviations onto
 bias moves the dynamics, so a region sweep simulates each trajectory once
 on common random numbers (``sim._per_run``), weights it per alpha and
 reduces every cell's four paired differences over the run axis at once;
-``deviation_inequalities`` weights one more column, stage 1 alone.  Margins
+``deviation_inequalities`` weights one more column, stage 1 alone.  Each
+margin, with its branch means, is estimated over the two-level horizon of
+``sim``: all runs step the first stage block, and only the first N1 runs,
+N1 set per margin from the pilot runs, step the rest; a margin's N1 reads
+that margin alone, so a cell still equals the report at its point.  Margins
 within two standard errors of zero are reported as indeterminate rather
 than forced to a boolean (``_tri_state``), so an estimate needs two runs.
 
@@ -193,35 +197,49 @@ def _sweep(params: ScenarioParams, pr_axis, weights, n_runs, seed, threads):
     Every bias replays the same run draws of ``seed``: the dynamics never read
     alpha and the deviation branches never read the bias, so the copies
     joint access and idle, then heads and tails per bias, cover the grid,
-    and alpha only selects a column of ``weights``.  Returns the (2 x copies
-    x columns x runs) payoffs, and the obey and deviate payoffs of the
-    ``_INEQUALITIES``, (4 x bias x columns x runs) and (4 x 1 x columns x
-    runs); no access frequencies, so no access counters are kept.
+    and alpha only selects a column of ``weights``.  The horizon has two
+    levels per margin (``sim._per_run``).  Returns, at the cut and at the
+    horizon on a first axis, the (level x 2 x copies x columns x runs)
+    payoffs and the obey and deviate payoffs of the ``_INEQUALITIES``,
+    (level x 4 x bias x columns x runs) and (level x 4 x 1 x columns x
+    runs), then each margin's N1 (4 x bias x columns); no access
+    frequencies, so no access counters are kept.
     """
     n_pr = len(pr_axis)
     # Copies: in stage 1 joint access and an idle slot, competitive afterwards;
     # then per bias obey heads (AON alone) and obey tails (TON alone),
     # cooperative afterwards.
     schedule = [(0, [JOINT, IDLE] + [1.0, 0.0] * n_pr), (1, [None, None, *np.repeat(pr_axis, 2)])]
-    payoffs, _ = _per_run(params, seed, n_runs, schedule, weights, threads, counted=False)
-    # dev: payoff x (joint, idle) x column x run; obey: payoff x bias x (heads, tails) x ...
-    dev, obey = payoffs[:, :2], payoffs[:, 2:].reshape(2, n_pr, 2, *payoffs.shape[2:])
-    return payoffs, obey[_PAYOFF, :, _OBEY], dev[_PAYOFF, _DEVIATE][:, None]
+
+    def branches(payoffs):
+        # dev: payoff x (joint, idle) x column x run; obey: payoff x bias x (heads, tails) x ...
+        dev, obey = payoffs[:, :2], payoffs[:, 2:].reshape(2, n_pr, 2, *payoffs.shape[2:])
+        return obey[_PAYOFF, :, _OBEY], dev[_PAYOFF, _DEVIATE][:, None]
+
+    margins = lambda payoffs: np.subtract(*branches(payoffs))
+    levels, n1 = _per_run(params, seed, n_runs, schedule, weights, threads, margins)
+    obey, dev = (np.stack(branch) for branch in zip(*map(branches, levels)))
+    return levels, obey, dev, n1
 
 
 def deviation_inequalities(
     params: ScenarioParams, n_runs: int, n_stages: int, seed: int, threads: int = 1
 ) -> DeviationReport:
-    """Estimate the four obey-versus-deviate inequalities by paired Monte Carlo."""
+    """Estimate the four obey-versus-deviate inequalities by paired Monte Carlo.
+
+    Each inequality's margin and branch means share the margin's two-level
+    horizon (``sim._per_run``); the stage-1 diagnostics read every run at the cut.
+    """
     # The discount column, then stage 1 alone: minus its age, its TON payoff.
     weights = np.hstack([_discount_weights([params.alpha], n_stages), np.eye(n_stages, 1)])
-    payoffs, obey, dev = _sweep(params, [params.p_r], weights, n_runs, seed, threads)
-    obey, dev = obey[:, 0, 0], dev[:, 0, 0]
-    columns = zip(obey.mean(axis=-1), dev.mean(axis=-1), *_mean_se(obey - dev))
+    levels, obey, dev, n1 = _sweep(params, [params.p_r], weights, n_runs, seed, threads)
+    obey, dev, n1 = obey[..., 0, 0, :], dev[..., 0, 0, :], n1[:, 0, 0]
+    columns = zip(_mean_se(obey, n1)[0], _mean_se(dev, n1)[0], *_mean_se(obey - dev, n1))
     estimates = [InequalityEstimate(n, *map(float, c)) for n, c in zip(_INEQUALITIES, columns)]
     # In _BRANCHES order: compliance stage 1 does not read the bias, so heads
-    # and tails come from the bias's copies (2, 3).
-    stage1 = payoffs[:, [2, 3, 0, 1], 1]
+    # and tails come from the bias's copies (2, 3).  Stage 1 lies before the
+    # cut, so its payoffs there are final.
+    stage1 = levels[0][:, [2, 3, 0, 1], 1]
 
     def by_branch(values):
         return {b: (float(m), float(se)) for b, m, se in zip(_BRANCHES, *_mean_se(values))}
@@ -263,10 +281,10 @@ class RegionGrid:
         decidedly infeasible.  Both verdicts clear two standard errors, so a
         flag can mark a real non-monotone region, not only a call for grid
         refinement: at N = 2, equal slots, p_r = 0.15 (2000 runs x 300
-        stages, seed 1, stage-block Philox streams) the AON's obey-heads /
-        obey-tails margins are +15.6 / +11.2 SE at alpha 0.85 and -7.0 / -8.3
-        SE at alpha 0.95, flag (0, 1, 0); at a low bias a patient AON prefers
-        competing.
+        stages, seed 1, stage-block Philox streams, two-level horizon) the
+        AON's obey-heads / obey-tails margins are +15.6 / +11.2 SE at alpha
+        0.85 and -7.0 / -8.3 SE at alpha 0.95, flag (0, 1, 0); at a low bias
+        a patient AON prefers competing.
         """
         flags = []
         n_alpha = self.alpha_axis.size
@@ -303,9 +321,9 @@ def region_sweep(
     if not np.all((pr_axis > 0.0) & (pr_axis < 1.0)):
         raise ConfigurationError("bias grid must lie inside (0, 1)")
     weights = _discount_weights(alpha_axis, n_stages)
-    _, obey, dev = _sweep(params, pr_axis, weights, n_runs, seed, threads)
+    _, obey, dev, n1 = _sweep(params, pr_axis, weights, n_runs, seed, threads)
     # Inequality x bias x alpha, turned to inequality x alpha x bias.
-    margins, ses = (stat.swapaxes(1, 2) for stat in _mean_se(obey - dev))
+    margins, ses = (stat.swapaxes(1, 2) for stat in _mean_se(obey - dev, n1))
     aon_h, ton_h, aon_t, ton_t = _tri_state(margins, ses)
     aon_prefers, ton_prefers = _tri_and(aon_h, aon_t), _tri_and(ton_h, ton_t)
     return RegionGrid(

@@ -56,6 +56,17 @@ refuses fewer than two runs, which leave no standard error.  A single row
 ``_Engine.trace``, which replays its batch row bit for bit: the same rules'
 ``one`` evaluators, slot step and network age (``_mean_left_to_right``).
 
+A caller that reads no access frequency (the region sweep and the
+deviation report) estimates over a two-level horizon, multilevel Monte
+Carlo over the stages (Giles, Operations Research 56, 2008): all ``N0``
+runs step the head, the stages before the cut ``_CUT``, and only the first
+N1 of them the tail, N1 set per estimate from the first ``_SUB_CHUNK`` runs
+(the pilot; ``_tail_runs``, ``_mean_se``).  A run's head is the same bits
+at either horizon, so the levels pair.  With no more runs than the pilot,
+no more stages than the cut, or N1 = N0, an estimate stays one level, bit
+for bit.  ``simulate``, ``gain`` and ``freq`` stay one level: an access
+frequency is a ratio over every stage.
+
 A node transmits iff its draw is below its network's access probability, so
 the AON sends 0, 1 or at least 2 packets according to whether its tau lies
 above its smallest and its second-smallest draw.  No schedule can state
@@ -93,8 +104,16 @@ _MIN_CHUNK = 1024
 # 0.79-0.98 s at two (1.22-1.44 s and 2.04-2.43 s with one Philox call per run).
 _POOL_COPIES = 8
 # Runs whose raw uniform rows are drawn into one small buffer; a chunk of
-# fewer runs compacts several stage blocks at a time.
+# fewer runs compacts several stage blocks at a time.  Also the two-level
+# horizon's pilot, and the fewest runs that step its tail.
 _SUB_CHUNK = 256
+# The two-level horizon's cut, one stage block, and the most by which an
+# estimate's predicted SE may exceed its one-level SE when N1 is chosen.
+# At 1.01 the alpha-0.95 margins of a 512-run, 300-stage sweep took N1 =
+# 263-318 on 19 of 20 seeds, and the narrow batch that then steps those
+# runs' tails cost more than the two levels saved; at 1.02 every N1 was 256.
+_CUT = seeding.BLOCK_STAGES
+_SE_SLACK = 1.02
 
 # The forced plays of a schedule, beside a device bias and competition (None).
 JOINT, IDLE = "joint", "idle"
@@ -451,7 +470,8 @@ class _Trajectories:
     runs along the long row axis rather than the few weight columns.  Only
     when ``counted`` (for ``frequencies``), ``count_one``/``count_zero``/
     ``n_access`` count the stages in which the AON may access, with
-    probability 1, 0 or any.
+    probability 1, 0 or any.  ``head``, which ``_simulate_batch`` sets at a
+    cut, holds the (AON, TON) payoffs of the stages before it.
     """
 
     def __init__(self, engine: _Engine, n_runs, schedule, weights, counted=True):
@@ -508,15 +528,25 @@ class _Trajectories:
 
 
 def _simulate_batch(
-    engine: _Engine, seed: int, run_indices: range, schedule, weights: np.ndarray, counted=True
+    engine: _Engine,
+    seed: int,
+    run_indices: range,
+    schedule,
+    weights: np.ndarray,
+    counted=True,
+    cut=None,
 ) -> _Trajectories:
     """Advance one copy of the runs per play of ``schedule`` through every row of ``weights``.
 
     All copies read the runs' shared draws, one slot step per stage; the
-    access counters are kept only if ``counted``.
+    access counters are kept only if ``counted``.  Before stage ``cut``, if
+    the rows reach it, their (AON, TON) payoffs so far are copied to
+    ``state.head`` (2 x columns x rows).
     """
     state = _Trajectories(engine, len(run_indices), schedule, weights, counted)
     for n, draw in enumerate(engine.stage_rows(seed, run_indices, len(weights))):
+        if n == cut:
+            state.head = np.array((state.u_aon, state.u_ton))
         state.step(n, draw)
     return state
 
@@ -550,22 +580,25 @@ def run_single(config: RunConfig, run_index: int = 0) -> RunResult:
     return RunResult(u_aon, u_ton, *freqs, tuple(ages), record)
 
 
-def _chunks(n_runs: int, threads: int) -> list[tuple[int, int]]:
-    """The ``(start, stop)`` run chunks: ``ceil(n_runs / threads)`` wide, clipped to the bounds."""
-    width = min(_DEFAULT_CHUNK, max(_MIN_CHUNK, -(-n_runs // threads)))
-    return [(s, min(s + width, n_runs)) for s in range(0, n_runs, width)]
+def _chunks(n_runs: int, threads: int, first: int = 0) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` chunks of runs ``first`` to ``n_runs``.
+
+    A chunk is ``ceil(runs / threads)`` wide, clipped to the bounds.
+    """
+    width = min(_DEFAULT_CHUNK, max(_MIN_CHUNK, -(-(n_runs - first) // threads)))
+    return [(s, min(s + width, n_runs)) for s in range(first, n_runs, width)]
 
 
-def _fanout(n_runs: int, work, threads: int, copies: int) -> None:
-    """Call ``work((start, stop))`` on each run chunk of ``copies`` copies.
+def _fanout(work, threads: int, copies: int, *ranges: tuple[int, int]) -> None:
+    """Call ``work((start, stop))`` on each chunk of each ``(first, stop)`` range of runs.
 
     A pool starts only for several chunks of at least ``_POOL_COPIES``
-    copies; fewer copies are chunked and stepped as at one thread.
+    copies of the runs; fewer copies are chunked and stepped as at one thread.
     """
     _check_count(threads, 1, "thread count must be an integer of at least 1")
     if copies < _POOL_COPIES:
         threads = 1
-    chunks = _chunks(n_runs, threads)
+    chunks = [bounds for first, stop in ranges for bounds in _chunks(stop, threads, first)]
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, chunks))
@@ -574,43 +607,132 @@ def _fanout(n_runs: int, work, threads: int, copies: int) -> None:
             work(bounds)
 
 
-def _per_run(params: ScenarioParams, seed, n_runs, schedule, weights, threads, counted=True):
+def _per_run(params: ScenarioParams, seed, n_runs, schedule, weights, threads, estimates=None):
     """Per-run results of one copy of the runs per play of ``schedule``, by run index.
 
     Copy ``b`` plays entry ``b`` of each play list of the schedule (see the
     module docstring).  ``weights`` is the (stages x columns)
     payoff weight matrix: ``_discount_weights`` gives one column per alpha,
     and a caller may append others, such as ``np.eye(n_stages, 1)`` for the
-    stage-1 outcomes.  Returns, run axis last so that each reduction reads
-    one contiguous row, the (AON, TON) payoffs (2 x copies x columns x runs)
-    and the access frequencies at 1 and 0 (2 x copies x runs), or None for
-    a caller that reads none: ``counted`` off skips the access counters.
+    stage-1 outcomes.  The run axis is last, so that each reduction reads
+    one contiguous row.
+
+    Without ``estimates`` every run steps every stage, counting its access
+    stages: returns the (AON, TON) payoffs (2 x copies x columns x runs)
+    and the access frequencies at 1 and 0 (2 x copies x runs).
+
+    A caller that reads no frequency passes ``estimates``, which maps such
+    payoffs to the per-run values whose means it reports (... x runs); the
+    horizon then has two levels (module docstring), and no access counters
+    are kept.  Returns the payoffs at the cut and at the horizon, stacked
+    on a new first axis (NaN at the horizon for the runs that stop at the
+    cut), and each estimate's N1: ``n_runs`` wherever it stays one level.
     """
     _check_count(n_runs, 2, "a Monte Carlo estimate needs an integer count of at least two runs")
     _check_seed(seed)
     engine = _Engine(params)
-    copies, n_columns = len(schedule[0][1]), weights.shape[1]
-    payoffs = np.empty((2, copies, n_columns, n_runs))
+    copies, (n_stages, n_columns) = len(schedule[0][1]), weights.shape
+    counted = estimates is None
+    cut = None if counted or n_runs <= _SUB_CHUNK or n_stages <= _CUT else _CUT
+    # The payoffs at the horizon last, after those at the cut if uncounted.
+    levels = np.full((1 if counted else 2, 2, copies, n_columns, n_runs), np.nan)
     freqs = np.empty((2, copies, n_runs)) if counted else None
+
+    def store(level, pay, start, stop):
+        # State row b * size + r is run start + r in copy b.
+        pay = np.reshape(pay, (2, n_columns, copies, stop - start))
+        levels[level, ..., start:stop] = pay.swapaxes(1, 2)
 
     def work(bounds):
         start, stop = bounds
-        size = stop - start
-        state = _simulate_batch(engine, seed, range(start, stop), schedule, weights, counted)
-        # State row b * size + r is run start + r in copy b.
-        pay = np.reshape((state.u_aon, state.u_ton), (2, n_columns, copies, size))
-        payoffs[..., start:stop] = pay.swapaxes(1, 2)
+        # Past the largest N1 a run stops at the cut.
+        stages = n_stages if stop <= top else cut
+        runs = range(start, stop)
+        state = _simulate_batch(engine, seed, runs, schedule, weights[:stages], counted, cut)
+        store(-1 if stages == n_stages else 0, (state.u_aon, state.u_ton), *bounds)
+        if cut is not None and stages == n_stages:
+            store(0, state.head, *bounds)
         if counted:
-            freqs[..., start:stop] = np.reshape(state.frequencies(), (2, copies, size))
+            freqs[..., start:stop] = np.reshape(state.frequencies(), (2, copies, stop - start))
 
-    _fanout(n_runs, work, threads, copies)
-    return payoffs, freqs
+    top = n_runs
+    if cut is None:
+        _fanout(work, threads, copies, (0, n_runs))
+        if counted:
+            return levels[0], freqs
+        levels[0] = levels[1]
+        return levels, np.full(estimates(levels[1]).shape[:-1], n_runs)
+    # The pilot steps every stage and sets each N1; then the runs below the
+    # largest N1 step every stage too, and the rest stop at the cut.
+    work((0, _SUB_CHUNK))
+    n1 = _tail_runs(*(estimates(level[..., :_SUB_CHUNK]) for level in levels), n_runs)
+    top = int(n1.max())
+    _fanout(work, threads, copies, (_SUB_CHUNK, top), (top, n_runs))
+    return levels, n1
 
 
-def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means and standard errors over the last (run) axis."""
-    n_runs = values.shape[-1]
-    return values.mean(axis=-1), values.std(axis=-1, ddof=1) / np.sqrt(n_runs)
+def _moments(head: np.ndarray, tail: np.ndarray, n1: np.ndarray):
+    """Two-level sample moments over the last (run) axis.
+
+    Returns the variance of ``head`` over every run, and over the first
+    ``n1`` runs (per estimate, broadcast against the others) the mean and
+    variance of ``tail`` and its covariance with ``head``; the tail past
+    ``n1`` is not read.
+    """
+    take = np.arange(head.shape[-1]) < n1[..., None]
+    tail = np.where(take, tail, 0.0)
+    tail_mean = tail.sum(axis=-1) / n1
+    head_mean = np.where(take, head, 0.0).sum(axis=-1) / n1
+    d_head = np.where(take, head - head_mean[..., None], 0.0)
+    d_tail = np.where(take, tail - tail_mean[..., None], 0.0)
+    v_tail, c_ht = ((d * d_tail).sum(axis=-1) / (n1 - 1) for d in (d_tail, d_head))
+    return head.var(axis=-1, ddof=1), tail_mean, v_tail, c_ht
+
+
+def _tail_runs(head: np.ndarray, full: np.ndarray, n_runs: int) -> np.ndarray:
+    """Each estimate's N1, from the pilot's values at the cut and at the horizon (... x pilot).
+
+    N1 is the fewest runs, at least the pilot and at most ``N0 = n_runs``,
+    at which the two-level SE that the pilot's variances and covariance
+    predict is at most ``_SE_SLACK`` times the one-level SE at ``N0``:
+    ``V_h/N0 + V_t/N1 + 2 C_ht/N0 <= _SE_SLACK**2 V_f/N0`` with ``V_f =
+    V_h + V_t + 2 C_ht``, so ``N1 >= N0 V_t / (V_t + (_SE_SLACK**2 - 1) V_f)``.
+    A tail without variance needs only the pilot.
+    """
+    v_h, _, v_t, c_ht = _moments(head, full - head, np.full(head.shape[:-1], head.shape[-1]))
+    v_f = v_h + v_t + 2.0 * c_ht
+    share = np.divide(
+        v_t, v_t + (_SE_SLACK**2 - 1.0) * v_f, out=np.zeros(v_t.shape), where=v_t > 0.0
+    )
+    return np.clip(np.ceil(n_runs * share), _SUB_CHUNK, n_runs).astype(np.int64)
+
+
+def _mean_se(values: np.ndarray, n1=None) -> tuple[np.ndarray, np.ndarray]:
+    """Means and standard errors over the last (run) axis.
+
+    With ``n1`` (per estimate, broadcast) ``values`` stacks the runs' values
+    at the cut and at the horizon on its first axis, the latter read for the
+    first ``n1`` runs only, and each estimate has two levels:
+    ``mean_N0(head) + mean_N1(full - head)``, that is ``mean_N1(full) +
+    mean_N0(head) - mean_N1(head)``, with the SE
+    ``sqrt(V_h/N0 + V_t/N1 + 2 C_ht/N0)`` of head ``h`` and tail ``t = full
+    - head``.  Where ``n1`` is every run, the one-level estimate of the
+    horizon values, bit for bit.
+    """
+    if n1 is None:
+        n_runs = values.shape[-1]
+        return values.mean(axis=-1), values.std(axis=-1, ddof=1) / np.sqrt(n_runs)
+    head, full = values
+    n0 = values.shape[-1]
+    mean, se = _mean_se(full)
+    one = n1 == n0
+    v_h, tail_mean, v_t, c_ht = _moments(head, full - head, n1)
+    # The sample moments come from different runs, so the sum could dip below 0.
+    se2 = np.maximum(v_h / n0 + v_t / n1 + 2.0 * c_ht / n0, 0.0)
+    return (
+        np.where(one, mean, head.mean(axis=-1) + tail_mean),
+        np.where(one, se, np.sqrt(se2)),
+    )
 
 
 def _aggregate(payoffs: np.ndarray, freqs: np.ndarray, copy: int, column: int) -> Aggregate:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from slotshare import NetworkSizes, Recommendation, SlotLengths
+from slotshare import equilibrium as eq
 
 
 @pytest.fixture
@@ -132,6 +133,47 @@ def with_ton_tau(engine, uniforms, draw, tau):
     """
     aon, device, _, node = draw
     return aon, device, ton_count(engine, uniforms, tau), node
+
+
+def reference_payoffs(params, n_runs, n_stages, plays, seed):
+    """Per-run discounted (AON, TON) payoffs from a naive simulator of the repeated game.
+
+    An independent check of the engine's whole chain: it shares only the AON
+    rules (``eq._rule`` / ``eq._evaluators``) with it.  ``plays`` is the
+    stage-1 play and the play of every later stage, each None (compete), a
+    device bias (obey it), ``"joint"`` (both networks on the air at the
+    cooperative tau) or ``"idle"`` (both silent).  Every stage draws the
+    device and one Bernoulli per node from ``np.random.default_rng(seed)``,
+    so two calls of one seed share their draws and their runs pair.
+    """
+    sizes, slots = params.sizes, params.slots
+    na, nt = sizes.n_aon, sizes.n_ton
+    rng = np.random.default_rng(seed)
+    taus = {c: eq._evaluators(sizes, slots, eq._rule(sizes, slots, c))[1] for c in (True, False)}
+    ages = np.full((n_runs, na), float(params.initial_age))
+    u_aon, u_ton = np.zeros(n_runs), np.zeros(n_runs)
+    for n in range(n_stages):
+        play = plays[0] if n == 0 else plays[1]
+        device = rng.random(n_runs)
+        tau_a = taus[play is None](ages.mean(1))
+        if play == "idle":
+            aon_on = ton_on = np.zeros(n_runs, dtype=bool)
+        elif play is None or play == "joint":
+            aon_on = ton_on = np.ones(n_runs, dtype=bool)
+        else:
+            aon_on, ton_on = device < play, device >= play
+        sends_a = (rng.random((n_runs, na)) < tau_a[:, None]) & aon_on[:, None]
+        sends_t = (rng.random((n_runs, nt)) < 1.0 / nt) & ton_on[:, None]
+        k_a, k_t = sends_a.sum(1), sends_t.sum(1)
+        k = k_a + k_t
+        growth = np.where(k == 0, slots.idle, np.where(k == 1, slots.success, slots.collision))
+        ages += growth[:, None]
+        lone_aon = (k == 1) & (k_a == 1)
+        ages[lone_aon] = np.where(sends_a[lone_aon], slots.success, ages[lone_aon])
+        weight = (1.0 - params.alpha) * params.alpha**n
+        u_aon -= weight * ages.mean(1)
+        u_ton += weight * np.where((k == 1) & (k_t == 1), slots.success * params.rate / nt, 0.0)
+    return u_aon, u_ton
 
 
 def assert_ordered_beyond_se(means, ses, label=""):

@@ -242,6 +242,18 @@ class TestTriState:
         assert combined.tolist() == [c for _, c in KLEENE_AND]
 
 
+def assert_invariant_to_threads_and_chunks(args, chunks, monkeypatch):
+    """``region_sweep(*args)`` is the same bits at 1, 2 and 4 threads and at each chunk width."""
+    base = ss.region_sweep(*args, seed=3)
+    variants = [ss.region_sweep(*args, seed=3, threads=t) for t in (2, 4)]
+    for chunk in chunks:
+        monkeypatch.setattr(sim, "_DEFAULT_CHUNK", chunk)
+        variants += [ss.region_sweep(*args, seed=3, threads=t) for t in (1, 2, 4)]
+    for other in variants:
+        for name in ("margins", "ses", "ton_prefers", "aon_prefers", "self_enforceable"):
+            assert np.array_equal(getattr(base, name), getattr(other, name)), name
+
+
 class TestRegionSweep:
     def test_intersection_law_and_determinism(self, equal_slots):
         params = scenario(equal_slots)
@@ -269,18 +281,26 @@ class TestRegionSweep:
         assert verdicts == {2: 1, 10: 0}
 
     @pytest.mark.parametrize(
-        "slots_name, n", [("equal_slots", 2), ("small_collision", 5), ("equal_slots", 10)]
+        "slots_name, n, n_runs, n_stages",
+        [
+            pytest.param("equal_slots", 2, 120, 40, id="equal_slots-2"),
+            pytest.param("small_collision", 5, 120, 40, id="small_collision-5"),
+            pytest.param("equal_slots", 10, 120, 40, id="equal_slots-10"),
+            # Two levels, with margins' N1 from the pilot's 256 runs to 600.
+            pytest.param("small_collision", 3, 600, 130, id="small_collision-3-two-level"),
+        ],
     )
-    def test_cells_equal_single_point_reports(self, slots_name, n, request):
+    def test_cells_equal_single_point_reports(self, slots_name, n, n_runs, n_stages, request):
         # Common random numbers: every cell replays the master seed's run
-        # streams, so it is bit-equal to the report at that point alone.
+        # streams, and each margin's N1 is its own, so a cell is bit-equal
+        # to the report at that point alone.
         params = scenario(request.getfixturevalue(slots_name), na=n, nt=n, initial_age=6.0)
         alphas, biases = [0.3, 0.75, 0.95], [0.2, 0.5, 0.8]
-        grid = ss.region_sweep(params, alphas, biases, 120, 40, seed=9)
+        grid = ss.region_sweep(params, alphas, biases, n_runs, n_stages, seed=9)
         for i, alpha in enumerate(alphas):
             for j, p_r in enumerate(biases):
                 point = replace(params, alpha=alpha, p_r=p_r)
-                report = ss.deviation_inequalities(point, 120, 40, seed=9)
+                report = ss.deviation_inequalities(point, n_runs, n_stages, seed=9)
                 assert [e.margin for e in report.inequalities] == list(grid.margins[:, i, j])
                 assert [e.se for e in report.inequalities] == list(grid.ses[:, i, j])
                 aon_h, ton_h, aon_t, ton_t = (
@@ -295,14 +315,31 @@ class TestRegionSweep:
     def test_sweep_invariant_to_threads_and_chunks(self, small_collision, monkeypatch):
         params = scenario(small_collision, na=3, nt=3, initial_age=5.0)
         args = (params, [0.5, 0.9], [0.25, 0.5, 0.75], 100, 30)
-        base = ss.region_sweep(*args, seed=3)
-        variants = [ss.region_sweep(*args, seed=3, threads=t) for t in (2, 4)]
-        for chunk in (1, 7, 64):
-            monkeypatch.setattr(sim, "_DEFAULT_CHUNK", chunk)
-            variants += [ss.region_sweep(*args, seed=3, threads=t) for t in (1, 2, 4)]
-        for other in variants:
-            for name in ("margins", "ses", "ton_prefers", "aon_prefers", "self_enforceable"):
-                assert np.array_equal(getattr(base, name), getattr(other, name)), name
+        assert_invariant_to_threads_and_chunks(args, (1, 7, 64), monkeypatch)
+
+    def test_two_level_sweep_invariant_to_threads_and_chunks(self, small_collision, monkeypatch):
+        # Its alpha-0.97 margins take N1 between the pilot and all 600 runs.
+        params = scenario(small_collision, na=3, nt=3, initial_age=5.0)
+        args = (params, [0.5, 0.9, 0.97], [0.25, 0.5, 0.75], 600, 130)
+        assert_invariant_to_threads_and_chunks(args, (7, 64), monkeypatch)
+
+    def test_two_level_sweep_steps_the_tail_for_the_largest_n1(self, small_collision, monkeypatch):
+        # The pilot steps every stage, then the runs below the largest N1 do,
+        # and the rest stop at the cut; margins' N1 differ.
+        calls, n1s, batch, tail_runs = [], [], sim._simulate_batch, sim._tail_runs
+
+        def recorded(engine, seed, runs, schedule, weights, *args):
+            calls.append((runs.start, runs.stop, len(weights)))
+            return batch(engine, seed, runs, schedule, weights, *args)
+
+        monkeypatch.setattr(sim, "_simulate_batch", recorded)
+        monkeypatch.setattr(sim, "_tail_runs", lambda *a: n1s.append(tail_runs(*a)) or n1s[-1])
+        params = scenario(small_collision, na=3, nt=3, initial_age=5.0)
+        ss.region_sweep(params, [0.5, 0.9, 0.97], [0.25, 0.5, 0.75], 600, 130, seed=3)
+        (n1,) = n1s
+        top = int(n1.max())
+        assert n1.min() == sim._SUB_CHUNK < top < 600
+        assert calls == [(0, 256, 130), (256, top, 130), (top, 600, sim._CUT)]
 
     def test_grid_bounds_validated(self, equal_slots, monkeypatch):
         def batch(*args, **kwargs):
@@ -346,14 +383,16 @@ class TestRegionSweep:
 
     def test_sweep_keeps_no_access_counters(self, small_collision, monkeypatch):
         # The sweep reads payoffs only: without the access counters its
-        # payoffs are the same bits, and neither entry reads a frequency.
+        # payoffs are the same bits, at one level both levels are the
+        # horizon's, and neither entry reads a frequency.
         params = scenario(small_collision)
         weights = sim._discount_weights([0.5, 0.9], 12)
         schedule = [(0, [sim.JOINT, sim.IDLE, 1.0, 0.0]), (1, [None, None, 0.3, 0.3])]
         payoffs, freqs = sim._per_run(params, 4, 40, schedule, weights, 1)
-        uncounted, none = sim._per_run(params, 4, 40, schedule, weights, 1, counted=False)
-        assert freqs.shape == (2, 4, 40) and none is None
-        assert uncounted.tobytes() == payoffs.tobytes()
+        margin = lambda p: p[0, 2] - p[0, 0]
+        levels, n1 = sim._per_run(params, 4, 40, schedule, weights, 1, margin)
+        assert freqs.shape == (2, 4, 40) and n1.tolist() == [40, 40]
+        assert levels.tobytes() == np.stack((payoffs, payoffs)).tobytes()
 
         def frequencies(self):
             raise AssertionError("read access frequencies")

@@ -11,8 +11,9 @@ runs its default 10 x 10 grid, and ``gain`` and ``region`` split their runs
 into two chunks at the configs' 2 threads and one at a single thread.
 ``golden_cli/interior_stage1.ini`` starts a three-node AON above its
 cooperative threshold, so its ``region`` plays an interior stage-1 tau, on
-the thread pool at 2 threads.  The files change only with a declared
-output change; regenerate them with
+the thread pool at 2 threads.  ``region`` at 256 runs, the two-level
+horizon's pilot, stays one level, so its bytes predate that horizon.  The
+files change only with a declared output change; regenerate them with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -40,6 +41,8 @@ CASES = {
     "gain.csv": ("golden.ini", ["gain", "--stages", "120"]),
     "freq.csv": ("golden.ini", ["freq", "--runs", "600", "--stages", "150"]),
     "region.csv": ("golden.ini", ["region", "--runs", "2100", "--stages", "120"]),
+    # No more runs than the pilot: the sweep stays one level.
+    "region_runs256.csv": ("golden.ini", ["region", "--runs", "256", "--stages", "120"]),
     "lone_ton_simulate_competitive.csv": ("lone_ton.ini", ["simulate", "--mode", "competitive"]),
     "lone_ton_simulate_cooperative.csv": ("lone_ton.ini", ["simulate", "--mode", "cooperative"]),
     "lone_ton_gain.csv": ("lone_ton.ini", ["gain"]),
@@ -63,7 +66,7 @@ ONE_THREAD = [
     f"{config}_{name}.csv"
     for config in ("lone_ton", "equal_slots")
     for name in ("region", "simulate_competitive", "simulate_cooperative")
-] + ["interior_stage1_region.csv"]
+] + ["interior_stage1_region.csv", "region_runs256.csv"]
 
 
 def cli_output(config, args) -> str:

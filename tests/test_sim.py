@@ -95,7 +95,7 @@ class TestDeterminism:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(sim, "ThreadPoolExecutor", Pool)
-        sim._fanout(2000, chunks.append, 2, copies)
+        sim._fanout(chunks.append, 2, copies, (0, 2000))
         assert bool(pools) == pooled
         assert sorted(chunks) == sim._chunks(2000, 2 if pooled else 1)
         assert len(chunks) == n_chunks
@@ -822,6 +822,46 @@ class TestGain:
         monkeypatch.setattr(sim, "_simulate_batch", batch)
         with pytest.raises(ss.ConfigurationError):
             ss.gain_grid(scenario(equal_slots), 10, 10, 1, alphas, biases)
+
+
+class TestTwoLevelHorizon:
+    def test_two_level_mean_se_by_hand(self):
+        # Three estimates of 50 runs: one at N1 = N0, two at N1 = 20 and 35,
+        # whose horizon values past N1 are NaN and never read.
+        rng = np.random.default_rng(5)
+        head = rng.normal(size=(3, 50))
+        full = head + 0.3 * rng.normal(size=(3, 50)) + 0.2 * head
+        n1 = np.array([50, 20, 35])
+        full[1, 20:] = full[2, 35:] = np.nan
+        mean, se = sim._mean_se(np.stack((head, full)), n1)
+        one_mean, one_se = sim._mean_se(full[0])
+        assert mean[0] == one_mean and se[0] == one_se
+        for k in (1, 2):
+            h, n = head[k], n1[k]
+            t = full[k, :n] - h[:n]
+            cov = np.cov(h[:n], t)[0, 1]
+            expected_se = np.sqrt(h.var(ddof=1) / 50 + t.var(ddof=1) / n + 2 * cov / 50)
+            assert mean[k] == pytest.approx(full[k, :n].mean() + h.mean() - h[:n].mean(), rel=1e-13)
+            assert se[k] == pytest.approx(expected_se, rel=1e-13)
+
+    @pytest.mark.parametrize("tail_scale", [0.0, 0.05, 0.15, 0.4, 3.0])
+    def test_n1_is_the_fewest_runs_within_the_se_slack(self, tail_scale):
+        # From the pilot's moments, N1 runs meet the predicted-SE bound and
+        # one run fewer (above the pilot's 256) does not.
+        rng = np.random.default_rng(8)
+        head = rng.normal(size=(4, sim._SUB_CHUNK))
+        full = head + tail_scale * rng.normal(size=head.shape) * np.arange(1, 5)[:, None]
+        n0 = 1000
+        n1 = sim._tail_runs(head, full, n0)
+        assert np.all((n1 >= sim._SUB_CHUNK) & (n1 <= n0))
+        for h, f, n in zip(head, full, n1):
+            (v_h, c), (_, v_t) = np.cov(h, f - h)
+            one_level = np.var(f, ddof=1) / n0
+            ratio = lambda runs: np.sqrt((v_h / n0 + v_t / runs + 2 * c / n0) / one_level)
+            assert ratio(n) <= sim._SE_SLACK * (1 + 1e-12)
+            assert n == sim._SUB_CHUNK or ratio(n - 1) > sim._SE_SLACK * (1 - 1e-12)
+        if tail_scale == 0.0:
+            assert n1.tolist() == [sim._SUB_CHUNK] * 4
 
 
 class TestRuleSharing:
