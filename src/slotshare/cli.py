@@ -22,7 +22,7 @@ from dataclasses import replace
 
 from . import equilibrium as eq
 from . import etiquette, sim
-from .config import ExperimentConfig, default_config, parse_config
+from .config import _RUN_KEYS, ExperimentConfig, default_config, parse_config
 from .model import ConfigurationError
 from .equilibrium import OutOfRangeError
 
@@ -220,9 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("msne", "stage"):
             # The tables read no runs, stages, seed or threads.
             continue
-        cmd.add_argument("--seed", type=int, help="master seed override")
-        cmd.add_argument("--runs", type=int, help="Monte Carlo runs override")
-        cmd.add_argument("--stages", type=int, help="stages per run override")
+        # Each override's dest is its [run] key.
+        cmd.add_argument("--seed", type=int, dest="master_seed", help="master seed override")
+        cmd.add_argument("--runs", type=int, dest="n_runs", help="Monte Carlo runs override")
+        cmd.add_argument("--stages", type=int, dest="n_stages", help="stages per run override")
         cmd.add_argument("--threads", type=int, help="worker threads override")
         cmd.add_argument(
             "--paper-scale",
@@ -242,13 +243,8 @@ def _load_config(args) -> ExperimentConfig:
     config = parse_config(args.config) if args.config else default_config()
     if getattr(args, "paper_scale", False):
         config = config.at_paper_scale()
-    flags = {"seed": "master_seed", "runs": "n_runs", "stages": "n_stages", "threads": "threads"}
-    overrides = {
-        field: getattr(args, flag)
-        for flag, field in flags.items()
-        if getattr(args, flag, None) is not None
-    }
-    return replace(config, **overrides) if overrides else config
+    overrides = {key: getattr(args, key, None) for key in _RUN_KEYS}
+    return replace(config, **{key: value for key, value in overrides.items() if value is not None})
 
 
 def _dispatch(args) -> str:

@@ -3,9 +3,11 @@
 Config files are flat ``key = value`` INI sections (``[scenario]``, ``[run]``,
 ``[grids]``); every key is optional and falls back to the defaults below,
 and a ``[DEFAULT]`` key, or a section or key that ``emit_config`` does not
-write, is refused.  Grids accept either a comma list (``0.1, 0.5, 0.9``) or a
-linspace spec ``lo:hi:count``.  ``emit_config`` round-trips: parsing its
-output reproduces the identical configuration.
+write, is refused.  A named ``slot_scenario`` takes its slot lengths from
+``beta`` and refuses a ``sigma_*`` that differs from them; ``explicit`` reads
+them, by default sigma_I = beta and sigma_S = sigma_C = 1 + beta.  Grids take
+a comma list (``0.1, 0.5, 0.9``) or a linspace spec ``lo:hi:count``, and
+``emit_config`` round-trips: parsing its output reproduces the configuration.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import configparser
 import enum
 import io
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -26,6 +28,8 @@ PAPER_SCALE_STAGES = 1_000
 # its ExperimentConfig field, in the order emit_config writes them.
 _RUN_KEYS = ("n_runs", "n_stages", "master_seed", "threads")
 _GRID_FLOAT_KEYS = ("alpha_grid", "pr_grid", "ages", "alphas")
+# The [scenario] slot-length keys, in SlotLengths field order.
+_SLOT_KEYS = ("sigma_idle", "sigma_success", "sigma_collision")
 
 
 class ConfigError(ConfigurationError):
@@ -105,57 +109,23 @@ def default_config() -> ExperimentConfig:
     )
 
 
-def _parse_values(text: str, where: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
+def _parse_values(text: str) -> tuple[float, ...]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"{where}: grid spec must be lo:hi:count, got {text!r}")
-        try:
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as err:
-            raise ConfigError(f"{where}: {err}") from None
+            raise ValueError(f"grid spec must be lo:hi:count, got {text!r}")
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
-            raise ConfigError(f"{where}: grid spec needs a count of at least 1, got {count}")
+            raise ValueError(f"grid spec needs a count of at least 1, got {count}")
         return tuple(float(v) for v in np.linspace(lo, hi, count))
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from None
+    return tuple(float(v) for v in text.split(","))
 
 
-class _Section:
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self.name = name
-        self.data = parser[name] if parser.has_section(name) else {}
-
-    def get(self, key: str, default, convert):
-        raw = self.data.get(key)
-        if raw is None or str(raw).strip() == "":
-            return default
-        try:
-            return convert(str(raw).strip())
-        except ConfigError:
-            raise
-        except ValueError as err:
-            raise ConfigError(f"{self.name}.{key}: {err}") from None
-
-    def get_float(self, key, default):
-        return self.get(key, default, float)
-
-    def get_int(self, key, default):
-        return self.get(key, default, int)
-
-    def get_values(self, key, default):
-        return self.get(key, default, lambda text: _parse_values(text, f"{self.name}.{key}"))
-
-    def get_int_values(self, key, default):
-        values = self.get_values(key, default)
-        if not all(float(v).is_integer() for v in values):
-            raise ConfigError(f"{self.name}.{key}: values must be integers, got {values}")
-        return tuple(int(v) for v in values)
+def _parse_ints(text: str) -> tuple[int, ...]:
+    values = _parse_values(text)
+    if not all(v.is_integer() for v in values):
+        raise ValueError(f"values must be integers, got {values}")
+    return tuple(int(v) for v in values)
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -172,8 +142,6 @@ def parse_config(source) -> ExperimentConfig:
         else:
             with open(source, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as err:
         raise ConfigError(f"invalid config syntax: {err}") from None
 
@@ -189,34 +157,43 @@ def parse_config(source) -> ExperimentConfig:
         for key in parser.options(name):
             if not known.has_option(name, key):
                 raise ConfigError(f"{name}.{key}: unknown key")
-    scen = _Section(parser, "scenario")
-    run = _Section(parser, "run")
-    grids = _Section(parser, "grids")
 
-    beta = scen.get_float("beta", base.beta)
-    name = scen.get("slot_scenario", "equal_slots", str).lower()
+    def get(section, key, default, convert=float):
+        # Raw: a '%' is part of the value, not an interpolation.
+        text = parser.get(section, key, raw=True, fallback="").strip()
+        if not text:
+            return default
+        try:
+            return convert(text)
+        except ValueError as err:
+            raise ConfigError(f"{section}.{key}: {err}") from None
+
+    beta = get("scenario", "beta", base.beta)
+    name = get("scenario", "slot_scenario", base.slot_scenario.value, str).lower()
     try:
-        if name == "explicit":
-            slot_scenario = None
-            slots = SlotLengths(
-                idle=scen.get_float("sigma_idle", beta),
-                success=scen.get_float("sigma_success", 1.0 + beta),
-                collision=scen.get_float("sigma_collision", 1.0 + beta),
-            )
-        else:
-            slot_scenario = SlotScenario(name)
-            slots = slots_from_scenario(slot_scenario, beta)
+        slot_scenario = None if name == "explicit" else SlotScenario(name)
+        own = astuple(slots_from_scenario(slot_scenario or SlotScenario.EQUAL_SLOTS, beta))
+        lengths = [get("scenario", key, length) for key, length in zip(_SLOT_KEYS, own)]
+        for key, length, expected in zip(_SLOT_KEYS, lengths, own):
+            if slot_scenario and length != expected:
+                raise ConfigError(
+                    f"scenario.{key}: {length!r} is not the {name} length {expected!r}"
+                    " at this beta; set slot_scenario = explicit to use it"
+                )
+        slots = SlotLengths(*lengths)
         scenario = ScenarioParams(
             sizes=NetworkSizes(
-                n_aon=scen.get_int("n_aon", base.scenario.sizes.n_aon),
-                n_ton=scen.get_int("n_ton", base.scenario.sizes.n_ton),
+                n_aon=get("scenario", "n_aon", base.scenario.sizes.n_aon, int),
+                n_ton=get("scenario", "n_ton", base.scenario.sizes.n_ton, int),
             ),
             slots=slots,
-            rate=scen.get_float("rate", base.scenario.rate),
-            alpha=scen.get_float("alpha", base.scenario.alpha),
-            p_r=scen.get_float("p_r", base.scenario.p_r),
-            initial_age=scen.get_float("initial_age", slots.success),
+            rate=get("scenario", "rate", base.scenario.rate),
+            alpha=get("scenario", "alpha", base.scenario.alpha),
+            p_r=get("scenario", "p_r", base.scenario.p_r),
+            initial_age=get("scenario", "initial_age", slots.success),
         )
+    except ConfigError:
+        raise
     except ValueError as err:
         raise ConfigError(f"scenario: {err}") from None
 
@@ -224,9 +201,9 @@ def parse_config(source) -> ExperimentConfig:
         scenario=scenario,
         slot_scenario=slot_scenario,
         beta=beta,
-        **{key: run.get_int(key, getattr(base, key)) for key in _RUN_KEYS},
-        **{key: grids.get_values(key, getattr(base, key)) for key in _GRID_FLOAT_KEYS},
-        n_aon_list=grids.get_int_values("n_aon_list", base.n_aon_list),
+        **{key: get("run", key, getattr(base, key), int) for key in _RUN_KEYS},
+        **{key: get("grids", key, getattr(base, key), _parse_values) for key in _GRID_FLOAT_KEYS},
+        n_aon_list=get("grids", "n_aon_list", base.n_aon_list, _parse_ints),
     )
 
 
@@ -243,9 +220,7 @@ def emit_config(config: ExperimentConfig) -> str:
         "n_ton": str(scen.sizes.n_ton),
         "slot_scenario": config.slot_scenario.value if config.slot_scenario else "explicit",
         "beta": repr(config.beta),
-        "sigma_idle": repr(scen.slots.idle),
-        "sigma_success": repr(scen.slots.success),
-        "sigma_collision": repr(scen.slots.collision),
+        **dict(zip(_SLOT_KEYS, map(repr, astuple(scen.slots)))),
         "rate": repr(scen.rate),
         "alpha": repr(scen.alpha),
         "p_r": repr(scen.p_r),

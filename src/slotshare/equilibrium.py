@@ -301,7 +301,10 @@ def best_response_oracle(objective, grid_step: float) -> float:
     taus = np.linspace(0.0, 1.0, int(round(1.0 / grid_step)) + 1)
     values = np.asarray(objective(taus), dtype=np.float64)
     if values.shape != taus.shape:
-        values = np.asarray([float(objective(t)) for t in taus])
+        raise ConfigurationError(
+            f"objective must map candidates of shape {taus.shape} to payoffs of that shape,"
+            f" got {values.shape}"
+        )
     return float(taus[int(np.argmax(values))])
 
 

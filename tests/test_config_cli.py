@@ -28,6 +28,12 @@ def explicit_slots_config():
     return replace(config, scenario=scenario, slot_scenario=None)
 
 
+def named_slots_config(slot_scenario, beta):
+    config = default_config()
+    scenario = replace(config.scenario, slots=slots_from_scenario(slot_scenario, beta))
+    return replace(config, scenario=scenario, slot_scenario=slot_scenario, beta=beta)
+
+
 class TestConfig:
     def test_slot_scenario_expansion(self):
         slots = slots_from_scenario(SlotScenario.SMALL_COLLISION, beta=0.01)
@@ -99,12 +105,18 @@ class TestConfig:
             parse_config("[grids]\nalpha_grid = 0.1:0.9\n")
         with pytest.raises(ConfigError, match="scenario"):
             parse_config("[scenario]\nalpha = 1.7\n")
+        # A '%' is part of the value, not an interpolation.
+        with pytest.raises(ConfigError, match="scenario.alpha"):
+            parse_config("[scenario]\nalpha = 5%\n")
 
     def test_bad_grids_rejected(self):
         with pytest.raises(ConfigError, match="grids.n_aon_list"):
             parse_config("[grids]\nn_aon_list = 2.7, 5\n")
         with pytest.raises(ConfigError, match="grids.alpha_grid"):
             parse_config("[grids]\nalpha_grid = 0.1:0.9:0\n")
+        for grid in ("0.1, x", "a:1:3"):
+            with pytest.raises(ConfigError, match="grids.alpha_grid"):
+                parse_config(f"[grids]\nalpha_grid = {grid}\n")
         assert parse_config("[grids]\nn_aon_list = 1:10:4\n").n_aon_list == (1, 4, 7, 10)
 
     @pytest.mark.parametrize(
@@ -132,6 +144,50 @@ class TestConfig:
             parse_config(ini)
         config = tmp_path / "c.ini"
         config.write_text(ini)
+        code, out = run_cli(["simulate", "--mode", "competitive", "--config", str(config)])
+        assert (code, out) == (cli.EXIT_CONFIG, "")
+
+    @pytest.mark.parametrize("beta", [0.001, 0.01, 0.3, 0.9])
+    @pytest.mark.parametrize("slot_scenario", list(SlotScenario))
+    def test_round_trip_named_scenarios(self, slot_scenario, beta):
+        # Emitted sigma_* lines are the scenario's own lengths, so none is refused.
+        config = named_slots_config(slot_scenario, beta)
+        assert parse_config(emit_config(config)) == config
+
+    @pytest.mark.parametrize(
+        "ini, key",
+        [
+            ("[scenario]\nsigma_collision = 0.5\n", "sigma_collision"),
+            ("[scenario]\nslot_scenario = small_collision\nsigma_idle = 0.02\n", "sigma_idle"),
+            (
+                "[scenario]\nslot_scenario = large_collision\nbeta = 0.3\n"
+                + "".join(
+                    line + "\n"
+                    for line in emit_config(
+                        named_slots_config(SlotScenario.LARGE_COLLISION, 0.01)
+                    ).splitlines()
+                    if line.startswith("sigma_")
+                ),
+                "sigma_idle",
+            ),
+        ],
+        ids=["default_scenario", "small_collision", "stale_lengths_after_beta_change"],
+    )
+    def test_named_scenario_refuses_other_slot_lengths(self, tmp_path, ini, key):
+        # Read in silence, the named scenario's own lengths would run instead.
+        where = rf"scenario\.{key}: .* slot_scenario = explicit"
+        with pytest.raises(ConfigError, match=where):
+            parse_config(ini)
+        config = tmp_path / "c.ini"
+        config.write_text(ini)
+        code, out = run_cli(["simulate", "--mode", "competitive", "--config", str(config)])
+        assert (code, out) == (cli.EXIT_CONFIG, "")
+
+    def test_invalid_syntax_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match="invalid config syntax"):
+            parse_config("[run\n")
+        config = tmp_path / "c.ini"
+        config.write_text("[run\n")
         code, out = run_cli(["simulate", "--mode", "competitive", "--config", str(config)])
         assert (code, out) == (cli.EXIT_CONFIG, "")
 

@@ -222,6 +222,10 @@ class TestBestResponseOracle:
         with pytest.raises(ss.ConfigurationError):
             ss.best_response_oracle(lambda taus: taus, 0.5)
 
+    def test_rejects_objective_not_mapping_the_grid(self):
+        with pytest.raises(ss.ConfigurationError, match="shape"):
+            ss.best_response_oracle(lambda taus: 0.0, STEP)
+
 
 def random_scenarios(n, seed):
     rng = np.random.default_rng(seed)
