@@ -6,8 +6,9 @@ and a ``[DEFAULT]`` key, or a section or key that ``emit_config`` does not
 write, is refused.  A named ``slot_scenario`` takes its slot lengths from
 ``beta`` and refuses a ``sigma_*`` that differs from them; ``explicit`` reads
 them, by default sigma_I = beta and sigma_S = sigma_C = 1 + beta.  Grids take
-a comma list (``0.1, 0.5, 0.9``) or a linspace spec ``lo:hi:count``, and
-``emit_config`` round-trips: parsing its output reproduces the configuration.
+a comma list (``0.1, 0.5, 0.9``) or a linspace spec ``lo:hi:count``.  A config
+holds its slot lengths once: ``emit_config`` writes ``beta = sigma_I`` and the
+family they are at that beta (else ``explicit``), and parsing it round-trips.
 """
 
 from __future__ import annotations
@@ -57,11 +58,19 @@ def slots_from_scenario(scenario: SlotScenario, beta: float = 0.01) -> SlotLengt
     return SlotLengths(idle=beta, success=success, collision=scenario.collision_ratio * success)
 
 
+def _scenario_name(slots: SlotLengths) -> str:
+    """The ``slot_scenario`` whose lengths at beta = sigma_I are ``slots``, else ``explicit``."""
+    # As the floats emit_config writes: numpy float32 lengths would compare in float32.
+    lengths = tuple(map(float, astuple(slots)))
+    for scenario in SlotScenario:
+        if astuple(slots_from_scenario(scenario, lengths[0])) == lengths:
+            return scenario.value
+    return "explicit"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: ScenarioParams
-    slot_scenario: SlotScenario | None  # None means explicit slot lengths
-    beta: float
     n_runs: int
     n_stages: int
     master_seed: int
@@ -82,21 +91,10 @@ class ExperimentConfig:
 
 
 def default_config() -> ExperimentConfig:
-    beta = 0.01
-    slots = slots_from_scenario(SlotScenario.EQUAL_SLOTS, beta)
-    scenario = ScenarioParams(
-        sizes=NetworkSizes(n_aon=5, n_ton=5),
-        slots=slots,
-        rate=1.0,
-        alpha=0.9,
-        p_r=0.5,
-        initial_age=slots.success,
-    )
+    slots = slots_from_scenario(SlotScenario.EQUAL_SLOTS)
     grid = tuple(float(v) for v in np.linspace(0.05, 0.95, 10))
     return ExperimentConfig(
-        scenario=scenario,
-        slot_scenario=SlotScenario.EQUAL_SLOTS,
-        beta=beta,
+        scenario=ScenarioParams(sizes=NetworkSizes(n_aon=5, n_ton=5), slots=slots),
         n_runs=2000,
         n_stages=300,
         master_seed=1,
@@ -168,8 +166,8 @@ def parse_config(source) -> ExperimentConfig:
         except ValueError as err:
             raise ConfigError(f"{section}.{key}: {err}") from None
 
-    beta = get("scenario", "beta", base.beta)
-    name = get("scenario", "slot_scenario", base.slot_scenario.value, str).lower()
+    beta = get("scenario", "beta", base.scenario.slots.idle)
+    name = get("scenario", "slot_scenario", _scenario_name(base.scenario.slots), str).lower()
     try:
         slot_scenario = None if name == "explicit" else SlotScenario(name)
         own = astuple(slots_from_scenario(slot_scenario or SlotScenario.EQUAL_SLOTS, beta))
@@ -180,17 +178,16 @@ def parse_config(source) -> ExperimentConfig:
                     f"scenario.{key}: {length!r} is not the {name} length {expected!r}"
                     " at this beta; set slot_scenario = explicit to use it"
                 )
-        slots = SlotLengths(*lengths)
         scenario = ScenarioParams(
             sizes=NetworkSizes(
                 n_aon=get("scenario", "n_aon", base.scenario.sizes.n_aon, int),
                 n_ton=get("scenario", "n_ton", base.scenario.sizes.n_ton, int),
             ),
-            slots=slots,
+            slots=SlotLengths(*lengths),
             rate=get("scenario", "rate", base.scenario.rate),
             alpha=get("scenario", "alpha", base.scenario.alpha),
             p_r=get("scenario", "p_r", base.scenario.p_r),
-            initial_age=get("scenario", "initial_age", slots.success),
+            initial_age=get("scenario", "initial_age", None),
         )
     except ConfigError:
         raise
@@ -199,8 +196,6 @@ def parse_config(source) -> ExperimentConfig:
 
     return ExperimentConfig(
         scenario=scenario,
-        slot_scenario=slot_scenario,
-        beta=beta,
         **{key: get("run", key, getattr(base, key), int) for key in _RUN_KEYS},
         **{key: get("grids", key, getattr(base, key), _parse_values) for key in _GRID_FLOAT_KEYS},
         n_aon_list=get("grids", "n_aon_list", base.n_aon_list, _parse_ints),
@@ -211,23 +206,21 @@ def emit_config(config: ExperimentConfig) -> str:
     """Serialize a config so that parse_config reproduces it exactly."""
     scen = config.scenario
 
-    def values(seq):
-        return ", ".join(repr(float(v)) for v in seq)
+    def fmt(v):
+        # float() first: a numpy scalar's repr is not a float parse_config reads.
+        return repr(float(v))
 
     parser = configparser.ConfigParser()
     parser["scenario"] = {
         "n_aon": str(scen.sizes.n_aon),
         "n_ton": str(scen.sizes.n_ton),
-        "slot_scenario": config.slot_scenario.value if config.slot_scenario else "explicit",
-        "beta": repr(config.beta),
-        **dict(zip(_SLOT_KEYS, map(repr, astuple(scen.slots)))),
-        "rate": repr(scen.rate),
-        "alpha": repr(scen.alpha),
-        "p_r": repr(scen.p_r),
-        "initial_age": repr(scen.initial_age),
+        "slot_scenario": _scenario_name(scen.slots),
+        "beta": fmt(scen.slots.idle),
+        **{key: fmt(length) for key, length in zip(_SLOT_KEYS, astuple(scen.slots))},
+        **{key: fmt(getattr(scen, key)) for key in ("rate", "alpha", "p_r", "initial_age")},
     }
     parser["run"] = {key: str(getattr(config, key)) for key in _RUN_KEYS}
-    parser["grids"] = {key: values(getattr(config, key)) for key in _GRID_FLOAT_KEYS}
+    parser["grids"] = {key: ", ".join(map(fmt, getattr(config, key))) for key in _GRID_FLOAT_KEYS}
     parser["grids"]["n_aon_list"] = ", ".join(str(v) for v in config.n_aon_list)
     out = io.StringIO()
     parser.write(out)

@@ -101,6 +101,15 @@ class _Rule(NamedTuple):
     th0: float
     th1: float
 
+    @property
+    def th(self) -> float:
+        return max(self.th0, self.th1)
+
+    @property
+    def pinned(self) -> float:
+        """The AON's tau at or below ``th``: silent iff ``th0`` wins, ties included."""
+        return 0.0 if self.th == self.th0 else 1.0
+
 
 def _rule(sizes: NetworkSizes, slots: SlotLengths, competitive: bool) -> _Rule:
     """The AON's threshold rule when competing or when obeying the device.
@@ -109,9 +118,7 @@ def _rule(sizes: NetworkSizes, slots: SlotLengths, competitive: bool) -> _Rule:
     the TON at ``tau_ton* = 1 / n_ton`` scales the AON's trade-off by
     ``k = 1 - tau_ton*`` and adds ``c = N_A N_T tau_ton* (sigma_S - sigma_C)``.
     The term vanishes at sigma_S = sigma_C, so competing there, like obeying
-    the device, has ``(k, c) = (1, 0)``.  Every mode evaluates one formula;
-    ``_evaluators`` leaves out the multiply by 1 and the add of 0, which are
-    exact identities there.
+    the device, has ``(k, c) = (1, 0)``, where ``_evaluators`` folds them out.
     """
     si, ss, sc = slots.idle, slots.success, slots.collision
     na, nt = sizes.n_aon, sizes.n_ton
@@ -143,8 +150,7 @@ def _evaluators(sizes: NetworkSizes, slots: SlotLengths, rule: _Rule):
     """
     si, ss, sc, na = map(float, (slots.idle, slots.success, slots.collision, sizes.n_aon))
     k, c, th0, th1 = map(float, rule)
-    th = max(th0, th1)
-    pinned = 0.0 if th == th0 else 1.0
+    th, pinned = float(rule.th), rule.pinned
     shift, kna, gap, span = na * (ss - si), k * na, si - sc, na * (ss - sc)
     # x * 1.0 and x - 0.0 are x for every x, and x + 0.0 is x except at
     # x = -0.0.  Neither sum can be -0.0: a -0.0 numerator needs d = -0.0 and
@@ -214,9 +220,8 @@ def _solve(sizes: NetworkSizes, slots: SlotLengths, network_age: float, competit
     rule = _rule(sizes, slots, competitive)
     tau_a = _fold(sizes, slots, rule)[0](float(network_age))
     profile = AccessProfile(tau_aon=tau_a, tau_ton=1.0 / sizes.n_ton)
-    th = max(rule.th0, rule.th1)
-    pinned = Regime.FORCED_ZERO if th == rule.th0 else Regime.FORCED_ONE
-    regime = Regime.INTERIOR if network_age > th else pinned
+    pinned = Regime.FORCED_ONE if rule.pinned else Regime.FORCED_ZERO
+    regime = Regime.INTERIOR if network_age > rule.th else pinned
     return profile, ThresholdAges(rule.th0, rule.th1, regime)
 
 

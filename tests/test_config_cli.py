@@ -5,6 +5,7 @@ import io
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slotshare as ss
@@ -25,13 +26,13 @@ GOLDEN = Path(__file__).parent / "golden_cli"
 def explicit_slots_config():
     config = default_config()
     scenario = replace(config.scenario, slots=ss.SlotLengths(0.02, 1.5, 0.7))
-    return replace(config, scenario=scenario, slot_scenario=None)
+    return replace(config, scenario=scenario)
 
 
 def named_slots_config(slot_scenario, beta):
     config = default_config()
     scenario = replace(config.scenario, slots=slots_from_scenario(slot_scenario, beta))
-    return replace(config, scenario=scenario, slot_scenario=slot_scenario, beta=beta)
+    return replace(config, scenario=scenario)
 
 
 class TestConfig:
@@ -147,12 +148,69 @@ class TestConfig:
         code, out = run_cli(["simulate", "--mode", "competitive", "--config", str(config)])
         assert (code, out) == (cli.EXIT_CONFIG, "")
 
-    @pytest.mark.parametrize("beta", [0.001, 0.01, 0.3, 0.9])
+    @pytest.mark.parametrize(
+        "beta", [0.001, 0.01, 0.3, 0.9, np.float64(0.3), np.float32(0.3)], ids=repr
+    )
     @pytest.mark.parametrize("slot_scenario", list(SlotScenario))
     def test_round_trip_named_scenarios(self, slot_scenario, beta):
         # Emitted sigma_* lines are the scenario's own lengths, so none is refused.
         config = named_slots_config(slot_scenario, beta)
+        text = emit_config(config)
+        assert parse_config(text) == config
+        # The lengths alone name the family.  float32 lengths are not the
+        # float64 family at the emitted beta, so they are written as explicit.
+        name = "explicit" if type(beta) is np.float32 else slot_scenario.value
+        assert f"slot_scenario = {name}\n" in text
+
+    @pytest.mark.parametrize(
+        "slots, name",
+        [
+            (ss.SlotLengths(*map(np.float64, (0.02, 1.5, 0.7))), "explicit"),
+            (ss.SlotLengths(0.01, 1.01, 1.01), "equal_slots"),
+            (ss.SlotLengths(0.3, 1.3, 2.6), "large_collision"),
+            (ss.SlotLengths(*map(np.float64, (0.01, 1.01, 1.01))), "equal_slots"),
+        ],
+        ids=["explicit_numpy", "equal_slots", "large_collision", "equal_slots_numpy"],
+    )
+    def test_round_trip_explicit_lengths(self, slots, name):
+        # Lengths that equal a family are emitted under that family's name.
+        config = replace(default_config(), scenario=replace(default_config().scenario, slots=slots))
+        text = emit_config(config)
+        assert f"slot_scenario = {name}\nbeta = {float(slots.idle)!r}\n" in text
+        assert parse_config(text) == config
+
+    @pytest.mark.parametrize("number", [np.float64, np.float32])
+    def test_round_trip_numpy_scenario_values(self, number):
+        scenario = replace(
+            default_config().scenario,
+            rate=number(1.0),
+            alpha=number(0.9),
+            p_r=number(0.25),
+            initial_age=number(2.5),
+        )
+        config = replace(default_config(), scenario=scenario)
+        text = emit_config(config)
+        assert "np." not in text
+        assert parse_config(text) == config
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.ini")), ids=lambda p: p.name)
+    def test_round_trip_golden_configs(self, path):
+        config = parse_config(str(path))
         assert parse_config(emit_config(config)) == config
+
+    @pytest.mark.parametrize("beta", ["0", "-1.5"])
+    def test_explicit_refuses_beta_without_slot_lengths(self, tmp_path, beta):
+        # The explicit defaults are built from beta, so it must give valid lengths.
+        ini = (
+            f"[scenario]\nslot_scenario = explicit\nbeta = {beta}\n"
+            "sigma_idle = 0.02\nsigma_success = 1.5\nsigma_collision = 0.7\n"
+        )
+        with pytest.raises(ConfigError, match="scenario: slot lengths"):
+            parse_config(ini)
+        config = tmp_path / "c.ini"
+        config.write_text(ini)
+        code, out = run_cli(["simulate", "--mode", "competitive", "--config", str(config)])
+        assert (code, out) == (cli.EXIT_CONFIG, "")
 
     @pytest.mark.parametrize(
         "ini, key",
