@@ -18,11 +18,12 @@ on common random numbers (``sim._per_run``), weights it per alpha and
 reduces every cell's four paired differences over the run axis at once;
 ``deviation_inequalities`` weights one more column, stage 1 alone.  Each
 margin, with its branch means, is estimated over the two-level horizon of
-``sim``: all runs step the first stage block, and only the first N1 runs,
-N1 set per margin from the pilot runs, step the rest; a margin's N1 reads
-that margin alone, so a cell still equals the report at its point.  Margins
-within two standard errors of zero are reported as indeterminate rather
-than forced to a boolean (``_tri_state``), so an estimate needs two runs.
+``sim``: all runs step the stages before the margin's cut, a stage-block
+boundary, and only the first N1 runs step the rest, the cut and N1 set
+per margin from the pilot runs; they read that margin alone, so a cell
+still equals the report at its point.  Margins within two standard errors
+of zero are reported as indeterminate rather than forced to a boolean
+(``_tri_state``), so an estimate needs two runs.
 
 ``simulate_grim_trigger`` audits one trajectory of the etiquette with an
 injected deviation.  It folds the engine's single-row loop, that of
@@ -198,12 +199,12 @@ def _sweep(params: ScenarioParams, pr_axis, weights, n_runs, seed, threads):
     alpha and the deviation branches never read the bias, so the copies
     joint access and idle, then heads and tails per bias, cover the grid,
     and alpha only selects a column of ``weights``.  The horizon has two
-    levels per margin (``sim._per_run``).  Returns, at the cut and at the
-    horizon on a first axis, the (level x 2 x copies x columns x runs)
-    payoffs and the obey and deviate payoffs of the ``_INEQUALITIES``,
-    (level x 4 x bias x columns x runs) and (level x 4 x 1 x columns x
-    runs), then each margin's N1 (4 x bias x columns); no access
-    frequencies, so no access counters are kept.
+    levels, each margin one estimate group (``sim._per_run``).  Returns, at
+    each cut and at the horizon on a first axis, the (level x 2 x copies x
+    columns x runs) payoffs and the obey and deviate payoffs of the
+    ``_INEQUALITIES``, (level x 4 x bias x columns x runs) and (level x 4 x
+    1 x columns x runs), then each margin's cut level and N1 (4 x bias x
+    columns); no access frequencies, so no access counters are kept.
     """
     n_pr = len(pr_axis)
     # Copies: in stage 1 joint access and an idle slot, competitive afterwards;
@@ -216,10 +217,13 @@ def _sweep(params: ScenarioParams, pr_axis, weights, n_runs, seed, threads):
         dev, obey = payoffs[:, :2], payoffs[:, 2:].reshape(2, n_pr, 2, *payoffs.shape[2:])
         return obey[_PAYOFF, :, _OBEY], dev[_PAYOFF, _DEVIATE][:, None]
 
-    margins = lambda payoffs: np.subtract(*branches(payoffs))
-    levels, n1 = _per_run(params, seed, n_runs, schedule, weights, threads, margins)
+    # Each margin is a group of one.
+    margins = lambda payoffs: np.subtract(*branches(payoffs))[..., None, :]
+    levels, _, level, n1 = _per_run(
+        params, seed, n_runs, schedule, weights, threads, margins, counted=False
+    )
     obey, dev = (np.stack(branch) for branch in zip(*map(branches, levels)))
-    return levels, obey, dev, n1
+    return levels, obey, dev, level, n1
 
 
 def deviation_inequalities(
@@ -228,17 +232,18 @@ def deviation_inequalities(
     """Estimate the four obey-versus-deviate inequalities by paired Monte Carlo.
 
     Each inequality's margin and branch means share the margin's two-level
-    horizon (``sim._per_run``); the stage-1 diagnostics read every run at the cut.
+    horizon (``sim._per_run``); the stage-1 diagnostics read every run at the first cut.
     """
     # The discount column, then stage 1 alone: minus its age, its TON payoff.
     weights = np.hstack([_discount_weights([params.alpha], n_stages), np.eye(n_stages, 1)])
-    levels, obey, dev, n1 = _sweep(params, [params.p_r], weights, n_runs, seed, threads)
-    obey, dev, n1 = obey[..., 0, 0, :], dev[..., 0, 0, :], n1[:, 0, 0]
-    columns = zip(_mean_se(obey, n1)[0], _mean_se(dev, n1)[0], *_mean_se(obey - dev, n1))
+    levels, obey, dev, level, n1 = _sweep(params, [params.p_r], weights, n_runs, seed, threads)
+    obey, dev, level, n1 = obey[..., 0, 0, :], dev[..., 0, 0, :], level[:, 0, 0], n1[:, 0, 0]
+    obey_mean, dev_mean = (_mean_se(values, n1, level)[0] for values in (obey, dev))
+    columns = zip(obey_mean, dev_mean, *_mean_se(obey - dev, n1, level))
     estimates = [InequalityEstimate(n, *map(float, c)) for n, c in zip(_INEQUALITIES, columns)]
     # In _BRANCHES order: compliance stage 1 does not read the bias, so heads
-    # and tails come from the bias's copies (2, 3).  Stage 1 lies before the
-    # cut, so its payoffs there are final.
+    # and tails come from the bias's copies (2, 3).  Stage 1 lies before
+    # every cut, so its payoffs at the first are final for every run.
     stage1 = levels[0][:, [2, 3, 0, 1], 1]
 
     def by_branch(values):
@@ -321,9 +326,9 @@ def region_sweep(
     if not np.all((pr_axis > 0.0) & (pr_axis < 1.0)):
         raise ConfigurationError("bias grid must lie inside (0, 1)")
     weights = _discount_weights(alpha_axis, n_stages)
-    _, obey, dev, n1 = _sweep(params, pr_axis, weights, n_runs, seed, threads)
+    _, obey, dev, level, n1 = _sweep(params, pr_axis, weights, n_runs, seed, threads)
     # Inequality x bias x alpha, turned to inequality x alpha x bias.
-    margins, ses = (stat.swapaxes(1, 2) for stat in _mean_se(obey - dev, n1))
+    margins, ses = (stat.swapaxes(1, 2) for stat in _mean_se(obey - dev, n1, level))
     aon_h, ton_h, aon_t, ton_t = _tri_state(margins, ses)
     aon_prefers, ton_prefers = _tri_and(aon_h, aon_t), _tri_and(ton_h, ton_t)
     return RegionGrid(

@@ -56,16 +56,20 @@ refuses fewer than two runs, which leave no standard error.  A single row
 ``_Engine.trace``, which replays its batch row bit for bit: the same rules'
 ``one`` evaluators, slot step and network age (``_mean_left_to_right``).
 
-A caller that reads no access frequency (the region sweep and the
-deviation report) estimates over a two-level horizon, multilevel Monte
+A caller that passes estimate groups (the gain grid, the region sweep and
+the deviation report) estimates over a two-level horizon, multilevel Monte
 Carlo over the stages (Giles, Operations Research 56, 2008): all ``N0``
-runs step the head, the stages before the cut ``_CUT``, and only the first
-N1 of them the tail, N1 set per estimate from the first ``_SUB_CHUNK`` runs
-(the pilot; ``_tail_runs``, ``_mean_se``).  A run's head is the same bits
-at either horizon, so the levels pair.  With no more runs than the pilot,
-no more stages than the cut, or N1 = N0, an estimate stays one level, bit
-for bit.  ``simulate``, ``gain`` and ``freq`` stay one level: an access
-frequency is a ratio over every stage.
+runs step the head, the stages before a group's cut, and only the first
+N1 of them the tail.  The first ``_SUB_CHUNK`` runs (the pilot) step every
+stage and record their payoffs at every stage-block boundary; from them
+each group takes the boundary, and its N1 there, of fewest predicted
+row-stages (``_two_levels``, ``_tail_runs``, ``_mean_se``).  A run's head
+is the same bits at either horizon, so the levels pair.  With no more runs
+than the pilot, no more stages than one block, or N1 = N0, an estimate
+stays one level, bit for bit.  A gain cell's access frequencies are
+one-level means over its first N1 runs, which step every stage.
+``simulate`` and ``freq`` stay one level: their output is the
+frequencies, ratios over every stage, whose tails need nearly every run.
 
 A node transmits iff its draw is below its network's access probability, so
 the AON sends 0, 1 or at least 2 packets according to whether its tau lies
@@ -107,12 +111,11 @@ _POOL_COPIES = 8
 # fewer runs compacts several stage blocks at a time.  Also the two-level
 # horizon's pilot, and the fewest runs that step its tail.
 _SUB_CHUNK = 256
-# The two-level horizon's cut, one stage block, and the most by which an
-# estimate's predicted SE may exceed its one-level SE when N1 is chosen.
-# At 1.01 the alpha-0.95 margins of a 512-run, 300-stage sweep took N1 =
-# 263-318 on 19 of 20 seeds, and the narrow batch that then steps those
-# runs' tails cost more than the two levels saved; at 1.02 every N1 was 256.
-_CUT = seeding.BLOCK_STAGES
+# The most by which an estimate's predicted two-level SE may exceed its
+# one-level SE when N1 is chosen.  At 1.01 the alpha-0.95 margins of a
+# 512-run, 300-stage sweep took N1 = 263-318 on 19 of 20 seeds, and the
+# narrow batch that then steps those runs' tails cost more than the two
+# levels saved; at 1.02 every N1 was 256.
 _SE_SLACK = 1.02
 
 # The forced plays of a schedule, beside a device bias and competition (None).
@@ -173,7 +176,11 @@ class RunResult:
 
 @dataclass(frozen=True)
 class Aggregate:
-    """Across-run means and standard errors of the run scalars."""
+    """Across-run means and standard errors of the run scalars over ``n_runs`` runs.
+
+    In a two-level gain cell (``gain_grid``) the payoffs are two-level
+    estimates over the ``n_runs`` runs and the frequencies read the first N1.
+    """
 
     u_aon_mean: float
     u_aon_se: float
@@ -470,8 +477,8 @@ class _Trajectories:
     runs along the long row axis rather than the few weight columns.  Only
     when ``counted`` (for ``frequencies``), ``count_one``/``count_zero``/
     ``n_access`` count the stages in which the AON may access, with
-    probability 1, 0 or any.  ``head``, which ``_simulate_batch`` sets at a
-    cut, holds the (AON, TON) payoffs of the stages before it.
+    probability 1, 0 or any.  ``heads``, which ``_simulate_batch`` fills,
+    holds the (AON, TON) payoffs of the stages before each cut.
     """
 
     def __init__(self, engine: _Engine, n_runs, schedule, weights, counted=True):
@@ -483,6 +490,7 @@ class _Trajectories:
         self.delta = np.full(rows, engine.params.initial_age)
         self.ages = np.full((rows, engine.n_aon), engine.params.initial_age, order="F")
         self.u_aon, self.u_ton = np.zeros((2, weights.shape[1], rows))
+        self.heads = []
         self.counted = counted
         if counted:
             self.count_one, self.count_zero, self.n_access = np.zeros((3, rows), dtype=np.int64)
@@ -534,19 +542,19 @@ def _simulate_batch(
     schedule,
     weights: np.ndarray,
     counted=True,
-    cut=None,
+    cuts=(),
 ) -> _Trajectories:
     """Advance one copy of the runs per play of ``schedule`` through every row of ``weights``.
 
     All copies read the runs' shared draws, one slot step per stage; the
-    access counters are kept only if ``counted``.  Before stage ``cut``, if
-    the rows reach it, their (AON, TON) payoffs so far are copied to
-    ``state.head`` (2 x columns x rows).
+    access counters are kept only if ``counted``.  Before each stage of
+    ``cuts`` that the rows reach, their (AON, TON) payoffs so far are
+    appended to ``state.heads`` as one (2 x columns x rows) array.
     """
     state = _Trajectories(engine, len(run_indices), schedule, weights, counted)
     for n, draw in enumerate(engine.stage_rows(seed, run_indices, len(weights))):
-        if n == cut:
-            state.head = np.array((state.u_aon, state.u_ton))
+        if n in cuts:
+            state.heads.append(np.array((state.u_aon, state.u_ton)))
         state.step(n, draw)
     return state
 
@@ -607,7 +615,9 @@ def _fanout(work, threads: int, copies: int, *ranges: tuple[int, int]) -> None:
             work(bounds)
 
 
-def _per_run(params: ScenarioParams, seed, n_runs, schedule, weights, threads, estimates=None):
+def _per_run(
+    params: ScenarioParams, seed, n_runs, schedule, weights, threads, groups=None, counted=True
+):
     """Per-run results of one copy of the runs per play of ``schedule``, by run index.
 
     Copy ``b`` plays entry ``b`` of each play list of the schedule (see the
@@ -615,60 +625,94 @@ def _per_run(params: ScenarioParams, seed, n_runs, schedule, weights, threads, e
     payoff weight matrix: ``_discount_weights`` gives one column per alpha,
     and a caller may append others, such as ``np.eye(n_stages, 1)`` for the
     stage-1 outcomes.  The run axis is last, so that each reduction reads
-    one contiguous row.
+    one contiguous row.  The access counters are kept only if ``counted``.
 
-    Without ``estimates`` every run steps every stage, counting its access
-    stages: returns the (AON, TON) payoffs (2 x copies x columns x runs)
-    and the access frequencies at 1 and 0 (2 x copies x runs).
+    Without ``groups`` every run steps every stage: returns the (AON, TON)
+    payoffs (2 x copies x columns x runs) and the access frequencies at 1
+    and 0 (2 x copies x runs), None if not ``counted``.
 
-    A caller that reads no frequency passes ``estimates``, which maps such
-    payoffs to the per-run values whose means it reports (... x runs); the
-    horizon then has two levels (module docstring), and no access counters
-    are kept.  Returns the payoffs at the cut and at the horizon, stacked
-    on a new first axis (NaN at the horizon for the runs that stop at the
-    cut), and each estimate's N1: ``n_runs`` wherever it stays one level.
+    ``groups`` maps such payoffs to per-run values (G... x members x runs):
+    each index of the leading axes is one estimate group, whose members
+    share one cut and one N1 (``_two_levels``), and the horizon has two
+    levels (module docstring).  Returns the payoffs at each distinct cut,
+    ascending, and at the horizon, stacked on a new first axis (NaN at the
+    horizon past the largest N1); the frequencies, NaN past the largest N1;
+    and per group (G...) the index of its cut on that axis and its N1.
+    Where the horizon stays one level, both entries of the first axis hold
+    the horizon's payoffs, each cut index is 0 and each N1 ``n_runs``.
     """
     _check_count(n_runs, 2, "a Monte Carlo estimate needs an integer count of at least two runs")
     _check_seed(seed)
     engine = _Engine(params)
     copies, (n_stages, n_columns) = len(schedule[0][1]), weights.shape
-    counted = estimates is None
-    cut = None if counted or n_runs <= _SUB_CHUNK or n_stages <= _CUT else _CUT
-    # The payoffs at the horizon last, after those at the cut if uncounted.
-    levels = np.full((1 if counted else 2, 2, copies, n_columns, n_runs), np.nan)
-    freqs = np.empty((2, copies, n_runs)) if counted else None
+    freqs = np.full((2, copies, n_runs), np.nan) if counted else None
 
-    def store(level, pay, start, stop):
-        # State row b * size + r is run start + r in copy b.
-        pay = np.reshape(pay, (2, n_columns, copies, stop - start))
-        levels[level, ..., start:stop] = pay.swapaxes(1, 2)
-
-    def work(bounds):
-        start, stop = bounds
-        # Past the largest N1 a run stops at the cut.
-        stages = n_stages if stop <= top else cut
+    def batch(start, stop, stages, cuts):
+        # Runs start to stop through ``stages``: their payoffs at each cut
+        # they pass, then at the last stage (... x 2 x copies x columns x runs).
+        full = counted and stages == n_stages
         runs = range(start, stop)
-        state = _simulate_batch(engine, seed, runs, schedule, weights[:stages], counted, cut)
-        store(-1 if stages == n_stages else 0, (state.u_aon, state.u_ton), *bounds)
-        if cut is not None and stages == n_stages:
-            store(0, state.head, *bounds)
-        if counted:
+        state = _simulate_batch(engine, seed, runs, schedule, weights[:stages], full, cuts)
+        if full:
             freqs[..., start:stop] = np.reshape(state.frequencies(), (2, copies, stop - start))
+        # State row b * size + r is run start + r in copy b.
+        pay = [*state.heads, (state.u_aon, state.u_ton)]
+        return np.reshape(pay, (-1, 2, n_columns, copies, stop - start)).swapaxes(2, 3)
 
-    top = n_runs
-    if cut is None:
+    bounds = range(seeding.BLOCK_STAGES, n_stages, seeding.BLOCK_STAGES)
+    if groups is None or n_runs <= _SUB_CHUNK or not bounds:
+        levels = np.empty((1, 2, copies, n_columns, n_runs))
+
+        def work(chunk):
+            levels[..., slice(*chunk)] = batch(*chunk, n_stages, ())
+
         _fanout(work, threads, copies, (0, n_runs))
-        if counted:
+        if groups is None:
             return levels[0], freqs
-        levels[0] = levels[1]
-        return levels, np.full(estimates(levels[1]).shape[:-1], n_runs)
-    # The pilot steps every stage and sets each N1; then the runs below the
-    # largest N1 step every stage too, and the rest stop at the cut.
-    work((0, _SUB_CHUNK))
-    n1 = _tail_runs(*(estimates(level[..., :_SUB_CHUNK]) for level in levels), n_runs)
-    top = int(n1.max())
+        shape = groups(levels[0, ..., :0]).shape[:-2]
+        return np.concatenate((levels, levels)), freqs, np.zeros(shape, int), np.full(shape, n_runs)
+    # The pilot steps every stage and sets each group's cut and N1; then the
+    # runs below the largest N1 step every stage too, and the rest stop at
+    # the largest cut.
+    pilot = batch(0, _SUB_CHUNK, n_stages, bounds)
+    cut, n1 = _two_levels(np.stack([groups(values) for values in pilot]), n_runs, n_stages)
+    cuts, level = np.unique(cut, return_inverse=True)
+    levels = np.full((cuts.size + 1, 2, copies, n_columns, n_runs), np.nan)
+    levels[..., :_SUB_CHUNK] = pilot[[*(cuts // seeding.BLOCK_STAGES - 1), -1]]
+    top, cuts = int(n1.max()), tuple(cuts.tolist())
+
+    def work(chunk):
+        start, stop = chunk
+        pay = batch(start, stop, n_stages if stop <= top else cuts[-1], cuts)
+        levels[: len(pay), ..., start:stop] = pay
+
     _fanout(work, threads, copies, (_SUB_CHUNK, top), (top, n_runs))
-    return levels, n1
+    return levels, freqs, level.reshape(n1.shape), n1
+
+
+def _two_levels(pilot: np.ndarray, n_runs: int, n_stages: int):
+    """Each estimate group's cut and N1, from the pilot's values at every block boundary.
+
+    ``pilot`` stacks the pilot runs' values (G... x members x runs) at
+    stages ``BLOCK_STAGES``, ``2 * BLOCK_STAGES``, ... below ``n_stages``,
+    then at the horizon.  At a boundary b a group's N1 is the largest of its
+    members' (``_tail_runs``), and its cut is the b that minimizes the
+    predicted row-stages ``N0 b + N1 (n_stages - b)``, the smallest b on a
+    tie, so a group with N1 = N0 everywhere cuts at the first block and
+    stays one level.  Returns the cuts, in stages, and their N1, each (G...).
+    """
+    best, cut, n1 = np.inf, 0, 0
+    for k, values in enumerate(pilot[:-1]):
+        b = seeding.BLOCK_STAGES * (k + 1)
+        # N1 is at least the pilot, so no later boundary can cost less than
+        # this bound, which grows with b: stop once it reaches every best.
+        if np.all(best <= n_runs * b + _SUB_CHUNK * (n_stages - b)):
+            break
+        n1_b = _tail_runs(values, pilot[-1], n_runs).max(axis=-1)
+        cost = n_runs * b + n1_b * (n_stages - b)
+        less = cost < best
+        best, cut, n1 = (np.where(less, *pair) for pair in ((cost, best), (b, cut), (n1_b, n1)))
+    return cut, n1
 
 
 def _moments(head: np.ndarray, tail: np.ndarray, n1: np.ndarray):
@@ -690,7 +734,7 @@ def _moments(head: np.ndarray, tail: np.ndarray, n1: np.ndarray):
 
 
 def _tail_runs(head: np.ndarray, full: np.ndarray, n_runs: int) -> np.ndarray:
-    """Each estimate's N1, from the pilot's values at the cut and at the horizon (... x pilot).
+    """Each estimate's N1, from the pilot's values at a cut and at the horizon (... x pilot).
 
     N1 is the fewest runs, at least the pilot and at most ``N0 = n_runs``,
     at which the two-level SE that the pilot's variances and covariance
@@ -707,22 +751,24 @@ def _tail_runs(head: np.ndarray, full: np.ndarray, n_runs: int) -> np.ndarray:
     return np.clip(np.ceil(n_runs * share), _SUB_CHUNK, n_runs).astype(np.int64)
 
 
-def _mean_se(values: np.ndarray, n1=None) -> tuple[np.ndarray, np.ndarray]:
+def _mean_se(values: np.ndarray, n1=None, level=0) -> tuple[np.ndarray, np.ndarray]:
     """Means and standard errors over the last (run) axis.
 
     With ``n1`` (per estimate, broadcast) ``values`` stacks the runs' values
-    at the cut and at the horizon on its first axis, the latter read for the
-    first ``n1`` runs only, and each estimate has two levels:
-    ``mean_N0(head) + mean_N1(full - head)``, that is ``mean_N1(full) +
-    mean_N0(head) - mean_N1(head)``, with the SE
-    ``sqrt(V_h/N0 + V_t/N1 + 2 C_ht/N0)`` of head ``h`` and tail ``t = full
-    - head``.  Where ``n1`` is every run, the one-level estimate of the
-    horizon values, bit for bit.
+    at each cut and at the horizon on its first axis, the latter read for
+    the first ``n1`` runs only, and each estimate has two levels: with the
+    head ``h`` its values at cut ``level`` (per estimate, broadcast) and
+    the tail ``t = full - head``, ``mean_N0(head) + mean_N1(t)``, that is
+    ``mean_N1(full) + mean_N0(head) - mean_N1(head)``, with the SE
+    ``sqrt(V_h/N0 + V_t/N1 + 2 C_ht/N0)``.  Where ``n1`` is every run, the
+    one-level estimate of the horizon values, bit for bit.
     """
     if n1 is None:
         n_runs = values.shape[-1]
         return values.mean(axis=-1), values.std(axis=-1, ddof=1) / np.sqrt(n_runs)
-    head, full = values
+    full = values[-1]
+    at = np.broadcast_to(level, full.shape[:-1])[None, ..., None]
+    head = np.take_along_axis(values[:-1], at, 0)[0]
     n0 = values.shape[-1]
     mean, se = _mean_se(full)
     one = n1 == n0
@@ -735,14 +781,15 @@ def _mean_se(values: np.ndarray, n1=None) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _aggregate(payoffs: np.ndarray, freqs: np.ndarray, copy: int, column: int) -> Aggregate:
-    """Copy ``copy``'s ``Aggregate`` at alpha column ``column``: (mean, se) of its four rows."""
-    rows = (*payoffs[:, copy, column], *freqs[:, copy])
-    return Aggregate(*(float(s) for row in rows for s in _mean_se(row)), n_runs=freqs.shape[-1])
+def _aggregate(means, ses, freqs: np.ndarray, n_runs: int) -> Aggregate:
+    """An ``Aggregate`` of the (AON, TON) payoff means and SEs and the (2 x runs) frequencies."""
+    f_means, f_ses = _mean_se(freqs)
+    pairs = zip((*means, *f_means), (*ses, *f_ses))
+    return Aggregate(*(float(s) for pair in pairs for s in pair), n_runs=n_runs)
 
 
 def monte_carlo(config: RunConfig, n_runs: int, threads: int = 1) -> Aggregate:
-    """Average the run scalars over independent runs.
+    """Average the run scalars over independent runs, every run through every stage.
 
     Run ``r`` reads its rows of the seed's stage-block streams (see
     ``seeding``), results are stored by run index, and the reductions use
@@ -753,7 +800,7 @@ def monte_carlo(config: RunConfig, n_runs: int, threads: int = 1) -> Aggregate:
     p_r = None if config.mode is Mode.COMPETITIVE else params.p_r
     weights = _discount_weights([params.alpha], config.n_stages)
     payoffs, freqs = _per_run(params, config.seed, n_runs, [(0, [p_r])], weights, threads)
-    return _aggregate(payoffs, freqs, 0, 0)
+    return _aggregate(*_mean_se(payoffs[:, 0, 0]), freqs[:, 0], n_runs)
 
 
 @dataclass(frozen=True)
@@ -762,6 +809,8 @@ class GainResult:
 
     ``se_gain_aon``/``se_gain_ton`` are the standard errors of the per-run
     differences: both arms replay each run's draws, so they are paired.
+    Both aggregates and both gains share the cell's two-level horizon
+    (``gain_grid``), so each gain is the difference of the aggregates' means.
     """
 
     gain_aon: float
@@ -785,8 +834,13 @@ def gain_grid(
 
     The copies are one competitive copy, then one cooperative copy per bias,
     all on the same run draws of ``seed``; alpha only selects a column of
-    discount weights.
-    Cell ``[i][j]`` equals ``gain_of_cooperation`` at that point alone.
+    discount weights.  Each cell is one estimate group of the two-level
+    horizon (``_per_run``): its competitive, cooperative and paired-difference
+    payoffs of both networks share one cut and one N1, so the competitive
+    means of one alpha may differ across its biases.  A cell's access
+    frequencies are one-level means over its first N1 runs, which step
+    every stage.  Cell ``[i][j]`` equals ``gain_of_cooperation`` at that
+    point alone.
     """
     alphas, biases = np.asarray(alphas, dtype=np.float64), np.asarray(biases, dtype=np.float64)
     if alphas.size == 0 or biases.size == 0:
@@ -794,22 +848,36 @@ def gain_grid(
     if not np.all((biases >= 0.0) & (biases <= 1.0)):
         raise ConfigurationError("device bias must lie in [0, 1]")
     weights = _discount_weights(alphas, n_stages)
-    payoffs, freqs = _per_run(params, seed, n_runs, [(0, [None, *biases])], weights, threads)
 
-    def cell(i, j):
-        base = _aggregate(payoffs, freqs, 0, i)
-        coop = _aggregate(payoffs, freqs, 1 + j, i)
-        se_aon, se_ton = map(float, _mean_se(payoffs[:, 1 + j, i] - payoffs[:, 0, i])[1])
+    def cell(payoffs, i, j):
+        # The competitive, cooperative and paired-difference (AON, TON)
+        # payoffs of cell (i, j): ... x 6 x runs.
+        base, coop = payoffs[..., 0, i, :], payoffs[..., 1 + j, i, :]
+        return np.concatenate((base, coop, coop - base), axis=-2)
+
+    def cells(payoffs):
+        rows = [[cell(payoffs, i, j) for j in range(biases.size)] for i in range(alphas.size)]
+        return np.array(rows)
+
+    schedule = [(0, [None, *biases])]
+    levels, freqs, level, n1 = _per_run(params, seed, n_runs, schedule, weights, threads, cells)
+
+    def result(i, j):
+        means, ses = _mean_se(cell(levels, i, j), n1[i, j], level[i, j])
+        base, coop = (
+            _aggregate(means[k : k + 2], ses[k : k + 2], freqs[:, copy, : n1[i, j]], n_runs)
+            for k, copy in ((0, 0), (2, 1 + j))
+        )
         return GainResult(
             gain_aon=coop.u_aon_mean - base.u_aon_mean,
             gain_ton=coop.u_ton_mean - base.u_ton_mean,
-            se_gain_aon=se_aon,
-            se_gain_ton=se_ton,
+            se_gain_aon=float(ses[4]),
+            se_gain_ton=float(ses[5]),
             competitive=base,
             cooperative=coop,
         )
 
-    return [[cell(i, j) for j in range(biases.size)] for i in range(alphas.size)]
+    return [[result(i, j) for j in range(biases.size)] for i in range(alphas.size)]
 
 
 def gain_of_cooperation(
@@ -821,8 +889,11 @@ def gain_of_cooperation(
 ) -> GainResult:
     """Paired gain of cooperating over competing under a shared master seed.
 
-    Both arms advance in lockstep on the same run draws, drawn once, so
-    each aggregate equals its own ``monte_carlo`` call.
+    Both arms advance in lockstep on the same run draws, drawn once, over
+    the two-level horizon of ``gain_grid``.  With no more runs than the
+    pilot, or where the cell's N1 is every run, each aggregate equals its
+    own ``monte_carlo`` call; above the pilot its payoffs are two-level
+    estimates and its frequencies read the first N1 runs only.
     """
     axes = [params.alpha], [params.p_r]
     return gain_grid(params, n_runs, n_stages, seed, *axes, threads)[0][0]

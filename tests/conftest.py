@@ -135,6 +135,13 @@ def with_ton_tau(engine, uniforms, draw, tau):
     return aon, device, ton_count(engine, uniforms, tau), node
 
 
+def recorded_results(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call's result is also appended to the returned list."""
+    results, function = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: results.append(function(*args)) or results[-1])
+    return results
+
+
 def reference_payoffs(params, n_runs, n_stages, plays, seed):
     """Per-run discounted (AON, TON) payoffs from a naive simulator of the repeated game.
 

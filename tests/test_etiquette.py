@@ -10,7 +10,7 @@ import pytest
 import slotshare as ss
 from slotshare import equilibrium as eq
 from slotshare import etiquette, sim
-from conftest import HEADS, TAILS
+from conftest import HEADS, TAILS, recorded_results
 
 
 def scenario(slots, na=2, nt=2, alpha=0.9, p_r=0.3, **kw):
@@ -324,22 +324,46 @@ class TestRegionSweep:
         assert_invariant_to_threads_and_chunks(args, (7, 64), monkeypatch)
 
     def test_two_level_sweep_steps_the_tail_for_the_largest_n1(self, small_collision, monkeypatch):
-        # The pilot steps every stage, then the runs below the largest N1 do,
-        # and the rest stop at the cut; margins' N1 differ.
-        calls, n1s, batch, tail_runs = [], [], sim._simulate_batch, sim._tail_runs
+        # The pilot steps every stage and snapshots at every block boundary,
+        # then the runs below the largest N1 step every stage, and the rest
+        # stop at the largest chosen cut; margins' N1 differ.
+        calls, batch = [], sim._simulate_batch
 
-        def recorded(engine, seed, runs, schedule, weights, *args):
-            calls.append((runs.start, runs.stop, len(weights)))
-            return batch(engine, seed, runs, schedule, weights, *args)
+        def recorded(engine, seed, runs, schedule, weights, counted, cuts):
+            calls.append((runs.start, runs.stop, len(weights), tuple(cuts)))
+            return batch(engine, seed, runs, schedule, weights, counted, cuts)
 
         monkeypatch.setattr(sim, "_simulate_batch", recorded)
-        monkeypatch.setattr(sim, "_tail_runs", lambda *a: n1s.append(tail_runs(*a)) or n1s[-1])
+        picks = recorded_results(monkeypatch, sim, "_two_levels")
         params = scenario(small_collision, na=3, nt=3, initial_age=5.0)
         ss.region_sweep(params, [0.5, 0.9, 0.97], [0.25, 0.5, 0.75], 600, 130, seed=3)
-        (n1,) = n1s
-        top = int(n1.max())
+        ((cut, n1),) = picks
+        top, cuts = int(n1.max()), tuple(np.unique(cut).tolist())
         assert n1.min() == sim._SUB_CHUNK < top < 600
-        assert calls == [(0, 256, 130), (256, top, 130), (top, 600, sim._CUT)]
+        assert calls == [
+            (0, 256, 130, (64, 128)),
+            (256, top, 130, cuts),
+            (top, 600, cuts[-1], cuts),
+        ]
+
+    def test_benchmark_sweep_keeps_the_first_block(self, equal_slots, monkeypatch):
+        # The region_sweep benchmark's inputs on its seeds 1-5: at the first
+        # block every margin's N1 is the pilot, 512 * 64 + 256 * 236 = 93,184
+        # row-stages, and no later boundary can cost less than 512 * 128 +
+        # 256 * 172 = 109,568, so every margin keeps the first block and no
+        # later boundary is weighed.
+        tails = recorded_results(monkeypatch, sim, "_tail_runs")
+        picks = recorded_results(monkeypatch, sim, "_two_levels")
+        params = scenario(equal_slots, na=2, nt=2)
+        alphas, biases = [0.75, 0.85, 0.95], [0.15, 0.25, 0.35, 0.45, 0.55]
+        for seed in range(1, 6):
+            # The library seed that the benchmark draws from its own.
+            lib_seed = int(np.random.default_rng(seed).integers(0, 2**63))
+            ss.region_sweep(params, alphas, biases, 512, 300, lib_seed)
+            (n1,) = tails
+            assert n1.shape == (4, 5, 3, 1) and np.all(512 * 64 + n1 * 236 == 93_184)
+            assert np.all(picks[-1][0] == 64)
+            tails.clear()
 
     def test_grid_bounds_validated(self, equal_slots, monkeypatch):
         def batch(*args, **kwargs):
@@ -389,9 +413,12 @@ class TestRegionSweep:
         weights = sim._discount_weights([0.5, 0.9], 12)
         schedule = [(0, [sim.JOINT, sim.IDLE, 1.0, 0.0]), (1, [None, None, 0.3, 0.3])]
         payoffs, freqs = sim._per_run(params, 4, 40, schedule, weights, 1)
-        margin = lambda p: p[0, 2] - p[0, 0]
-        levels, n1 = sim._per_run(params, 4, 40, schedule, weights, 1, margin)
-        assert freqs.shape == (2, 4, 40) and n1.tolist() == [40, 40]
+        margin = lambda p: (p[0, 2] - p[0, 0])[:, None]
+        levels, none, level, n1 = sim._per_run(
+            params, 4, 40, schedule, weights, 1, margin, counted=False
+        )
+        assert freqs.shape == (2, 4, 40) and none is None
+        assert n1.tolist() == [40, 40] and level.tolist() == [0, 0]
         assert levels.tobytes() == np.stack((payoffs, payoffs)).tobytes()
 
         def frequencies(self):

@@ -39,6 +39,8 @@ CASES = {
         ["simulate", "--mode", "cooperative", "--threads", "1"],
     ),
     "gain.csv": ("golden.ini", ["gain", "--stages", "120"]),
+    # No more runs than the pilot: the gain grid stays one level.
+    "gain_runs256.csv": ("golden.ini", ["gain", "--runs", "256", "--stages", "120"]),
     "freq.csv": ("golden.ini", ["freq", "--runs", "600", "--stages", "150"]),
     "region.csv": ("golden.ini", ["region", "--runs", "2100", "--stages", "120"]),
     # No more runs than the pilot: the sweep stays one level.
@@ -66,7 +68,7 @@ ONE_THREAD = [
     f"{config}_{name}.csv"
     for config in ("lone_ton", "equal_slots")
     for name in ("region", "simulate_competitive", "simulate_cooperative")
-] + ["interior_stage1_region.csv", "region_runs256.csv"]
+] + ["interior_stage1_region.csv", "region_runs256.csv", "gain_runs256.csv"]
 
 
 def cli_output(config, args) -> str:

@@ -3,7 +3,7 @@
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from slotshare import equilibrium as eq
 from slotshare import seeding, sim
 from slotshare.config import SlotScenario, slots_from_scenario
 from slotshare.sim import _Engine
-from conftest import compact_draw, ton_count, with_ton_tau
+from conftest import compact_draw, recorded_results, ton_count, with_ton_tau
 
 
 def scenario(slots, na=5, nt=5, alpha=0.9, p_r=0.5, **kw):
@@ -735,6 +735,41 @@ class TestGain:
             assert np.array_equal(payoffs[:, :, i], pay[:, :, 0])
             assert np.array_equal(freqs, freq)
 
+    def test_two_level_grid_invariant_and_equal_to_its_points(self, small_collision, monkeypatch):
+        # 600 runs x 200 stages, above the pilot: the alpha-0.3 cells cut at
+        # the first block, the alpha-0.99 ones at 128 with N1 between the
+        # pilot and N0; 8 copies, so 2 threads use the pool.
+        params = scenario(small_collision, na=3, nt=3, initial_age=5.0)
+        alphas, biases = [0.3, 0.99], [0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9]
+        picks = recorded_results(monkeypatch, sim, "_two_levels")
+
+        def flat(grid):
+            return np.array(
+                [
+                    [c.gain_aon, c.gain_ton, c.se_gain_aon, c.se_gain_ton]
+                    + [*astuple(c.competitive), *astuple(c.cooperative)]
+                    for row in grid
+                    for c in row
+                ]
+            ).tobytes()
+
+        grids = []
+        for threads, chunk_size in itertools.product([1, 2], [7, 1024]):
+            monkeypatch.setattr(sim, "_DEFAULT_CHUNK", chunk_size)
+            grid = ss.gain_grid(params, 600, 200, 21, alphas, biases, threads=threads)
+            grids.append(flat(grid))
+        assert grids == grids[:1] * 4
+        cut, n1 = picks[0]
+        assert cut.tolist() == [[64] * 7, [128] * 7]
+        assert n1[0].tolist() == [sim._SUB_CHUNK] * 7 and sim._SUB_CHUNK < n1.max() < 600
+        for alpha, row in zip(alphas, grid):
+            for p_r, cell in zip(biases, row):
+                point = replace(params, alpha=alpha, p_r=p_r)
+                assert ss.gain_of_cooperation(point, 600, 200, 21) == cell
+                base, coop = cell.competitive, cell.cooperative
+                assert cell.gain_aon == coop.u_aon_mean - base.u_aon_mean
+                assert cell.gain_ton == coop.u_ton_mean - base.u_ton_mean
+
     def test_gain_standard_errors_are_of_paired_run_differences(
         self, small_collision, equal_slots
     ):
@@ -862,6 +897,55 @@ class TestTwoLevelHorizon:
             assert n == sim._SUB_CHUNK or ratio(n - 1) > sim._SE_SLACK * (1 - 1e-12)
         if tail_scale == 0.0:
             assert n1.tolist() == [sim._SUB_CHUNK] * 4
+
+    def test_cut_rule_by_hand(self):
+        # Pilot values (boundaries 64, 128, 192, then the horizon x 1 group x
+        # members x pilot runs), 1000 runs over 256 stages: the cut is the
+        # boundary b of least N0 b + N1(b) (n_stages - b), N1 the group's largest.
+        n0, n_stages, pilot, bounds = 1000, 256, sim._SUB_CHUNK, [64, 128, 192]
+        rng = np.random.default_rng(3)
+        head = rng.normal(size=(1, 1, pilot))
+        # A tail without variance: the first block, at the pilot's N1.
+        cut, n1 = sim._two_levels(np.stack([head] * 4), n0, n_stages)
+        assert cut.tolist() == [64] and n1.tolist() == [pilot]
+        # A member whose whole tail falls between 64 and 128: N1(64) is near
+        # N0, N1(128) the pilot, so the later boundary is cheaper.
+        late = head + 10.0 * rng.normal(size=head.shape)
+        values = np.concatenate((np.stack([head] * 4), np.stack([head, late, late, late])), -2)
+        n1_at = [int(sim._tail_runs(values[k], values[-1], n0).max()) for k in range(3)]
+        assert n1_at[0] > 900 and n1_at[1:] == [pilot, pilot]
+        costs = [n0 * b + n * (n_stages - b) for b, n in zip(bounds, n1_at)]
+        assert costs == [64_000 + 192 * n1_at[0], 160_768, 208_384]
+        best = int(np.argmin(costs))
+        cut, n1 = sim._two_levels(values, n0, n_stages)
+        assert best == 1 and cut.tolist() == [128] and n1.tolist() == [pilot]
+
+    @pytest.mark.parametrize("n1_at_64, expected", [(534, 64), (535, 128)])
+    def test_a_tie_goes_to_the_smallest_boundary(self, n1_at_64, expected, monkeypatch):
+        # N0 = 1000 over 256 stages: N1 = 534 at 64 and 301 at 128 both cost
+        # 64,000 + 534 * 192 = 128,000 + 301 * 128 = 166,528 row-stages; at
+        # 192 no N1 can cost less than 192,000 + 256 * 64 = 208,384.
+        n1_by_stage = {64: n1_at_64, 128: 301, 192: 256}
+        rows = iter(np.array([[n]]) for n in n1_by_stage.values())
+        monkeypatch.setattr(sim, "_tail_runs", lambda head, full, n_runs: next(rows))
+        cut, n1 = sim._two_levels(np.zeros((4, 1, 1, sim._SUB_CHUNK)), 1000, 256)
+        assert cut.tolist() == [expected] and n1.tolist() == [n1_by_stage[expected]]
+
+    def test_n1_of_every_run_stays_one_level_bit_for_bit(self, small_collision, monkeypatch):
+        # With N1 = N0 at every boundary each boundary costs N0 n_stages, the
+        # tie goes to the first block, and the cell is its one-level estimate.
+        params = scenario(small_collision, p_r=0.4)
+        every_run = lambda head, full, n_runs: np.full(head.shape[:-1], n_runs)
+        monkeypatch.setattr(sim, "_tail_runs", every_run)
+        picks = recorded_results(monkeypatch, sim, "_two_levels")
+        result = ss.gain_of_cooperation(params, 300, 200, seed=13)
+        assert [pick.tolist() for pick in picks[0]] == [[[64]], [[300]]]
+        separate = [ss.monte_carlo(ss.RunConfig(params, 200, mode, seed=13), 300) for mode in ss.Mode]
+        assert [result.competitive, result.cooperative] == separate
+        weights = sim._discount_weights([params.alpha], 200)
+        payoffs, _ = sim._per_run(params, 13, 300, [(0, [None, 0.4])], weights, 1)
+        diffs = payoffs[:, 1, 0] - payoffs[:, 0, 0]
+        assert [result.se_gain_aon, result.se_gain_ton] == sim._mean_se(diffs)[1].tolist()
 
 
 class TestRuleSharing:
