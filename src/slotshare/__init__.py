@@ -16,8 +16,7 @@ from .equilibrium import (
     cooperation_beneficial_pr_set, cooperative_optimum, expected_stage_payoffs, msne,
 )
 from .sim import (
-    Aggregate, GainResult, Mode, RunConfig, RunResult, gain_grid, gain_of_cooperation, monte_carlo,
-    run_single,
+    Aggregate, GainResult, Mode, RunConfig, gain_grid, gain_of_cooperation, monte_carlo,
 )
 from .etiquette import (
     ComplianceFlag, DeviationCase, DeviationReport, InequalityEstimate, RegionGrid,
@@ -33,8 +32,8 @@ __all__ = [
     "CooperationRange", "OutOfRangeError", "Regime", "StagePayoffs", "ThresholdAges",
     "best_response_oracle", "cooperation_beneficial_pr_set", "cooperative_optimum",
     "expected_stage_payoffs", "msne",
-    "Aggregate", "GainResult", "Mode", "RunConfig", "RunResult",
-    "gain_grid", "gain_of_cooperation", "monte_carlo", "run_single",
+    "Aggregate", "GainResult", "Mode", "RunConfig",
+    "gain_grid", "gain_of_cooperation", "monte_carlo",
     "ComplianceFlag", "DeviationCase", "DeviationReport", "InequalityEstimate", "RegionGrid",
     "deviation_inequalities", "expected_next_network_age", "region_sweep",
     "simulate_grim_trigger", "stage1_expected_ton_throughput",

@@ -26,9 +26,9 @@ of zero are reported as indeterminate rather than forced to a boolean
 (``_tri_state``), so an estimate needs two runs.
 
 ``simulate_grim_trigger`` audits one trajectory of the etiquette with an
-injected deviation.  It folds the engine's single-row loop, that of
-``run_single`` too (``sim._Engine.trace``), on run 0 of its seed into
-named-tuple records (``StageTrace``, ``ComplianceFlag``).
+injected deviation.  It folds the engine's single-row loop
+(``sim._Engine.trace``) on run 0 of its seed into named-tuple records
+(``StageTrace``, ``ComplianceFlag``).
 """
 
 from __future__ import annotations
@@ -375,9 +375,10 @@ def simulate_grim_trigger(
     stage forces the case's recommendation and profile, and every later stage
     plays the competitive equilibrium, as the trigger requires.  An idle
     deviation reports the profile (0, 0).  The trace folds the engine's
-    single-row loop (``sim._Engine.trace``) on run 0 of ``seed``, the loop
-    of ``run_single``, so its cooperative prefix equals a cooperative run bit
-    for bit, and a deviation at stage 0 equals the region sweep's branch.
+    single-row loop (``sim._Engine.trace``) on run 0 of ``seed``, which
+    replays its batch row, so its cooperative prefix equals run 0 of a
+    cooperative batch bit for bit, and a deviation at stage 0 equals the
+    region sweep's branch.
     """
     _check_stages(n_stages)
     k = deviate_at_stage

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 # Probability identities (partition sums, derived means) are checked to this
 # absolute tolerance; violations indicate a bug, not noise.
@@ -132,9 +132,6 @@ class SlotProbabilities:
     p_busy_aon: float
     p_busy_ton: float
     p_collision: float
-
-    def validate(self, sizes: NetworkSizes) -> None:
-        _check_terms(astuple(self), sizes)
 
 
 def _check_terms(terms, sizes: NetworkSizes) -> None:

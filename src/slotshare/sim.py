@@ -52,9 +52,9 @@ chunks of ``ceil(runs / threads)`` runs within ``[_MIN_CHUNK,
 _DEFAULT_CHUNK]``, fans them out over threads when the chunks hold at least
 ``_POOL_COPIES`` copies, and stores each run's results by run index; it
 refuses fewer than two runs, which leave no standard error.  A single row
-(``run_single``, the grim-trigger audit) is stepped in Python floats by
-``_Engine.trace``, which replays its batch row bit for bit: the same rules'
-``one`` evaluators, slot step and network age (``_mean_left_to_right``).
+(the grim-trigger audit) is stepped in Python floats by ``_Engine.trace``,
+which replays its batch row bit for bit: the same rules' ``one``
+evaluators, slot step and network age (``_mean_left_to_right``).
 
 A caller that passes estimate groups (the gain grid, the region sweep and
 the deviation report) estimates over a two-level horizon, multilevel Monte
@@ -82,7 +82,7 @@ record per run and stage: the AON's two smallest draws and the device draw
 smallest, whose age resets on an AON success (the smallest unsigned type
 that holds ``n_aon - 1``).  A slot counts the AON's transmitters, reads the
 TON's count or 0, and makes one event code ``3 * k_a + k_t`` that indexes
-the age growth, the TON payoff and the recorded event.
+the age growth and the TON payoff.
 """
 
 from __future__ import annotations
@@ -121,12 +121,6 @@ _SE_SLACK = 1.02
 # The forced plays of a schedule, beside a device bias and competition (None).
 JOINT, IDLE = "joint", "idle"
 
-# Event codes in recorded stage streams.
-EVENT_IDLE = 0
-EVENT_SUCCESS_AON = 1
-EVENT_SUCCESS_TON = 2
-EVENT_COLLISION = 3
-
 
 class Mode(enum.Enum):
     COMPETITIVE = "competitive"
@@ -135,7 +129,7 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One repeated-game run."""
+    """A Monte Carlo estimate's scenario, stage count, mode and master seed."""
 
     params: ScenarioParams
     n_stages: int
@@ -144,34 +138,6 @@ class RunConfig:
 
     def __post_init__(self):
         _check_stages(self.n_stages)
-
-
-@dataclass(frozen=True)
-class StageRecord:
-    """Per-stage diagnostics of a single run."""
-
-    u_aon: np.ndarray
-    u_ton: np.ndarray
-    tau_aon: np.ndarray
-    events: np.ndarray
-    aon_selected: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class RunResult:
-    u_aon_discounted: float
-    u_ton_discounted: float
-    freq_tau_one: float
-    freq_tau_zero: float
-    final_ages: tuple[float, ...]
-    stages: StageRecord
-
-    def __post_init__(self):
-        if self.u_ton_discounted < 0.0:
-            raise ConfigurationError("discounted throughput payoff cannot be negative")
-        for freq in (self.freq_tau_one, self.freq_tau_zero):
-            if not 0.0 <= freq <= 1.0:
-                raise ConfigurationError("access frequencies must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -214,16 +180,13 @@ class _Engine:
         # Realized network throughput on a TON success: one node delivered a
         # slot's worth of bits, averaged over the network.
         self.ton_payout = slots.success * params.rate / self.n_ton
-        # Every node's age increment, the TON payoff and the recorded event,
-        # indexed by the event code 3 * k_a + k_t (each count clipped at 2):
-        # code 0 is an idle slot, 1 a TON success, 3 an AON success and any
-        # other a collision.
+        # Every node's age increment and the TON payoff, indexed by the event
+        # code 3 * k_a + k_t (each count clipped at 2): code 0 is an idle
+        # slot, 1 a TON success, 3 an AON success and any other a collision.
         self.growth_by_code = np.full(9, slots.collision)
         self.growth_by_code[[0, 1, 3]] = slots.idle, slots.success, slots.success
         self.ton_by_code = np.zeros(9)
         self.ton_by_code[1] = self.ton_payout
-        self.event_by_code = np.full(9, EVENT_COLLISION, dtype=np.int8)
-        self.event_by_code[[0, 1, 3]] = EVENT_IDLE, EVENT_SUCCESS_TON, EVENT_SUCCESS_AON
         # The AON rule's evaluators when competing and when obeying, folded
         # once per scenario and rule (``equilibrium._fold``): at sigma_S =
         # sigma_C the modes share one pair, and so do engines of one scenario.
@@ -557,35 +520,6 @@ def _simulate_batch(
             state.heads.append(np.array((state.u_aon, state.u_ton)))
         state.step(n, draw)
     return state
-
-
-def run_single(config: RunConfig, run_index: int = 0) -> RunResult:
-    """Run ``run_index`` of ``config.seed`` in ``config.mode``, folded from ``_Engine.trace``.
-
-    It is discounted and counted as its batch row is.  In cooperative mode
-    the access-frequency statistics are computed over the stages in which
-    the device selected the AON (zero if it never was).
-    """
-    params = config.params
-    engine = _Engine(params)
-    p_r = None if config.mode is Mode.COMPETITIVE else params.p_r
-    weights = _discount_weights([params.alpha], config.n_stages)[:, 0].tolist()
-    ton_by_code = engine.ton_by_code.tolist()
-    u_aon = u_ton = 0.0
-    stages = []
-    for w, (_, tau, tau_a, code, delta, ages) in zip(
-        weights, engine.trace(config.seed, run_index, config.n_stages, [(0, [p_r])])
-    ):
-        u_aon -= w * delta
-        u_ton += w * ton_by_code[code]
-        stages.append((delta, tau, tau_a, code))
-    delta, tau, tau_a, code = map(np.array, zip(*stages))
-    access = np.count_nonzero(tau_a >= 0.0)
-    freqs = [np.count_nonzero(tau_a == x) / access if access else 0.0 for x in (1.0, 0.0)]
-    selected = None if p_r is None else tau_a >= 0.0
-    events = engine.event_by_code.take(code)
-    record = StageRecord(-delta, engine.ton_by_code.take(code), tau, events, selected)
-    return RunResult(u_aon, u_ton, *freqs, tuple(ages), record)
 
 
 def _chunks(n_runs: int, threads: int, first: int = 0) -> list[tuple[int, int]]:

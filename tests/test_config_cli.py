@@ -558,7 +558,6 @@ def test_public_names_are_pinned():
         "Regime",
         "RegionGrid",
         "RunConfig",
-        "RunResult",
         "ScenarioParams",
         "SlotLengths",
         "SlotProbabilities",
@@ -575,7 +574,6 @@ def test_public_names_are_pinned():
         "monte_carlo",
         "msne",
         "region_sweep",
-        "run_single",
         "simulate_grim_trigger",
         "slot_probabilities_competitive",
         "slot_probabilities_cooperative",

@@ -511,14 +511,19 @@ class TestGrimTrigger:
 
     @pytest.mark.parametrize("na,nt", [(5, 5), (17, 4), (1, 3), (3, 1)])
     def test_cooperative_prefix_replays_a_cooperative_run(self, na, nt, small_collision):
+        # Run 0 obeying the device: the rule's taus of its single row, and
+        # the network ages of its batch row, whose weight column n takes
+        # stage n alone (minus its network age).
         params = scenario(small_collision, na=na, nt=nt, p_r=0.4)
         k = 25
+        engine, schedule = sim._Engine(params), [(0, [params.p_r])]
+        taus = [tau for _, tau, *_ in engine.trace(7, 0, k, schedule)]
+        state = sim._simulate_batch(engine, 7, range(1), schedule, np.eye(k))
         for case in ss.DeviationCase:
             trace = ss.simulate_grim_trigger(params, k + 5, 7, k, case)
-            run = sim.run_single(sim.RunConfig(params, k, sim.Mode.COOPERATIVE, 7))
             prefix = trace.stages[:k]
-            assert [st.tau_aon for st in prefix] == run.stages.tau_aon.tolist()
-            assert [st.network_age_after for st in prefix] == (-run.stages.u_aon).tolist()
+            assert [st.tau_aon for st in prefix] == taus
+            assert [st.network_age_after for st in prefix] == (-state.u_aon[:, 0]).tolist()
 
     @pytest.mark.parametrize(
         "na, nt, slots, initial_age",

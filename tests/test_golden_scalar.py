@@ -5,10 +5,11 @@ for every deviation case in every slot scenario at three network-size pairs)
 and equilibrium tables (``msne``, ``cooperative_optimum`` and
 ``expected_stage_payoffs`` on both channels) at ages on each threshold, one
 ulp either side of it, and at random ages.  ``golden_records.json`` holds the
-recorded per-stage streams (``StageRecord``) and run scalars of single
-competitive and cooperative runs.  ``golden_large_aon.json`` holds a paired
-gain and a deviation report of a 130-node AON that starts above its rule
-threshold, so that nodes 128 and 129 win slots and have their ages reset.
+run scalars, final node ages and per-stage streams of single competitive and
+cooperative runs, read off a one-run batch and its ``_Engine.trace`` row.
+``golden_large_aon.json`` holds a paired gain and a deviation report of a
+130-node AON that starts above its rule threshold, so that nodes 128 and 129
+win slots and have their ages reset.
 Each stage or table row is one string of ``float.hex`` values, so any change
 to the random stream or to rounding fails here.  The files change only with a
 declared output change; regenerate them with
@@ -123,16 +124,32 @@ def _record_cases():
                 yield name, _scenario(slot_scenario, n_aon, n_ton), mode
 
 
-def _record_rows(params, mode, seed, run_index):
-    """Run scalars and final ages, then one row per stage of the recorded streams."""
-    run = sim.run_single(sim.RunConfig(params, RECORD_STAGES, mode, seed), run_index)
-    stages = run.stages
-    scalars = (run.u_aon_discounted, run.u_ton_discounted, run.freq_tau_one, run.freq_tau_zero)
-    rows = [" ".join(_hex(v) for v in scalars), " ".join(_hex(a) for a in run.final_ages)]
-    for n in range(RECORD_STAGES):
-        selected = "-" if stages.aon_selected is None else str(bool(stages.aon_selected[n]))
-        values = (stages.u_aon[n], stages.u_ton[n], stages.tau_aon[n])
-        rows.append(" ".join([*(_hex(v) for v in values), str(int(stages.events[n])), selected]))
+# The recorded event of a slot's code 3 * k_a + k_t: idle 0, AON success 1,
+# TON success 2, and 3 for any collision.
+EVENTS = {0: 0, 1: 2, 3: 1}
+
+
+def _record_rows(params, mode, seed, run):
+    """Run scalars and final ages, then one row per stage of the recorded streams.
+
+    Run ``run`` as a one-run batch: weight column 0 discounts and column
+    ``1 + n`` weights stage ``n`` alone, so it holds minus the stage's
+    network age and the stage's TON payoff.  The rule's tau, whether the
+    device selected the AON (``-`` when competing) and the event come from
+    the run's ``_Engine.trace`` row.
+    """
+    engine = sim._Engine(params)
+    p_r = None if mode is sim.Mode.COMPETITIVE else params.p_r
+    discount = sim._discount_weights([params.alpha], RECORD_STAGES)
+    weights = np.hstack([discount, np.eye(RECORD_STAGES)])
+    state = sim._simulate_batch(engine, seed, range(run, run + 1), [(0, [p_r])], weights)
+    scalars = (state.u_aon[0, 0], state.u_ton[0, 0], *(f[0] for f in state.frequencies()))
+    rows = [" ".join(_hex(v) for v in scalars), " ".join(_hex(a) for a in state.ages[0])]
+    trace = engine.trace(seed, run, RECORD_STAGES, [(0, [p_r])])
+    for n, (_, tau, tau_a, code, _, _) in enumerate(trace):
+        selected = "-" if p_r is None else str(tau_a >= 0.0)
+        values = (state.u_aon[1 + n, 0], state.u_ton[1 + n, 0], tau)
+        rows.append(" ".join([*(_hex(v) for v in values), str(EVENTS.get(code, 3)), selected]))
     return rows
 
 

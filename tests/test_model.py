@@ -177,7 +177,6 @@ class TestOneSlotCheck:
         callers = [
             kernel,
             lambda: ss.expected_stage_payoffs(self.SIZES, equal_slots, profile, 2.0, 1.0, p_r),
-            lambda: ss.SlotProbabilities(*terms).validate(self.SIZES),
         ]
         messages = set()
         for call in callers:

@@ -20,24 +20,37 @@ def scenario(slots, na=5, nt=5, alpha=0.9, p_r=0.5, **kw):
     return ss.ScenarioParams(ss.NetworkSizes(na, nt), slots, alpha=alpha, p_r=p_r, **kw)
 
 
+def traced(params, n_stages, seed, p_r=None):
+    """Run 0 of ``seed`` as one ``_Engine.trace`` row, competing or obeying a device of bias p_r.
+
+    Returns the rule's taus, the played taus and the event codes as arrays,
+    and the final node ages.
+    """
+    stages = _Engine(params).trace(seed, 0, n_stages, [(0, [p_r])])
+    _, tau, tau_a, code, _, ages = zip(*stages)
+    return np.array(tau), np.array(tau_a), np.array(code), ages[-1]
+
+
 class TestDiscounting:
     @pytest.mark.parametrize("mode", [ss.Mode.COMPETITIVE, ss.Mode.COOPERATIVE])
     def test_payoff_recomputes_from_stage_stream(self, mode, small_collision):
+        # Weight column 0 discounts, and column 1 + n weights stage n alone.
         params = scenario(small_collision)
-        config = ss.RunConfig(params, 400, mode, seed=11)
-        run = ss.run_single(config)
+        p_r = None if mode is ss.Mode.COMPETITIVE else params.p_r
+        columns = np.hstack([sim._discount_weights([params.alpha], 400), np.eye(400)])
+        state = sim._simulate_batch(_Engine(params), 11, range(1), [(0, [p_r])], columns)
         weights = (1.0 - params.alpha) * params.alpha ** np.arange(400)
-        assert abs(run.u_aon_discounted - float(weights @ run.stages.u_aon)) < 1e-12
-        assert abs(run.u_ton_discounted - float(weights @ run.stages.u_ton)) < 1e-12
+        for payoffs in (state.u_aon, state.u_ton):
+            assert abs(payoffs[0, 0] - float(weights @ payoffs[1:, 0])) < 1e-12
 
     def test_geometric_identity_in_degenerate_run(self, large_collision):
         # Long collisions with a lone TON node force tau_aon*=0, tau_ton*=1:
-        # the TON succeeds every stage and earns a constant payoff.
+        # the TON succeeds every stage (code 1) and earns a constant payoff.
         params = scenario(large_collision, na=1, nt=1, alpha=0.9)
-        run = ss.run_single(ss.RunConfig(params, 300, ss.Mode.COMPETITIVE, seed=5))
+        agg = ss.monte_carlo(ss.RunConfig(params, 300, ss.Mode.COMPETITIVE, seed=5), 2)
         expected = (1.0 - 0.9**300) * large_collision.success
-        assert abs(run.u_ton_discounted - expected) < 1e-12
-        assert np.all(run.stages.events == ss.sim.EVENT_SUCCESS_TON)
+        assert abs(agg.u_ton_mean - expected) < 1e-12 and agg.u_ton_se == 0.0
+        assert np.all(traced(params, 300, 5)[2] == 1)
 
 
 class TestDeterminism:
@@ -114,29 +127,31 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("mode", [ss.Mode.COMPETITIVE, ss.Mode.COOPERATIVE])
     @pytest.mark.parametrize("na, nt", [(5, 5), (17, 4), (1, 3), (3, 1)])
-    def test_single_run_matches_batch_entry(self, mode, na, nt, small_collision):
-        # A single run steps one row in floats (``_Engine.trace``); the batch
-        # steps the same run in ``_Trajectories``.  Weight column 0 discounts,
-        # and column 1 + n weights stage n alone: minus its network age.
+    def test_trace_matches_batch_entry(self, mode, na, nt, small_collision):
+        # A single row steps in floats (``_Engine.trace``); the batch steps
+        # the same run in ``_Trajectories``.  Weight column 0 discounts, and
+        # column 1 + n weights stage n alone: minus its network age, its TON payoff.
         params = scenario(small_collision, na=na, nt=nt, p_r=0.4)
         n_stages = 150
-        config = ss.RunConfig(params, n_stages, mode, seed=3)
-        single = ss.run_single(config)
         p_r = None if mode is ss.Mode.COMPETITIVE else params.p_r
+        engine = _Engine(params)
         weights = np.hstack([sim._discount_weights([params.alpha], n_stages), np.eye(n_stages)])
-        state = sim._simulate_batch(_Engine(params), 3, range(1), [(0, [p_r])], weights)
-        assert single.u_aon_discounted == state.u_aon[0, 0]
-        assert single.u_ton_discounted == state.u_ton[0, 0]
-        assert [single.freq_tau_one, single.freq_tau_zero] == [f[0] for f in state.frequencies()]
-        assert single.final_ages == tuple(state.ages[0].tolist())
-        assert single.stages.u_aon.tolist() == state.u_aon[1:, 0].tolist()
-        assert single.stages.u_ton.tolist() == state.u_ton[1:, 0].tolist()
+        state = sim._simulate_batch(engine, 3, range(1), [(0, [p_r])], weights)
+        _, _, tau_a, code, delta, ages = zip(*engine.trace(3, 0, n_stages, [(0, [p_r])]))
+        assert (-state.u_aon[1:, 0]).tolist() == list(delta)
+        assert state.u_ton[1:, 0].tolist() == engine.ton_by_code[list(code)].tolist()
+        assert ages[-1] == state.ages[0].tolist()
+        # The shares of the AON's access stages at tau 1 and 0, counted on the row.
+        tau_a = np.array(tau_a)
+        access = np.count_nonzero(tau_a >= 0.0)
+        shares = [np.count_nonzero(tau_a == x) / access if access else 0.0 for x in (1.0, 0.0)]
+        assert shares == [f[0] for f in state.frequencies()]
         # Run 0 of a batch of two; one run has no standard error and is refused.
         payoffs, freqs = sim._per_run(params, 3, 2, [(0, [p_r])], weights[:, :1], 1)
-        assert payoffs[:, 0, 0, 0].tolist() == [single.u_aon_discounted, single.u_ton_discounted]
-        assert freqs[:, 0, 0].tolist() == [single.freq_tau_one, single.freq_tau_zero]
+        assert payoffs[:, 0, 0, 0].tolist() == [state.u_aon[0, 0], state.u_ton[0, 0]]
+        assert freqs[:, 0, 0].tolist() == shares
         with pytest.raises(ss.ConfigurationError, match="two runs"):
-            ss.monte_carlo(config, 1)
+            ss.monte_carlo(ss.RunConfig(params, n_stages, mode, seed=3), 1)
 
 
 def compact_reference(engine, rows):
@@ -278,15 +293,6 @@ def counted_slot(engine, ages, nodes, tau_a, k_t):
     return k_a
 
 
-def counted_events(k_a, k_t):
-    """Recorded event codes of transmitter counts, one mask per event."""
-    events = np.full(k_a.shape, sim.EVENT_COLLISION, dtype=np.int8)
-    events[(k_a == 0) & (k_t == 0)] = sim.EVENT_IDLE
-    events[(k_a == 1) & (k_t == 0)] = sim.EVENT_SUCCESS_AON
-    events[(k_a == 0) & (k_t == 1)] = sim.EVENT_SUCCESS_TON
-    return events
-
-
 def aon_node_draws(engine, urow, draw):
     """One draw per AON node for the reference to count over.
 
@@ -353,7 +359,6 @@ class TestSlotOrderStatistics:
             code = engine.slot(ages, with_ton_tau(engine, urow, draw, tau_t_case), tau_a, on)
             assert np.array_equal(ages, ref_ages)
             assert np.array_equal(code, 3 * np.minimum(k_a, 2) + k_t)
-            assert np.array_equal(engine.event_by_code[code], counted_events(k_a, k_t))
         # The draw's own count is at tau_T*; the TON plays it or is silenced per row.
         ton = rng.random(self.ROWS) < 0.5
         k_t = np.where(ton, ton_count(engine, urow, engine.tau_ton_star), 0)
@@ -372,7 +377,7 @@ class TestSlotOrderStatistics:
         k_a = counted_slot(engine, ref_ages, np.tile(nodes, (copies, 1)), taus, k_t)
         code = engine.slot(ages, with_ton_tau(engine, urow, draw, tau_t), taus, ton)
         assert np.array_equal(ages, ref_ages)
-        assert np.array_equal(engine.event_by_code[code], counted_events(k_a, k_t))
+        assert np.array_equal(code, 3 * np.minimum(k_a, 2) + k_t)
 
 
 def clipped_count_law(n, tau1, tau2):
@@ -465,23 +470,21 @@ def test_ton_count_follows_the_exact_binomial_law(nt, small_collision):
 class TestCompetitiveRuns:
     def test_two_singletons_short_collisions_always_transmit(self, small_collision):
         params = scenario(small_collision, na=1, nt=1)
-        run = ss.run_single(ss.RunConfig(params, 200, ss.Mode.COMPETITIVE, seed=1))
-        assert run.freq_tau_one == 1.0
-        assert run.freq_tau_zero == 0.0
+        agg = ss.monte_carlo(ss.RunConfig(params, 200, ss.Mode.COMPETITIVE, seed=1), 2)
+        assert (agg.freq_tau_one_mean, agg.freq_tau_one_se) == (1.0, 0.0)
+        assert agg.freq_tau_zero_mean == 0.0
 
     def test_two_singletons_long_collisions_never_transmit(self, large_collision):
         params = scenario(large_collision, na=1, nt=1)
-        run = ss.run_single(ss.RunConfig(params, 200, ss.Mode.COMPETITIVE, seed=1))
-        assert run.freq_tau_zero == 1.0
+        agg = ss.monte_carlo(ss.RunConfig(params, 200, ss.Mode.COMPETITIVE, seed=1), 2)
+        assert (agg.freq_tau_zero_mean, agg.freq_tau_zero_se) == (1.0, 0.0)
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_aggressive_opening_streak(self, seed, small_collision):
         # From the reset age, all-transmit collisions grow the network age
         # deterministically until it crosses the threshold, so the opening
         # tau=1 streak and the first interior value are seed-independent.
-        params = scenario(small_collision)
-        run = ss.run_single(ss.RunConfig(params, 60, ss.Mode.COMPETITIVE, seed=seed))
-        taus = run.stages.tau_aon
+        taus, _, _, _ = traced(scenario(small_collision), 60, seed)
         first_interior = int(np.argmax(taus < 1.0))
         assert first_interior >= 30
         assert taus[first_interior] == pytest.approx(0.9295, abs=1e-4)
@@ -498,43 +501,53 @@ class TestCompetitiveRuns:
 
 
 class TestCooperativeRuns:
+    """Runs that obey the device.
+
+    A slot's code is ``3 * k_a + k_t``: 0 is idle, 1 a TON success, 3 an AON
+    success and any other a collision.
+    """
+
     def test_zero_bias_never_selects_aon(self, equal_slots):
         params = scenario(equal_slots, p_r=0.0)
-        run = ss.run_single(ss.RunConfig(params, 300, ss.Mode.COOPERATIVE, seed=9))
-        assert run.freq_tau_one == 0.0 and run.freq_tau_zero == 0.0
-        assert not np.any(run.stages.events == ss.sim.EVENT_SUCCESS_AON)
-        assert not np.any(run.stages.aon_selected)
+        agg = ss.monte_carlo(ss.RunConfig(params, 300, ss.Mode.COOPERATIVE, seed=9), 2)
+        assert agg.freq_tau_one_mean == 0.0 and agg.freq_tau_zero_mean == 0.0
+        _, tau_a, code, _ = traced(params, 300, 9, p_r=0.0)
+        assert not np.any(code == 3)
+        assert not np.any(tau_a >= 0.0)
 
     def test_full_bias_never_selects_ton(self, equal_slots):
         params = scenario(equal_slots, p_r=1.0)
-        run = ss.run_single(ss.RunConfig(params, 300, ss.Mode.COOPERATIVE, seed=9))
-        assert run.u_ton_discounted == 0.0
-        assert not np.any(run.stages.events == ss.sim.EVENT_SUCCESS_TON)
+        agg = ss.monte_carlo(ss.RunConfig(params, 300, ss.Mode.COOPERATIVE, seed=9), 2)
+        assert agg.u_ton_mean == 0.0 and agg.u_ton_se == 0.0
+        _, _, code, _ = traced(params, 300, 9, p_r=1.0)
+        assert not np.any(code == 1)
 
     def test_full_bias_lone_aon_node_resets_every_stage(self, equal_slots):
         # One AON node holding the channel transmits with probability 1 and
         # its age comes back to the success-slot length after every stage.
         params = scenario(equal_slots, na=1, nt=3, p_r=1.0)
-        run = ss.run_single(ss.RunConfig(params, 100, ss.Mode.COOPERATIVE, seed=4))
-        assert np.all(run.stages.events == ss.sim.EVENT_SUCCESS_AON)
-        assert run.final_ages == (equal_slots.success,)
-        assert run.freq_tau_one == 1.0
+        _, _, code, ages = traced(params, 100, 4, p_r=1.0)
+        assert np.all(code == 3)
+        assert ages == [equal_slots.success]
+        agg = ss.monte_carlo(ss.RunConfig(params, 100, ss.Mode.COOPERATIVE, seed=4), 2)
+        assert (agg.freq_tau_one_mean, agg.freq_tau_one_se) == (1.0, 0.0)
 
     def test_device_prevents_cross_network_collisions(self, equal_slots):
         # With one node per network any collision would have to involve both
         # networks; under the device none may occur.
         params = scenario(equal_slots, na=1, nt=1)
-        run = ss.run_single(ss.RunConfig(params, 500, ss.Mode.COOPERATIVE, seed=21))
-        assert not np.any(run.stages.events == ss.sim.EVENT_COLLISION)
+        _, _, code, _ = traced(params, 500, 21, p_r=params.p_r)
+        assert set(code.tolist()) <= {0, 1, 3}
 
     def test_equal_slots_aon_never_aggressive_sometimes_silent(self, equal_slots):
         params = scenario(equal_slots)
-        run = ss.run_single(ss.RunConfig(params, 300, ss.Mode.COOPERATIVE, seed=4))
-        selected = run.stages.aon_selected
-        assert np.all(run.stages.tau_aon[selected] < 1.0)
-        assert np.any(run.stages.tau_aon[selected] == 0.0)
-        assert run.freq_tau_one == 0.0
-        assert run.freq_tau_zero > 0.0
+        tau, tau_a, _, _ = traced(params, 300, 4, p_r=params.p_r)
+        selected = tau_a >= 0.0
+        assert np.all(tau[selected] < 1.0)
+        assert np.any(tau[selected] == 0.0)
+        agg = ss.monte_carlo(ss.RunConfig(params, 300, ss.Mode.COOPERATIVE, seed=4), 2)
+        assert agg.freq_tau_one_mean == 0.0
+        assert agg.freq_tau_zero_mean > 0.0
 
 
 class TestRealizedVersusExpected:
@@ -679,12 +692,17 @@ class TestSingleRow:
 
     @pytest.mark.parametrize("na", [8, 9, 10, 17, 33])
     def test_final_network_age_is_last_stage_age(self, na, small_collision):
-        # A run's final node ages give the network age its last stage paid.
+        # A run's final node ages, the row's floats and its batch row's, give
+        # the network age its last stage paid.  The weight column takes the
+        # last stage alone: minus its network age.
         params = scenario(small_collision, na=na, initial_age=3.3)
+        engine, last = _Engine(params), np.eye(40)[:, -1:]
         for seed in range(1, 30):
-            result = ss.run_single(ss.RunConfig(params, 40, ss.Mode.COMPETITIVE, seed))
-            assert {type(age) for age in result.final_ages} == {float}
-            assert sim._mean_left_to_right(result.final_ages) == -result.stages.u_aon[-1]
+            *_, ages = list(engine.trace(seed, 0, 40, [(0, [None])]))[-1]
+            state = sim._simulate_batch(engine, seed, range(1), [(0, [None])], last)
+            assert {type(age) for age in ages} == {float}
+            assert ages == state.ages[0].tolist()
+            assert sim._mean_left_to_right(ages) == -state.u_aon[0, 0]
 
 
 class TestGain:
@@ -1067,7 +1085,6 @@ class TestSeedRange:
             lambda: ss.region_sweep(params, [0.9], [0.5], 3, 5, seed, threads=2),
             lambda: ss.deviation_inequalities(params, 3, 5, seed),
             lambda: ss.simulate_grim_trigger(params, 5, seed, 1, ss.DeviationCase.H_AON_DEVIATES),
-            lambda: ss.run_single(config),
         ]
 
     # -1 and 2**64 would key the streams of 2**64 - 1 and of 0, 2**64 + 3
@@ -1080,22 +1097,21 @@ class TestSeedRange:
 
     @pytest.mark.parametrize("run_index", [-1, 1.0])
     def test_run_index_must_be_a_non_negative_integer(self, run_index, no_draw, equal_slots):
-        config = ss.RunConfig(scenario(equal_slots), 5, ss.Mode.COMPETITIVE, seed=1)
+        engine = _Engine(scenario(equal_slots))
         with pytest.raises(ss.ConfigurationError, match="run index"):
-            ss.run_single(config, run_index=run_index)
+            list(engine.trace(1, run_index, 5, [(0, [None])]))
 
     @pytest.mark.parametrize("na, width", [(1, 3), (5, 5)])
     def test_run_index_whose_counter_fits_in_64_bits_draws(self, na, width, equal_slots):
         # Run r's rows start at Philox counter r * BLOCK_STAGES * width / 4,
-        # one 64-bit word: the largest run index whose counter fits draws
-        # its two blocks, and the next is refused.
-        params = scenario(equal_slots, na=na, nt=2)
-        assert _Engine(params).width == width
+        # one 64-bit word (``BlockStream.seek``): the largest run index whose
+        # counter fits draws its two blocks, and the next is refused.
+        engine = _Engine(scenario(equal_slots, na=na, nt=2))
+        assert engine.width == width
         last = (2**64 - 1) // (seeding.BLOCK_STAGES * width // 4)
-        config = ss.RunConfig(params, 70, ss.Mode.COMPETITIVE, seed=1)
-        assert len(ss.run_single(config, run_index=last).stages.u_aon) == 70
+        assert len(list(engine.trace(1, last, 70, [(0, [None])]))) == 70
         with pytest.raises(ss.ConfigurationError, match="run index .* past 64 bits"):
-            ss.run_single(config, run_index=last + 1)
+            list(engine.trace(1, last + 1, 70, [(0, [None])]))
 
     def test_edge_seeds_run_on_streams_of_their_own(self, equal_slots):
         params = scenario(equal_slots, na=2, nt=2)
@@ -1103,8 +1119,8 @@ class TestSeedRange:
         for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
             for read in self.readers(params, seed):
                 read()
-            single = ss.run_single(ss.RunConfig(params, 40, ss.Mode.COMPETITIVE, seed))
-            singles[int(seed)] = single.stages.u_aon.tolist()
+            stages = _Engine(params).trace(seed, 0, 40, [(0, [None])])
+            singles[int(seed)] = [delta for *_, delta, _ in stages]
         assert singles[0] != singles[2**64 - 1]
 
 
