@@ -56,18 +56,19 @@ refuses fewer than two runs, which leave no standard error.  A single row
 which replays its batch row bit for bit: the same rules' ``one``
 evaluators, slot step and network age (``_mean_left_to_right``).
 
-A caller that passes estimate groups (the gain grid, the region sweep and
+A caller that passes its estimates (the gain grid, the region sweep and
 the deviation report) estimates over a two-level horizon, multilevel Monte
 Carlo over the stages (Giles, Operations Research 56, 2008): all ``N0``
-runs step the head, the stages before a group's cut, and only the first
+runs step the head, the stages before the call's cut, and only the first
 N1 of them the tail.  The first ``_SUB_CHUNK`` runs (the pilot) step every
 stage and record their payoffs at every stage-block boundary; from them
-each group takes the boundary, and its N1 there, of fewest predicted
-row-stages (``_two_levels``, ``_tail_runs``, ``_mean_se``).  A run's head
-is the same bits at either horizon, so the levels pair.  With no more runs
-than the pilot, no more stages than one block, or N1 = N0, an estimate
-stays one level, bit for bit.  A gain cell's access frequencies are
-one-level means over its first N1 runs, which step every stage.
+the call takes one cut and one N1, those of the fewest row-stages stepped
+(``_two_levels``, ``_tail_runs``), and every estimate reads every
+row-stage that the call steps (``_mean_se``).  A run's head is the same
+bits at either horizon, so the levels pair.  With no more runs than the
+pilot, no more stages than one block, or N1 = N0, the call stays one
+level, bit for bit.  A gain cell's access frequencies are one-level means
+over the first N1 runs, which step every stage.
 ``simulate`` and ``freq`` stay one level: their output is the
 frequencies, ratios over every stage, whose tails need nearly every run.
 
@@ -145,7 +146,8 @@ class Aggregate:
     """Across-run means and standard errors of the run scalars over ``n_runs`` runs.
 
     In a two-level gain cell (``gain_grid``) the payoffs are two-level
-    estimates over the ``n_runs`` runs and the frequencies read the first N1.
+    estimates over the ``n_runs`` runs and the frequencies read the call's
+    first N1.
     """
 
     u_aon_mean: float
@@ -550,7 +552,7 @@ def _fanout(work, threads: int, copies: int, *ranges: tuple[int, int]) -> None:
 
 
 def _per_run(
-    params: ScenarioParams, seed, n_runs, schedule, weights, threads, groups=None, counted=True
+    params: ScenarioParams, seed, n_runs, schedule, weights, threads, estimates=None, counted=True
 ):
     """Per-run results of one copy of the runs per play of ``schedule``, by run index.
 
@@ -561,19 +563,14 @@ def _per_run(
     stage-1 outcomes.  The run axis is last, so that each reduction reads
     one contiguous row.  The access counters are kept only if ``counted``.
 
-    Without ``groups`` every run steps every stage: returns the (AON, TON)
-    payoffs (2 x copies x columns x runs) and the access frequencies at 1
-    and 0 (2 x copies x runs), None if not ``counted``.
-
-    ``groups`` maps such payoffs to per-run values (G... x members x runs):
-    each index of the leading axes is one estimate group, whose members
-    share one cut and one N1 (``_two_levels``), and the horizon has two
-    levels (module docstring).  Returns the payoffs at each distinct cut,
-    ascending, and at the horizon, stacked on a new first axis (NaN at the
-    horizon past the largest N1); the frequencies, NaN past the largest N1;
-    and per group (G...) the index of its cut on that axis and its N1.
-    Where the horizon stays one level, both entries of the first axis hold
-    the horizon's payoffs, each cut index is 0 and each N1 ``n_runs``.
+    Returns ``(head, full, freqs, n1)``: the (AON, TON) payoffs (2 x copies
+    x columns x runs) at the call's cut and at the horizon, the access
+    frequencies at 1 and 0 (2 x copies x runs), None if not ``counted``,
+    and the call's N1.  ``estimates`` maps such payoffs to the per-run
+    values of every estimate the caller makes (... x runs); with it the
+    horizon has two levels (module docstring), and the horizon payoffs and
+    the frequencies are NaN past the first N1 runs.  Without it, or where
+    the horizon stays one level, N1 is ``n_runs`` and ``head is full``.
     """
     _check_count(n_runs, 2, "a Monte Carlo estimate needs an integer count of at least two runs")
     _check_seed(seed)
@@ -584,80 +581,70 @@ def _per_run(
     def batch(start, stop, stages, cuts):
         # Runs start to stop through ``stages``: their payoffs at each cut
         # they pass, then at the last stage (... x 2 x copies x columns x runs).
-        full = counted and stages == n_stages
+        whole = counted and stages == n_stages
         runs = range(start, stop)
-        state = _simulate_batch(engine, seed, runs, schedule, weights[:stages], full, cuts)
-        if full:
+        state = _simulate_batch(engine, seed, runs, schedule, weights[:stages], whole, cuts)
+        if whole:
             freqs[..., start:stop] = np.reshape(state.frequencies(), (2, copies, stop - start))
         # State row b * size + r is run start + r in copy b.
         pay = [*state.heads, (state.u_aon, state.u_ton)]
         return np.reshape(pay, (-1, 2, n_columns, copies, stop - start)).swapaxes(2, 3)
 
     bounds = range(seeding.BLOCK_STAGES, n_stages, seeding.BLOCK_STAGES)
-    if groups is None or n_runs <= _SUB_CHUNK or not bounds:
-        levels = np.empty((1, 2, copies, n_columns, n_runs))
-
-        def work(chunk):
-            levels[..., slice(*chunk)] = batch(*chunk, n_stages, ())
-
-        _fanout(work, threads, copies, (0, n_runs))
-        if groups is None:
-            return levels[0], freqs
-        shape = groups(levels[0, ..., :0]).shape[:-2]
-        return np.concatenate((levels, levels)), freqs, np.zeros(shape, int), np.full(shape, n_runs)
-    # The pilot steps every stage and sets each group's cut and N1; then the
-    # runs below the largest N1 step every stage too, and the rest stop at
-    # the largest cut.
-    pilot = batch(0, _SUB_CHUNK, n_stages, bounds)
-    cut, n1 = _two_levels(np.stack([groups(values) for values in pilot]), n_runs, n_stages)
-    cuts, level = np.unique(cut, return_inverse=True)
-    levels = np.full((cuts.size + 1, 2, copies, n_columns, n_runs), np.nan)
-    levels[..., :_SUB_CHUNK] = pilot[[*(cuts // seeding.BLOCK_STAGES - 1), -1]]
-    top, cuts = int(n1.max()), tuple(cuts.tolist())
+    first, cut, n1 = 0, n_stages, n_runs
+    levels = np.empty((1, 2, copies, n_columns, n_runs))
+    if estimates is not None and n_runs > _SUB_CHUNK and bounds:
+        # The pilot steps every stage and sets the cut and N1; then the runs
+        # below N1 step every stage too, and the rest stop at the cut.
+        pilot = batch(0, _SUB_CHUNK, n_stages, bounds)
+        cut, n1 = _two_levels(np.stack([estimates(values) for values in pilot]), n_runs, n_stages)
+        levels = np.full((2, 2, copies, n_columns, n_runs), np.nan)
+        levels[..., :_SUB_CHUNK] = pilot[[cut // seeding.BLOCK_STAGES - 1, -1]]
+        first = _SUB_CHUNK
 
     def work(chunk):
         start, stop = chunk
-        pay = batch(start, stop, n_stages if stop <= top else cuts[-1], cuts)
+        pay = batch(start, stop, n_stages if stop <= n1 else cut, (cut,))
         levels[: len(pay), ..., start:stop] = pay
 
-    _fanout(work, threads, copies, (_SUB_CHUNK, top), (top, n_runs))
-    return levels, freqs, level.reshape(n1.shape), n1
+    _fanout(work, threads, copies, (first, n1), (n1, n_runs))
+    full = levels[-1]
+    return (levels[0] if n1 < n_runs else full), full, freqs, n1
 
 
-def _two_levels(pilot: np.ndarray, n_runs: int, n_stages: int):
-    """Each estimate group's cut and N1, from the pilot's values at every block boundary.
+def _two_levels(pilot: np.ndarray, n_runs: int, n_stages: int) -> tuple[int, int]:
+    """The call's cut and N1, from the pilot's values at every block boundary.
 
-    ``pilot`` stacks the pilot runs' values (G... x members x runs) at
-    stages ``BLOCK_STAGES``, ``2 * BLOCK_STAGES``, ... below ``n_stages``,
-    then at the horizon.  At a boundary b a group's N1 is the largest of its
-    members' (``_tail_runs``), and its cut is the b that minimizes the
-    predicted row-stages ``N0 b + N1 (n_stages - b)``, the smallest b on a
-    tie, so a group with N1 = N0 everywhere cuts at the first block and
-    stays one level.  Returns the cuts, in stages, and their N1, each (G...).
+    ``pilot`` stacks the pilot runs' values of every estimate (... x runs)
+    at stages ``BLOCK_STAGES``, ``2 * BLOCK_STAGES``, ... below
+    ``n_stages``, then at the horizon.  At a boundary b, N1 is the largest
+    of the estimates' (``_tail_runs``), and the cut is the b that minimizes
+    the row-stages the call steps, ``N0 b + N1 (n_stages - b)``, the
+    smallest b on a tie, so a call with N1 = N0 everywhere cuts at the
+    first block and stays one level.
     """
     best, cut, n1 = np.inf, 0, 0
     for k, values in enumerate(pilot[:-1]):
         b = seeding.BLOCK_STAGES * (k + 1)
         # N1 is at least the pilot, so no later boundary can cost less than
-        # this bound, which grows with b: stop once it reaches every best.
-        if np.all(best <= n_runs * b + _SUB_CHUNK * (n_stages - b)):
+        # this bound, which grows with b: stop once it reaches the best.
+        if best <= n_runs * b + _SUB_CHUNK * (n_stages - b):
             break
-        n1_b = _tail_runs(values, pilot[-1], n_runs).max(axis=-1)
+        n1_b = int(_tail_runs(values, pilot[-1], n_runs).max())
         cost = n_runs * b + n1_b * (n_stages - b)
-        less = cost < best
-        best, cut, n1 = (np.where(less, *pair) for pair in ((cost, best), (b, cut), (n1_b, n1)))
+        if cost < best:
+            best, cut, n1 = cost, b, n1_b
     return cut, n1
 
 
-def _moments(head: np.ndarray, tail: np.ndarray, n1: np.ndarray):
+def _moments(head: np.ndarray, tail: np.ndarray, n1: int):
     """Two-level sample moments over the last (run) axis.
 
     Returns the variance of ``head`` over every run, and over the first
-    ``n1`` runs (per estimate, broadcast against the others) the mean and
-    variance of ``tail`` and its covariance with ``head``; the tail past
-    ``n1`` is not read.
+    ``n1`` runs the mean and variance of ``tail`` and its covariance with
+    ``head``; the tail past ``n1`` is not read.
     """
-    take = np.arange(head.shape[-1]) < n1[..., None]
+    take = np.arange(head.shape[-1]) < n1
     tail = np.where(take, tail, 0.0)
     tail_mean = tail.sum(axis=-1) / n1
     head_mean = np.where(take, head, 0.0).sum(axis=-1) / n1
@@ -677,7 +664,7 @@ def _tail_runs(head: np.ndarray, full: np.ndarray, n_runs: int) -> np.ndarray:
     V_h + V_t + 2 C_ht``, so ``N1 >= N0 V_t / (V_t + (_SE_SLACK**2 - 1) V_f)``.
     A tail without variance needs only the pilot.
     """
-    v_h, _, v_t, c_ht = _moments(head, full - head, np.full(head.shape[:-1], head.shape[-1]))
+    v_h, _, v_t, c_ht = _moments(head, full - head, head.shape[-1])
     v_f = v_h + v_t + 2.0 * c_ht
     share = np.divide(
         v_t, v_t + (_SE_SLACK**2 - 1.0) * v_f, out=np.zeros(v_t.shape), where=v_t > 0.0
@@ -685,34 +672,27 @@ def _tail_runs(head: np.ndarray, full: np.ndarray, n_runs: int) -> np.ndarray:
     return np.clip(np.ceil(n_runs * share), _SUB_CHUNK, n_runs).astype(np.int64)
 
 
-def _mean_se(values: np.ndarray, n1=None, level=0) -> tuple[np.ndarray, np.ndarray]:
+def _mean_se(values: np.ndarray, n1=None) -> tuple[np.ndarray, np.ndarray]:
     """Means and standard errors over the last (run) axis.
 
-    With ``n1`` (per estimate, broadcast) ``values`` stacks the runs' values
-    at each cut and at the horizon on its first axis, the latter read for
-    the first ``n1`` runs only, and each estimate has two levels: with the
-    head ``h`` its values at cut ``level`` (per estimate, broadcast) and
-    the tail ``t = full - head``, ``mean_N0(head) + mean_N1(t)``, that is
-    ``mean_N1(full) + mean_N0(head) - mean_N1(head)``, with the SE
-    ``sqrt(V_h/N0 + V_t/N1 + 2 C_ht/N0)``.  Where ``n1`` is every run, the
-    one-level estimate of the horizon values, bit for bit.
+    With ``n1``, ``values`` stacks the runs' values at the cut and at the
+    horizon on its first axis, the latter read for the first ``n1`` runs
+    only, and each estimate has two levels: with the head ``h`` its values
+    at the cut and the tail ``t = full - head``, ``mean_N0(head) +
+    mean_N1(t)``, that is ``mean_N1(full) + mean_N0(head) - mean_N1(head)``,
+    with the SE ``sqrt(V_h/N0 + V_t/N1 + 2 C_ht/N0)``.  Where ``n1`` is
+    every run, the one-level estimate of the horizon values, bit for bit.
     """
-    if n1 is None:
-        n_runs = values.shape[-1]
-        return values.mean(axis=-1), values.std(axis=-1, ddof=1) / np.sqrt(n_runs)
-    full = values[-1]
-    at = np.broadcast_to(level, full.shape[:-1])[None, ..., None]
-    head = np.take_along_axis(values[:-1], at, 0)[0]
     n0 = values.shape[-1]
-    mean, se = _mean_se(full)
-    one = n1 == n0
-    v_h, tail_mean, v_t, c_ht = _moments(head, full - head, n1)
-    # The sample moments come from different runs, so the sum could dip below 0.
-    se2 = np.maximum(v_h / n0 + v_t / n1 + 2.0 * c_ht / n0, 0.0)
-    return (
-        np.where(one, mean, head.mean(axis=-1) + tail_mean),
-        np.where(one, se, np.sqrt(se2)),
-    )
+    if n1 is not None and n1 < n0:
+        head, full = values
+        v_h, tail_mean, v_t, c_ht = _moments(head, full - head, n1)
+        # The sample moments come from different runs, so the sum could dip below 0.
+        se2 = np.maximum(v_h / n0 + v_t / n1 + 2.0 * c_ht / n0, 0.0)
+        return head.mean(axis=-1) + tail_mean, np.sqrt(se2)
+    if n1 is not None:
+        values = values[-1]
+    return values.mean(axis=-1), values.std(axis=-1, ddof=1) / np.sqrt(n0)
 
 
 def _aggregate(means, ses, freqs: np.ndarray, n_runs: int) -> Aggregate:
@@ -733,7 +713,7 @@ def monte_carlo(config: RunConfig, n_runs: int, threads: int = 1) -> Aggregate:
     params = config.params
     p_r = None if config.mode is Mode.COMPETITIVE else params.p_r
     weights = _discount_weights([params.alpha], config.n_stages)
-    payoffs, freqs = _per_run(params, config.seed, n_runs, [(0, [p_r])], weights, threads)
+    _, payoffs, freqs, _ = _per_run(params, config.seed, n_runs, [(0, [p_r])], weights, threads)
     return _aggregate(*_mean_se(payoffs[:, 0, 0]), freqs[:, 0], n_runs)
 
 
@@ -743,7 +723,7 @@ class GainResult:
 
     ``se_gain_aon``/``se_gain_ton`` are the standard errors of the per-run
     differences: both arms replay each run's draws, so they are paired.
-    Both aggregates and both gains share the cell's two-level horizon
+    Both aggregates and both gains share the call's two-level horizon
     (``gain_grid``), so each gain is the difference of the aggregates' means.
     """
 
@@ -768,13 +748,13 @@ def gain_grid(
 
     The copies are one competitive copy, then one cooperative copy per bias,
     all on the same run draws of ``seed``; alpha only selects a column of
-    discount weights.  Each cell is one estimate group of the two-level
-    horizon (``_per_run``): its competitive, cooperative and paired-difference
-    payoffs of both networks share one cut and one N1, so the competitive
-    means of one alpha may differ across its biases.  A cell's access
-    frequencies are one-level means over its first N1 runs, which step
-    every stage.  Cell ``[i][j]`` equals ``gain_of_cooperation`` at that
-    point alone.
+    discount weights.  Every cell's competitive, cooperative and
+    paired-difference payoffs of both networks share the call's cut and N1
+    on the two-level horizon (``_per_run``), so the competitive baseline of
+    one alpha is one estimate across its biases.  A cell's access
+    frequencies are one-level means over the first N1 runs, which step
+    every stage.  At one level cell ``[i][j]`` equals ``gain_of_cooperation``
+    at that point alone, and a point is always a one-cell grid.
     """
     alphas, biases = np.asarray(alphas, dtype=np.float64), np.asarray(biases, dtype=np.float64)
     if alphas.size == 0 or biases.size == 0:
@@ -783,23 +763,19 @@ def gain_grid(
         raise ConfigurationError("device bias must lie in [0, 1]")
     weights = _discount_weights(alphas, n_stages)
 
-    def cell(payoffs, i, j):
-        # The competitive, cooperative and paired-difference (AON, TON)
-        # payoffs of cell (i, j): ... x 6 x runs.
-        base, coop = payoffs[..., 0, i, :], payoffs[..., 1 + j, i, :]
-        return np.concatenate((base, coop, coop - base), axis=-2)
-
-    def cells(payoffs):
-        rows = [[cell(payoffs, i, j) for j in range(biases.size)] for i in range(alphas.size)]
-        return np.array(rows)
-
+    # Every estimate of the grid: each copy's payoffs, and each cooperative
+    # copy's paired difference with the competitive one.
+    estimates = lambda payoffs: np.concatenate((payoffs, payoffs[:, 1:] - payoffs[:, :1]), 1)
     schedule = [(0, [None, *biases])]
-    levels, freqs, level, n1 = _per_run(params, seed, n_runs, schedule, weights, threads, cells)
+    head, full, freqs, n1 = _per_run(params, seed, n_runs, schedule, weights, threads, estimates)
 
     def result(i, j):
-        means, ses = _mean_se(cell(levels, i, j), n1[i, j], level[i, j])
+        # The competitive, cooperative and paired-difference (AON, TON)
+        # payoffs of cell (i, j) at the cut and at the horizon: 2 x 6 x runs.
+        base, coop = (np.stack([p[:, copy, i] for p in (head, full)]) for copy in (0, 1 + j))
+        means, ses = _mean_se(np.concatenate((base, coop, coop - base), axis=1), n1)
         base, coop = (
-            _aggregate(means[k : k + 2], ses[k : k + 2], freqs[:, copy, : n1[i, j]], n_runs)
+            _aggregate(means[k : k + 2], ses[k : k + 2], freqs[:, copy, :n1], n_runs)
             for k, copy in ((0, 0), (2, 1 + j))
         )
         return GainResult(
@@ -824,10 +800,11 @@ def gain_of_cooperation(
     """Paired gain of cooperating over competing under a shared master seed.
 
     Both arms advance in lockstep on the same run draws, drawn once, over
-    the two-level horizon of ``gain_grid``.  With no more runs than the
-    pilot, or where the cell's N1 is every run, each aggregate equals its
-    own ``monte_carlo`` call; above the pilot its payoffs are two-level
-    estimates and its frequencies read the first N1 runs only.
+    the two-level horizon of ``gain_grid``, of which it is the one-cell
+    grid.  With no more runs than the pilot, or where N1 is every run, each
+    aggregate equals its own ``monte_carlo`` call; above the pilot its
+    payoffs are two-level estimates and its frequencies read the first N1
+    runs only.
     """
     axes = [params.alpha], [params.p_r]
     return gain_grid(params, n_runs, n_stages, seed, *axes, threads)[0][0]

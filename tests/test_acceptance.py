@@ -212,7 +212,7 @@ def test_ua_avg_payoff_shorter_collisions_pay_the_aon_more():
             ss.sim._per_run(
                 ss.ScenarioParams(ss.NetworkSizes(na, 5), slots, alpha=0.9),
                 17, n_runs, [(0, [None])], weights, 1,
-            )[0][0, 0, 0]
+            )[1][0, 0, 0]
             for slots in (SMALL, EQUAL, LARGE)
         ]
         for shorter, longer in zip(aon, aon[1:]):

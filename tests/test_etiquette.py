@@ -286,14 +286,12 @@ class TestRegionSweep:
             pytest.param("equal_slots", 2, 120, 40, id="equal_slots-2"),
             pytest.param("small_collision", 5, 120, 40, id="small_collision-5"),
             pytest.param("equal_slots", 10, 120, 40, id="equal_slots-10"),
-            # Two levels, with margins' N1 from the pilot's 256 runs to 600.
-            pytest.param("small_collision", 3, 600, 130, id="small_collision-3-two-level"),
         ],
     )
     def test_cells_equal_single_point_reports(self, slots_name, n, n_runs, n_stages, request):
         # Common random numbers: every cell replays the master seed's run
-        # streams, and each margin's N1 is its own, so a cell is bit-equal
-        # to the report at that point alone.
+        # streams, and at one level a cell is bit-equal to the report at
+        # that point alone.
         params = scenario(request.getfixturevalue(slots_name), na=n, nt=n, initial_age=6.0)
         alphas, biases = [0.3, 0.75, 0.95], [0.2, 0.5, 0.8]
         grid = ss.region_sweep(params, alphas, biases, n_runs, n_stages, seed=9)
@@ -312,6 +310,18 @@ class TestRegionSweep:
                     aon_h, aon_t, ton_h, ton_t
                 )
 
+    def test_two_level_report_is_a_one_cell_sweep(self, small_collision, monkeypatch):
+        # Above the pilot, with N1 between the pilot and N0: the report's
+        # stage-1 column adds no tail, so it takes the one-cell sweep's cut
+        # and N1, and its margins are the cell's bits.
+        params = scenario(small_collision, na=3, nt=3, initial_age=5.0, alpha=0.97, p_r=0.5)
+        picks = recorded_results(monkeypatch, sim, "_two_levels")
+        report = ss.deviation_inequalities(params, 600, 130, seed=3)
+        grid = ss.region_sweep(params, [params.alpha], [params.p_r], 600, 130, seed=3)
+        assert picks[0] == picks[1] and sim._SUB_CHUNK < picks[0][1] < 600
+        assert [e.margin for e in report.inequalities] == grid.margins[:, 0, 0].tolist()
+        assert [e.se for e in report.inequalities] == grid.ses[:, 0, 0].tolist()
+
     def test_sweep_invariant_to_threads_and_chunks(self, small_collision, monkeypatch):
         params = scenario(small_collision, na=3, nt=3, initial_age=5.0)
         args = (params, [0.5, 0.9], [0.25, 0.5, 0.75], 100, 30)
@@ -323,10 +333,10 @@ class TestRegionSweep:
         args = (params, [0.5, 0.9, 0.97], [0.25, 0.5, 0.75], 600, 130)
         assert_invariant_to_threads_and_chunks(args, (7, 64), monkeypatch)
 
-    def test_two_level_sweep_steps_the_tail_for_the_largest_n1(self, small_collision, monkeypatch):
+    def test_two_level_sweep_steps_one_cut_and_one_n1(self, small_collision, monkeypatch):
         # The pilot steps every stage and snapshots at every block boundary,
-        # then the runs below the largest N1 step every stage, and the rest
-        # stop at the largest chosen cut; margins' N1 differ.
+        # then the runs below the call's N1 step every stage, and the rest
+        # stop at its cut.
         calls, batch = [], sim._simulate_batch
 
         def recorded(engine, seed, runs, schedule, weights, counted, cuts):
@@ -338,19 +348,14 @@ class TestRegionSweep:
         params = scenario(small_collision, na=3, nt=3, initial_age=5.0)
         ss.region_sweep(params, [0.5, 0.9, 0.97], [0.25, 0.5, 0.75], 600, 130, seed=3)
         ((cut, n1),) = picks
-        top, cuts = int(n1.max()), tuple(np.unique(cut).tolist())
-        assert n1.min() == sim._SUB_CHUNK < top < 600
-        assert calls == [
-            (0, 256, 130, (64, 128)),
-            (256, top, 130, cuts),
-            (top, 600, cuts[-1], cuts),
-        ]
+        assert cut == 64 and sim._SUB_CHUNK < n1 < 600
+        assert calls == [(0, 256, 130, (64, 128)), (256, n1, 130, (64,)), (n1, 600, 64, (64,))]
 
     def test_benchmark_sweep_keeps_the_first_block(self, equal_slots, monkeypatch):
         # The region_sweep benchmark's inputs on its seeds 1-5: at the first
         # block every margin's N1 is the pilot, 512 * 64 + 256 * 236 = 93,184
         # row-stages, and no later boundary can cost less than 512 * 128 +
-        # 256 * 172 = 109,568, so every margin keeps the first block and no
+        # 256 * 172 = 109,568, so the sweep keeps the first block and no
         # later boundary is weighed.
         tails = recorded_results(monkeypatch, sim, "_tail_runs")
         picks = recorded_results(monkeypatch, sim, "_two_levels")
@@ -361,8 +366,8 @@ class TestRegionSweep:
             lib_seed = int(np.random.default_rng(seed).integers(0, 2**63))
             ss.region_sweep(params, alphas, biases, 512, 300, lib_seed)
             (n1,) = tails
-            assert n1.shape == (4, 5, 3, 1) and np.all(512 * 64 + n1 * 236 == 93_184)
-            assert np.all(picks[-1][0] == 64)
+            assert n1.shape == (4, 5, 3) and np.all(512 * 64 + n1 * 236 == 93_184)
+            assert picks[-1] == (64, 256)
             tails.clear()
 
     def test_grid_bounds_validated(self, equal_slots, monkeypatch):
@@ -407,19 +412,18 @@ class TestRegionSweep:
 
     def test_sweep_keeps_no_access_counters(self, small_collision, monkeypatch):
         # The sweep reads payoffs only: without the access counters its
-        # payoffs are the same bits, at one level both levels are the
-        # horizon's, and neither entry reads a frequency.
+        # payoffs are the same bits, at one level the head is the horizon,
+        # and neither entry reads a frequency.
         params = scenario(small_collision)
         weights = sim._discount_weights([0.5, 0.9], 12)
         schedule = [(0, [sim.JOINT, sim.IDLE, 1.0, 0.0]), (1, [None, None, 0.3, 0.3])]
-        payoffs, freqs = sim._per_run(params, 4, 40, schedule, weights, 1)
-        margin = lambda p: (p[0, 2] - p[0, 0])[:, None]
-        levels, none, level, n1 = sim._per_run(
+        _, payoffs, freqs, _ = sim._per_run(params, 4, 40, schedule, weights, 1)
+        margin = lambda p: p[0, 2] - p[0, 0]
+        head, full, none, n1 = sim._per_run(
             params, 4, 40, schedule, weights, 1, margin, counted=False
         )
         assert freqs.shape == (2, 4, 40) and none is None
-        assert n1.tolist() == [40, 40] and level.tolist() == [0, 0]
-        assert levels.tobytes() == np.stack((payoffs, payoffs)).tobytes()
+        assert n1 == 40 and head is full and full.tobytes() == payoffs.tobytes()
 
         def frequencies(self):
             raise AssertionError("read access frequencies")

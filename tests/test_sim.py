@@ -147,7 +147,7 @@ class TestDeterminism:
         shares = [np.count_nonzero(tau_a == x) / access if access else 0.0 for x in (1.0, 0.0)]
         assert shares == [f[0] for f in state.frequencies()]
         # Run 0 of a batch of two; one run has no standard error and is refused.
-        payoffs, freqs = sim._per_run(params, 3, 2, [(0, [p_r])], weights[:, :1], 1)
+        _, payoffs, freqs, _ = sim._per_run(params, 3, 2, [(0, [p_r])], weights[:, :1], 1)
         assert payoffs[:, 0, 0, 0].tolist() == [state.u_aon[0, 0], state.u_ton[0, 0]]
         assert freqs[:, 0, 0].tolist() == shares
         with pytest.raises(ss.ConfigurationError, match="two runs"):
@@ -710,7 +710,7 @@ class TestGain:
         # Copies of one mode replay the same run streams, so comparing
         # cooperation against itself gains exactly zero, run by run.
         weights = sim._discount_weights([0.5, 0.9], 100)
-        payoffs, freqs = sim._per_run(
+        _, payoffs, freqs, _ = sim._per_run(
             scenario(small_collision), 8, 50, [(0, [0.4, 0.4])], weights, threads=1
         )
         assert np.array_equal(payoffs[:, 0], payoffs[:, 1])
@@ -744,19 +744,19 @@ class TestGain:
         alphas, p_rs = [0.3, 0.8, 0.95], [None, 0.25, 0.7]
         schedule = [(0, [sim.JOINT, 1.0, sim.IDLE]), (1, p_rs)] if forced else [(0, p_rs)]
         columns = list(sim._discount_weights(alphas, 40).T) + ([np.eye(40)[0]] if forced else [])
-        alone = [sim._per_run(params, 5, 30, schedule, c[:, None], 1) for c in columns]
+        alone = [sim._per_run(params, 5, 30, schedule, c[:, None], 1)[1:3] for c in columns]
         monkeypatch.setattr(sim, "_DEFAULT_CHUNK", chunk_size)
         weights = np.transpose(columns)
-        payoffs, freqs = sim._per_run(params, 5, 30, schedule, weights, threads)
+        _, payoffs, freqs, _ = sim._per_run(params, 5, 30, schedule, weights, threads)
         assert payoffs.shape == (2, 3, len(columns), 30)
         for i, (pay, freq) in enumerate(alone):
             assert np.array_equal(payoffs[:, :, i], pay[:, :, 0])
             assert np.array_equal(freqs, freq)
 
-    def test_two_level_grid_invariant_and_equal_to_its_points(self, small_collision, monkeypatch):
-        # 600 runs x 200 stages, above the pilot: the alpha-0.3 cells cut at
-        # the first block, the alpha-0.99 ones at 128 with N1 between the
-        # pilot and N0; 8 copies, so 2 threads use the pool.
+    def test_two_level_grid_invariant_to_threads_and_chunks(self, small_collision, monkeypatch):
+        # 600 runs x 200 stages, above the pilot: the alpha-0.99 cells set the
+        # call's cut at 128 with N1 between the pilot and N0; 8 copies, so 2
+        # threads use the pool.
         params = scenario(small_collision, na=3, nt=3, initial_age=5.0)
         alphas, biases = [0.3, 0.99], [0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9]
         picks = recorded_results(monkeypatch, sim, "_two_levels")
@@ -778,15 +778,26 @@ class TestGain:
             grids.append(flat(grid))
         assert grids == grids[:1] * 4
         cut, n1 = picks[0]
-        assert cut.tolist() == [[64] * 7, [128] * 7]
-        assert n1[0].tolist() == [sim._SUB_CHUNK] * 7 and sim._SUB_CHUNK < n1.max() < 600
-        for alpha, row in zip(alphas, grid):
-            for p_r, cell in zip(biases, row):
-                point = replace(params, alpha=alpha, p_r=p_r)
-                assert ss.gain_of_cooperation(point, 600, 200, 21) == cell
+        assert cut == 128 and sim._SUB_CHUNK < n1 < 600
+        for row in grid:
+            for cell in row:
                 base, coop = cell.competitive, cell.cooperative
                 assert cell.gain_aon == coop.u_aon_mean - base.u_aon_mean
                 assert cell.gain_ton == coop.u_ton_mean - base.u_ton_mean
+
+    def test_two_level_competitive_baseline_is_one_estimate_per_alpha(
+        self, small_collision, monkeypatch
+    ):
+        # Every cell of the call shares its cut and N1, so the competitive
+        # copy of one alpha is one estimate across the biases.
+        params = scenario(small_collision, na=3, nt=3, initial_age=5.0)
+        picks = recorded_results(monkeypatch, sim, "_two_levels")
+        grid = ss.gain_grid(params, 600, 200, 21, [0.3, 0.99], [0.1, 0.5, 0.9])
+        ((_, n1),) = picks
+        assert n1 < 600
+        for row in grid:
+            assert len({cell.competitive for cell in row}) == 1
+        assert grid[0][0].competitive != grid[1][0].competitive
 
     def test_gain_standard_errors_are_of_paired_run_differences(
         self, small_collision, equal_slots
@@ -794,7 +805,7 @@ class TestGain:
         params = scenario(small_collision, p_r=0.4)
         result = ss.gain_of_cooperation(params, 300, 60, seed=17)
         weights = sim._discount_weights([params.alpha], 60)
-        payoffs, _ = sim._per_run(params, 17, 300, [(0, [None, 0.4])], weights, 1)
+        _, payoffs, *_ = sim._per_run(params, 17, 300, [(0, [None, 0.4])], weights, 1)
         diffs = payoffs[:, 1, 0] - payoffs[:, 0, 0]
         for diff, se in zip(diffs, (result.se_gain_aon, result.se_gain_ton)):
             assert se == float(diff.std(ddof=1) / np.sqrt(300))
@@ -879,18 +890,18 @@ class TestGain:
 
 class TestTwoLevelHorizon:
     def test_two_level_mean_se_by_hand(self):
-        # Three estimates of 50 runs: one at N1 = N0, two at N1 = 20 and 35,
-        # whose horizon values past N1 are NaN and never read.
+        # Three estimates of 50 runs at N1 = 20, whose horizon values past
+        # N1 are NaN and never read; at N1 = N0 the one-level estimate.
         rng = np.random.default_rng(5)
         head = rng.normal(size=(3, 50))
         full = head + 0.3 * rng.normal(size=(3, 50)) + 0.2 * head
-        n1 = np.array([50, 20, 35])
-        full[1, 20:] = full[2, 35:] = np.nan
-        mean, se = sim._mean_se(np.stack((head, full)), n1)
-        one_mean, one_se = sim._mean_se(full[0])
-        assert mean[0] == one_mean and se[0] == one_se
-        for k in (1, 2):
-            h, n = head[k], n1[k]
+        one = sim._mean_se(full)
+        at_n0 = sim._mean_se(np.stack((head, full)), 50)
+        assert [stat.tobytes() for stat in at_n0] == [stat.tobytes() for stat in one]
+        n = 20
+        full[:, n:] = np.nan
+        mean, se = sim._mean_se(np.stack((head, full)), n)
+        for k, h in enumerate(head):
             t = full[k, :n] - h[:n]
             cov = np.cov(h[:n], t)[0, 1]
             expected_se = np.sqrt(h.var(ddof=1) / 50 + t.var(ddof=1) / n + 2 * cov / 50)
@@ -917,26 +928,51 @@ class TestTwoLevelHorizon:
             assert n1.tolist() == [sim._SUB_CHUNK] * 4
 
     def test_cut_rule_by_hand(self):
-        # Pilot values (boundaries 64, 128, 192, then the horizon x 1 group x
-        # members x pilot runs), 1000 runs over 256 stages: the cut is the
-        # boundary b of least N0 b + N1(b) (n_stages - b), N1 the group's largest.
+        # Pilot values (boundaries 64, 128, 192, then the horizon x estimates
+        # x pilot runs), 1000 runs over 256 stages: the cut is the boundary b
+        # of least N0 b + N1(b) (n_stages - b), N1 the estimates' largest.
         n0, n_stages, pilot, bounds = 1000, 256, sim._SUB_CHUNK, [64, 128, 192]
         rng = np.random.default_rng(3)
-        head = rng.normal(size=(1, 1, pilot))
+        head = rng.normal(size=(1, pilot))
         # A tail without variance: the first block, at the pilot's N1.
-        cut, n1 = sim._two_levels(np.stack([head] * 4), n0, n_stages)
-        assert cut.tolist() == [64] and n1.tolist() == [pilot]
-        # A member whose whole tail falls between 64 and 128: N1(64) is near
-        # N0, N1(128) the pilot, so the later boundary is cheaper.
+        assert sim._two_levels(np.stack([head] * 4), n0, n_stages) == (64, pilot)
+        # An estimate whose whole tail falls between 64 and 128: N1(64) is
+        # near N0, N1(128) the pilot, so the later boundary is cheaper.
         late = head + 10.0 * rng.normal(size=head.shape)
         values = np.concatenate((np.stack([head] * 4), np.stack([head, late, late, late])), -2)
         n1_at = [int(sim._tail_runs(values[k], values[-1], n0).max()) for k in range(3)]
         assert n1_at[0] > 900 and n1_at[1:] == [pilot, pilot]
         costs = [n0 * b + n * (n_stages - b) for b, n in zip(bounds, n1_at)]
         assert costs == [64_000 + 192 * n1_at[0], 160_768, 208_384]
-        best = int(np.argmin(costs))
+        assert int(np.argmin(costs)) == 1
+        assert sim._two_levels(values, n0, n_stages) == (128, pilot)
+
+    def test_one_cut_steps_fewer_rows_than_the_estimates_own_cuts(self):
+        # Two estimates over 1000 runs x 256 stages.  Alone, ``late`` (its
+        # whole tail between 64 and 128) would cut at 128 with the pilot's
+        # N1, and ``spread`` (its tail partly between 64 and 128, partly
+        # after 192) at 64 with N1 = 477.  A cut and an N1 per estimate step
+        # every run to 128 and 477 runs through every stage; the call's one
+        # cut and N1 are the least row-stages the call can step.
+        n0, n_stages, pilot, bounds = 1000, 256, sim._SUB_CHUNK, [64, 128, 192]
+        rng = np.random.default_rng(3)
+        head = rng.normal(size=pilot)
+        late = head + 10.0 * rng.normal(size=pilot)
+        early, last = rng.normal(size=(2, pilot))
+        spread = head + 0.155 * early
+        values = np.array(
+            [[head, head], [late, spread], [late, spread], [late, spread + 0.134 * last]]
+        )
+        n1_at = np.array([sim._tail_runs(values[k], values[-1], n0) for k in range(3)])
+        cost = lambda k, n: n0 * bounds[k] + n * (n_stages - bounds[k])
+        own = [min(range(3), key=lambda k: cost(k, n1_at[k, e])) for e in range(2)]
+        assert own == [1, 0] and n1_at[1, 0] == pilot and n1_at[0, 1] == 477
+        per_estimate = cost(max(own), max(n1_at[k, e] for e, k in enumerate(own)))
         cut, n1 = sim._two_levels(values, n0, n_stages)
-        assert best == 1 and cut.tolist() == [128] and n1.tolist() == [pilot]
+        true_costs = [cost(k, n1_at[k].max()) for k in range(3)]
+        assert (cut, n1) == (bounds[int(np.argmin(true_costs))], n1_at[1].max())
+        assert cost(bounds.index(cut), n1) == min(true_costs) < per_estimate
+        assert np.all(n1 >= n1_at[bounds.index(cut)])
 
     @pytest.mark.parametrize("n1_at_64, expected", [(534, 64), (535, 128)])
     def test_a_tie_goes_to_the_smallest_boundary(self, n1_at_64, expected, monkeypatch):
@@ -944,10 +980,27 @@ class TestTwoLevelHorizon:
         # 64,000 + 534 * 192 = 128,000 + 301 * 128 = 166,528 row-stages; at
         # 192 no N1 can cost less than 192,000 + 256 * 64 = 208,384.
         n1_by_stage = {64: n1_at_64, 128: 301, 192: 256}
-        rows = iter(np.array([[n]]) for n in n1_by_stage.values())
+        rows = iter(np.array([n]) for n in n1_by_stage.values())
         monkeypatch.setattr(sim, "_tail_runs", lambda head, full, n_runs: next(rows))
-        cut, n1 = sim._two_levels(np.zeros((4, 1, 1, sim._SUB_CHUNK)), 1000, 256)
-        assert cut.tolist() == [expected] and n1.tolist() == [n1_by_stage[expected]]
+        cut, n1 = sim._two_levels(np.zeros((4, 1, sim._SUB_CHUNK)), 1000, 256)
+        assert (cut, n1) == (expected, n1_by_stage[expected])
+
+    def test_n1_covers_every_estimate_at_the_cut(self, small_collision, monkeypatch):
+        # A gain grid and a region sweep above the pilot: at the call's cut
+        # no estimate needs more tail runs than the call's N1 steps.
+        params = scenario(small_collision, na=3, nt=3, initial_age=5.0)
+        tails = recorded_results(monkeypatch, sim, "_tail_runs")
+        picks = recorded_results(monkeypatch, sim, "_two_levels")
+        calls = (
+            lambda: ss.gain_grid(params, 600, 200, 21, [0.3, 0.99], [0.1, 0.5, 0.9]),
+            lambda: ss.region_sweep(params, [0.5, 0.97], [0.25, 0.75], 600, 130, seed=3),
+        )
+        for call in calls:
+            tails.clear()
+            call()
+            cut, n1 = picks[-1]
+            at_cut = tails[cut // seeding.BLOCK_STAGES - 1]
+            assert at_cut.size > 1 and n1 == at_cut.max() and np.all(at_cut <= n1)
 
     def test_n1_of_every_run_stays_one_level_bit_for_bit(self, small_collision, monkeypatch):
         # With N1 = N0 at every boundary each boundary costs N0 n_stages, the
@@ -957,11 +1010,11 @@ class TestTwoLevelHorizon:
         monkeypatch.setattr(sim, "_tail_runs", every_run)
         picks = recorded_results(monkeypatch, sim, "_two_levels")
         result = ss.gain_of_cooperation(params, 300, 200, seed=13)
-        assert [pick.tolist() for pick in picks[0]] == [[[64]], [[300]]]
+        assert picks == [(64, 300)]
         separate = [ss.monte_carlo(ss.RunConfig(params, 200, mode, seed=13), 300) for mode in ss.Mode]
         assert [result.competitive, result.cooperative] == separate
         weights = sim._discount_weights([params.alpha], 200)
-        payoffs, _ = sim._per_run(params, 13, 300, [(0, [None, 0.4])], weights, 1)
+        _, payoffs, *_ = sim._per_run(params, 13, 300, [(0, [None, 0.4])], weights, 1)
         diffs = payoffs[:, 1, 0] - payoffs[:, 0, 0]
         assert [result.se_gain_aon, result.se_gain_ton] == sim._mean_se(diffs)[1].tolist()
 
